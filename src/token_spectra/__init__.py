@@ -5,7 +5,6 @@ from .graphs import (
     GraphError,
     KiteSpec,
     add_edges,
-    boundary_degree,
     build_bipartite_extension,
     build_cut_clique_join,
     build_extended_cycle,
@@ -15,9 +14,7 @@ from .graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    edge_union,
     format_edge_list,
-    induced_subgraph,
     parse_edge_list,
     path_graph,
     remove_edges,
@@ -41,7 +38,6 @@ from .spectra import (
     eigenspace_has_equal_pair,
     laplacian,
     principal_submatrix,
-    rayleigh,
     theta,
 )
 from .exact import (
@@ -49,10 +45,8 @@ from .exact import (
     IntPoly,
     OperationCancelled,
     char_poly,
-    closed_form_gstar_poly,
     count_roots_in_interval,
     cycle_path_identity_check,
-    int_det,
     poly_divides,
 )
 

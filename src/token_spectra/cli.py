@@ -2,7 +2,8 @@
 
 Output is machine-first (JSON documents, CSV sweep rows); --pretty switches
 the JSON to indented form. Exit codes are stable: 0 all-pass, 1 a check
-failed mathematically, 2 usage or parse error, 3 a resource cap was hit.
+failed mathematically, 2 usage or parse error, 3 a resource cap was hit,
+130 the run was cancelled (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import io
 import json
 import os
 import random
-import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations
 
 import click
 
@@ -25,6 +26,7 @@ from .tokens import CapExceededError
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_CANCEL = 130
 
 
 def _default_cap() -> int:
@@ -96,12 +98,17 @@ def _json_dump(obj, pretty: bool) -> str:
     return json.dumps(obj, indent=2 if pretty else None) + "\n"
 
 
-def _wire_sigint(token: exact.CancelToken) -> None:
-    # first Ctrl-C cancels the exact computation cooperatively
-    signal.signal(signal.SIGINT, lambda *_: token.cancel())
+class _Main(click.Group):
+    def invoke(self, ctx):
+        # one exit path for Ctrl-C and for a cancelled exact computation
+        try:
+            return super().invoke(ctx)
+        except (KeyboardInterrupt, exact.OperationCancelled):
+            click.echo("cancelled", err=True)
+            ctx.exit(EXIT_CANCEL)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Token graphs, Laplacian spectra, and theorem-instance verification."""
 
@@ -200,95 +207,80 @@ def spectrum(graph_spec, exact_flag, tol, group_tol, pretty, output):
     doc["m"] = g.m
     doc["algebraic_connectivity"] = float(spec.values[1]) if g.n >= 2 else None
     if exact_flag:
-        token = exact.CancelToken()
-        _wire_sigint(token)
-        doc["char_poly"] = exact.char_poly(spectra.laplacian(g), cancel=token).to_json_list()
+        doc["char_poly"] = exact.char_poly(spectra.laplacian(g)).to_json_list()
     _emit(_json_dump(doc, pretty), output)
+
+
+# ---------------------------------------------------------------------------
+# the check table
+
+
+def _pairs(texts) -> list[tuple[int, int]]:
+    return [_parse_pair(t) for t in texts]
+
+
+def _kite_spec(opts: dict, need) -> KiteSpec:
+    return KiteSpec(head=_parse_graph_spec(need("head")), root=opts["root"], s=need("s"), r=need("r"))
+
+
+def _kite_head(opts: dict, need):
+    kw = dict(s=need("s"), r=need("r"), head_edges=_pairs(opts["add_head"]),
+              tail_edges=_pairs(opts["add"]))
+    if need("variant") == "cycle":
+        return ("cycle",), dict(h=need("order"), **kw)
+    return ("bipartite",), dict(h1=need("h1"), h2=need("h2"), root_side=opts["side"], **kw)
+
+
+def _cut_clique(opts: dict, need):
+    removed = _pairs(opts["remove"])
+    comps = _parse_components(need("comp"))
+    return (need("r"), comps), dict(full_join=not removed, removed_join_edges=removed)
+
+
+# check id -> (name of its verify.check_* function, the instance it takes,
+#              the options it receives when they are set, its fixed keywords).
+# The instance is a tuple of option names, which verify reads from its
+# options and sweep supplies for ("graph", "k"), ("graph", "u", "v") and
+# ("r",); or a builder over the verify options, returning (args, kwargs).
+# Functions are looked up by name at call time, so that wrappers put on
+# the verify module after import see every call.
+CHECKS = {
+    "alpha-token": ("check_alpha_token_equality", ("graph", "k"), ("tol", "cap"), {}),
+    "containment": ("check_spectral_containment", ("graph", "k"), ("tol", "cap"), {"mode": "float"}),
+    "containment-exact": ("check_spectral_containment", ("graph", "k"), ("cap",), {"mode": "exact"}),
+    "pendant-bound": ("check_pendant_bound", ("graph", "k"), ("tol", "cap"), {}),
+    "edge-add-iff": ("check_edge_add_alpha_iff", ("graph", "u", "v"), ("tol",), {}),
+    "interlacing": ("check_interlacing", ("graph", "u", "v"), ("tol",), {}),
+    "theta-table": ("check_theta_table", ("r",), ("tol",), {}),
+    "cut-vertex-split": ("check_cut_vertex_split", ("graph", "vertex"), ("tol",), {}),
+    "tail-edges": ("check_tail_edges_preserve_alpha",
+                   lambda o, need: ((_kite_spec(o, need), _pairs(o["add"])), {}), ("tol",), {}),
+    "kite-iff": ("check_kite_alpha_theta_iff",
+                 lambda o, need: ((_kite_spec(o, need),), {}), ("tol",), {}),
+    "symmetrizer": ("check_symmetrizer_commutation",
+                    lambda o, need: ((_kite_spec(o, need),), {"uj_edges": _pairs(o["add"]) or None}),
+                    ("tol",), {}),
+    "kite-head": ("check_kite_head_family", _kite_head, ("tol", "cap", "k"), {}),
+    "cut-clique": ("check_cut_clique", _cut_clique, ("tol", "cap", "k"), {}),
+    "bipartite-ext": ("check_bipartite_extension",
+                      lambda o, need: ((need("n1"), need("n2"), need("mode")), {"x_edges": _pairs(o["edge"])}),
+                      ("tol", "cap", "k"), {}),
+}
+_SWEEP_INSTANCES = (("graph", "k"), ("graph", "u", "v"), ("r",))
+
+
+def _run_check(check_id: str, args: tuple, opts: dict, kwargs: dict) -> verify.Certificate:
+    name, _, keywords, fixed = CHECKS[check_id]
+    kwargs = {**kwargs, **{key: opts[key] for key in keywords if opts[key] is not None}, **fixed}
+    return getattr(verify, name)(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _build_certificate(check_id: str, opts: dict) -> verify.Certificate:
-    def need(key, flag):
-        if opts.get(key) is None:
-            raise click.UsageError(f"check {check_id!r} needs {flag}")
-        return opts[key]
-
-    tol = opts["tol"]
-    cap = opts["cap"]
-    k = opts["k"]
-    if check_id == "containment":
-        g = _parse_graph_spec(need("graph", "--graph"))
-        mode = "exact" if opts["exact"] else "float"
-        token = exact.CancelToken()
-        _wire_sigint(token)
-        return verify.check_spectral_containment(g, need("k", "-k"), mode=mode, cap=cap, cancel=token)
-    if check_id == "alpha-token":
-        g = _parse_graph_spec(need("graph", "--graph"))
-        return verify.check_alpha_token_equality(g, need("k", "-k"), tol=tol, cap=cap)
-    if check_id == "edge-add-iff":
-        g = _parse_graph_spec(need("graph", "--graph"))
-        return verify.check_edge_add_alpha_iff(g, need("u", "-u"), need("v", "-v"), tol=tol)
-    if check_id == "interlacing":
-        g = _parse_graph_spec(need("graph", "--graph"))
-        return verify.check_interlacing(g, need("u", "-u"), need("v", "-v"), tol=tol)
-    if check_id == "pendant-bound":
-        g = _parse_graph_spec(need("graph", "--graph"))
-        return verify.check_pendant_bound(g, need("k", "-k"), tol=tol, cap=cap)
-    if check_id in ("tail-edges", "kite-iff", "symmetrizer"):
-        spec = KiteSpec(
-            head=_parse_graph_spec(need("head", "--head")),
-            root=opts["root"],
-            s=need("s", "-s"),
-            r=need("r", "-r"),
-        )
-        if check_id == "tail-edges":
-            return verify.check_tail_edges_preserve_alpha(
-                spec, [_parse_pair(a) for a in opts["add"]], tol=tol
-            )
-        if check_id == "kite-iff":
-            return verify.check_kite_alpha_theta_iff(spec, tol=tol)
-        uj = [_parse_pair(a) for a in opts["add"]] or None
-        return verify.check_symmetrizer_commutation(spec, uj_edges=uj, tol=tol)
-    if check_id == "kite-head":
-        variant = need("variant", "--variant")
-        kwargs = dict(
-            s=need("s", "-s"), r=need("r", "-r"), k=k or 2, tol=tol, cap=cap,
-            head_edges=[_parse_pair(a) for a in opts["add_head"]],
-            tail_edges=[_parse_pair(a) for a in opts["add"]],
-        )
-        if variant == "cycle":
-            return verify.check_kite_head_family("cycle", h=need("order", "--order"), **kwargs)
-        return verify.check_kite_head_family(
-            "bipartite", h1=need("h1", "--h1"), h2=need("h2", "--h2"),
-            root_side=opts["side"], **kwargs,
-        )
-    if check_id == "cut-clique":
-        comps = _parse_components(opts["comp"])
-        if not comps:
-            raise click.UsageError("cut-clique needs --comp")
-        removed = [_parse_pair(a) for a in opts["remove"]]
-        return verify.check_cut_clique(
-            need("r", "-r"), comps, full_join=not removed, k=k or 2,
-            removed_join_edges=removed, tol=tol, cap=cap,
-        )
-    if check_id == "bipartite-ext":
-        return verify.check_bipartite_extension(
-            need("n1", "--n1"), need("n2", "--n2"), need("mode", "--mode"),
-            k or 2, x_edges=[_parse_pair(e) for e in opts["edge"]], tol=tol, cap=cap,
-        )
-    if check_id == "cut-vertex-split":
-        g = _parse_graph_spec(need("graph", "--graph"))
-        return verify.check_cut_vertex_split(g, need("vertex", "--vertex"), tol=tol)
-    if check_id == "theta-table":
-        return verify.check_theta_table(need("r", "-r"))
-    raise click.UsageError(f"unknown check {check_id!r}")
-
-
 @main.command(name="verify")
-@click.argument("check_id")
+@click.argument("check_id", type=click.Choice(list(CHECKS)), metavar="CHECK_ID")
 @click.option("--graph", help="graph spec or edge-list file")
 @click.option("-k", type=int)
 @click.option("-u", type=int)
@@ -312,14 +304,28 @@ def _build_certificate(check_id: str, opts: dict) -> verify.Certificate:
 @click.option("--mode", type=click.Choice(["plus_x", "star_y"]))
 @click.option("--edge", multiple=True, help="side-X edge 'u,v' (repeatable)")
 @click.option("--vertex", type=int, help="cut vertex")
-@click.option("--tol", type=float, default=verify.DEFAULT_ALPHA_TOL, show_default=True)
+@click.option("--tol", type=float, help="comparison tolerance  [default: the check's own]")
 @click.option("--cap", type=int, default=None)
 @click.option("--pretty", is_flag=True)
 def verify_cmd(check_id, **opts):
     """Run one check and print its certificate; exit 1 on mathematical failure."""
+    if opts.pop("exact") and check_id == "containment":
+        check_id = "containment-exact"
     opts["cap"] = opts["cap"] if opts["cap"] is not None else _default_cap()
+
+    def need(key):
+        if opts[key] in (None, ()):
+            raise click.UsageError(f"check {check_id!r} needs {'-' if len(key) == 1 else '--'}{key}")
+        return opts[key]
+
+    instance = CHECKS[check_id][1]
     try:
-        cert = _build_certificate(check_id, opts)
+        if callable(instance):
+            args, kwargs = instance(opts, need)
+        else:
+            args = tuple(_parse_graph_spec(need(key)) if key == "graph" else need(key) for key in instance)
+            kwargs = {}
+        cert = _run_check(check_id, args, opts, kwargs)
     except GraphError as exc:
         raise click.UsageError(str(exc)) from exc
     except CapExceededError as exc:
@@ -334,12 +340,12 @@ def verify_cmd(check_id, **opts):
 # sweep
 
 
-def _sweep_instances(spec: dict, rng: random.Random) -> list[tuple[str, Graph]]:
+def _sweep_instances(spec: dict, rng: random.Random) -> list[tuple[str, Graph | int]]:
     fam = spec.get("family")
     if not isinstance(fam, dict) or "name" not in fam:
         raise click.UsageError("sweep spec needs a family object with a name")
     name = fam["name"]
-    out: list[tuple[str, Graph]] = []
+    out: list[tuple[str, Graph | int]] = []
 
     def span(key, default=None):
         val = fam.get(key, default)
@@ -374,49 +380,60 @@ def _sweep_instances(spec: dict, rng: random.Random) -> list[tuple[str, Graph]]:
             out.append((f"random_connected:{n}#{i}", graphs.random_connected_gnp(n, p, rng)))
     elif name == "theta_table":
         for r in span("r"):
-            out.append((f"theta_table:{r}", None))
+            out.append((f"theta_table:{r}", r))
     else:
         raise click.UsageError(f"unknown sweep family {name!r}")
     return out
 
 
-_TOKEN_CHECKS = {"alpha-token", "containment", "containment-exact", "pendant-bound"}
+def _sweep_tasks(spec: dict, rng: random.Random, opts: dict) -> list[dict]:
+    """Every cell of the sweep, after checking each requested check against the table."""
+    checks = spec.get("checks")
+    if not isinstance(checks, list) or not checks or not all(isinstance(c, str) for c in checks):
+        raise click.UsageError("sweep spec needs a non-empty checks list")
+    for check in checks:
+        if check not in CHECKS:
+            raise click.UsageError(f"unknown check {check!r}")
+        if CHECKS[check][1] not in _SWEEP_INSTANCES:
+            raise click.UsageError(f"check {check!r} is not sweepable")
+    k_range = spec.get("k_range", [2, 2])
+    ks = range(int(k_range[0]), int(k_range[1]) + 1)
+    instances = _sweep_instances(spec, rng)
+    family = spec["family"]["name"]
+    for check in checks:
+        if (CHECKS[check][1] == ("r",)) != (family == "theta_table"):
+            raise click.UsageError(f"check {check!r} does not apply to family {family!r}")
+
+    tasks = []
+    for inst_id, inst in instances:
+        for check in checks:
+            instance = CHECKS[check][1]
+            key = {"instance": inst_id, "check": check, "k": ""}
+            if instance == ("r",):
+                tasks.append({"key": key, "check": check, "args": (inst,), "opts": opts})
+            elif instance == ("graph", "u", "v"):
+                non_edges = [e for e in combinations(range(inst.n), 2) if not inst.has_edge(*e)]
+                pair = rng.choice(non_edges) if non_edges else None
+                tasks.append({"key": key, "check": check, "opts": opts,
+                              "args": None if pair is None else (inst, *pair)})
+            else:
+                tasks.extend({"key": {**key, "k": k}, "check": check, "args": (inst, k), "opts": opts}
+                             for k in ks if 1 <= k <= max(1, inst.n - 1))
+    return tasks
 
 
 def _sweep_row(task: dict) -> dict:
     """Run one (instance, check) cell; returns the CSV row as a dict."""
-    check = task["check"]
-    g = task["graph"]
-    tol = task["tol"]
-    cap = task["cap"]
-    k = task.get("k")
+    unmet = {**task["key"], "verdict": verify.PRECONDITION_UNMET, "runtime_ms": 0}
+    if task["args"] is None:
+        return {**unmet, "detail": "no non-edge available"}
     try:
-        if check == "theta-table":
-            cert = verify.check_theta_table(task["r"])
-        elif check == "alpha-token":
-            cert = verify.check_alpha_token_equality(g, k, tol=tol, cap=cap)
-        elif check == "containment":
-            cert = verify.check_spectral_containment(g, k, mode="float", cap=cap)
-        elif check == "containment-exact":
-            cert = verify.check_spectral_containment(g, k, mode="exact", cap=cap)
-        elif check == "pendant-bound":
-            cert = verify.check_pendant_bound(g, k, tol=tol, cap=cap)
-        elif check in ("edge-add-iff", "interlacing"):
-            pair = task.get("pair")
-            if pair is None:
-                return {**task["key"], "verdict": verify.PRECONDITION_UNMET,
-                        "detail": "no non-edge available", "runtime_ms": 0}
-            fn = (verify.check_edge_add_alpha_iff if check == "edge-add-iff"
-                  else verify.check_interlacing)
-            cert = fn(g, pair[0], pair[1], tol=tol)
-        else:
-            raise click.UsageError(f"check {check!r} is not sweepable")
+        cert = _run_check(task["check"], task["args"], task["opts"], {})
     except CapExceededError as exc:
-        return {**task["key"], "verdict": "cap_exceeded", "detail": str(exc), "runtime_ms": 0}
+        return {**unmet, "verdict": "cap_exceeded", "detail": str(exc)}
     except GraphError as exc:
         # the generated instance does not meet this check's preconditions
-        return {**task["key"], "verdict": verify.PRECONDITION_UNMET,
-                "detail": str(exc), "runtime_ms": 0}
+        return {**unmet, "detail": str(exc)}
     detail = {kk: vv for kk, vv in cert.witnesses.items()
               if isinstance(vv, (int, float, str, bool))}
     return {**task["key"], "verdict": cert.verdict,
@@ -433,35 +450,14 @@ def _sweep_row(task: dict) -> dict:
 def sweep(spec_file, csv_path, jobs, seed, cap, pretty):
     """Run a batch of checks over a family of instances; summary JSON on stdout."""
     spec = _load_sweep_spec(spec_file)
-    rng = random.Random(seed if seed is not None else int(spec.get("seed", 0)))
-    cap = cap if cap is not None else int(spec.get("cap", _default_cap()))
-    tol = float(spec.get("tolerances", {}).get("tol", verify.DEFAULT_ALPHA_TOL))
-    checks = spec.get("checks")
-    if not checks:
-        raise click.UsageError("sweep spec needs a non-empty checks list")
-    k_range = spec.get("k_range", [2, 2])
-    ks = list(range(int(k_range[0]), int(k_range[1]) + 1))
-
-    instances = _sweep_instances(spec, rng)
-    tasks = []
-    for inst_id, g in instances:
-        for check in checks:
-            if check == "theta-table":
-                r = int(inst_id.split(":")[1])
-                tasks.append({"key": {"instance": inst_id, "check": check, "k": ""},
-                              "check": check, "graph": None, "r": r, "tol": tol, "cap": cap})
-                continue
-            if check in ("edge-add-iff", "interlacing"):
-                non_edges = [e for e in _all_pairs(g.n) if not g.has_edge(*e)]
-                pair = rng.choice(non_edges) if non_edges else None
-                tasks.append({"key": {"instance": inst_id, "check": check, "k": ""},
-                              "check": check, "graph": g, "pair": pair, "tol": tol, "cap": cap})
-                continue
-            for k in ks:
-                if check in _TOKEN_CHECKS and not (1 <= k <= max(1, g.n - 1)):
-                    continue
-                tasks.append({"key": {"instance": inst_id, "check": check, "k": k},
-                              "check": check, "graph": g, "k": k, "tol": tol, "cap": cap})
+    try:
+        rng = random.Random(seed if seed is not None else int(spec.get("seed", 0)))
+        cap = cap if cap is not None else int(spec.get("cap", _default_cap()))
+        tol = spec.get("tolerances", {}).get("tol")
+        tasks = _sweep_tasks(spec, rng, {"tol": None if tol is None else float(tol), "cap": cap})
+    except (ValueError, TypeError, LookupError, AttributeError, ZeroDivisionError) as exc:
+        # a spec value of the wrong type or shape, or one no instance can be built from
+        raise click.UsageError(f"bad sweep spec: {exc}") from exc
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -492,25 +488,26 @@ def sweep(spec_file, csv_path, jobs, seed, cap, pretty):
         sys.exit(EXIT_FAIL)
 
 
-def _all_pairs(n: int):
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
 def _load_sweep_spec(path: str) -> dict:
-    text = open(path, "r", encoding="utf-8").read()
-    if path.endswith(".toml"):
-        try:
-            import tomllib  # Python >= 3.11
-        except ImportError:
-            try:
-                import tomli as tomllib
-            except ImportError as exc:
-                raise click.UsageError("TOML sweep specs need Python 3.11+ or tomli") from exc
-        return tomllib.loads(text)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if path.endswith(".toml"):
+            try:
+                import tomllib  # Python >= 3.11
+            except ImportError:
+                try:
+                    import tomli as tomllib
+                except ImportError as exc:
+                    raise click.UsageError("TOML sweep specs need Python 3.11+ or tomli") from exc
+            spec = tomllib.loads(text)
+        else:
+            spec = json.loads(text)
+    except ValueError as exc:  # undecodable text, and JSON and TOML syntax errors
         raise click.UsageError(f"bad sweep spec: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise click.UsageError("bad sweep spec: expected an object at the top level")
+    return spec
 
 
 if __name__ == "__main__":

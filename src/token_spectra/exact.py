@@ -233,18 +233,6 @@ def poly_divides(p: IntPoly, q: IntPoly) -> tuple[bool, IntPoly]:
     return False, remainder
 
 
-def closed_form_gstar_poly(n1: int, n2: int, r: int) -> IntPoly:
-    """Expand x(x-r)(x-r-n1)^(n1-1)(x-r-n2)^(n2-1)(x-n)^r with n = n1+n2+r."""
-    if n1 < 1 or n2 < 1 or r < 1:
-        raise ValueError("need n1, n2, r >= 1")
-    n = n1 + n2 + r
-    out = IntPoly((0, 1)) * IntPoly.x_minus(r)
-    out = out * IntPoly.x_minus(r + n1) ** (n1 - 1)
-    out = out * IntPoly.x_minus(r + n2) ** (n2 - 1)
-    out = out * IntPoly.x_minus(n) ** r
-    return out
-
-
 def cycle_path_identity_check(h: int) -> bool:
     """Exact identity x * charpoly(cycle minus one vertex) == charpoly(path).
 
@@ -314,32 +302,3 @@ def count_roots_in_interval(p: IntPoly, lo, hi) -> int:
             break
         chain.append([-c for c in rem])
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
-def int_det(m) -> int:
-    """Exact determinant of an integer matrix via fraction-free elimination."""
-    a = [row[:] for row in _as_int_rows(m)]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                q, rem = divmod(num, prev)
-                if rem != 0:
-                    raise AssertionError("fraction-free elimination division failed")
-                a[i][j] = q
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

@@ -194,41 +194,6 @@ def remove_edges(g: Graph, old_edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(g.n, tuple(e for e in g.edges if e not in removed))
 
 
-def edge_union(g1: Graph, g2: Graph) -> Graph:
-    """Union of two edge-disjoint graphs on the same vertex set."""
-    if g1.n != g2.n:
-        raise GraphError(f"vertex count mismatch: {g1.n} != {g2.n}")
-    overlap = set(g1.edges) & set(g2.edges)
-    if overlap:
-        raise GraphError(f"edge sets overlap: {sorted(overlap)[:3]}")
-    return Graph(g1.n, g1.edges + g2.edges)
-
-
-def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced on vs, relabeled 0..|vs|-1 in ascending vertex order.
-
-    Returns the relabeled graph and the old-to-new index map.
-    """
-    vset = sorted(set(vs))
-    for v in vset:
-        if not (0 <= v < g.n):
-            raise GraphError(f"vertex {v} out of range")
-    index = {v: i for i, v in enumerate(vset)}
-    edges = tuple(
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    )
-    return Graph(len(vset), edges), index
-
-
-def boundary_degree(g: Graph, vs: Iterable[int]) -> int:
-    """Number of edges with exactly one endpoint in vs."""
-    vset = set(vs)
-    for v in vset:
-        if not (0 <= v < g.n):
-            raise GraphError(f"vertex {v} out of range")
-    return sum(1 for u, v in g.edges if (u in vset) != (v in vset))
-
-
 # ---------------------------------------------------------------------------
 # kites and superkites
 

@@ -174,29 +174,6 @@ def algebraic_connectivity(
     return value, spec.group_of(1).basis
 
 
-def rayleigh(m: np.ndarray, x: Sequence[float], edges: Iterable[tuple[int, int]] | None = None) -> float:
-    """Quadratic form ratio x'Mx / x'x.
-
-    When edges are passed (Laplacian case) the value is recomputed as the
-    edge sum of squared differences and the two routes are cross-checked.
-    """
-    a = np.asarray(m, dtype=float)
-    v = np.asarray(x, dtype=float)
-    if v.shape != (a.shape[0],):
-        raise GraphError(f"vector length {v.shape} does not match order {a.shape[0]}")
-    den = float(v @ v)
-    if den == 0.0:
-        raise GraphError("Rayleigh quotient of the zero vector")
-    val = float(v @ (a @ v)) / den
-    if edges is not None:
-        edge_val = sum((v[u] - v[w]) ** 2 for u, w in edges) / den
-        if abs(val - edge_val) > 1e-9 * max(1.0, abs(val)):
-            raise NumericalError(
-                f"Rayleigh routes disagree: {val!r} vs {edge_val!r}"
-            )
-    return val
-
-
 def theta(r: int, k: int) -> float:
     """Eigenvalue 2 + 2cos(2k pi / (2r+1)) of the pendant-path principal submatrix.
 

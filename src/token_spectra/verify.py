@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact import CancelToken, char_poly, cycle_path_identity_check, poly_divides
+from .exact import char_poly, cycle_path_identity_check, poly_divides
 from .graphs import (
     Graph,
     GraphError,
@@ -109,10 +109,6 @@ def _pair_witness(u: int, v: int) -> dict:
     return {"u": u, "v": v, "u_one_based": u + 1, "v_one_based": v + 1}
 
 
-def _alpha(g: Graph) -> tuple[float, np.ndarray]:
-    return algebraic_connectivity(g)
-
-
 # ---------------------------------------------------------------------------
 # token-graph checks
 
@@ -123,7 +119,6 @@ def check_spectral_containment(
     mode: str = "exact",
     tol: float = DEFAULT_FLOAT_CONTAIN_TOL,
     cap: int = DEFAULT_CAP,
-    cancel: CancelToken | None = None,
 ) -> Certificate:
     """Every Laplacian eigenvalue of g appears in the spectrum of its k-token graph.
 
@@ -136,8 +131,8 @@ def check_spectral_containment(
     tg = token_graph(g, k, cap=cap)
     witnesses: dict = {"k": k, "token_vertices": tg.graph.n, "mode": mode}
     if mode == "exact":
-        p = char_poly(laplacian(g), cancel=cancel)
-        q = char_poly(laplacian(tg.graph), cancel=cancel)
+        p = char_poly(laplacian(g))
+        q = char_poly(laplacian(tg.graph))
         divides, result = poly_divides(p, q)
         if divides:
             witnesses["quotient_degree"] = result.degree
@@ -169,9 +164,9 @@ def check_alpha_token_equality(
 ) -> Certificate:
     """Algebraic connectivity of g equals that of its k-token graph."""
     t0 = time.perf_counter()
-    a_base, _ = _alpha(g)
+    a_base, _ = algebraic_connectivity(g)
     tg = token_graph(g, k, cap=cap)
-    a_token, _ = _alpha(tg.graph)
+    a_token, _ = algebraic_connectivity(tg.graph)
     ok = abs(a_token - a_base) <= tol * max(1.0, abs(a_base))
     witnesses = {
         "k": k,
@@ -202,8 +197,8 @@ def check_edge_add_alpha_iff(
     if g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) already present")
     t0 = time.perf_counter()
-    a0, basis = _alpha(g)
-    a1, _ = _alpha(add_edges(g, [(u, v)]))
+    a0, basis = algebraic_connectivity(g)
+    a1, _ = algebraic_connectivity(add_edges(g, [(u, v)]))
     lhs = abs(a1 - a0) <= tol * max(1.0, abs(a0))
     rhs, wit = eigenspace_has_equal_pair(basis, (u, v), tol=pair_tol)
     witnesses = {
@@ -259,9 +254,9 @@ def check_pendant_bound(
         raise GraphError(f"need 2 <= k <= {n_aug / 2} (augmented order / 2), got k={k}")
     t0 = time.perf_counter()
     h = Graph(n_aug, g.edges + ((0, g.n),))
-    a_h = _alpha(token_graph(h, k, cap=cap).graph)[0]
-    a_km1 = _alpha(token_graph(g, k - 1, cap=cap).graph)[0]
-    a_k = _alpha(token_graph(g, k, cap=cap).graph)[0]
+    a_h = algebraic_connectivity(token_graph(h, k, cap=cap).graph)[0]
+    a_km1 = algebraic_connectivity(token_graph(g, k - 1, cap=cap).graph)[0]
+    a_k = algebraic_connectivity(token_graph(g, k, cap=cap).graph)[0]
     bound = min(a_km1 + 1.0, a_k + 1.0)
     ok = a_h <= bound + tol * max(1.0, bound)
     witnesses = {
@@ -317,7 +312,7 @@ def check_tail_edges_preserve_alpha(
     t0 = time.perf_counter()
     g, _ = build_kite(spec)
     edges = _validate_level_edges(spec, added_edges, min_path=1)
-    a0, _ = _alpha(g)
+    a0, _ = algebraic_connectivity(g)
     th = theta(spec.r, spec.r)
     witnesses = {
         "alpha": a0,
@@ -328,7 +323,7 @@ def check_tail_edges_preserve_alpha(
         return _finish(
             "tail-edges", g, PRECONDITION_UNMET, witnesses, {"tol": tol}, t0
         )
-    a1, _ = _alpha(add_edges(g, edges))
+    a1, _ = algebraic_connectivity(add_edges(g, edges))
     witnesses["alpha_after"] = a1
     ok = abs(a1 - a0) <= tol * max(1.0, abs(a0))
     return _finish("tail-edges", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
@@ -355,7 +350,7 @@ def check_kite_alpha_theta_iff(spec: KiteSpec, tol: float = DEFAULT_ALPHA_TOL) -
     """
     t0 = time.perf_counter()
     g, _ = build_kite(spec)
-    a, _ = _alpha(g)
+    a, _ = algebraic_connectivity(g)
     th = theta(spec.r, spec.r)
     lam = _head_submatrix_min_eig(spec.head, spec.root)
     lhs = _close(a, th, tol)
@@ -551,8 +546,8 @@ def check_kite_head_family(
             raise GraphError(f"head edge ({u}, {v}) leaves the head")
         extra.append((u, v))
     gp = add_edges(g, extra) if extra else g
-    a_gp, _ = _alpha(gp)
-    a_token, _ = _alpha(token_graph(gp, k, cap=cap).graph)
+    a_gp, _ = algebraic_connectivity(gp)
+    a_token, _ = algebraic_connectivity(token_graph(gp, k, cap=cap).graph)
     alpha_ok = abs(a_token - a_gp) <= tol * max(1.0, abs(a_gp))
     witnesses.update(
         {
@@ -586,7 +581,7 @@ def check_cut_vertex_split(g: Graph, cut_vertex: int, tol: float = DEFAULT_ALPHA
     lam1s = sorted(
         float(eig_sym(principal_submatrix(L, comp)).values[0]) for comp in comps
     )
-    a, _ = _alpha(g)
+    a, _ = algebraic_connectivity(g)
     witnesses = {
         "cut_vertex": {"index": cut_vertex, "one_based": cut_vertex + 1},
         "alpha": a,
@@ -609,7 +604,7 @@ def check_bipartite_extension(
     n1: int,
     n2: int,
     mode: str,
-    k: int,
+    k: int = 2,
     x_edges: Sequence[tuple[int, int]] = (),
     tol: float = DEFAULT_ALPHA_TOL,
     cap: int = DEFAULT_CAP,
@@ -622,8 +617,8 @@ def check_bipartite_extension(
     t0 = time.perf_counter()
     g = build_bipartite_extension(n1, n2, mode, x_edges)
     expected = float(n1 if mode == "plus_x" else n2)
-    a, _ = _alpha(g)
-    a_token, _ = _alpha(token_graph(g, k, cap=cap).graph)
+    a, _ = algebraic_connectivity(g)
+    a_token, _ = algebraic_connectivity(token_graph(g, k, cap=cap).graph)
     ok = _close(a, expected, tol) and _close(a_token, expected, tol)
     witnesses = {
         "mode": mode,
@@ -663,7 +658,7 @@ def check_cut_clique(
     elif removed_join_edges:
         raise GraphError("removed_join_edges given but full_join is True")
 
-    a, _ = _alpha(g)
+    a, _ = algebraic_connectivity(g)
     bound_ok = a <= r + tol * max(1.0, float(r))
     witnesses = {
         "r": r,
@@ -677,7 +672,7 @@ def check_cut_clique(
         witnesses["gap"] = float(r) - a
         verdict = PASS if bound_ok else FAIL
         return _finish("cut-clique", g, verdict, witnesses, {"tol": tol}, t0)
-    a_token, _ = _alpha(token_graph(g, k, cap=cap).graph)
+    a_token, _ = algebraic_connectivity(token_graph(g, k, cap=cap).graph)
     witnesses["alpha_token"] = a_token
     ok = bound_ok and _close(a, float(r), tol) and _close(a_token, float(r), tol)
     return _finish("cut-clique", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)

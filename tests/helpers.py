@@ -1,14 +1,20 @@
-"""Shared test utilities: instance corpora and graph-class enumeration."""
+"""Shared test utilities: instance corpora, graph-class enumeration, and
+reference routines that only the tests use (graph restrictions, the
+Rayleigh quotient, fraction-free determinants, a closed-form join
+polynomial)."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from token_spectra.exact import IntPoly
 from token_spectra.graphs import (
     Graph,
+    GraphError,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -17,6 +23,7 @@ from token_spectra.graphs import (
     random_tree,
     star_graph,
 )
+from token_spectra.spectra import NumericalError
 
 # known counts of connected graphs up to isomorphism, indexed by n
 CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
@@ -79,3 +86,102 @@ def random_tree_corpus(count: int, n_range=(3, 8), seed: int = 1) -> list[Graph]
     rng = random.Random(seed)
     lo, hi = n_range
     return [random_tree(rng.randint(lo, hi), rng) for _ in range(count)]
+
+
+def edge_union(g1: Graph, g2: Graph) -> Graph:
+    """Union of two edge-disjoint graphs on the same vertex set."""
+    if g1.n != g2.n:
+        raise GraphError(f"vertex count mismatch: {g1.n} != {g2.n}")
+    overlap = set(g1.edges) & set(g2.edges)
+    if overlap:
+        raise GraphError(f"edge sets overlap: {sorted(overlap)[:3]}")
+    return Graph(g1.n, g1.edges + g2.edges)
+
+
+def induced_subgraph(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]]:
+    """Subgraph induced on vs, relabeled 0..|vs|-1 in ascending vertex order.
+
+    Returns the relabeled graph and the old-to-new index map.
+    """
+    vset = sorted(set(vs))
+    for v in vset:
+        if not (0 <= v < g.n):
+            raise GraphError(f"vertex {v} out of range")
+    index = {v: i for i, v in enumerate(vset)}
+    edges = tuple(
+        (index[u], index[v]) for u, v in g.edges if u in index and v in index
+    )
+    return Graph(len(vset), edges), index
+
+
+def boundary_degree(g: Graph, vs: Iterable[int]) -> int:
+    """Number of edges with exactly one endpoint in vs."""
+    vset = set(vs)
+    for v in vset:
+        if not (0 <= v < g.n):
+            raise GraphError(f"vertex {v} out of range")
+    return sum(1 for u, v in g.edges if (u in vset) != (v in vset))
+
+
+def rayleigh(m: np.ndarray, x: Sequence[float], edges: Iterable[tuple[int, int]] | None = None) -> float:
+    """Quadratic form ratio x'Mx / x'x.
+
+    When edges are passed (Laplacian case) the value is recomputed as the
+    edge sum of squared differences and the two routes are cross-checked.
+    """
+    a = np.asarray(m, dtype=float)
+    v = np.asarray(x, dtype=float)
+    if v.shape != (a.shape[0],):
+        raise GraphError(f"vector length {v.shape} does not match order {a.shape[0]}")
+    den = float(v @ v)
+    if den == 0.0:
+        raise GraphError("Rayleigh quotient of the zero vector")
+    val = float(v @ (a @ v)) / den
+    if edges is not None:
+        edge_val = sum((v[u] - v[w]) ** 2 for u, w in edges) / den
+        if abs(val - edge_val) > 1e-9 * max(1.0, abs(val)):
+            raise NumericalError(
+                f"Rayleigh routes disagree: {val!r} vs {edge_val!r}"
+            )
+    return val
+
+
+def closed_form_gstar_poly(n1: int, n2: int, r: int) -> IntPoly:
+    """Expand x(x-r)(x-r-n1)^(n1-1)(x-r-n2)^(n2-1)(x-n)^r with n = n1+n2+r."""
+    if n1 < 1 or n2 < 1 or r < 1:
+        raise ValueError("need n1, n2, r >= 1")
+    n = n1 + n2 + r
+    out = IntPoly((0, 1)) * IntPoly.x_minus(r)
+    out = out * IntPoly.x_minus(r + n1) ** (n1 - 1)
+    out = out * IntPoly.x_minus(r + n2) ** (n2 - 1)
+    out = out * IntPoly.x_minus(n) ** r
+    return out
+
+
+def int_det(m) -> int:
+    """Exact determinant of a square integer matrix via fraction-free elimination."""
+    a = [[int(x) for x in row] for row in np.asarray(m).tolist()]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                q, rem = divmod(num, prev)
+                if rem != 0:
+                    raise AssertionError("fraction-free elimination division failed")
+                a[i][j] = q
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]

@@ -1,12 +1,26 @@
 import csv
 import io
 import json
+import signal
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from token_spectra.cli import main
-from token_spectra.graphs import Graph, format_edge_list, parse_edge_list
+from token_spectra import verify
+from token_spectra.cli import CHECKS, EXIT_CANCEL, main
+from token_spectra.exact import OperationCancelled
+from token_spectra.graphs import (
+    KiteSpec,
+    complete_graph,
+    cycle_graph,
+    format_edge_list,
+    parse_edge_list,
+    path_graph,
+    star_graph,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -182,6 +196,21 @@ class TestVerify:
         )
         assert res.exit_code == 3
 
+    def test_tol_reaches_containment(self, runner, y_file):
+        argv = ["verify", "containment", "--graph", y_file, "-k", "2"]
+        assert json.loads(runner.invoke(main, argv).output)["tolerances"] == {"tol": 1e-6}
+        res = runner.invoke(main, argv + ["--tol", "1e-3"])
+        assert json.loads(res.output)["tolerances"] == {"tol": 1e-3}
+
+    @pytest.mark.parametrize("argv", [
+        ["kite-head", "--variant", "bipartite", "--h1", "2", "--h2", "3", "-s", "3", "-r", "3"],
+        ["cut-clique", "-r", "1", "--comp", "complete:1*4"],
+        ["bipartite-ext", "--n1", "2", "--n2", "3", "--mode", "plus_x"],
+    ])
+    def test_k_zero_reaches_the_check(self, runner, argv):
+        assert runner.invoke(main, ["verify", *argv]).exit_code == 0
+        assert runner.invoke(main, ["verify", *argv, "-k", "0"]).exit_code == 2
+
     def test_env_cap_override(self, runner):
         res = runner.invoke(
             main,
@@ -189,6 +218,94 @@ class TestVerify:
             env={"TOKEN_SPECTRA_CAP": "100"},
         )
         assert res.exit_code == 3
+
+
+# check id -> (verify arguments, the same check called directly); "Y" stands
+# for the Y-tree edge-list file
+VERIFY_CASES = {
+    "alpha-token": (["alpha-token", "--graph", "Y", "-k", "2"],
+                    lambda y: verify.check_alpha_token_equality(y, 2)),
+    "containment": (["containment", "--graph", "Y", "-k", "2"],
+                    lambda y: verify.check_spectral_containment(y, 2, mode="float")),
+    "containment-exact": (["containment", "--graph", "Y", "-k", "2", "--exact"],
+                          lambda y: verify.check_spectral_containment(y, 2, mode="exact")),
+    "pendant-bound": (["pendant-bound", "--graph", "Y", "-k", "2"],
+                      lambda y: verify.check_pendant_bound(y, 2)),
+    "edge-add-iff": (["edge-add-iff", "--graph", "Y", "-u", "0", "-v", "1"],
+                     lambda y: verify.check_edge_add_alpha_iff(y, 0, 1)),
+    "interlacing": (["interlacing", "--graph", "Y", "-u", "0", "-v", "1"],
+                    lambda y: verify.check_interlacing(y, 0, 1)),
+    "theta-table": (["theta-table", "-r", "10"], lambda y: verify.check_theta_table(10)),
+    "cut-vertex-split": (["cut-vertex-split", "--graph", "star:3", "--vertex", "0"],
+                         lambda y: verify.check_cut_vertex_split(star_graph(3), 0)),
+    "tail-edges": (["tail-edges", "--head", "path:3", "--root", "0", "-s", "2", "-r", "1", "--add", "3,4"],
+                   lambda y: verify.check_tail_edges_preserve_alpha(KiteSpec(path_graph(3), 0, 2, 1), [(3, 4)])),
+    "kite-iff": (["kite-iff", "--head", "cycle:4", "-s", "3", "-r", "3"],
+                 lambda y: verify.check_kite_alpha_theta_iff(KiteSpec(cycle_graph(4), 0, 3, 3))),
+    "symmetrizer": (["symmetrizer", "--head", "cycle:4", "-s", "3", "-r", "3"],
+                    lambda y: verify.check_symmetrizer_commutation(KiteSpec(cycle_graph(4), 0, 3, 3))),
+    "kite-head": (["kite-head", "--variant", "bipartite", "--h1", "2", "--h2", "3", "-s", "3", "-r", "3"],
+                  lambda y: verify.check_kite_head_family("bipartite", s=3, r=3, h1=2, h2=3)),
+    "cut-clique": (["cut-clique", "-r", "1", "--comp", "complete:1*4", "-k", "2"],
+                   lambda y: verify.check_cut_clique(1, [complete_graph(1)] * 4, k=2)),
+    "bipartite-ext": (["bipartite-ext", "--n1", "2", "--n2", "3", "--mode", "plus_x", "--edge", "0,1", "-k", "2"],
+                      lambda y: verify.check_bipartite_extension(2, 3, "plus_x", 2, x_edges=[(0, 1)])),
+}
+
+
+def _no_runtime(cert: dict) -> dict:
+    return {key: val for key, val in cert.items() if key != "runtime_ms"}
+
+
+class TestVerifyMatchesDirectCalls:
+    def test_every_check_is_covered(self):
+        assert set(VERIFY_CASES) == set(CHECKS)
+
+    @pytest.mark.parametrize("check_id", sorted(VERIFY_CASES))
+    def test_certificate_equals_direct_call(self, runner, y_file, y_tree, check_id):
+        argv, direct = VERIFY_CASES[check_id]
+        res = runner.invoke(main, ["verify"] + [y_file if a == "Y" else a for a in argv])
+        assert res.exit_code == 0, res.output
+        assert _no_runtime(json.loads(res.output)) == _no_runtime(direct(y_tree).to_json_dict())
+
+
+class TestCancel:
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, OperationCancelled])
+    @pytest.mark.parametrize("extra", [[], ["--exact"]])
+    def test_verify_cancel_exits_130(self, runner, y_file, monkeypatch, exc, extra):
+        def interrupted(*args, **kwargs):
+            raise exc()
+
+        monkeypatch.setattr(verify, "check_spectral_containment", interrupted)
+        res = runner.invoke(main, ["verify", "containment", "--graph", y_file, "-k", "2", *extra])
+        assert res.exit_code == EXIT_CANCEL == 130
+        assert res.stdout == "" and res.stderr == "cancelled\n"
+
+    def test_spectrum_cancel_exits_130(self, runner, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("token_spectra.exact.char_poly", interrupted)
+        res = runner.invoke(main, ["spectrum", "complete:3", "--exact"])
+        assert res.exit_code == 130 and res.stderr == "cancelled\n"
+
+    def test_sigint_handler_unchanged(self, runner, y_file):
+        before = signal.getsignal(signal.SIGINT)
+        runner.invoke(main, ["verify", "containment", "--graph", y_file, "-k", "2", "--exact"])
+        runner.invoke(main, ["spectrum", "complete:3", "--exact"])
+        assert signal.getsignal(signal.SIGINT) is before
+
+
+# sweep specs that must exit 2 before any cell runs, one per file name
+MALFORMED_SPECS = [
+    ("bad.toml", 'checks = ["alpha-token"\n'),
+    ("n.json", {"family": {"name": "path", "n": ["a", 5]}, "checks": ["alpha-token"]}),
+    ("string.json", {"family": {"name": "path", "n": [3, 5]}, "checks": "alpha-token"}),
+    ("unknown.json", {"family": {"name": "path", "n": [3, 5]}, "checks": ["bogus"]}),
+    ("graph_on_theta.json", {"family": {"name": "theta_table", "r": [1, 3]}, "checks": ["alpha-token"]}),
+    ("theta_on_graph.json", {"family": {"name": "path", "n": [3, 5]}, "checks": ["theta-table"]}),
+    ("unsweepable.json", {"family": {"name": "path", "n": [3, 5]}, "checks": ["alpha-token", "symmetrizer"]}),
+]
 
 
 class TestSweep:
@@ -294,3 +411,41 @@ class TestSweep:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert runner.invoke(main, ["sweep", str(bad)]).exit_code == 2
+
+    @pytest.mark.parametrize("name, text", MALFORMED_SPECS, ids=[name for name, _ in MALFORMED_SPECS])
+    def test_malformed_spec_exits_2_before_any_cell(self, runner, tmp_path, monkeypatch, name, text):
+        ran = []
+        for attr in dir(verify):
+            if attr.startswith("check_"):
+                monkeypatch.setattr(verify, attr, lambda *a, **kw: ran.append(a))
+        path = tmp_path / name
+        path.write_text(text if isinstance(text, str) else json.dumps(text))
+        res = runner.invoke(main, ["sweep", str(path), "--csv", "-"])
+        assert res.exit_code == 2
+        assert ran == [] and res.stdout == ""
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("pinned, spec", [
+        ("sweep_seven.csv", {
+            "family": {"name": "random_connected", "n": [4, 7], "count": 8, "p": 0.5},
+            "k_range": [1, 3], "seed": 11,
+            "checks": ["alpha-token", "containment", "containment-exact", "pendant-bound",
+                       "edge-add-iff", "interlacing"],
+        }),
+        ("sweep_theta.csv", {"family": {"name": "theta_table", "r": [1, 6]}, "checks": ["theta-table"]}),
+    ])
+    def test_rows_match_pinned(self, runner, tmp_path, pinned, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        csv_path = tmp_path / "rows.csv"
+        assert runner.invoke(main, ["sweep", str(path), "--csv", str(csv_path)]).exit_code == 0
+        rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+        expected = list(csv.DictReader(io.StringIO((DATA / pinned).read_text())))
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            del row["runtime_ms"]
+            if want["detail"].startswith("{"):
+                # witnesses are floats from LAPACK; allow for another BLAS build
+                assert json.loads(row.pop("detail")) == pytest.approx(
+                    json.loads(want.pop("detail")), rel=1e-9, abs=1e-12)
+            assert row == want

@@ -9,10 +9,8 @@ from token_spectra.exact import (
     IntPoly,
     OperationCancelled,
     char_poly,
-    closed_form_gstar_poly,
     count_roots_in_interval,
     cycle_path_identity_check,
-    int_det,
     poly_divides,
 )
 from token_spectra.graphs import (
@@ -24,7 +22,7 @@ from token_spectra.graphs import (
 from token_spectra.spectra import laplacian
 from token_spectra.tokens import token_graph
 
-from helpers import family_corpus, random_corpus
+from helpers import closed_form_gstar_poly, family_corpus, int_det, random_corpus
 
 
 class TestIntPoly:

@@ -9,7 +9,6 @@ from token_spectra.graphs import (
     GraphError,
     KiteSpec,
     add_edges,
-    boundary_degree,
     build_bipartite_extension,
     build_cut_clique_join,
     build_extended_cycle,
@@ -19,9 +18,7 @@ from token_spectra.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    edge_union,
     format_edge_list,
-    induced_subgraph,
     parse_edge_list,
     path_graph,
     random_connected_gnp,
@@ -30,7 +27,7 @@ from token_spectra.graphs import (
     star_graph,
 )
 
-from helpers import family_corpus, random_corpus
+from helpers import boundary_degree, edge_union, family_corpus, induced_subgraph, random_corpus
 
 
 class TestGraphType:

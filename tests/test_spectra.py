@@ -23,11 +23,10 @@ from token_spectra.spectra import (
     eigenspace_has_equal_pair,
     laplacian,
     principal_submatrix,
-    rayleigh,
     theta,
 )
 
-from helpers import family_corpus, random_corpus
+from helpers import family_corpus, random_corpus, rayleigh
 
 # 13-vertex kite with a 4-cycle head, written with level-major tail labels
 # (all level-1 tail vertices first, then level 2, then level 3)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from token_spectra.graphs import Graph, GraphError, add_edges, edge_union, path_graph
+from token_spectra.graphs import Graph, GraphError, add_edges, path_graph
 from token_spectra.spectra import algebraic_connectivity, laplacian
 from token_spectra.tokens import (
     CapExceededError,
@@ -18,7 +18,7 @@ from token_spectra.tokens import (
     token_graph,
 )
 
-from helpers import family_corpus, random_corpus
+from helpers import edge_union, family_corpus, random_corpus
 
 
 class TestSubsetCodec:
