@@ -23,10 +23,7 @@ from .graphs import (
 from .tokens import (
     DEFAULT_CAP,
     CapExceededError,
-    SubsetCodec,
     TokenGraph,
-    binomial_lift,
-    binomial_project,
     token_graph,
 )
 from .spectra import (

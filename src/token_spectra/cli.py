@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
 import click
+from click.core import ParameterSource
 
 from . import exact, graphs, spectra, tokens, verify
 from .graphs import Graph, GraphError, KiteSpec
@@ -143,7 +144,6 @@ def construct(family, params, head, root, s, r, tree, tree_root, comp, chord, nu
     kite, superkite, cutclique, extcycle, bipartite, token.
     """
     try:
-        header = None
         if family in graphs._STANDARD_FAMILIES:
             g = graphs.build_standard(family, list(params))
         elif family == "kite":
@@ -184,7 +184,7 @@ def construct(family, params, head, root, s, r, tree, tree_root, comp, chord, nu
     except CapExceededError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CAP)
-    _emit(graphs.format_edge_list(g, header=header), output)
+    _emit(graphs.format_edge_list(g), output)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +269,18 @@ CHECKS = {
 _SWEEP_INSTANCES = (("graph", "k"), ("graph", "u", "v"), ("r",))
 
 
+class _ReadRecorder(dict):
+    """Options that remember which keys were read, so unused ones can be rejected."""
+
+    def __init__(self, opts: dict) -> None:
+        super().__init__(opts)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def _run_check(check_id: str, args: tuple, opts: dict, kwargs: dict) -> verify.Certificate:
     name, _, keywords, fixed = CHECKS[check_id]
     kwargs = {**kwargs, **{key: opts[key] for key in keywords if opts[key] is not None}, **fixed}
@@ -307,24 +319,31 @@ def _run_check(check_id: str, args: tuple, opts: dict, kwargs: dict) -> verify.C
 @click.option("--tol", type=float, help="comparison tolerance  [default: the check's own]")
 @click.option("--cap", type=int, default=None)
 @click.option("--pretty", is_flag=True)
-def verify_cmd(check_id, **opts):
-    """Run one check and print its certificate; exit 1 on mathematical failure."""
-    if opts.pop("exact") and check_id == "containment":
-        check_id = "containment-exact"
+@click.pass_context
+def verify_cmd(ctx, check_id, **opts):
+    """Run one check and print its certificate; exit 1 on mathematical failure, 2 on an unread option."""
+    given = {key for key in opts if ctx.get_parameter_source(key) is ParameterSource.COMMANDLINE}
     opts["cap"] = opts["cap"] if opts["cap"] is not None else _default_cap()
+    opts = _ReadRecorder(opts)
+    if check_id == "containment" and opts["exact"]:  # --exact is read by containment only
+        check_id = "containment-exact"
 
     def need(key):
         if opts[key] in (None, ()):
             raise click.UsageError(f"check {check_id!r} needs {'-' if len(key) == 1 else '--'}{key}")
         return opts[key]
 
-    instance = CHECKS[check_id][1]
+    _, instance, keywords, _ = CHECKS[check_id]
     try:
         if callable(instance):
             args, kwargs = instance(opts, need)
         else:
             args = tuple(_parse_graph_spec(need(key)) if key == "graph" else need(key) for key in instance)
             kwargs = {}
+        unused = given - opts.read - set(keywords) - {"pretty"}
+        if unused:
+            flags = ", ".join(p.get_error_hint(ctx) for p in ctx.command.params if p.name in unused)
+            raise click.UsageError(f"check {check_id!r} does not take {flags}")
         cert = _run_check(check_id, args, opts, kwargs)
     except GraphError as exc:
         raise click.UsageError(str(exc)) from exc
@@ -476,12 +495,12 @@ def sweep(spec_file, csv_path, jobs, seed, cap, pretty):
     else:
         click.echo(buf.getvalue(), nl=False)
 
-    counts = {"pass": 0, "fail": 0, "precondition_unmet": 0, "cap_exceeded": 0}
+    zero = {"pass": 0, "fail": 0, "precondition_unmet": 0, "cap_exceeded": 0}
+    counts = dict(zero)
     by_check: dict[str, dict] = {}
     for row in rows:
-        counts[row["verdict"]] = counts.get(row["verdict"], 0) + 1
-        per = by_check.setdefault(row["check"], {"pass": 0, "fail": 0, "precondition_unmet": 0, "cap_exceeded": 0})
-        per[row["verdict"]] = per.get(row["verdict"], 0) + 1
+        for tally in (counts, by_check.setdefault(row["check"], dict(zero))):
+            tally[row["verdict"]] = tally.get(row["verdict"], 0) + 1
     summary = {"total": len(rows), **counts, "by_check": by_check}
     click.echo(_json_dump(summary, pretty), nl=False)
     if counts.get("fail", 0):

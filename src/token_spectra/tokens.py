@@ -1,24 +1,22 @@
-"""k-token graphs and the colexicographic subset indexing behind them.
+"""k-token graphs, with vertices labeled by colex subset rank.
 
 A vertex of the k-token graph stands for a k-subset of the base graph's
 vertices; two subsets are adjacent exactly when their symmetric difference
-is an edge of the base graph. Subsets are indexed in colexicographic
-order, which makes a rank computable in O(k) from a binomial table with no
-scan over n.
+is an edge of the base graph. The subset s_0 < ... < s_{k-1} has the colex
+rank sum_j C(s_j, j+1), in [0, C(n, k)).
 
-The lift operator sends a vector on the base graph to the vector of
-subset sums on the token graph; the projection is its transpose. Neither
-ever materializes the full 0/1 subset-membership matrix, so they stay
-usable at token scale.
+Complementing every subset maps the k-token graph onto the (n-k)-token
+graph and reverses colex order, so the graph is built for j = min(k, n-k)
+in one vectorized pass over the C(n, j) x j subset table: each subset, each
+of its elements a and each base edge (a, b) with b > a outside it give one
+token edge, to the subset with a swapped for b, which has the larger rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,80 +29,13 @@ class CapExceededError(RuntimeError):
     """Token graph would exceed the configured vertex cap."""
 
 
-def _colex(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    # yields all k-subsets of range(n) in colexicographic (rank) order
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, n):
-        for rest in _colex(top, k - 1):
-            yield rest + (top,)
-
-
-@dataclass(frozen=True)
-class SubsetCodec:
-    """Bijection between k-subsets of [0, n) and ranks [0, C(n, k))."""
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.n - 1:
-            raise GraphError(f"need 1 <= k <= n-1, got n={self.n} k={self.k}")
-
-    @property
-    def size(self) -> int:
-        return comb(self.n, self.k)
-
-    @cached_property
-    def _choose(self) -> tuple[tuple[int, ...], ...]:
-        # Pascal table choose[m][j] for m <= n, j <= k (Python ints, no overflow)
-        table = []
-        for m in range(self.n + 1):
-            row = [comb(m, j) for j in range(self.k + 1)]
-            table.append(tuple(row))
-        return tuple(table)
-
-    def rank(self, subset: Sequence[int]) -> int:
-        """Colex rank: sum of C(s_j, j+1) over the sorted elements."""
-        s = sorted(subset)
-        if len(s) != self.k:
-            raise GraphError(f"subset has {len(s)} elements, expected {self.k}")
-        if any(a == b for a, b in zip(s, s[1:])):
-            raise GraphError(f"repeated element in subset {subset}")
-        if s and not (0 <= s[0] and s[-1] < self.n):
-            raise GraphError(f"subset {subset} out of range for n={self.n}")
-        choose = self._choose
-        return sum(choose[v][j + 1] for j, v in enumerate(s))
-
-    def unrank(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.size:
-            raise GraphError(f"rank {i} out of range [0, {self.size})")
-        choose = self._choose
-        rem = i
-        out = []
-        m = self.n
-        for j in range(self.k, 0, -1):
-            m -= 1
-            while choose[m][j] > rem:
-                m -= 1
-            out.append(m)
-            rem -= choose[m][j]
-        return tuple(reversed(out))
-
-    def subsets(self) -> Iterator[tuple[int, ...]]:
-        """All k-subsets in rank order."""
-        return _colex(self.n, self.k)
-
-
 @dataclass(frozen=True)
 class TokenGraph:
-    """A base graph together with its k-token graph and subset codec."""
+    """A base graph together with its k-token graph."""
 
     base: Graph
     k: int
     graph: Graph
-    codec: SubsetCodec
 
     def to_edge_list_text(self) -> str:
         header = f"token base_n={self.base.n} k={self.k} codec=colex"
@@ -114,62 +45,43 @@ class TokenGraph:
 def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     """Build the k-token graph of g.
 
-    Edge generation iterates over base edges (u, v) and (k-1)-subsets of
-    the remaining vertices, costing |E| * C(n-2, k-1) rather than a
-    pairwise comparison over all subsets.
+    Work and memory are O(j * |E| * C(n-1, j-1)), under 2j per token edge.
     """
-    codec = SubsetCodec(g.n, k)
-    size = codec.size
+    n = g.n
+    if not 1 <= k <= n - 1:
+        raise GraphError(f"need 1 <= k <= n-1, got n={n} k={k}")
+    size = comb(n, k)
     if size > cap:
-        raise CapExceededError(
-            f"token graph would have {size} vertices, cap is {cap}"
-        )
-    edges = []
-    for u, v in g.edges:
-        rest = [w for w in range(g.n) if w != u and w != v]
-        for s in combinations(rest, k - 1):
-            a = codec.rank(s + (u,))
-            b = codec.rank(s + (v,))
-            edges.append((a, b) if a < b else (b, a))
-    tg = Graph(size, tuple(edges))
+        raise CapExceededError(f"token graph would have {size} vertices, cap is {cap}")
+    j = min(k, n - k)
+    flat = chain.from_iterable(combinations(range(n), j))
+    subsets = np.fromiter(flat, dtype=np.int64, count=size * j).reshape(size, j)
+    subsets = subsets[np.lexsort(subsets.T)]
+    # choose[m, i] = C(m, i); no entry exceeds C(n, j) = size, as j <= n/2
+    choose = np.zeros((n + 1, j + 1), dtype=np.int64)
+    choose[:, 0] = 1
+    for i in range(1, j + 1):
+        choose[1:, i] = np.cumsum(choose[:-1, i - 1])
+    # base edges are sorted pairs (a, b) with a < b, so the neighbours of a
+    # above a are head[first[a]:first[a + 1]]
+    tail, head = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    first = np.searchsorted(tail, np.arange(n + 1))
+    a = subsets.ravel()
+    deg = first[a + 1] - first[a]
+    # one row per (subset, position of a in it, neighbour b of a above a)
+    source, pos = np.divmod(np.repeat(np.arange(a.size), deg), j)
+    b = head[np.arange(deg.sum()) + np.repeat(first[a] - (np.cumsum(deg) - deg), deg)]
+    rows = subsets[source]
+    free = (rows != b[:, None]).all(axis=1)
+    source, pos, b, rows = source[free], pos[free], b[free], rows[free]
+    rows[np.arange(b.size), pos] = b
+    rows.sort(axis=1)
+    target = choose[rows, np.arange(1, j + 1)].sum(axis=1)
+    if j < k:
+        source, target = size - 1 - target, size - 1 - source
+    order = np.lexsort((target, source))
+    tg = Graph(size, tuple(zip(source[order].tolist(), target[order].tolist())))
     expected = g.m * comb(g.n - 2, k - 1)
     if tg.m != expected:
-        raise AssertionError(
-            f"token edge count {tg.m} != |E|*C(n-2,k-1) = {expected}"
-        )
-    return TokenGraph(base=g, k=k, graph=tg, codec=codec)
-
-
-def binomial_lift(codec: SubsetCodec, x: Sequence[float]) -> np.ndarray:
-    """Lift a base-graph vector: output at rank(A) is the sum of x over A."""
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (codec.n,):
-        raise GraphError(f"vector has length {vec.shape}, expected {codec.n}")
-    vals = vec.tolist()
-    out = np.empty(codec.size)
-    for i, subset in enumerate(codec.subsets()):
-        out[i] = sum(vals[a] for a in subset)
-    return out
-
-
-def binomial_project(codec: SubsetCodec, w: Sequence[float]) -> np.ndarray:
-    """Project a token-graph vector: entry j sums w over subsets containing j."""
-    vec = np.asarray(w, dtype=float)
-    if vec.shape != (codec.size,):
-        raise GraphError(f"vector has length {vec.shape}, expected {codec.size}")
-    out = np.zeros(codec.n)
-    for i, subset in enumerate(codec.subsets()):
-        wi = vec[i]
-        for a in subset:
-            out[a] += wi
-    return out
-
-
-def binomial_matrix(codec: SubsetCodec, max_size: int = 100_000) -> np.ndarray:
-    """Dense C(n,k) x n 0/1 subset-membership matrix, for small instances only."""
-    if codec.size > max_size:
-        raise CapExceededError(f"refusing to materialize a {codec.size} x {codec.n} matrix")
-    out = np.zeros((codec.size, codec.n))
-    for i, subset in enumerate(codec.subsets()):
-        out[i, list(subset)] = 1.0
-    return out
+        raise AssertionError(f"token edge count {tg.m} != |E|*C(n-2,k-1) = {expected}")
+    return TokenGraph(base=g, k=k, graph=tg)

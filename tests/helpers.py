@@ -1,13 +1,17 @@
 """Shared test utilities: instance corpora, graph-class enumeration, and
 reference routines that only the tests use (graph restrictions, the
 Rayleigh quotient, fraction-free determinants, a closed-form join
-polynomial)."""
+polynomial, and the colex subset codec with the per-edge token-graph loop
+and the binomial lift built on it)."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from math import comb
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from token_spectra.graphs import (
     star_graph,
 )
 from token_spectra.spectra import NumericalError
+from token_spectra.tokens import CapExceededError
 
 # known counts of connected graphs up to isomorphism, indexed by n
 CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
@@ -185,3 +190,121 @@ def int_det(m) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _colex(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    # yields all k-subsets of range(n) in colexicographic (rank) order
+    if k == 0:
+        yield ()
+        return
+    for top in range(k - 1, n):
+        for rest in _colex(top, k - 1):
+            yield rest + (top,)
+
+
+@dataclass(frozen=True)
+class SubsetCodec:
+    """Bijection between k-subsets of [0, n) and ranks [0, C(n, k))."""
+
+    n: int
+    k: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.k <= self.n - 1:
+            raise GraphError(f"need 1 <= k <= n-1, got n={self.n} k={self.k}")
+
+    @property
+    def size(self) -> int:
+        return comb(self.n, self.k)
+
+    @cached_property
+    def _choose(self) -> tuple[tuple[int, ...], ...]:
+        # Pascal table choose[m][j] for m <= n, j <= k (Python ints, no overflow)
+        table = []
+        for m in range(self.n + 1):
+            row = [comb(m, j) for j in range(self.k + 1)]
+            table.append(tuple(row))
+        return tuple(table)
+
+    def rank(self, subset: Sequence[int]) -> int:
+        """Colex rank: sum of C(s_j, j+1) over the sorted elements."""
+        s = sorted(subset)
+        if len(s) != self.k:
+            raise GraphError(f"subset has {len(s)} elements, expected {self.k}")
+        if any(a == b for a, b in zip(s, s[1:])):
+            raise GraphError(f"repeated element in subset {subset}")
+        if s and not (0 <= s[0] and s[-1] < self.n):
+            raise GraphError(f"subset {subset} out of range for n={self.n}")
+        choose = self._choose
+        return sum(choose[v][j + 1] for j, v in enumerate(s))
+
+    def unrank(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < self.size:
+            raise GraphError(f"rank {i} out of range [0, {self.size})")
+        choose = self._choose
+        rem = i
+        out = []
+        m = self.n
+        for j in range(self.k, 0, -1):
+            m -= 1
+            while choose[m][j] > rem:
+                m -= 1
+            out.append(m)
+            rem -= choose[m][j]
+        return tuple(reversed(out))
+
+    def subsets(self) -> Iterator[tuple[int, ...]]:
+        """All k-subsets in rank order."""
+        return _colex(self.n, self.k)
+
+
+def reference_token_edges(g: Graph, k: int) -> tuple[tuple[int, int], ...]:
+    """Sorted k-token edges of g, one codec rank per edge end.
+
+    Iterates over base edges (u, v) and (k-1)-subsets of the remaining
+    vertices; the loop token_graph replaced, kept as its oracle.
+    """
+    codec = SubsetCodec(g.n, k)
+    edges = []
+    for u, v in g.edges:
+        rest = [w for w in range(g.n) if w != u and w != v]
+        for s in combinations(rest, k - 1):
+            a = codec.rank(s + (u,))
+            b = codec.rank(s + (v,))
+            edges.append((a, b) if a < b else (b, a))
+    return tuple(sorted(edges))
+
+
+def binomial_lift(codec: SubsetCodec, x: Sequence[float]) -> np.ndarray:
+    """Lift a base-graph vector: output at rank(A) is the sum of x over A."""
+    vec = np.asarray(x, dtype=float)
+    if vec.shape != (codec.n,):
+        raise GraphError(f"vector has length {vec.shape}, expected {codec.n}")
+    vals = vec.tolist()
+    out = np.empty(codec.size)
+    for i, subset in enumerate(codec.subsets()):
+        out[i] = sum(vals[a] for a in subset)
+    return out
+
+
+def binomial_project(codec: SubsetCodec, w: Sequence[float]) -> np.ndarray:
+    """Project a token-graph vector: entry j sums w over subsets containing j."""
+    vec = np.asarray(w, dtype=float)
+    if vec.shape != (codec.size,):
+        raise GraphError(f"vector has length {vec.shape}, expected {codec.size}")
+    out = np.zeros(codec.n)
+    for i, subset in enumerate(codec.subsets()):
+        wi = vec[i]
+        for a in subset:
+            out[a] += wi
+    return out
+
+
+def binomial_matrix(codec: SubsetCodec, max_size: int = 100_000) -> np.ndarray:
+    """Dense C(n,k) x n 0/1 subset-membership matrix, for small instances only."""
+    if codec.size > max_size:
+        raise CapExceededError(f"refusing to materialize a {codec.size} x {codec.n} matrix")
+    out = np.zeros((codec.size, codec.n))
+    for i, subset in enumerate(codec.subsets()):
+        out[i, list(subset)] = 1.0
+    return out

@@ -32,7 +32,7 @@ from token_spectra.spectra import (
     principal_submatrix,
     theta,
 )
-from token_spectra.tokens import SubsetCodec, binomial_matrix, token_graph
+from token_spectra.tokens import token_graph
 from token_spectra.verify import (
     build_kite_symmetrizer,
     check_cut_clique,
@@ -42,7 +42,12 @@ from token_spectra.verify import (
     check_spectral_containment,
 )
 
-from helpers import CONNECTED_CLASS_COUNTS, connected_class_representatives
+from helpers import (
+    CONNECTED_CLASS_COUNTS,
+    SubsetCodec,
+    binomial_matrix,
+    connected_class_representatives,
+)
 
 Y_TREE = Graph(5, [(0, 2), (1, 2), (2, 3), (3, 4)])
 

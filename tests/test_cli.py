@@ -211,6 +211,34 @@ class TestVerify:
         assert runner.invoke(main, ["verify", *argv]).exit_code == 0
         assert runner.invoke(main, ["verify", *argv, "-k", "0"]).exit_code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["alpha-token", "--graph", "Y", "-k", "2", "-u", "0"],
+        ["alpha-token", "--graph", "Y", "-k", "2", "--exact"],
+        ["alpha-token", "--graph", "Y", "-k", "2", "--add", "9,9"],
+        ["containment", "--graph", "Y", "-k", "2", "--exact", "--tol", "1e-3"],
+        ["edge-add-iff", "--graph", "Y", "-u", "0", "-v", "1", "-k", "2"],
+        ["interlacing", "--graph", "Y", "-u", "0", "-v", "1", "--cap", "100"],
+        ["theta-table", "-r", "3", "--graph", "Y"],
+        ["kite-iff", "--head", "cycle:4", "-s", "3", "-r", "3", "-k", "2"],
+        ["kite-head", "--variant", "cycle", "--order", "4", "--h1", "2", "-s", "3", "-r", "3"],
+        ["cut-vertex-split", "--graph", "Y", "--vertex", "2", "--side", "1"],
+    ])
+    def test_unread_option_exits_2_before_the_check(self, runner, y_file, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(verify, CHECKS[argv[0]][0], lambda *a, **kw: calls.append(a))
+        res = runner.invoke(main, ["verify"] + [y_file if a == "Y" else a for a in argv])
+        assert res.exit_code == 2 and res.stdout == "" and calls == []
+        assert "does not take" in res.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["kite-iff", "--head", "cycle:4", "--root", "0", "-s", "3", "-r", "3"],
+        ["kite-head", "--variant", "bipartite", "--h1", "2", "--h2", "3", "--side", "1", "-s", "3", "-r", "3"],
+        ["containment", "--graph", "Y", "-k", "2", "--exact", "--cap", "100", "--pretty"],
+    ])
+    def test_read_options_are_accepted(self, runner, y_file, argv):
+        res = runner.invoke(main, ["verify"] + [y_file if a == "Y" else a for a in argv])
+        assert res.exit_code == 0, res.output
+
     def test_env_cap_override(self, runner):
         res = runner.invoke(
             main,

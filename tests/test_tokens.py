@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 
 from token_spectra.graphs import Graph, GraphError, add_edges, path_graph
 from token_spectra.spectra import algebraic_connectivity, laplacian
-from token_spectra.tokens import (
-    CapExceededError,
+from token_spectra.tokens import CapExceededError, token_graph
+
+from helpers import (
     SubsetCodec,
     binomial_lift,
     binomial_matrix,
     binomial_project,
-    token_graph,
+    connected_class_representatives,
+    edge_union,
+    family_corpus,
+    random_corpus,
+    reference_token_edges,
 )
-
-from helpers import edge_union, family_corpus, random_corpus
 
 
 class TestSubsetCodec:
@@ -69,7 +72,7 @@ class TestTokenGraph:
         tg = token_graph(y_tree, 2)
         assert tg.graph.n == 10
         assert tg.graph.m == 12
-        c = tg.codec
+        c = SubsetCodec(5, 2)
         assert tg.graph.has_edge(*sorted((c.rank((0, 1)), c.rank((0, 2)))))
         # the full drawn adjacency, written as subset pairs
         drawn = [
@@ -101,10 +104,36 @@ class TestTokenGraph:
         with pytest.raises(CapExceededError):
             token_graph(path_graph(30), 8, cap=1000)
 
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_k_out_of_range(self, y_tree, k):
+        with pytest.raises(GraphError):
+            token_graph(y_tree, k)
+
+    @pytest.mark.parametrize("k", [1, 2999])
+    def test_long_path_is_its_own_token_graph(self, k):
+        # for k = n-1, vertex v is the complement of {n-1-v}
+        assert token_graph(path_graph(3000), k).graph == path_graph(3000)
+
     def test_serialization_header(self, y_tree):
         text = token_graph(y_tree, 2).to_edge_list_text()
         assert text.splitlines()[0] == "# token base_n=5 k=2 codec=colex"
         assert text.splitlines()[1] == "10 12"
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            lambda: family_corpus(8),
+            lambda: random_corpus(10, n_range=(4, 8), seed=8),
+            lambda: [g for n in range(2, 7) for g in connected_class_representatives(n)],
+        ],
+        ids=["families", "random", "connected-classes"],
+    )
+    def test_edges_equal_per_edge_loop(self, corpus):
+        for g in corpus():
+            for k in range(1, g.n):
+                assert token_graph(g, k).graph.edges == reference_token_edges(g, k)
 
 
 class TestEdgeCountIdentity:
@@ -213,6 +242,15 @@ class TestBinomialOperators:
         assert null_dim > 0
         w = vh[-1]
         assert np.linalg.norm(binomial_project(c, w)) < 1e-12
+
+    def test_lift_intertwines_laplacians(self):
+        # L(F_k) B = B L(G) exactly, and B has full column rank
+        for g in family_corpus(7):
+            for k in range(1, g.n):
+                B = binomial_matrix(SubsetCodec(g.n, k)).astype(np.int64)
+                Lk = laplacian(token_graph(g, k).graph)
+                assert np.array_equal(Lk @ B, B @ laplacian(g))
+                assert np.linalg.matrix_rank(B) == g.n
 
     def test_length_mismatch(self):
         c = SubsetCodec(5, 2)
