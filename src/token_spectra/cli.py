@@ -2,8 +2,9 @@
 
 Output is machine-first (JSON documents, CSV sweep rows); --pretty switches
 the JSON to indented form. Exit codes are stable: 0 all-pass, 1 a check
-failed mathematically, 2 usage or parse error, 3 a resource cap was hit,
-130 the run was cancelled (Ctrl-C).
+failed mathematically or a sweep cell errored, 2 usage or parse error, 3 the
+vertex cap or the memory estimate refused the work, 130 the run was
+cancelled (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from click.core import ParameterSource
 
 from . import exact, graphs, spectra, tokens, verify
 from .graphs import Graph, GraphError, KiteSpec
+from .spectra import NumericalError
 from .tokens import CapExceededError
 
 EXIT_FAIL = 1
@@ -101,12 +103,15 @@ def _json_dump(obj, pretty: bool) -> str:
 
 class _Main(click.Group):
     def invoke(self, ctx):
-        # one exit path for Ctrl-C and for a cancelled exact computation
+        # one exit path each for cancellation and for refused resources
         try:
             return super().invoke(ctx)
         except (KeyboardInterrupt, exact.OperationCancelled):
             click.echo("cancelled", err=True)
             ctx.exit(EXIT_CANCEL)
+        except CapExceededError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(EXIT_CAP)
 
 
 @click.group(cls=_Main)
@@ -181,9 +186,6 @@ def construct(family, params, head, root, s, r, tree, tree_root, comp, chord, nu
             raise click.UsageError(f"unknown family {family!r}")
     except GraphError as exc:
         raise click.UsageError(str(exc)) from exc
-    except CapExceededError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CAP)
     _emit(graphs.format_edge_list(g), output)
 
 
@@ -347,9 +349,6 @@ def verify_cmd(ctx, check_id, **opts):
         cert = _run_check(check_id, args, opts, kwargs)
     except GraphError as exc:
         raise click.UsageError(str(exc)) from exc
-    except CapExceededError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CAP)
     click.echo(_json_dump(cert.to_json_dict(), opts["pretty"]), nl=False)
     if cert.failed:
         sys.exit(EXIT_FAIL)
@@ -453,6 +452,9 @@ def _sweep_row(task: dict) -> dict:
     except GraphError as exc:
         # the generated instance does not meet this check's preconditions
         return {**unmet, "detail": str(exc)}
+    except (NumericalError, AssertionError) as exc:
+        # a solver or internal consistency fault in this cell only
+        return {**unmet, "verdict": "error", "detail": str(exc)}
     detail = {kk: vv for kk, vv in cert.witnesses.items()
               if isinstance(vv, (int, float, str, bool))}
     return {**task["key"], "verdict": cert.verdict,
@@ -503,7 +505,7 @@ def sweep(spec_file, csv_path, jobs, seed, cap, pretty):
             tally[row["verdict"]] = tally.get(row["verdict"], 0) + 1
     summary = {"total": len(rows), **counts, "by_check": by_check}
     click.echo(_json_dump(summary, pretty), nl=False)
-    if counts.get("fail", 0):
+    if counts["fail"] or counts.get("error"):
         sys.exit(EXIT_FAIL)
 
 

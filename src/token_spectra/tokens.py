@@ -14,6 +14,7 @@ token edge, to the subset with a swapped for b, which has the larger rank.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
@@ -24,9 +25,22 @@ from .graphs import Graph, GraphError, format_edge_list
 
 DEFAULT_CAP = 200_000
 
+# Peak bytes per candidate row, of which there are |E| * C(n-1, j-1): ru_maxrss
+# less the RSS before token_graph, on 89k to 1.8M rows with j = 2..10: 197 to 308.
+TOKEN_BYTES_PER_ROW = 320
+# None where os.sysconf is missing (Windows): the estimates go unchecked there
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else None
+
 
 class CapExceededError(RuntimeError):
-    """Token graph would exceed the configured vertex cap."""
+    """A token graph would exceed the vertex cap, or a computation the physical memory."""
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise CapExceededError when an estimated nbytes exceeds the physical memory."""
+    if PHYSICAL_MEMORY is not None and nbytes > PHYSICAL_MEMORY:
+        raise CapExceededError(f"{what} needs about {nbytes / 2**30:.3g} GiB, "
+                               f"physical memory is {PHYSICAL_MEMORY / 2**30:.3g} GiB")
 
 
 @dataclass(frozen=True)
@@ -46,6 +60,7 @@ def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     """Build the k-token graph of g.
 
     Work and memory are O(j * |E| * C(n-1, j-1)), under 2j per token edge.
+    Raises CapExceededError past the vertex cap or the physical memory.
     """
     n = g.n
     if not 1 <= k <= n - 1:
@@ -54,6 +69,7 @@ def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     if size > cap:
         raise CapExceededError(f"token graph would have {size} vertices, cap is {cap}")
     j = min(k, n - k)
+    require_memory(TOKEN_BYTES_PER_ROW * g.m * comb(n - 1, j - 1), f"the {k}-token graph of {n} vertices")
     flat = chain.from_iterable(combinations(range(n), j))
     subsets = np.fromiter(flat, dtype=np.int64, count=size * j).reshape(size, j)
     subsets = subsets[np.lexsort(subsets.T)]

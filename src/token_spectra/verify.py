@@ -47,7 +47,9 @@ from .tokens import DEFAULT_CAP, token_graph
 
 DEFAULT_ALPHA_TOL = 1e-7
 DEFAULT_FLOAT_CONTAIN_TOL = 1e-6
-DEFAULT_CONTAIN_TOL = 1e-3
+PAIR_TOL = 1e-7  # rank cut of the equal-pair test in edge-add-iff
+CONTAIN_TOL = 1e-3  # how far a kite eigenvalue may move under U_j level edges
+BRIDGE_TOL = 1e-9  # kite-head: submatrix eigenvalue against its closed form
 
 PASS = "pass"
 FAIL = "fail"
@@ -186,7 +188,6 @@ def check_edge_add_alpha_iff(
     u: int,
     v: int,
     tol: float = DEFAULT_ALPHA_TOL,
-    pair_tol: float = DEFAULT_ALPHA_TOL,
 ) -> Certificate:
     """Adding uv preserves the algebraic connectivity iff some vector in the
     full Fiedler eigenspace takes equal values at u and v.
@@ -200,7 +201,7 @@ def check_edge_add_alpha_iff(
     a0, basis = algebraic_connectivity(g)
     a1, _ = algebraic_connectivity(add_edges(g, [(u, v)]))
     lhs = abs(a1 - a0) <= tol * max(1.0, abs(a0))
-    rhs, wit = eigenspace_has_equal_pair(basis, (u, v), tol=pair_tol)
+    rhs, wit = eigenspace_has_equal_pair(basis, (u, v), tol=PAIR_TOL)
     witnesses = {
         "pair": _pair_witness(u, v),
         "alpha_before": a0,
@@ -213,7 +214,7 @@ def check_edge_add_alpha_iff(
         witnesses["witness_vector"] = [float(x) for x in wit]
     verdict = PASS if lhs == rhs else FAIL
     return _finish(
-        "edge-add-iff", g, verdict, witnesses, {"tol": tol, "pair_tol": pair_tol}, t0
+        "edge-add-iff", g, verdict, witnesses, {"tol": tol, "pair_tol": PAIR_TOL}, t0
     )
 
 
@@ -402,14 +403,13 @@ def check_symmetrizer_commutation(
     spec: KiteSpec,
     uj_edges: Sequence[tuple[int, int]] | None = None,
     tol: float = DEFAULT_ALPHA_TOL,
-    contain_tol: float = DEFAULT_CONTAIN_TOL,
 ) -> Certificate:
     """The kite Laplacian commutes with its symmetrizer, exactly over the integers.
 
     Also verifies the consequences: the symmetrizer maps every eigenspace
     into itself with some nonzero image whose tail coordinates agree per
     level, and every distinct eigenvalue of the kite persists in the graph
-    perturbed by edges inside the U_j levels (within contain_tol).
+    perturbed by edges inside the U_j levels (within CONTAIN_TOL).
     """
     t0 = time.perf_counter()
     g, table = build_kite(spec)
@@ -447,7 +447,7 @@ def check_symmetrizer_commutation(
     spec_gp = eig_sym(laplacian(gp).astype(float))
     missing = []
     for val in spec_g.distinct_values():
-        if min(abs(val - x) for x in spec_gp.values) > contain_tol:
+        if min(abs(val - x) for x in spec_gp.values) > CONTAIN_TOL:
             missing.append(val)
 
     witnesses = {
@@ -462,7 +462,7 @@ def check_symmetrizer_commutation(
     ok = commutes and stable and some_nonzero_image and not missing
     return _finish(
         "symmetrizer", g, PASS if ok else FAIL, witnesses,
-        {"tol": tol, "contain_tol": contain_tol}, t0,
+        {"tol": tol, "contain_tol": CONTAIN_TOL}, t0,
     )
 
 
@@ -478,7 +478,6 @@ def check_kite_head_family(
     tail_edges: Sequence[tuple[int, int]] = (),
     k: int = 2,
     tol: float = DEFAULT_ALPHA_TOL,
-    num_tol: float = 1e-9,
     cap: int = DEFAULT_CAP,
 ) -> Certificate:
     """Kites with cycle or complete-bipartite heads keep alpha on their token graphs.
@@ -502,7 +501,7 @@ def check_kite_head_family(
         lam = _head_submatrix_min_eig(head, root)
         path_spec = eig_sym(laplacian(path_graph(h)).astype(float)).values
         identity_exact = cycle_path_identity_check(h)
-        bridge_ok = identity_exact and abs(lam - float(path_spec[1])) <= num_tol
+        bridge_ok = identity_exact and abs(lam - float(path_spec[1])) <= BRIDGE_TOL
         hypothesis = h <= 2 * r + 1
         witnesses = {
             "h": h,
@@ -522,7 +521,7 @@ def check_kite_head_family(
         h_total = h1 + h2
         opposite = h2 if root_side == 1 else h1
         closed_form = (h_total - sqrt(h_total * h_total - 4 * opposite)) / 2.0
-        bridge_ok = abs(lam - closed_form) <= num_tol
+        bridge_ok = abs(lam - closed_form) <= BRIDGE_TOL
         th = theta(r, r)
         hypothesis = closed_form >= th - tol * max(1.0, th)
         witnesses = {
@@ -559,7 +558,7 @@ def check_kite_head_family(
     )
     verdict = PASS if (bridge_ok and alpha_ok) else FAIL
     witnesses["bridge_ok"] = bridge_ok
-    return _finish("kite-head", g, verdict, witnesses, {"tol": tol, "num_tol": num_tol}, t0)
+    return _finish("kite-head", g, verdict, witnesses, {"tol": tol, "num_tol": BRIDGE_TOL}, t0)
 
 
 def check_cut_vertex_split(g: Graph, cut_vertex: int, tol: float = DEFAULT_ALPHA_TOL) -> Certificate:

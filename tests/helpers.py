@@ -1,8 +1,9 @@
 """Shared test utilities: instance corpora, graph-class enumeration, and
 reference routines that only the tests use (graph restrictions, the
 Rayleigh quotient, fraction-free determinants, a closed-form join
-polynomial, and the colex subset codec with the per-edge token-graph loop
-and the binomial lift built on it)."""
+polynomial, the colex subset codec with the per-edge token-graph loop
+and the binomial lift built on it, and the per-edge Laplacian and
+per-eigenvalue grouping loops the spectra module replaced)."""
 
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from token_spectra.graphs import (
     random_tree,
     star_graph,
 )
-from token_spectra.spectra import NumericalError
+from token_spectra.spectra import DEFAULT_GROUP_TOL, NumericalError
 from token_spectra.tokens import CapExceededError
 
 # known counts of connected graphs up to isomorphism, indexed by n
@@ -308,3 +309,43 @@ def binomial_matrix(codec: SubsetCodec, max_size: int = 100_000) -> np.ndarray:
     for i, subset in enumerate(codec.subsets()):
         out[i, list(subset)] = 1.0
     return out
+
+
+def reference_laplacian(g: Graph) -> np.ndarray:
+    """Degree diagonal minus adjacency, filled one edge at a time."""
+    L = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v in g.edges:
+        L[u, u] += 1
+        L[v, v] += 1
+        L[u, v] -= 1
+        L[v, u] -= 1
+    return L
+
+
+def reference_canonical_signs(basis: np.ndarray) -> np.ndarray:
+    """Copy of basis with each column flipped so its first entry of magnitude > 1e-8 is positive."""
+    out = basis.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-8)[0]
+        if nz.size and col[nz[0]] < 0:
+            out[:, j] = -col
+    return out
+
+
+def reference_groups(m: np.ndarray, group_tol: float = DEFAULT_GROUP_TOL):
+    """eigh of m, then eigenvalue groups closed one gap at a time.
+
+    Returns the eigenvalues and one (value, members, basis) triple per group.
+    """
+    w, q = np.linalg.eigh(np.asarray(m, dtype=float))
+    gap_bound = group_tol * max(1.0, float(np.abs(w).max()))
+    groups = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > gap_bound:
+            members = tuple(float(x) for x in w[start:i])
+            basis = reference_canonical_signs(q[:, start:i])
+            groups.append((float(np.mean(w[start:i])), members, basis))
+            start = i
+    return w, groups

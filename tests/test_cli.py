@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+import multiprocessing
 import signal
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from token_spectra import verify
+from token_spectra import tokens, verify
 from token_spectra.cli import CHECKS, EXIT_CANCEL, main
 from token_spectra.exact import OperationCancelled
 from token_spectra.graphs import (
@@ -19,6 +20,7 @@ from token_spectra.graphs import (
     path_graph,
     star_graph,
 )
+from token_spectra.spectra import NumericalError
 
 DATA = Path(__file__).parent / "data"
 
@@ -324,6 +326,46 @@ class TestCancel:
         assert signal.getsignal(signal.SIGINT) is before
 
 
+class TestMemoryGuard:
+    """With physical memory taken as 1 MB, the dense route refuses N >= 142
+    (50 bytes per N^2) and token_graph refuses 3277 candidate rows or more."""
+
+    @pytest.fixture(autouse=True)
+    def small_memory(self, monkeypatch):
+        monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", 10**6)
+
+    @pytest.mark.parametrize("argv, stderr", [
+        (["verify", "alpha-token", "--graph", "path:20", "-k", "2"],
+         "error: the dense Laplacian route at N = 190 needs about 0.00168 GiB, physical memory is 0.000931 GiB\n"),
+        (["spectrum", "path:200"],
+         "error: the dense Laplacian route at N = 200 needs about 0.00186 GiB, physical memory is 0.000931 GiB\n"),
+        (["construct", "token", "--graph", "complete:12", "-k", "3"],
+         "error: the 3-token graph of 12 vertices needs about 0.00108 GiB, physical memory is 0.000931 GiB\n"),
+        (["construct", "token", "--graph", "path:30", "-k", "8", "--cap", "100"],
+         "error: token graph would have 5852925 vertices, cap is 100\n"),
+    ])
+    def test_exit_3_with_one_error_line(self, runner, argv, stderr):
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 3
+        assert res.stdout == "" and res.stderr == stderr
+
+    def test_below_the_estimate_runs(self, runner):
+        assert runner.invoke(main, ["verify", "alpha-token", "--graph", "path:17", "-k", "2"]).exit_code == 0
+        assert runner.invoke(main, ["construct", "token", "--graph", "complete:11", "-k", "3"]).exit_code == 0
+
+    def test_sweep_gives_one_cap_exceeded_row(self, runner, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"family": {"name": "path", "n": [15, 18]}, "checks": ["alpha-token"]}))
+        res = runner.invoke(main, ["sweep", str(spec), "--csv", str(tmp_path / "rows.csv")])
+        assert res.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "rows.csv").read_text())))
+        assert [(r["instance"], r["verdict"]) for r in rows] == [
+            ("path:15", "pass"), ("path:16", "pass"), ("path:17", "pass"), ("path:18", "cap_exceeded")]
+        assert rows[3]["detail"].startswith("the dense Laplacian route at N = 153 needs about")
+        summary = json.loads(res.stdout)
+        assert (summary["pass"], summary["cap_exceeded"], summary["fail"]) == (3, 1, 0)
+
+
 # sweep specs that must exit 2 before any cell runs, one per file name
 MALFORMED_SPECS = [
     ("bad.toml", 'checks = ["alpha-token"\n'),
@@ -434,6 +476,33 @@ class TestSweep:
         spec = self._write_spec(tmp_path, tolerances={"tol": 0.0}, checks=["alpha-token"])
         res = runner.invoke(main, ["sweep", spec, "--csv", str(tmp_path / "f.csv")])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("jobs", [
+        "1",
+        pytest.param("2", marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork", reason="pool workers must inherit the patch")),
+    ])
+    @pytest.mark.parametrize("exc", [NumericalError, AssertionError])
+    def test_error_row_keeps_the_other_cells(self, runner, tmp_path, monkeypatch, exc, jobs):
+        original = verify.check_interlacing
+
+        def faulty(g, u, v, **kwargs):
+            if g.n == 5:
+                raise exc("eigensolver broke on this cell")
+            return original(g, u, v, **kwargs)
+
+        monkeypatch.setattr(verify, "check_interlacing", faulty)
+        spec = self._write_spec(tmp_path, family={"name": "path", "n": [3, 6]})
+        res = runner.invoke(main, ["sweep", spec, "--csv", str(tmp_path / "rows.csv"), "--jobs", jobs])
+        assert res.exit_code == 1
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "rows.csv").read_text())))
+        assert [(r["instance"], r["check"], r["verdict"]) for r in rows] == [
+            (f"path:{n}", check, "error" if (n, check) == (5, "interlacing") else "pass")
+            for n in range(3, 7) for check in ("alpha-token", "interlacing")]
+        assert rows[5]["detail"] == "eigensolver broke on this cell"
+        summary = json.loads(res.stdout)
+        assert (summary["total"], summary["pass"], summary["error"]) == (8, 7, 1)
+        assert summary["by_check"]["interlacing"]["error"] == 1
 
     def test_bad_spec_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

@@ -25,8 +25,15 @@ from token_spectra.spectra import (
     principal_submatrix,
     theta,
 )
+from token_spectra.tokens import token_graph
 
-from helpers import family_corpus, random_corpus, rayleigh
+from helpers import (
+    family_corpus,
+    random_corpus,
+    rayleigh,
+    reference_groups,
+    reference_laplacian,
+)
 
 # 13-vertex kite with a 4-cycle head, written with level-major tail labels
 # (all level-1 tail vertices first, then level 2, then level 3)
@@ -73,6 +80,48 @@ class TestLaplacian:
             scale = max(1.0, float(spec.values[-1]))
             assert spec.values[0] <= 1e-9 * scale
             assert abs(spec.values.sum() - L.trace()) <= g.n * 1e-9 * scale
+
+
+def _repeated_eigenvalue_token_graphs() -> list[Graph]:
+    # K_n token graphs and C4-kite token graphs have eigenvalues of high
+    # multiplicity; the largest here has N = C(15, 3) = 455 vertices
+    kite, _ = build_kite(KiteSpec(head=cycle_graph(4), root=0, s=3, r=3))
+    out = [token_graph(complete_graph(n), k).graph for n in (5, 7, 9, 15) for k in (2, 3)]
+    return out + [token_graph(kite, 2).graph, token_graph(kite, 3).graph]
+
+
+REFERENCE_CORPUS = family_corpus(8) + random_corpus(12, n_range=(4, 12), seed=21) \
+    + _repeated_eigenvalue_token_graphs()
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+class TestMatchesReferenceLoops:
+    """The whole-array Laplacian, sign rule and group cut give the loops' exact bits."""
+
+    @pytest.mark.parametrize("index", range(len(REFERENCE_CORPUS)))
+    def test_laplacian_and_spectrum_bitwise(self, index):
+        g = REFERENCE_CORPUS[index]
+        L = laplacian(g)
+        ref = reference_laplacian(g)
+        assert L.dtype == ref.dtype and L.shape == ref.shape
+        assert L.tobytes() == ref.tobytes()
+
+        spec = eig_sym(L)
+        values, groups = reference_groups(ref)
+        assert spec.values.tobytes() == values.tobytes()
+        assert len(spec.groups) == len(groups)
+        for grp, (value, members, basis) in zip(spec.groups, groups):
+            assert _bits(grp.value) == _bits(value)
+            assert [_bits(x) for x in grp.members] == [_bits(x) for x in members]
+            assert grp.basis.shape == basis.shape
+            assert grp.basis.tobytes() == basis.tobytes()
+
+    def test_corpus_has_repeated_eigenvalues(self):
+        mults = [grp.mult for g in REFERENCE_CORPUS for grp in eig_sym(laplacian(g)).groups]
+        assert max(mults) >= 10 and max(g.n for g in REFERENCE_CORPUS) == 455
 
 
 class TestPrincipalSubmatrix:
@@ -251,6 +300,23 @@ class TestEqualPairTest:
             ok, wit = eigenspace_has_equal_pair(basis, pair)
             assert ok
             assert abs(wit[pair[0]] - wit[pair[1]]) < 1e-9
+
+    def test_witness_sign_is_canonical(self):
+        # find a basis whose raw SVD witness starts negative, then check the
+        # returned witness is exactly that vector flipped
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            basis, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+            for b in (basis, -basis):
+                rows = np.array([b[0, :] - b[1, :]])
+                raw = b @ np.linalg.svd(rows)[2][-1]
+                raw = raw / np.linalg.norm(raw)
+                if raw[np.abs(raw) > 1e-8][0] < 0:
+                    ok, wit = eigenspace_has_equal_pair(b, (0, 1))
+                    assert ok and wit.tobytes() == (-raw).tobytes()
+                    assert wit[np.abs(wit) > 1e-8][0] > 0
+                    return
+        pytest.fail("no basis with a negative raw witness")
 
     def test_multiple_pairs(self):
         _, basis = algebraic_connectivity(complete_graph(5))

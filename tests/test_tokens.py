@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from token_spectra.graphs import Graph, GraphError, add_edges, path_graph
+from token_spectra import tokens
+from token_spectra.graphs import Graph, GraphError, add_edges, complete_graph, path_graph
 from token_spectra.spectra import algebraic_connectivity, laplacian
 from token_spectra.tokens import CapExceededError, token_graph
 
@@ -103,6 +104,19 @@ class TestTokenGraph:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             token_graph(path_graph(30), 8, cap=1000)
+
+    def test_memory_estimate_refuses_before_allocating(self, monkeypatch):
+        # complete:12 with k = 3 makes 66 * C(11, 2) = 3630 candidate rows
+        started = []
+        monkeypatch.setattr(tokens, "combinations", lambda *a: started.append(a))
+        monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", 3629 * tokens.TOKEN_BYTES_PER_ROW)
+        with pytest.raises(CapExceededError, match="3-token graph of 12 vertices needs about"):
+            token_graph(complete_graph(12), 3)
+        assert started == []
+        monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", 3630 * tokens.TOKEN_BYTES_PER_ROW)
+        with pytest.raises(TypeError):  # past the estimate, into the recorder
+            token_graph(complete_graph(12), 3)
+        assert len(started) == 1
 
     @pytest.mark.parametrize("k", [0, 5])
     def test_k_out_of_range(self, y_tree, k):
