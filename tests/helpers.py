@@ -2,8 +2,9 @@
 reference routines that only the tests use (graph restrictions, the
 Rayleigh quotient, fraction-free determinants, a closed-form join
 polynomial, the colex subset codec with the per-edge token-graph loop
-and the binomial lift built on it, and the per-edge Laplacian and
-per-eigenvalue grouping loops the spectra module replaced)."""
+and the binomial lift built on it, the per-edge Laplacian and
+per-eigenvalue grouping loops the spectra module replaced, and the
+Faddeev-LeVerrier characteristic polynomial the exact module replaced)."""
 
 from __future__ import annotations
 
@@ -191,6 +192,49 @@ def int_det(m) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def reference_char_poly(m) -> IntPoly:
+    """det(xI - M) over Python integers by the Faddeev-LeVerrier recurrence.
+
+    Monic of degree n. The trace division at step k must be exact; a
+    failure there indicates corrupted input and raises immediately.
+    Laplacians are sparse, so the matrix products walk the nonzero
+    entries of the input rather than all n^2 of them.
+    """
+    a = [[int(x) for x in row] for row in np.asarray(m).tolist()]
+    n = len(a)
+    if n == 0:
+        return IntPoly.one()
+    rows = [[(j, v) for j, v in enumerate(row) if v != 0] for row in a]
+    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    c = [0] * (n + 1)
+    c[n] = 1
+    for k in range(1, n + 1):
+        prod = []
+        for i in range(n):
+            acc = [0] * n
+            for j, v in rows[i]:
+                mrow = mat[j]
+                if v == 1:
+                    for t in range(n):
+                        acc[t] += mrow[t]
+                elif v == -1:
+                    for t in range(n):
+                        acc[t] -= mrow[t]
+                else:
+                    for t in range(n):
+                        acc[t] += v * mrow[t]
+            prod.append(acc)
+        tr = sum(prod[i][i] for i in range(n))
+        if tr % k != 0:
+            raise AssertionError(f"trace {tr} not divisible by {k}")
+        ck = -(tr // k)
+        c[n - k] = ck
+        for i in range(n):
+            prod[i][i] += ck
+        mat = prod
+    return IntPoly(tuple(c))
 
 
 def _colex(n: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from token_spectra import exact
 from token_spectra.exact import (
     CancelToken,
     IntPoly,
@@ -19,10 +20,17 @@ from token_spectra.graphs import (
     complete_graph,
     path_graph,
 )
-from token_spectra.spectra import laplacian
+from token_spectra.spectra import laplacian, principal_submatrix
 from token_spectra.tokens import token_graph
 
-from helpers import closed_form_gstar_poly, family_corpus, int_det, random_corpus
+from helpers import (
+    closed_form_gstar_poly,
+    connected_class_representatives,
+    family_corpus,
+    int_det,
+    random_corpus,
+    reference_char_poly,
+)
 
 
 class TestIntPoly:
@@ -103,6 +111,140 @@ class TestCharPoly:
         token.cancel()
         with pytest.raises(OperationCancelled):
             char_poly(laplacian(complete_graph(5)), cancel=token)
+
+
+def _token_laplacians(graphs, ks=(2, 3)):
+    return [laplacian(token_graph(g, k).graph) for g in graphs for k in ks if k < g.n]
+
+
+def _primes_for(m):
+    a = exact._as_int_matrix(m)
+    return exact._primes(exact._prime_bits(a.shape[0]), exact._coefficient_bound(a))
+
+
+def _random_matrices(count, seed, lo=-9, hi=10):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(lo, hi, size=(n, n)) for n in rng.integers(2, 12, size=count)]
+
+
+# an entry below the subdiagonal is nonzero where the subdiagonal is zero,
+# so the reduction must swap rows and columns in every prime
+PIVOT_SWAP = np.array([[1, 2, 3, 4], [0, 5, 6, 7], [3, 8, 9, 1], [2, 4, 6, 8]])
+# upper Hessenberg already, with a zero on the subdiagonal: nothing to eliminate
+SPLIT_HESSENBERG = np.array([[1, 2, 3, 4], [5, 6, 7, 8], [0, 0, 9, 1], [0, 0, 2, 3]])
+# a strictly upper triangular matrix conjugated by a unimodular one: nilpotent, not triangular
+_S = np.array([[1, 0, 0, 0], [2, 1, 0, 0], [-1, 3, 1, 0], [4, -2, 5, 1]])
+_S_INV = np.round(np.linalg.inv(_S)).astype(np.int64)
+NILPOTENT = _S @ np.array([[0, 3, -1, 2], [0, 0, 4, 5], [0, 0, 0, -6], [0, 0, 0, 0]]) @ _S_INV
+LARGE_ENTRIES = np.random.default_rng(41).integers(-10**6, 10**6, size=(9, 9))
+
+EQUIVALENCE_CORPORA = {
+    "class_token_laplacians": lambda: _token_laplacians(
+        [g for n in range(2, 7) for g in connected_class_representatives(n)]),
+    "family_laplacians": lambda: [laplacian(g) for g in family_corpus(7)],
+    "family_token_laplacians": lambda: _token_laplacians(family_corpus(7)),
+    "random_laplacians": lambda: [laplacian(g) for g in random_corpus(12, n_range=(4, 9), seed=42)],
+    "principal_submatrices": lambda: [
+        principal_submatrix(laplacian(g), range(i, g.n, 2))
+        for g in family_corpus(7) + random_corpus(6, seed=43) for i in (0, 1)],
+    "random_non_symmetric": lambda: _random_matrices(40, seed=44),
+    "special": lambda: [
+        PIVOT_SWAP, SPLIT_HESSENBERG, NILPOTENT, LARGE_ENTRIES,
+        np.zeros((0, 0), dtype=np.int64), np.array([[-7]]), np.array([[0]]),
+        np.zeros((5, 5), dtype=np.int64), np.eye(6, dtype=np.int64)],
+}
+
+
+class TestMatchesReference:
+    """The multimodular char_poly against the Faddeev-LeVerrier oracle."""
+
+    @pytest.mark.parametrize("corpus", sorted(EQUIVALENCE_CORPORA))
+    def test_equals_faddeev_leverrier(self, corpus):
+        mats = EQUIVALENCE_CORPORA[corpus]()
+        assert mats
+        for m in mats:
+            assert char_poly(m) == reference_char_poly(m), m.tolist()
+
+    def test_special_cases(self):
+        assert char_poly(np.zeros((0, 0), dtype=np.int64)) == IntPoly.one()
+        assert char_poly(np.array([[-7]])) == IntPoly.x_minus(-7)
+        assert char_poly(NILPOTENT) == IntPoly((0,) * 4 + (1,))
+        assert np.any(NILPOTENT[np.tril_indices(4, -2)] != 0)
+        blocks = char_poly(SPLIT_HESSENBERG[:2, :2]) * char_poly(SPLIT_HESSENBERG[2:, 2:])
+        assert char_poly(SPLIT_HESSENBERG) == blocks
+
+    def test_large_entries_need_many_primes(self):
+        assert len(_primes_for(LARGE_ENTRIES)) >= 5
+        assert char_poly(LARGE_ENTRIES) == reference_char_poly(LARGE_ENTRIES)
+
+    def test_rejects_entries_beyond_int64(self):
+        with pytest.raises(ValueError):
+            char_poly(np.array([[2.0 ** 70]]))
+
+
+class TestMultimodularInvariants:
+    @pytest.mark.parametrize("n", [1, 126, 2048, 2049, 200_000])
+    def test_no_int64_overflow(self, n):
+        primes = exact._primes(exact._prime_bits(n), 1 << 400)
+        assert len(primes) > 1 and len(set(primes)) == len(primes)
+        for p in primes:
+            assert exact._is_prime(p)
+            assert n * (p - 1) ** 2 < 1 << 63
+
+    @pytest.mark.parametrize("m", [
+        LARGE_ENTRIES, NILPOTENT, PIVOT_SWAP,
+        laplacian(complete_graph(6)),
+        laplacian(token_graph(complete_graph(7), 3).graph),
+    ], ids=["large", "nilpotent", "pivot", "K6", "F3(K7)"])
+    def test_prime_product_exceeds_twice_the_coefficients(self, m):
+        largest = max(abs(c) for c in reference_char_poly(m).coeffs)
+        assert exact._coefficient_bound(exact._as_int_matrix(m)) >= largest
+        assert math.prod(_primes_for(m)) > 2 * largest
+
+    def test_bound_rounds_each_row_norm_up(self):
+        assert exact._coefficient_bound(np.array([[1, 1], [1, 1]])) == 9
+        assert exact._coefficient_bound(np.array([[3, 4], [0, 0]])) == 6
+        for m in _random_matrices(20, seed=45, lo=-10**6, hi=10**6):
+            norms = np.linalg.norm(m.astype(float), axis=1)
+            assert exact._coefficient_bound(m) >= math.prod(1 + norms) * (1 - 1e-9)
+
+    def test_corrupted_residue_changes_the_output(self, monkeypatch):
+        m = laplacian(token_graph(complete_graph(6), 3).graph)
+        primes = _primes_for(m)
+        assert len(primes) > 1
+        expected = reference_char_poly(m)
+        real = exact._char_poly_mod
+        for target in primes:
+            def corrupt(a, batch, target=target):
+                out = real(a, batch)
+                if target in batch:
+                    i = batch.index(target)
+                    out[i, 1] = (out[i, 1] + 1) % target
+                return out
+
+            monkeypatch.setattr(exact, "_char_poly_mod", corrupt)
+            assert char_poly(m) != expected, target
+        monkeypatch.setattr(exact, "_char_poly_mod", real)
+        assert char_poly(m) == expected
+
+
+class TestCancelMidRun:
+    def test_cancel_on_second_check(self):
+        class CancelOnSecondCheck(CancelToken):
+            checks = 0
+
+            def check(self):
+                self.checks += 1
+                if self.checks == 2:
+                    self.cancel()
+                super().check()
+
+        m = laplacian(path_graph(300))  # at this order each batch holds one prime
+        assert len(_primes_for(m)) > 1
+        token = CancelOnSecondCheck()
+        with pytest.raises(OperationCancelled):
+            char_poly(m, cancel=token)
+        assert token.checks == 2
 
 
 class TestPolyDivides:
