@@ -14,21 +14,39 @@ b = (63 - n.bit_length()) // 2, until their product exceeds twice that
 bound; then n * (p - 1)**2 < 2**63, so no int64 dot product or outer
 product can overflow. For each prime, an int64 copy of M is reduced to
 upper Hessenberg form mod p, whose characteristic polynomial follows from
-a short recurrence. The residues are combined by the Chinese remainder
-theorem over Python integers and lifted to the symmetric range, which
-gives the coefficients exactly (Cohen, A Course in Computational Algebraic
-Number Theory, section 2.2). Faddeev-LeVerrier over Python integers, which
-this replaced, stays in the tests as the oracle.
+a short recurrence; reductions are deferred as far as that headroom
+allows. The residues are combined by the Chinese remainder theorem over
+Python integers and lifted to the symmetric range, which gives the
+coefficients exactly (Cohen, A Course in Computational Algebraic Number
+Theory, section 2.2). Faddeev-LeVerrier over Python integers, which this
+replaced, stays in the tests as the oracle.
+
+The characteristic polynomial of a k-token Laplacian is a product of
+small layer polynomials. L(F_k) = sum over edges uv of (I - tau_uv) lies
+in the group algebra of S_n, and for j = min(k, n - k) the permutation
+module on k-subsets splits into the two-row Specht modules S^(n-h, h),
+h = 0..j, each once (James, The Representation Theory of the Symmetric
+Groups, LNM 682). So charpoly(L(F_k)) = prod_h chi_h, where chi_h is the
+characteristic polynomial of L(F_h) on S^(n-h, h), of degree
+C(n, h) - C(n, h - 1), and depends on G and h only. ``layer_matrix``
+finds that action as an integer matrix M_h on the standard polytabloids
+and certifies it exactly: L(F_h) K == K M_h on every row, K being the
+polytabloids. Containment still divides this product by charpoly(L(G)),
+computed on its own from L(G): chi_0 chi_1 equals it in theory, and the
+division checks that, as the full polynomial was checked before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import combinations
+from math import comb, isqrt
 from typing import Sequence
 
 import numpy as np
+
+from .tokens import TokenGraph, choose_table, edge_array, require_memory, token_graph
 
 
 class OperationCancelled(RuntimeError):
@@ -164,6 +182,8 @@ def _as_int_matrix(m) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix shape {a.shape} is not square")
+    if a.dtype == np.int64:
+        return a
     if a.size and not np.issubdtype(a.dtype, np.integer):
         if not np.all(a == np.round(a)):
             raise ValueError("matrix entries must be integers")
@@ -236,55 +256,105 @@ def _primes(bits: int, bound: int) -> list[int]:
 # primes beat one at a time by a quarter.
 _BATCH_ENTRIES = 1 << 16
 
+# elimination steps held back as one rank-t update. An int64 product costs
+# about 1 ns per term, a reduction about 5 ns per entry: with rank-32 updates
+# one prime at n = 462 took 0.23 s, against 0.49 s for rank-1 updates each reduced.
+_DEFER = 32
+# rows are held back only while the trailing block is wider than this; below
+# it the extra numpy calls of a held step cost about what the saved reductions
+# do (one prime at n = 56: 4.4 ms either way; at n = 126: 8.0 ms against 11.8 ms)
+_HOLD_WIDTH = 64
+
 
 def _char_poly_mod(a: np.ndarray, primes: list[int]) -> np.ndarray:
     """det(xI - A) modulo each prime: a (len(primes), n + 1) array, ascending degree.
 
-    Each copy of A is reduced to upper Hessenberg form by similarity mod its
+    A is one n x n matrix, or a stack of len(primes) of them, one per prime.
+    Each copy is reduced to upper Hessenberg form by similarity mod its
     prime: a nonzero entry below the subdiagonal is swapped onto it (rows
-    and columns alike), then the entries under it are eliminated. The
-    characteristic polynomial then follows from the Hessenberg recurrence
+    and columns alike), the rows under it are eliminated, and the inverse
+    column operation is applied. The characteristic polynomial then follows
+    from the Hessenberg recurrence
     p_m = (x - h[m-1, m-1]) p_(m-1) - sum_i h[i-1, m-1] h[i, i-1] ... h[m-1, m-2] p_(i-1).
+
+    Reductions are deferred as far as the headroom of _prime_bits allows:
+    every stored entry is a residue in [0, p), and no intermediate exceeds
+    (p - 1) + n (p - 1)**2 < 2**63 in absolute value. While the trailing
+    block is wide, the row eliminations of up to _DEFER steps are held as a
+    rank-t update F R, applied with one product and one reduction. Until
+    then a column c > j of the current matrix is h[:, c] - F R[:, c], and
+    each step reads its pivot row and its column operation through that form.
     """
-    n = a.shape[0]
+    n, count = a.shape[-1], len(primes)
     ps = np.array(primes, dtype=np.int64)
     p2, p3 = ps[:, None], ps[:, None, None]
-    h = a[None] % p3
-    batch = np.arange(len(primes))
+    h = a % p3
+    held = _DEFER if n > _HOLD_WIDTH else 0
+    fs = np.zeros((count, n, held), dtype=np.int64)  # F: the multipliers of each held step
+    rs = np.zeros((count, held, n), dtype=np.int64)  # R: its pivot row
+    t, first = 0, 0  # held steps; rows above first hold none
+
+    def release(c: int) -> None:
+        """Apply the held steps to the columns c.., which makes h current."""
+        block = h[:, first:, c:]
+        block -= np.matmul(fs[:, first:, :t], rs[:, :t, c:])
+        block %= p3
+        fs[:, :, :t] = 0
+
     for j in range(n - 2):
-        below = h[:, j + 1:, j] != 0
-        if not below[:, 1:].any():
+        # columns <= j of h are current
+        col = h[:, j + 1:, j]
+        if not col[:, 1:].any():
+            if t:
+                release(j + 1)
+                t, first = 0, j + 3
             continue
-        r = j + 1 + below.argmax(axis=1)
-        swap = r != j + 1
-        if swap.any():
-            q, rq = batch[swap], r[swap]
-            rows = h[q, rq, :]
-            h[q, rq, :] = h[q, j + 1, :]
-            h[q, j + 1, :] = rows
-            cols = h[q, :, rq]
-            h[q, :, rq] = h[q, :, j + 1]
-            h[q, :, j + 1] = cols
-        pivots = h[:, j + 1, j].tolist()
-        inv = np.array([pow(v, -1, p) if v else 0 for v, p in zip(pivots, primes)], dtype=np.int64)
-        f = h[:, j + 2:, j] * inv[:, None] % p2
-        h[:, j + 2:, j + 1:] -= f[:, :, None] * h[:, j + 1, None, j + 1:]
-        h[:, j + 2:, j + 1:] %= p3
-        h[:, j + 2:, j] = 0
-        h[:, :, j + 1] += np.matmul(h[:, :, j + 2:], f[:, :, None])[:, :, 0] % p2
-        h[:, :, j + 1] %= p2
-    polys = np.zeros((len(primes), n + 1, n + 1), dtype=np.int64)
+        if not col[:, 0].all():  # a zero on the subdiagonal: swap the first nonzero below onto it
+            r = (col != 0).argmax(axis=1)
+            q = np.flatnonzero(r)
+            rq = r[q] + j + 1
+            for x in (h, fs):
+                x[q, rq], x[q, j + 1] = x[q, j + 1], x[q, rq]
+            for x in (h, rs):
+                x[q, :, rq], x[q, :, j + 1] = x[q, :, j + 1], x[q, :, rq]
+        inv = np.array([pow(v, -1, p) if v else 0 for v, p in zip(col[:, 0].tolist(), primes)], dtype=np.int64)
+        f = col[:, 1:] * inv[:, None] % p2
+        col[:, 1:] = 0
+        hold = n - j > _HOLD_WIDTH and j < n - 3
+        if t or hold:
+            pivot = h[:, j + 1, j + 1:]
+            if t:
+                pivot = (pivot - np.matmul(fs[:, j + 1, None, :t], rs[:, :t, j + 1:])[:, 0]) % p2
+            rs[:, t, j + 1:] = pivot
+            fs[:, j + 2:, t] = f
+            t += 1
+            if hold and t < _DEFER:
+                # column j+1 plus the columns j+2.. weighted by f, all after this step's rows
+                g = (rs[:, :t, j + 1] + np.matmul(rs[:, :t, j + 2:], f[:, :, None])[:, :, 0]) % p2
+                new = h[:, :, j + 1] + np.matmul(h[:, :, j + 2:], f[:, :, None])[:, :, 0]
+                new -= np.matmul(fs[:, :, :t], g[:, :, None])[:, :, 0]
+                h[:, :, j + 1] = new % p2
+                continue
+            release(j + 1)
+            t, first = 0, j + 3
+        else:
+            block = h[:, j + 2:, j + 1:]
+            block -= f[:, :, None] * h[:, j + 1, None, j + 1:]
+            block %= p3
+        h[:, :, j + 1] = (h[:, :, j + 1] + np.matmul(h[:, :, j + 2:], f[:, :, None])[:, :, 0]) % p2
+    # coef[:, i, c] = h[i, c] h[i+1, i] ... h[c, c-1] for i <= c, the weight of p_i in p_(c+1)
+    coef = np.zeros_like(h)
+    coef[:, np.arange(n), np.arange(n)] = 1
+    for c in range(1, n):
+        coef[:, :c, c] = coef[:, :c, c - 1] * h[:, c, c - 1, None] % p2
+    coef *= h
+    coef %= p3
+    polys = np.zeros((count, n + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
-    weights = np.zeros((len(primes), 0), dtype=np.int64)  # h[i, i-1] ... h[m-1, m-2] for i < m
     for m in range(1, n + 1):
-        row = polys[:, m]
-        row[:, 1:] = polys[:, m - 1, :-1]
-        row -= h[:, m - 1, m - 1, None] * polys[:, m - 1]
-        if m > 1:
-            sub = h[:, m - 1, m - 2, None]
-            weights = np.concatenate((weights * sub % p2, sub), axis=1)
-            w = h[:, :m - 1, m - 1] * weights % p2
-            row -= np.matmul(w[:, None, :], polys[:, :m - 1])[:, 0] % p2
+        row = polys[:, m, :m + 1]
+        row[:, 1:] = polys[:, m - 1, :m]
+        row[:, :-1] -= np.matmul(coef[:, None, :m, m - 1], polys[:, :m, :m])[:, 0]
         row %= p2
     return polys[:, n]
 
@@ -298,20 +368,171 @@ def char_poly(m, cancel: CancelToken | None = None) -> IntPoly:
     and lifted to the symmetric range. ``cancel`` is checked before each
     batch of primes.
     """
-    a = _as_int_matrix(m)
-    n = a.shape[0]
-    primes = _primes(_prime_bits(n), _coefficient_bound(a))
-    coeffs, modulus = [0] * (n + 1), 1
-    step = max(1, _BATCH_ENTRIES // max(1, n * n))
-    for start in range(0, len(primes), step):
+    return char_polys([m], cancel)[0]
+
+
+def char_polys(mats: Sequence, cancel: CancelToken | None = None) -> list[IntPoly]:
+    """``char_poly`` of each matrix, with the (matrix, prime) pairs of all of them in shared batches.
+
+    A batch pads its matrices with zero rows and columns to its largest
+    order D, which multiplies each polynomial by x^(D - n) and leaves the
+    int64 bounds of each prime as they were: a padded entry adds only zero
+    terms. Small matrices then share each numpy call of the reduction.
+    """
+    arrays = [_as_int_matrix(m) for m in mats]
+    jobs = sorted(((len(a), i, p) for i, a in enumerate(arrays)
+                   for p in _primes(_prime_bits(len(a)), _coefficient_bound(a))), key=lambda job: -job[0])
+    found: list[list[tuple[int, list[int]]]] = [[] for _ in arrays]
+    start = 0
+    while start < len(jobs):
         if cancel is not None:
             cancel.check()
-        batch = primes[start:start + step]
-        for p, residues in zip(batch, _char_poly_mod(a, batch).tolist()):
+        size = jobs[start][0]
+        batch = jobs[start:start + max(1, _BATCH_ENTRIES // max(1, size * size))]
+        h = np.zeros((len(batch), size, size), dtype=np.int64)
+        for b, (n, i, _) in enumerate(batch):
+            h[b, :n, :n] = arrays[i]
+        for (n, i, p), residues in zip(batch, _char_poly_mod(h, [p for _, _, p in batch]).tolist()):
+            found[i].append((p, residues[size - n:]))
+        start += len(batch)
+    out = []
+    for residues in found:
+        coeffs, modulus = [0] * len(residues[0][1]), 1
+        for p, rs in residues:
             inv = pow(modulus, -1, p)
-            coeffs = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, residues)]
+            coeffs = [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, rs)]
             modulus *= p
-    return IntPoly(tuple(c - modulus if 2 * c > modulus else c for c in coeffs))
+        out.append(IntPoly(tuple(c - modulus if 2 * c > modulus else c for c in coeffs)))
+    return out
+
+
+def _standard_polytabloids(n: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The standard polytabloids of shape (n - h, h), as signed sums of h-subsets.
+
+    A standard tableau is fixed by its second row b_1 < ... < b_h with
+    a_i < b_i, where a is the sorted complement of b; that is b_i >= 2i - 1
+    counting from 1. Its polytabloid prod_i (1 - (a_i b_i)) {b} has a term
+    for each set I of columns: b with b_i replaced by a_i for i in I, with
+    sign (-1)^|I|. Each replacement lowers the sum, so sorted by (sum b, b)
+    the standard rows of the polytabloids are unit upper triangular.
+
+    Returns (level, rank, sign): the sums of the standard sets in that
+    order, the (d, 2**h) colex ranks of each polytabloid's terms (term 0 is
+    b itself), and the 2**h signs.
+    """
+    b = sorted((s for s in combinations(range(n), h) if all(x > 2 * i for i, x in enumerate(s))), key=sum)
+    a = [[x for x in range(n) if x not in s][:h] for s in b]
+    swap = [[t >> i & 1 == 1 for i in range(h)] for t in range(1 << h)]  # term t swaps the columns of its bits
+    terms = np.where(swap, np.reshape(a, (-1, 1, h)), np.reshape(b, (-1, 1, h)))
+    terms.sort(axis=2)
+    rank = choose_table(n, h)[terms, np.arange(1, h + 1)].sum(axis=2)
+    return np.array([sum(s) for s in b]), rank, np.array([-1 if sum(t) % 2 else 1 for t in swap])
+
+
+def _back_substitute(upper: np.ndarray, rhs: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """m with (I + upper) m = rhs, for upper strictly upper triangular over levels.
+
+    An entry of upper links a row only to rows of a higher level, so the
+    rows of one level are solved together, top level first.
+    """
+    m = rhs.copy()
+    rows = np.flatnonzero(upper.any(axis=1))
+    if not rows.size:
+        return m
+    cuts = [0, *(np.flatnonzero(np.diff(level[rows])) + 1).tolist(), len(rows)]
+    for lo, hi in reversed(list(zip(cuts, cuts[1:]))):
+        grp = rows[lo:hi]
+        m[grp] -= upper[grp] @ m
+    return m
+
+
+# entries of one scatter of token edges into L(F_h) K, which bounds its temporaries
+_SCATTER_ENTRIES = 1 << 16
+
+
+def layer_matrix(n: int, h: int, edges: np.ndarray) -> np.ndarray:
+    """The integer matrix M_h of L(F_h) on the Specht module S^(n-h, h), 1 <= h <= n/2.
+
+    edges is the (m, 2) edge array of the h-token graph F_h in colex ranks.
+    K is the C(n, h) x d matrix whose columns are the standard polytabloids,
+    and L(F_h) K is the degree times K minus a scatter along the token
+    edges. Its rows at the standard sets equal K_std M_h, with K_std unit
+    upper triangular, so M_h follows by integer back-substitution, one level
+    of sum b at a time from the top: no entry of K_std links two sets of
+    the same level.
+
+    The result is certified: L(F_h) K == K M_h on every one of the C(n, h)
+    rows, exactly in int64, and d == C(n, h) - C(n, h - 1). Otherwise
+    AssertionError.
+    """
+    size = comb(n, h)
+    level, rank, sign = _standard_polytabloids(n, h)
+    std, d = rank[:, 0], len(rank)
+    if d != size - comb(n, h - 1):
+        raise AssertionError(f"layer {h} of n = {n} has {d} standard polytabloids, "
+                             f"not C(n,h) - C(n,h-1) = {size - comb(n, h - 1)}")
+    cols = np.arange(d)
+    k = np.zeros((size, d), dtype=np.int64)
+    k[rank, cols[:, None]] = sign
+    ends = np.concatenate((edges, edges[:, ::-1]))  # (set, neighbour), both ways
+    lk = np.bincount(ends[:, 0], minlength=size)[:, None] * k
+    step = max(1, _SCATTER_ENTRIES // d)
+    for part in (ends[lo:lo + step] for lo in range(0, len(ends), step)):
+        np.subtract.at(lk.reshape(-1), (part[:, :1] * d + cols).ravel(), k[part[:, 1]].ravel())
+    upper = k[std]
+    upper[cols, cols] = 0
+    m = _back_substitute(upper, lk[std], level)
+    # each entry of K M_h sums d terms, each at most max|M_h|
+    top = int(np.abs(m).max(initial=0)) * d
+    if top >= 1 << 63:
+        raise AssertionError(f"layer {h}: K M_h could overflow int64 (bound {top})")
+    if not np.array_equal(k @ m, lk):
+        raise AssertionError(f"layer {h}: L(F_h) K != K M_h")
+    return m
+
+
+def token_layers(tg: TokenGraph) -> list[np.ndarray]:
+    """The layer matrices M_1, ..., M_j of tg's k-token graph, j = min(k, n - k).
+
+    M_h depends on the base graph and h only. F_j is tg's own graph, read
+    in reversed colex order when k > n/2 (complementing every subset
+    reverses it); F_1 is the base graph, and F_h for 1 < h < j is built
+    here. The dimensions, with 1 for the trivial layer, must sum to C(n, k).
+    Raises CapExceededError, before building any layer, when the largest
+    would not fit in physical memory.
+    """
+    g, k = tg.base, tg.k
+    n, j = g.n, min(k, g.n - k)
+    # a layer holds K, L(F_h) K and K M_h, C(n, h) x d each, three int64 arrays
+    # of one scatter chunk, and for its characteristic polynomial about six d x d
+    dims = [(comb(n, h), comb(n, h) - comb(n, h - 1)) for h in range(1, j + 1)]
+    require_memory(max(8 * (3 * size * d + 6 * d * d) for size, d in dims) + 24 * _SCATTER_ENTRIES,
+                   f"the exact route on the {k}-token graph of {n} vertices")
+    layers = []
+    for h in range(1, j + 1):
+        if h == j:
+            edges = edge_array(tg.graph)
+            if j < k:
+                edges = tg.graph.n - 1 - edges
+        else:
+            edges = edge_array(g if h == 1 else token_graph(g, h).graph)
+        layers.append(layer_matrix(n, h, edges))
+    dim = 1 + sum(len(m) for m in layers)
+    if dim != tg.graph.n:
+        raise AssertionError(f"layer dimensions sum to {dim}, not C(n, k) = {tg.graph.n}")
+    return layers
+
+
+def token_char_poly(tg: TokenGraph) -> IntPoly:
+    """charpoly(L(F_k)) as the product of the layer polynomials chi_h, h = 0..min(k, n - k).
+
+    chi_0 = x, as every I - tau_uv vanishes on the constant functions, and
+    chi_h = charpoly(M_h) for h >= 1 (see ``token_layers``).
+    """
+    q = IntPoly((0, 1))
+    for chi in char_polys(token_layers(tg)):
+        q = q * chi
+    return q
 
 
 def poly_divides(p: IntPoly, q: IntPoly) -> tuple[bool, IntPoly]:

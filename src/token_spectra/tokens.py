@@ -56,6 +56,23 @@ class TokenGraph:
         return format_edge_list(self.graph, header=header)
 
 
+def choose_table(n: int, j: int) -> np.ndarray:
+    """choose[m, i] = C(m, i) for m <= n, i <= j, so the colex rank of a row s is choose[s, 1..j].sum().
+
+    No entry exceeds C(n, j) when j <= n/2.
+    """
+    choose = np.zeros((n + 1, j + 1), dtype=np.int64)
+    choose[:, 0] = 1
+    for i in range(1, j + 1):
+        choose[1:, i] = np.cumsum(choose[:-1, i - 1])
+    return choose
+
+
+def edge_array(g: Graph) -> np.ndarray:
+    """The edges of g as an (m, 2) int64 array of sorted pairs, in the graph's edge order."""
+    return np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+
+
 def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     """Build the k-token graph of g.
 
@@ -73,14 +90,10 @@ def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     flat = chain.from_iterable(combinations(range(n), j))
     subsets = np.fromiter(flat, dtype=np.int64, count=size * j).reshape(size, j)
     subsets = subsets[np.lexsort(subsets.T)]
-    # choose[m, i] = C(m, i); no entry exceeds C(n, j) = size, as j <= n/2
-    choose = np.zeros((n + 1, j + 1), dtype=np.int64)
-    choose[:, 0] = 1
-    for i in range(1, j + 1):
-        choose[1:, i] = np.cumsum(choose[:-1, i - 1])
+    choose = choose_table(n, j)
     # base edges are sorted pairs (a, b) with a < b, so the neighbours of a
     # above a are head[first[a]:first[a + 1]]
-    tail, head = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    tail, head = edge_array(g).T
     first = np.searchsorted(tail, np.arange(n + 1))
     a = subsets.ravel()
     deg = first[a + 1] - first[a]

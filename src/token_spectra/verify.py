@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact import char_poly, cycle_path_identity_check, poly_divides
+from .exact import char_poly, cycle_path_identity_check, poly_divides, token_char_poly
 from .graphs import (
     Graph,
     GraphError,
@@ -134,7 +134,7 @@ def check_spectral_containment(
     witnesses: dict = {"k": k, "token_vertices": tg.graph.n, "mode": mode}
     if mode == "exact":
         p = char_poly(laplacian(g))
-        q = char_poly(laplacian(tg.graph))
+        q = token_char_poly(tg)
         divides, result = poly_divides(p, q)
         if divides:
             witnesses["quotient_degree"] = result.degree

@@ -3,8 +3,10 @@ reference routines that only the tests use (graph restrictions, the
 Rayleigh quotient, fraction-free determinants, a closed-form join
 polynomial, the colex subset codec with the per-edge token-graph loop
 and the binomial lift built on it, the per-edge Laplacian and
-per-eigenvalue grouping loops the spectra module replaced, and the
-Faddeev-LeVerrier characteristic polynomial the exact module replaced)."""
+per-eigenvalue grouping loops the spectra module replaced, the
+Faddeev-LeVerrier characteristic polynomial the exact module replaced,
+and the exact containment check on the whole token Laplacian, which the
+layered route replaced)."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from token_spectra.exact import IntPoly
+from token_spectra.exact import IntPoly, char_poly, poly_divides
 from token_spectra.graphs import (
     Graph,
     GraphError,
@@ -29,8 +31,8 @@ from token_spectra.graphs import (
     random_tree,
     star_graph,
 )
-from token_spectra.spectra import DEFAULT_GROUP_TOL, NumericalError
-from token_spectra.tokens import CapExceededError
+from token_spectra.spectra import DEFAULT_GROUP_TOL, NumericalError, laplacian
+from token_spectra.tokens import CapExceededError, token_graph
 
 # known counts of connected graphs up to isomorphism, indexed by n
 CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
@@ -393,3 +395,22 @@ def reference_groups(m: np.ndarray, group_tol: float = DEFAULT_GROUP_TOL):
             groups.append((float(np.mean(w[start:i])), members, basis))
             start = i
     return w, groups
+
+
+def full_route_containment(g: Graph, k: int) -> dict:
+    """The exact containment certificate, less runtime_ms, as the full-polynomial route built it.
+
+    charpoly(L(F_k)) comes from the whole C(n, k) x C(n, k) token Laplacian,
+    then charpoly(L(G)) divides it.
+    """
+    tg = token_graph(g, k)
+    divides, result = poly_divides(char_poly(laplacian(g)), char_poly(laplacian(tg.graph)))
+    witnesses: dict = {"k": k, "token_vertices": tg.graph.n, "mode": "exact"}
+    if divides:
+        witnesses["quotient_degree"] = result.degree
+        witnesses["quotient"] = result.to_json_list()
+    else:
+        witnesses["remainder"] = result.to_json_list()
+    return {"check_id": "containment", "graph": {"n": g.n, "edges_hash": g.fingerprint()},
+            "verdict": "pass" if divides else "fail", "witnesses": witnesses,
+            "tolerances": {"mode": "exact"}}

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from token_spectra import tokens, verify
+from token_spectra import exact, tokens, verify
 from token_spectra.cli import CHECKS, EXIT_CANCEL, main
 from token_spectra.exact import OperationCancelled
 from token_spectra.graphs import (
@@ -328,7 +328,9 @@ class TestCancel:
 
 class TestMemoryGuard:
     """With physical memory taken as 1 MB, the dense route refuses N >= 142
-    (50 bytes per N^2) and token_graph refuses 3277 candidate rows or more."""
+    (50 bytes per N^2), token_graph refuses 3277 candidate rows or more, and
+    the exact route refuses any token graph: its token-edge scatter alone is
+    estimated at 1.5 MB."""
 
     @pytest.fixture(autouse=True)
     def small_memory(self, monkeypatch):
@@ -343,6 +345,8 @@ class TestMemoryGuard:
          "error: the 3-token graph of 12 vertices needs about 0.00108 GiB, physical memory is 0.000931 GiB\n"),
         (["construct", "token", "--graph", "path:30", "-k", "8", "--cap", "100"],
          "error: token graph would have 5852925 vertices, cap is 100\n"),
+        (["verify", "containment", "--graph", "path:6", "-k", "3", "--exact"],
+         "error: the exact route on the 3-token graph of 6 vertices needs about 0.00147 GiB, physical memory is 0.000931 GiB\n"),
     ])
     def test_exit_3_with_one_error_line(self, runner, argv, stderr):
         res = runner.invoke(main, argv)
@@ -503,6 +507,23 @@ class TestSweep:
         summary = json.loads(res.stdout)
         assert (summary["total"], summary["pass"], summary["error"]) == (8, 7, 1)
         assert summary["by_check"]["interlacing"]["error"] == 1
+
+    def test_corrupted_layer_gives_error_rows(self, runner, tmp_path, monkeypatch):
+        real = exact._back_substitute
+
+        def corrupt(upper, rhs, level):
+            m = real(upper, rhs, level)
+            m[-1, 0] += 1
+            return m
+
+        monkeypatch.setattr(exact, "_back_substitute", corrupt)
+        spec = self._write_spec(tmp_path, family={"name": "path", "n": [3, 5]}, checks=["containment-exact"])
+        res = runner.invoke(main, ["sweep", spec, "--csv", str(tmp_path / "rows.csv")])
+        assert res.exit_code == 1
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "rows.csv").read_text())))
+        assert [(r["instance"], r["verdict"]) for r in rows] == [(f"path:{n}", "error") for n in (3, 4, 5)]
+        assert all("L(F_h) K != K M_h" in r["detail"] for r in rows)
+        assert json.loads(res.stdout)["error"] == 3
 
     def test_bad_spec_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,20 +15,26 @@ from token_spectra.exact import (
     count_roots_in_interval,
     cycle_path_identity_check,
     poly_divides,
+    token_char_poly,
+    token_layers,
 )
 from token_spectra.graphs import (
+    Graph,
     build_bipartite_extension,
     build_cut_clique_join,
     complete_graph,
     path_graph,
+    random_connected_gnp,
 )
 from token_spectra.spectra import laplacian, principal_submatrix
-from token_spectra.tokens import token_graph
+from token_spectra.tokens import edge_array, token_graph
+from token_spectra.verify import check_spectral_containment
 
 from helpers import (
     closed_form_gstar_poly,
     connected_class_representatives,
     family_corpus,
+    full_route_containment,
     int_det,
     random_corpus,
     reference_char_poly,
@@ -173,6 +181,13 @@ class TestMatchesReference:
         blocks = char_poly(SPLIT_HESSENBERG[:2, :2]) * char_poly(SPLIT_HESSENBERG[2:, 2:])
         assert char_poly(SPLIT_HESSENBERG) == blocks
 
+    def test_batched_matrices_of_mixed_order(self):
+        # orders 0 to 56 share batches; 56 takes 28-bit primes, order 4 takes 30-bit ones
+        mats = EQUIVALENCE_CORPORA["special"]() + _random_matrices(10, seed=50) + [
+            laplacian(token_graph(complete_graph(8), 3).graph)]
+        assert {exact._prime_bits(len(m)) for m in mats} >= {28, 30}
+        assert exact.char_polys(mats) == [reference_char_poly(m) for m in mats]
+
     def test_large_entries_need_many_primes(self):
         assert len(_primes_for(LARGE_ENTRIES)) >= 5
         assert char_poly(LARGE_ENTRIES) == reference_char_poly(LARGE_ENTRIES)
@@ -180,6 +195,40 @@ class TestMatchesReference:
     def test_rejects_entries_beyond_int64(self):
         with pytest.raises(ValueError):
             char_poly(np.array([[2.0 ** 70]]))
+
+
+def _sparse_matrices(count, seed):
+    """Random integer matrices, mostly zero, so that pivots need swaps and columns get skipped."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in rng.integers(3, 40, size=count):
+        m = rng.integers(-4, 5, size=(n, n))
+        m[rng.random((n, n)) < 0.75] = 0
+        out.append(m)
+    return out
+
+
+class TestHeldRows:
+    """Row eliminations held back as a rank-t update give the same polynomial."""
+
+    @pytest.mark.parametrize("defer,width", [(1, 0), (2, 0), (3, 2), (7, 0), (32, 0), (5, 12)])
+    @pytest.mark.parametrize("corpus", ["sparse", "random_non_symmetric", "special", "family_token_laplacians"])
+    def test_equals_faddeev_leverrier(self, monkeypatch, defer, width, corpus):
+        monkeypatch.setattr(exact, "_DEFER", defer)
+        monkeypatch.setattr(exact, "_HOLD_WIDTH", width)
+        mats = _sparse_matrices(12, seed=46) if corpus == "sparse" else EQUIVALENCE_CORPORA[corpus]()
+        for m in mats:
+            assert char_poly(m) == reference_char_poly(m), m.tolist()
+
+    def test_wide_matrices_hold_rows_by_default(self, monkeypatch):
+        assert exact._HOLD_WIDTH < 126
+        rng = np.random.default_rng(48)
+        sparse = rng.integers(-3, 4, size=(120, 120)) * (rng.random((120, 120)) < 0.05)
+        mats = [laplacian(token_graph(random_connected_gnp(9, 0.5, random.Random(47)), 4).graph),
+                sparse, rng.integers(-3, 4, size=(100, 100))]
+        held = [char_poly(m) for m in mats]
+        monkeypatch.setattr(exact, "_HOLD_WIDTH", 1 << 20)
+        assert held == [char_poly(m) for m in mats]
 
 
 class TestMultimodularInvariants:
@@ -377,3 +426,117 @@ class TestIntDet:
             m = rng.integers(-4, 5, size=(6, 6))
             expected = round(float(np.linalg.det(m.astype(float))))
             assert int_det(m) == expected
+
+
+LAYER_CORPORA = {
+    # criterion 07's exhaustive corpus, every k
+    "classes_n_le_6": lambda: [g for n in range(2, 7) for g in connected_class_representatives(n)],
+    "families_7": lambda: family_corpus(7),
+    "disconnected": lambda: [
+        Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5))),
+        Graph(7, ((0, 1), (1, 2), (2, 3), (4, 5))),
+        Graph(5, ((0, 1), (2, 3))),
+        Graph(4, ()),
+    ],
+    "random_8_9": lambda: random_corpus(6, n_range=(8, 9), seed=61),
+}
+
+
+class TestLayers:
+    """charpoly(L(F_k)) as the product of the two-row Specht layers."""
+
+    @pytest.mark.parametrize("corpus", sorted(LAYER_CORPORA))
+    def test_product_equals_full_char_poly(self, corpus):
+        graphs = LAYER_CORPORA[corpus]()
+        assert graphs
+        for g in graphs:
+            for k in range(1, g.n):  # k and n - k, and the single layer at k = 1, n - 1
+                tg = token_graph(g, k)
+                assert token_char_poly(tg) == char_poly(laplacian(tg.graph)), (g.n, g.edges, k)
+
+    def test_n10_k5(self):
+        tg = token_graph(random_connected_gnp(10, 0.5, random.Random(105)), 5)
+        assert tg.graph.n == 252
+        assert token_char_poly(tg) == char_poly(laplacian(tg.graph))
+
+    def test_dimensions(self):
+        for n in range(2, 12):
+            g = random_connected_gnp(n, 0.5, random.Random(n))
+            for k in range(1, n):
+                j = min(k, n - k)
+                dims = [len(m) for m in token_layers(token_graph(g, k))]
+                assert dims == [math.comb(n, h) - math.comb(n, h - 1) for h in range(1, j + 1)]
+                assert 1 + sum(dims) == math.comb(n, k)
+
+    @pytest.mark.parametrize("g", family_corpus(8) + random_corpus(4, n_range=(6, 9), seed=62),
+                             ids=lambda g: f"n{g.n}m{g.m}")
+    def test_layers_do_not_depend_on_k(self, g):
+        # at k = h the last layer comes straight from F_h; other k reach M_h
+        # through a smaller j, or through F_(n-h) read in reversed colex order
+        direct = {h: token_layers(token_graph(g, h))[-1] for h in range(1, g.n // 2 + 1)}
+        for k in range(1, g.n):
+            for h, m in enumerate(token_layers(token_graph(g, k)), start=1):
+                assert np.array_equal(m, direct[h]), (k, h)
+
+    @pytest.mark.parametrize("corpus", ["families_7", "disconnected", "random_8_9"])
+    def test_trivial_and_first_layer_give_the_base_polynomial(self, corpus):
+        for g in LAYER_CORPORA[corpus]():
+            first = exact.layer_matrix(g.n, 1, edge_array(g))
+            assert IntPoly((0, 1)) * char_poly(first) == char_poly(laplacian(g))
+
+    def test_k1_quotient_is_one(self):
+        for g in family_corpus(6):
+            for k in (1, g.n - 1):
+                assert len(token_layers(token_graph(g, k))) == 1
+                cert = check_spectral_containment(g, k)
+                assert cert.passed
+                assert (cert.witnesses["quotient_degree"], cert.witnesses["quotient"]) == (0, ["1"])
+
+
+def _corrupt_one_entry(monkeypatch, delta):
+    real = exact._back_substitute
+
+    def corrupt(upper, rhs, level):
+        m = real(upper, rhs, level)
+        m[len(m) // 2, len(m) // 3] += delta
+        return m
+
+    monkeypatch.setattr(exact, "_back_substitute", corrupt)
+
+
+class TestLayerCertificate:
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (7, 2), (7, 5), (9, 4)])
+    def test_corrupted_layer_raises(self, monkeypatch, n, k):
+        g = random_connected_gnp(n, 0.5, random.Random(n * k))
+        assert check_spectral_containment(g, k).passed
+        _corrupt_one_entry(monkeypatch, 1)
+        with pytest.raises(AssertionError, match="L\\(F_h\\) K != K M_h"):
+            check_spectral_containment(g, k)
+
+    def test_overflow_guard(self, monkeypatch):
+        _corrupt_one_entry(monkeypatch, 1 << 62)
+        with pytest.raises(AssertionError, match="overflow"):
+            token_char_poly(token_graph(complete_graph(5), 2))
+
+    def test_dimension_check(self, monkeypatch):
+        real = exact._standard_polytabloids
+
+        def one_short(n, h):
+            level, rank, sign = real(n, h)
+            return level[:-1], rank[:-1], sign
+
+        monkeypatch.setattr(exact, "_standard_polytabloids", one_short)
+        with pytest.raises(AssertionError, match="standard polytabloids"):
+            token_char_poly(token_graph(complete_graph(5), 2))
+
+
+class TestSameCertificatesAsTheFullRoute:
+    def test_seeded_corpus(self):
+        rng = random.Random(63)
+        cases = [(random_connected_gnp(9, 0.5, rng), 4)]
+        cases += [(g, k) for g in random_corpus(12, n_range=(4, 8), seed=64) for k in range(1, g.n)]
+        cases += [(Graph(6, ((0, 1), (1, 2), (3, 4))), k) for k in range(1, 6)]
+        for g, k in cases:
+            cert = check_spectral_containment(g, k).to_json_dict()
+            del cert["runtime_ms"]
+            assert json.dumps(cert) == json.dumps(full_route_containment(g, k)), (g.edges, k)
