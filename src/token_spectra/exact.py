@@ -29,11 +29,14 @@ h = 0..j, each once (James, The Representation Theory of the Symmetric
 Groups, LNM 682). So charpoly(L(F_k)) = prod_h chi_h, where chi_h is the
 characteristic polynomial of L(F_h) on S^(n-h, h), of degree
 C(n, h) - C(n, h - 1), and depends on G and h only. ``layer_matrix``
-finds that action as an integer matrix M_h on the standard polytabloids
-and certifies it exactly: L(F_h) K == K M_h on every row, K being the
-polytabloids. Containment still divides this product by charpoly(L(G)),
-computed on its own from L(G): chi_0 chi_1 equals it in theory, and the
-division checks that, as the full polynomial was checked before.
+finds that action as an integer matrix M_h on the standard polytabloids K
+and certifies it exactly: K is unit upper triangular at the standard sets,
+so its columns are independent; the down map to (h - 1)-subsets kills
+them, and there are C(n, h) - C(n, h - 1), so they span S^(n-h, h); and
+L(F_h) K == K M_h on every row. Containment still divides this product by
+charpoly(L(G)), computed on its own from L(G): chi_0 chi_1 equals it in
+theory, and the division checks that, as the full polynomial was checked
+before.
 """
 
 from __future__ import annotations
@@ -260,10 +263,6 @@ _BATCH_ENTRIES = 1 << 16
 # about 1 ns per term, a reduction about 5 ns per entry: with rank-32 updates
 # one prime at n = 462 took 0.23 s, against 0.49 s for rank-1 updates each reduced.
 _DEFER = 32
-# rows are held back only while the trailing block is wider than this; below
-# it the extra numpy calls of a held step cost about what the saved reductions
-# do (one prime at n = 56: 4.4 ms either way; at n = 126: 8.0 ms against 11.8 ms)
-_HOLD_WIDTH = 64
 
 
 def _char_poly_mod(a: np.ndarray, primes: list[int]) -> np.ndarray:
@@ -279,19 +278,18 @@ def _char_poly_mod(a: np.ndarray, primes: list[int]) -> np.ndarray:
 
     Reductions are deferred as far as the headroom of _prime_bits allows:
     every stored entry is a residue in [0, p), and no intermediate exceeds
-    (p - 1) + n (p - 1)**2 < 2**63 in absolute value. While the trailing
-    block is wide, the row eliminations of up to _DEFER steps are held as a
-    rank-t update F R, applied with one product and one reduction. Until
-    then a column c > j of the current matrix is h[:, c] - F R[:, c], and
-    each step reads its pivot row and its column operation through that form.
+    (p - 1) + n (p - 1)**2 < 2**63 in absolute value. The row eliminations
+    of up to _DEFER steps are held as a rank-t update F R, applied with one
+    product and one reduction. Until then a column c > j + 1 of the current
+    matrix is h[:, c] - F R[:, c], and each step reads its pivot row and its
+    column operation through that form.
     """
     n, count = a.shape[-1], len(primes)
     ps = np.array(primes, dtype=np.int64)
     p2, p3 = ps[:, None], ps[:, None, None]
     h = a % p3
-    held = _DEFER if n > _HOLD_WIDTH else 0
-    fs = np.zeros((count, n, held), dtype=np.int64)  # F: the multipliers of each held step
-    rs = np.zeros((count, held, n), dtype=np.int64)  # R: its pivot row
+    fs = np.zeros((count, n, _DEFER), dtype=np.int64)  # F: the multipliers of each held step
+    rs = np.zeros((count, _DEFER, n), dtype=np.int64)  # R: its pivot row
     t, first = 0, 0  # held steps; rows above first hold none
 
     def release(c: int) -> None:
@@ -318,30 +316,21 @@ def _char_poly_mod(a: np.ndarray, primes: list[int]) -> np.ndarray:
             for x in (h, rs):
                 x[q, :, rq], x[q, :, j + 1] = x[q, :, j + 1], x[q, :, rq]
         inv = np.array([pow(v, -1, p) if v else 0 for v, p in zip(col[:, 0].tolist(), primes)], dtype=np.int64)
-        f = col[:, 1:] * inv[:, None] % p2
+        f = np.ones((count, n - j - 1, 1), dtype=np.int64)  # 1, then the multipliers f of rows j+2..
+        f[:, 1:, 0] = col[:, 1:] * inv[:, None] % p2
         col[:, 1:] = 0
-        hold = n - j > _HOLD_WIDTH and j < n - 3
-        if t or hold:
-            pivot = h[:, j + 1, j + 1:]
-            if t:
-                pivot = (pivot - np.matmul(fs[:, j + 1, None, :t], rs[:, :t, j + 1:])[:, 0]) % p2
-            rs[:, t, j + 1:] = pivot
-            fs[:, j + 2:, t] = f
-            t += 1
-            if hold and t < _DEFER:
-                # column j+1 plus the columns j+2.. weighted by f, all after this step's rows
-                g = (rs[:, :t, j + 1] + np.matmul(rs[:, :t, j + 2:], f[:, :, None])[:, :, 0]) % p2
-                new = h[:, :, j + 1] + np.matmul(h[:, :, j + 2:], f[:, :, None])[:, :, 0]
-                new -= np.matmul(fs[:, :, :t], g[:, :, None])[:, :, 0]
-                h[:, :, j + 1] = new % p2
-                continue
-            release(j + 1)
+        pivot = h[:, j + 1, j + 1:]
+        if t:
+            pivot = (pivot - np.matmul(fs[:, j + 1, None, :t], rs[:, :t, j + 1:])[:, 0]) % p2
+        rs[:, t, j + 1:] = pivot
+        fs[:, j + 2:, t] = f[:, 1:, 0]
+        t += 1
+        # column j+1 plus the columns j+2.. weighted by f, all after this step's rows
+        g = np.matmul(rs[:, :t, j + 1:], f) % p3
+        h[:, :, j + 1, None] = (np.matmul(h[:, :, j + 1:], f) - np.matmul(fs[:, :, :t], g)) % p3
+        if t == _DEFER or j == n - 3:
+            release(j + 2)
             t, first = 0, j + 3
-        else:
-            block = h[:, j + 2:, j + 1:]
-            block -= f[:, :, None] * h[:, j + 1, None, j + 1:]
-            block %= p3
-        h[:, :, j + 1] = (h[:, :, j + 1] + np.matmul(h[:, :, j + 2:], f[:, :, None])[:, :, 0]) % p2
     # coef[:, i, c] = h[i, c] h[i+1, i] ... h[c, c-1] for i <= c, the weight of p_i in p_(c+1)
     coef = np.zeros_like(h)
     coef[:, np.arange(n), np.arange(n)] = 1
@@ -406,7 +395,7 @@ def char_polys(mats: Sequence, cancel: CancelToken | None = None) -> list[IntPol
     return out
 
 
-def _standard_polytabloids(n: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _standard_polytabloids(n: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The standard polytabloids of shape (n - h, h), as signed sums of h-subsets.
 
     A standard tableau is fixed by its second row b_1 < ... < b_h with
@@ -416,17 +405,25 @@ def _standard_polytabloids(n: int, h: int) -> tuple[np.ndarray, np.ndarray, np.n
     sign (-1)^|I|. Each replacement lowers the sum, so sorted by (sum b, b)
     the standard rows of the polytabloids are unit upper triangular.
 
-    Returns (level, rank, sign): the sums of the standard sets in that
+    Returns (level, rank, down, sign): the sums of the standard sets in that
     order, the (d, 2**h) colex ranks of each polytabloid's terms (term 0 is
-    b itself), and the 2**h signs.
+    b itself), the (d, 2**h, h) colex ranks of each term less one of its
+    elements, and the 2**h signs.
     """
-    b = sorted((s for s in combinations(range(n), h) if all(x > 2 * i for i, x in enumerate(s))), key=sum)
-    a = [[x for x in range(n) if x not in s][:h] for s in b]
-    swap = [[t >> i & 1 == 1 for i in range(h)] for t in range(1 << h)]  # term t swaps the columns of its bits
-    terms = np.where(swap, np.reshape(a, (-1, 1, h)), np.reshape(b, (-1, 1, h)))
+    b = np.array([s for s in combinations(range(n), h) if all(x > 2 * i for i, x in enumerate(s))]).reshape(-1, h)
+    b = b[np.argsort(b.sum(axis=1), kind="stable")]
+    free = np.ones((len(b), n), dtype=bool)
+    free[np.arange(len(b))[:, None], b] = False
+    a = np.nonzero(free)[1].reshape(len(b), n - h)[:, :h]
+    swap = (np.arange(1 << h)[:, None] >> np.arange(h) & 1).astype(bool)  # term t swaps the columns of its bits
+    terms = np.where(swap, a[:, None], b[:, None])
     terms.sort(axis=2)
-    rank = choose_table(n, h)[terms, np.arange(1, h + 1)].sum(axis=2)
-    return np.array([sum(s) for s in b]), rank, np.array([-1 if sum(t) % 2 else 1 for t in swap])
+    choose = choose_table(n, h)
+    place = choose[terms, np.arange(1, h + 1)]  # the colex term of each element in its place
+    lower = choose[terms, np.arange(h)]  # and one place down
+    # less element i, the elements before it keep their places and those after move down one
+    down = np.cumsum(place - lower, axis=2) - place + lower.sum(axis=2, keepdims=True)
+    return b.sum(axis=1), place.sum(axis=2), down, 1 - 2 * (swap.sum(axis=1) % 2)
 
 
 def _back_substitute(upper: np.ndarray, rhs: np.ndarray, level: np.ndarray) -> np.ndarray:
@@ -461,12 +458,16 @@ def layer_matrix(n: int, h: int, edges: np.ndarray) -> np.ndarray:
     of sum b at a time from the top: no entry of K_std links two sets of
     the same level.
 
-    The result is certified: L(F_h) K == K M_h on every one of the C(n, h)
-    rows, exactly in int64, and d == C(n, h) - C(n, h - 1). Otherwise
-    AssertionError.
+    The result is certified, or AssertionError. K_std has a unit diagonal
+    and links each row only to rows of a higher level, so the columns of K
+    are independent. The down map D, which sends an h-subset to the sum of
+    its (h - 1)-subsets, has D K == 0. And d == C(n, h) - C(n, h - 1). For
+    h <= n/2, D is onto, and in characteristic 0 its kernel is S^(n-h, h)
+    (James, kernel intersection theorem), so K is a basis of it. Last,
+    L(F_h) K == K M_h on every one of the C(n, h) rows, exactly in int64.
     """
     size = comb(n, h)
-    level, rank, sign = _standard_polytabloids(n, h)
+    level, rank, down, sign = _standard_polytabloids(n, h)
     std, d = rank[:, 0], len(rank)
     if d != size - comb(n, h - 1):
         raise AssertionError(f"layer {h} of n = {n} has {d} standard polytabloids, "
@@ -474,13 +475,22 @@ def layer_matrix(n: int, h: int, edges: np.ndarray) -> np.ndarray:
     cols = np.arange(d)
     k = np.zeros((size, d), dtype=np.int64)
     k[rank, cols[:, None]] = sign
+    # with every term in its own entry, D K is the sum over the terms' (h - 1)-subsets
+    dk = np.zeros((comb(n, h - 1), d), dtype=np.int64)
+    np.add.at(dk, (down, cols[:, None, None]), sign[:, None])
+    if np.count_nonzero(k) != rank.size or dk.any():
+        raise AssertionError(f"layer {h}: the polytabloids are not in the kernel of the down map")
+    upper = k[std]
+    if not (upper[cols, cols] == 1).all():
+        raise AssertionError(f"layer {h}: K at the standard sets has a diagonal entry other than 1")
+    upper[cols, cols] = 0
+    if upper[level[:, None] >= level].any():
+        raise AssertionError(f"layer {h}: K at the standard sets links two rows not in increasing level")
     ends = np.concatenate((edges, edges[:, ::-1]))  # (set, neighbour), both ways
     lk = np.bincount(ends[:, 0], minlength=size)[:, None] * k
     step = max(1, _SCATTER_ENTRIES // d)
     for part in (ends[lo:lo + step] for lo in range(0, len(ends), step)):
         np.subtract.at(lk.reshape(-1), (part[:, :1] * d + cols).ravel(), k[part[:, 1]].ravel())
-    upper = k[std]
-    upper[cols, cols] = 0
     m = _back_substitute(upper, lk[std], level)
     # each entry of K M_h sums d terms, each at most max|M_h|
     top = int(np.abs(m).max(initial=0)) * d
@@ -503,11 +513,13 @@ def token_layers(tg: TokenGraph) -> list[np.ndarray]:
     """
     g, k = tg.base, tg.k
     n, j = g.n, min(k, g.n - k)
-    # a layer holds K, L(F_h) K and K M_h, C(n, h) x d each, three int64 arrays
-    # of one scatter chunk, and for its characteristic polynomial about six d x d
-    dims = [(comb(n, h), comb(n, h) - comb(n, h - 1)) for h in range(1, j + 1)]
-    require_memory(max(8 * (3 * size * d + 6 * d * d) for size, d in dims) + 24 * _SCATTER_ENTRIES,
-                   f"the exact route on the {k}-token graph of {n} vertices")
+    # a layer holds K, L(F_h) K and K M_h, C(n, h) x d each, D K, C(n, h - 1) x d,
+    # three int64 arrays of one scatter chunk, and for its characteristic
+    # polynomial about six d x d. Measured by ru_maxrss, at n = 12..14: 36 to
+    # 45 bytes per C(n, h) d for a layer, 40 per d^2 for its polynomial alone.
+    dims = [(comb(n, h), comb(n, h - 1), comb(n, h) - comb(n, h - 1)) for h in range(1, j + 1)]
+    require_memory(max(8 * (3 * size * d + below * d + 6 * d * d) for size, below, d in dims)
+                   + 24 * _SCATTER_ENTRIES, f"the exact route on the {k}-token graph of {n} vertices")
     layers = []
     for h in range(1, j + 1):
         if h == j:
@@ -523,16 +535,20 @@ def token_layers(tg: TokenGraph) -> list[np.ndarray]:
     return layers
 
 
-def token_char_poly(tg: TokenGraph) -> IntPoly:
-    """charpoly(L(F_k)) as the product of the layer polynomials chi_h, h = 0..min(k, n - k).
+def token_char_polys(tg: TokenGraph, base: np.ndarray) -> tuple[IntPoly, IntPoly]:
+    """(charpoly(base), charpoly(L(F_k))), base being L(G) for tg's base graph G.
 
+    The first comes from base alone; it only shares the batches of primes
+    of the layers, which on small graphs saves the numpy calls of a
+    reduction of its own. The second is the product of the layer polynomials chi_h, h = 0..min(k, n - k):
     chi_0 = x, as every I - tau_uv vanishes on the constant functions, and
     chi_h = charpoly(M_h) for h >= 1 (see ``token_layers``).
     """
+    p, *chis = char_polys([base, *token_layers(tg)])
     q = IntPoly((0, 1))
-    for chi in char_polys(token_layers(tg)):
+    for chi in chis:
         q = q * chi
-    return q
+    return p, q
 
 
 def poly_divides(p: IntPoly, q: IntPoly) -> tuple[bool, IntPoly]:

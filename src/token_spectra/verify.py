@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact import char_poly, cycle_path_identity_check, poly_divides, token_char_poly
+from .exact import cycle_path_identity_check, poly_divides, token_char_polys
 from .graphs import (
     Graph,
     GraphError,
@@ -133,8 +133,7 @@ def check_spectral_containment(
     tg = token_graph(g, k, cap=cap)
     witnesses: dict = {"k": k, "token_vertices": tg.graph.n, "mode": mode}
     if mode == "exact":
-        p = char_poly(laplacian(g))
-        q = token_char_poly(tg)
+        p, q = token_char_polys(tg, laplacian(g))
         divides, result = poly_divides(p, q)
         if divides:
             witnesses["quotient_degree"] = result.degree

@@ -15,7 +15,7 @@ from token_spectra.exact import (
     count_roots_in_interval,
     cycle_path_identity_check,
     poly_divides,
-    token_char_poly,
+    token_char_polys,
     token_layers,
 )
 from token_spectra.graphs import (
@@ -211,23 +211,21 @@ def _sparse_matrices(count, seed):
 class TestHeldRows:
     """Row eliminations held back as a rank-t update give the same polynomial."""
 
-    @pytest.mark.parametrize("defer,width", [(1, 0), (2, 0), (3, 2), (7, 0), (32, 0), (5, 12)])
+    @pytest.mark.parametrize("defer", [1, 2, 3, 7, 32])
     @pytest.mark.parametrize("corpus", ["sparse", "random_non_symmetric", "special", "family_token_laplacians"])
-    def test_equals_faddeev_leverrier(self, monkeypatch, defer, width, corpus):
+    def test_equals_faddeev_leverrier(self, monkeypatch, defer, corpus):
         monkeypatch.setattr(exact, "_DEFER", defer)
-        monkeypatch.setattr(exact, "_HOLD_WIDTH", width)
         mats = _sparse_matrices(12, seed=46) if corpus == "sparse" else EQUIVALENCE_CORPORA[corpus]()
         for m in mats:
             assert char_poly(m) == reference_char_poly(m), m.tolist()
 
     def test_wide_matrices_hold_rows_by_default(self, monkeypatch):
-        assert exact._HOLD_WIDTH < 126
         rng = np.random.default_rng(48)
         sparse = rng.integers(-3, 4, size=(120, 120)) * (rng.random((120, 120)) < 0.05)
         mats = [laplacian(token_graph(random_connected_gnp(9, 0.5, random.Random(47)), 4).graph),
                 sparse, rng.integers(-3, 4, size=(100, 100))]
         held = [char_poly(m) for m in mats]
-        monkeypatch.setattr(exact, "_HOLD_WIDTH", 1 << 20)
+        monkeypatch.setattr(exact, "_DEFER", 1)
         assert held == [char_poly(m) for m in mats]
 
 
@@ -452,12 +450,14 @@ class TestLayers:
         for g in graphs:
             for k in range(1, g.n):  # k and n - k, and the single layer at k = 1, n - 1
                 tg = token_graph(g, k)
-                assert token_char_poly(tg) == char_poly(laplacian(tg.graph)), (g.n, g.edges, k)
+                p, q = token_char_polys(tg, laplacian(g))
+                assert q == char_poly(laplacian(tg.graph)), (g.n, g.edges, k)
+                assert p == char_poly(laplacian(g))
 
     def test_n10_k5(self):
         tg = token_graph(random_connected_gnp(10, 0.5, random.Random(105)), 5)
         assert tg.graph.n == 252
-        assert token_char_poly(tg) == char_poly(laplacian(tg.graph))
+        assert token_char_polys(tg, laplacian(tg.base))[1] == char_poly(laplacian(tg.graph))
 
     def test_dimensions(self):
         for n in range(2, 12):
@@ -483,6 +483,14 @@ class TestLayers:
         for g in LAYER_CORPORA[corpus]():
             first = exact.layer_matrix(g.n, 1, edge_array(g))
             assert IntPoly((0, 1)) * char_poly(first) == char_poly(laplacian(g))
+
+    def test_base_polynomial_is_not_taken_from_the_layers(self, monkeypatch):
+        g = random_connected_gnp(7, 0.5, random.Random(71))
+        real = exact.token_layers
+        monkeypatch.setattr(exact, "token_layers", lambda tg: [m + 1 for m in real(tg)])
+        p, q = token_char_polys(token_graph(g, 3), laplacian(g))
+        assert p == char_poly(laplacian(g))
+        assert not poly_divides(p, q)[0]
 
     def test_k1_quotient_is_one(self):
         for g in family_corpus(6):
@@ -516,18 +524,50 @@ class TestLayerCertificate:
     def test_overflow_guard(self, monkeypatch):
         _corrupt_one_entry(monkeypatch, 1 << 62)
         with pytest.raises(AssertionError, match="overflow"):
-            token_char_poly(token_graph(complete_graph(5), 2))
+            token_layers(token_graph(complete_graph(5), 2))
 
     def test_dimension_check(self, monkeypatch):
         real = exact._standard_polytabloids
 
         def one_short(n, h):
-            level, rank, sign = real(n, h)
-            return level[:-1], rank[:-1], sign
+            level, rank, down, sign = real(n, h)
+            return level[:-1], rank[:-1], down[:-1], sign
 
         monkeypatch.setattr(exact, "_standard_polytabloids", one_short)
         with pytest.raises(AssertionError, match="standard polytabloids"):
-            token_char_poly(token_graph(complete_graph(5), 2))
+            token_layers(token_graph(complete_graph(5), 2))
+
+    @pytest.mark.parametrize("n,h", [(4, 1), (6, 2), (7, 3), (8, 4)])
+    def test_unsigned_sums_leave_the_kernel_of_the_down_map(self, monkeypatch, n, h):
+        real = exact._standard_polytabloids
+        monkeypatch.setattr(exact, "_standard_polytabloids",
+                            lambda n, h: (*real(n, h)[:3], np.ones(1 << h, dtype=np.int64)))
+        edges = edge_array(token_graph(complete_graph(n), h).graph)
+        with pytest.raises(AssertionError, match="down map"):
+            exact.layer_matrix(n, h, edges)
+
+    @pytest.mark.parametrize("n,h", [(4, 1), (7, 3)])
+    def test_negated_polytabloids_break_the_unit_diagonal(self, monkeypatch, n, h):
+        real = exact._standard_polytabloids
+        monkeypatch.setattr(exact, "_standard_polytabloids", lambda n, h: (*real(n, h)[:3], -real(n, h)[3]))
+        edges = edge_array(token_graph(complete_graph(n), h).graph)
+        with pytest.raises(AssertionError, match="diagonal"):
+            exact.layer_matrix(n, h, edges)
+
+    @pytest.mark.parametrize("n,h", [(6, 2), (7, 3), (8, 4)])
+    def test_a_repeated_polytabloid_breaks_the_triangle(self, monkeypatch, n, h):
+        # the span is still invariant, and in the kernel of the down map, but one dimension short
+        real = exact._standard_polytabloids
+
+        def repeated(n, h):
+            level, rank, down, sign = real(n, h)
+            rank[-1], down[-1] = rank[0], down[0]
+            return level, rank, down, sign
+
+        monkeypatch.setattr(exact, "_standard_polytabloids", repeated)
+        g = random_connected_gnp(n, 0.5, random.Random(n))
+        with pytest.raises(AssertionError, match="standard sets"):
+            exact.layer_matrix(n, h, edge_array(token_graph(g, h).graph))
 
 
 class TestSameCertificatesAsTheFullRoute:
