@@ -103,7 +103,7 @@ def _json_dump(obj, pretty: bool) -> str:
 
 class _Main(click.Group):
     def invoke(self, ctx):
-        # one exit path each for cancellation and for refused resources
+        # one exit path each for cancellation, refused resources and a solver or certificate fault
         try:
             return super().invoke(ctx)
         except (KeyboardInterrupt, exact.OperationCancelled):
@@ -112,6 +112,9 @@ class _Main(click.Group):
         except CapExceededError as exc:
             click.echo(f"error: {exc}", err=True)
             ctx.exit(EXIT_CAP)
+        except (NumericalError, AssertionError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(EXIT_FAIL)
 
 
 @click.group(cls=_Main)

@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tokens import TokenGraph, choose_table, edge_array, require_memory, token_graph
+from .tokens import TokenGraph, choose_table, require_memory, token_graph
 
 
 class OperationCancelled(RuntimeError):
@@ -523,11 +523,11 @@ def token_layers(tg: TokenGraph) -> list[np.ndarray]:
     layers = []
     for h in range(1, j + 1):
         if h == j:
-            edges = edge_array(tg.graph)
+            edges = tg.graph.edge_array
             if j < k:
                 edges = tg.graph.n - 1 - edges
         else:
-            edges = edge_array(g if h == 1 else token_graph(g, h).graph)
+            edges = (g if h == 1 else token_graph(g, h).graph).edge_array
         layers.append(layer_matrix(n, h, edges))
     dim = 1 + sum(len(m) for m in layers)
     if dim != tg.graph.n:

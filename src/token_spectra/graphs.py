@@ -1,10 +1,11 @@
 """Immutable graphs over integer vertices, plus every family constructor.
 
-Vertices are labeled 0..n-1. Edges are kept as a sorted tuple of (u, v)
-pairs with u < v, so equality, hashing, and serialized output are all
-canonical. Graphs are values: perturbing operations return new graphs and
-never mutate their input, which makes everything safe to share across
-threads and to memoize.
+Vertices are labeled 0..n-1. A graph stores its edges once, as a sorted,
+read-only (m, 2) int64 array of pairs (u, v) with u < v, so equality,
+hashing, and serialized output are all canonical; `edges` is the same list
+as a tuple of Python int pairs, derived on first use. Graphs are values:
+perturbing operations return new graphs and never mutate their input,
+which makes everything safe to share across threads and to memoize.
 
 Labeling conventions are fixed so that the same parameters always produce
 the same labeled graph: joins put the clique first, kites put the head
@@ -21,6 +22,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class GraphError(ValueError):
     """Malformed graph, edge, or constructor parameter."""
@@ -29,81 +32,98 @@ class GraphError(ValueError):
 Edge = tuple[int, int]
 
 
-def _canonical_edge(u: int, v: int, n: int) -> Edge:
-    if u == v:
-        raise GraphError(f"self-loop at vertex {u}")
-    if not (0 <= u < n and 0 <= v < n):
-        raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-    return (u, v) if u < v else (v, u)
+def _first(pairs: np.ndarray, bad: np.ndarray) -> Edge:
+    """The first pair whose flag is set, as Python ints, for an error message."""
+    return tuple(pairs[np.argmax(bad)].tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph with a canonical sorted edge tuple."""
+    """Simple undirected graph with a canonical sorted edge array.
+
+    edge_array takes any sequence of vertex pairs, or an (m, 2) integer
+    array, in any order and orientation; it is stored canonical.
+    """
 
     n: int
-    edges: tuple[Edge, ...] = ()
+    edge_array: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError("vertex count must be non-negative")
-        canon = sorted(_canonical_edge(u, v, self.n) for u, v in self.edges)
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise GraphError(f"duplicate edge {a}")
-        object.__setattr__(self, "edges", tuple(canon))
+        n = self.n
+        if not 0 <= n < 2**31:  # so that the keys u * n + v below fit in int64
+            raise GraphError(f"vertex count must be in [0, 2**31), got {n}")
+        edges = self.edge_array
+        if not isinstance(edges, np.ndarray):
+            try:
+                cols = tuple(zip(*edges, strict=True))
+            except (TypeError, ValueError) as exc:
+                raise GraphError(f"edges must be vertex pairs: {exc}") from exc
+            edges = np.array(cols).T if cols else np.empty((0, 2), dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+            raise GraphError(f"edges must form an (m, 2) integer array, got {edges.dtype} of shape {edges.shape}")
+        pairs = np.sort(edges.astype(np.int64, copy=False), axis=1)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if np.count_nonzero(bad):
+            u, v = _first(edges, bad)
+            raise GraphError(f"self-loop at vertex {u}" if u == v else f"edge ({u}, {v}) out of range for n={n}")
+        key = lo * n + hi
+        order = key.argsort(kind="stable")
+        key, pairs = key[order], pairs[order]
+        dup = key[1:] == key[:-1]
+        if np.count_nonzero(dup):
+            raise GraphError(f"duplicate edge {_first(pairs, dup)}")
+        pairs.flags.writeable = False
+        object.__setattr__(self, "edge_array", pairs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edge_array.tobytes()))
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickling restores the array writeable
+        state["edge_array"].flags.writeable = False
+        self.__dict__.update(state)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edge array as a tuple of Python int pairs."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.edge_array)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        return v in self.adjacency[u]
+        e = (u, v) if u < v else (v, u)
+        i = bisect.bisect_left(self.edges, e)
+        return i < self.m and self.edges[i] == e
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return len(self.components()) <= 1
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, in order of smallest member."""
-        seen: set[int] = set()
-        out = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self.adjacency[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(tuple(sorted(comp)))
-        return out
+        # union-find whose roots are the smallest vertex of their tree, so root[x] <= x
+        root = list(range(self.n))
+        for u, v in self.edge_array.tolist():
+            while u != root[u]:
+                root[u] = u = root[root[u]]
+            while v != root[v]:
+                root[v] = v = root[root[v]]
+            if u < v:
+                root[v] = u
+            elif v < u:
+                root[u] = v
+        comps: dict[int, list[int]] = {}
+        for x in range(self.n):
+            root[x] = root[root[x]]  # root[x] <= x, and every smaller vertex already points at its root
+            comps.setdefault(root[x], []).append(x)
+        return [tuple(c) for c in comps.values()]
 
     def fingerprint(self) -> str:
         """SHA-256 of the canonical edge-list serialization."""
@@ -171,27 +191,18 @@ def build_standard(family: str, params: Sequence[int]) -> Graph:
 
 
 def add_edges(g: Graph, new_edges: Iterable[tuple[int, int]]) -> Graph:
-    """Return g with the given edges added; rejects existing edges and loops."""
-    added: set[Edge] = set()
-    for u, v in new_edges:
-        e = _canonical_edge(u, v, g.n)
-        if g.has_edge(*e):
-            raise GraphError(f"edge {e} already present")
-        if e in added:
-            raise GraphError(f"duplicate edge {e} in additions")
-        added.add(e)
-    return Graph(g.n, g.edges + tuple(sorted(added)))
+    """Return g with the given edges added; rejects loops, and edges present or given twice."""
+    return Graph(g.n, np.concatenate((g.edge_array, Graph(g.n, new_edges).edge_array)))
 
 
 def remove_edges(g: Graph, old_edges: Iterable[tuple[int, int]]) -> Graph:
     """Return g with the given edges removed; each must be present."""
-    removed: set[Edge] = set()
-    for u, v in old_edges:
-        e = _canonical_edge(u, v, g.n)
-        if not g.has_edge(*e):
-            raise GraphError(f"edge {e} not present")
-        removed.add(e)
-    return Graph(g.n, tuple(e for e in g.edges if e not in removed))
+    old = np.sort(np.array(list(old_edges), dtype=np.int64).reshape(-1, 2), axis=1)
+    hits = (g.edge_array[:, None, :] == old[None, :, :]).all(axis=2)  # hits[i, j]: edge i is pair j
+    missing = ~hits.any(axis=0)
+    if missing.any():
+        raise GraphError(f"edge {_first(old, missing)} not present")
+    return Graph(g.n, g.edge_array[~hits.any(axis=1)])
 
 
 # ---------------------------------------------------------------------------
@@ -260,29 +271,21 @@ def build_superkite(head: Graph, root: int, tree: Graph, tree_root: int, s: int)
     if tree.n < 2:
         raise GraphError("supertail tree needs at least one edge")
 
+    ends = np.concatenate((tree.edge_array, tree.edge_array[:, ::-1]))
+    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]  # (vertex, neighbour), ascending
     order = [tree_root]
-    seen = {tree_root}
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for w in sorted(tree.adjacency[u]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    bfs_pos = {v: i for i, v in enumerate(order)}  # root at 0
+    for u in order:
+        order.extend(w for w in ends[ends[:, 0] == u, 1].tolist() if w not in order)
+    bfs_pos = np.empty(tree.n, dtype=np.int64)
+    bfs_pos[order] = np.arange(tree.n)  # root at 0
 
     t = tree.n
-    edges = list(head.edges)
+    parts = [head.edge_array]
     for c in range(s):
-        def label(v: int, c: int = c) -> int:
-            if v == tree_root:
-                return root
-            return head.n + c * (t - 1) + (bfs_pos[v] - 1)
-
-        for a, b in tree.edges:
-            edges.append((label(a), label(b)))
-    return Graph(head.n + s * (t - 1), tuple(edges))
+        label = head.n + c * (t - 1) + bfs_pos - 1
+        label[tree_root] = root
+        parts.append(label[tree.edge_array])
+    return Graph(head.n + s * (t - 1), np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +331,12 @@ def build_extended_cycle(n: int, chords: Iterable[tuple[int, int]], nu: int | No
         pass
     else:
         raise GraphError(f"nu={nu} invalid for n={n}")
-    chord_set: set[Edge] = set()
-    for i, j in chords:
-        e = _canonical_edge(i, j, n)
-        if i + j != nu:
-            raise GraphError(f"chord ({i}, {j}) violates i + j = {nu}")
-        if not g.has_edge(*e):
-            chord_set.add(e)
-    return add_edges(g, sorted(chord_set))
+    pairs = np.array(list(chords), dtype=np.int64).reshape(-1, 2)
+    off = pairs.sum(axis=1) != nu
+    if off.any():
+        raise GraphError(f"chord {_first(pairs, off)} violates i + j = {nu}")
+    union = np.unique(np.sort(np.concatenate((g.edge_array, pairs)), axis=1), axis=0)
+    return Graph(n, union)
 
 
 def build_bipartite_extension(
@@ -350,12 +351,10 @@ def build_bipartite_extension(
         raise GraphError("need 1 <= n1 <= n2")
     base = complete_bipartite_graph(n1, n2)
     if mode == "plus_x":
-        extra = []
-        for u, v in x_edges:
-            e = _canonical_edge(u, v, n1 + n2)
-            if e[1] >= n1:
-                raise GraphError(f"edge {e} not inside side X = [0, {n1})")
-            extra.append(e)
+        extra = Graph(n1 + n2, x_edges).edge_array
+        outside = extra[:, 1] >= n1
+        if outside.any():
+            raise GraphError(f"edge {_first(extra, outside)} not inside side X = [0, {n1})")
         return add_edges(base, extra)
     if mode == "star_y":
         if list(x_edges):
@@ -377,7 +376,7 @@ def format_edge_list(g: Graph, header: str | None = None) -> str:
         for h in header.splitlines():
             lines.append(f"# {h}" if not h.startswith("#") else h)
     lines.append(f"{g.n} {g.m}")
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend(f"{u} {v}" for u, v in g.edge_array.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -39,7 +39,7 @@ def laplacian(g: Graph) -> np.ndarray:
     """Degree diagonal minus adjacency, as an exact integer matrix."""
     require_memory(DENSE_BYTES_PER_N2 * g.n * g.n, f"the dense Laplacian route at N = {g.n}")
     L = np.zeros((g.n, g.n), dtype=np.int64)
-    u, v = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    u, v = g.edge_array.T
     L[u, v] = -1
     L[v, u] = -1
     L[np.diag_indices(g.n)] = -L.sum(axis=1)

@@ -26,8 +26,9 @@ from .graphs import Graph, GraphError, format_edge_list
 DEFAULT_CAP = 200_000
 
 # Peak bytes per candidate row, of which there are |E| * C(n-1, j-1): ru_maxrss
-# less the RSS before token_graph, on 89k to 1.8M rows with j = 2..10: 197 to 308.
-TOKEN_BYTES_PER_ROW = 320
+# less the RSS before token_graph, on paths, cycles and complete graphs with 89k
+# to 1.8M rows and j = 2..10: 110 to 184.
+TOKEN_BYTES_PER_ROW = 192
 # None where os.sysconf is missing (Windows): the estimates go unchecked there
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else None
 
@@ -68,11 +69,6 @@ def choose_table(n: int, j: int) -> np.ndarray:
     return choose
 
 
-def edge_array(g: Graph) -> np.ndarray:
-    """The edges of g as an (m, 2) int64 array of sorted pairs, in the graph's edge order."""
-    return np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-
-
 def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     """Build the k-token graph of g.
 
@@ -93,7 +89,7 @@ def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     choose = choose_table(n, j)
     # base edges are sorted pairs (a, b) with a < b, so the neighbours of a
     # above a are head[first[a]:first[a + 1]]
-    tail, head = edge_array(g).T
+    tail, head = g.edge_array.T
     first = np.searchsorted(tail, np.arange(n + 1))
     a = subsets.ravel()
     deg = first[a + 1] - first[a]
@@ -108,8 +104,7 @@ def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     target = choose[rows, np.arange(1, j + 1)].sum(axis=1)
     if j < k:
         source, target = size - 1 - target, size - 1 - source
-    order = np.lexsort((target, source))
-    tg = Graph(size, tuple(zip(source[order].tolist(), target[order].tolist())))
+    tg = Graph(size, np.column_stack((source, target)))
     expected = g.m * comb(g.n - 2, k - 1)
     if tg.m != expected:
         raise AssertionError(f"token edge count {tg.m} != |E|*C(n-2,k-1) = {expected}")

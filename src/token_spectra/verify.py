@@ -571,7 +571,7 @@ def check_cut_vertex_split(g: Graph, cut_vertex: int, tol: float = DEFAULT_ALPHA
     if not (0 <= cut_vertex < g.n):
         raise GraphError(f"vertex {cut_vertex} out of range")
     t0 = time.perf_counter()
-    sub_all = Graph(g.n, tuple(e for e in g.edges if cut_vertex not in e))
+    sub_all = Graph(g.n, g.edge_array[(g.edge_array != cut_vertex).all(axis=1)])
     comps = [c for c in sub_all.components() if c != (cut_vertex,)]
     if len(comps) < 2:
         raise GraphError(f"vertex {cut_vertex} is not a cut vertex")

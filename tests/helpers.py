@@ -1,5 +1,6 @@
 """Shared test utilities: instance corpora, graph-class enumeration, and
-reference routines that only the tests use (graph restrictions, the
+reference routines that only the tests use (the per-edge canonical edge
+tuple and depth-first components the graph type replaced, graph restrictions, the
 Rayleigh quotient, fraction-free determinants, a closed-form join
 polynomial, the colex subset codec with the per-edge token-graph loop
 and the binomial lift built on it, the per-edge Laplacian and
@@ -354,6 +355,48 @@ def binomial_matrix(codec: SubsetCodec, max_size: int = 100_000) -> np.ndarray:
     out = np.zeros((codec.size, codec.n))
     for i, subset in enumerate(codec.subsets()):
         out[i, list(subset)] = 1.0
+    return out
+
+
+def reference_canonical_edges(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Sorted (u, v) pairs with u < v, canonicalized one edge at a time.
+
+    Raises GraphError on a self-loop, an endpoint outside [0, n) or an edge
+    given twice, in either orientation.
+    """
+    canon = []
+    for u, v in pairs:
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        canon.append((u, v) if u < v else (v, u))
+    canon.sort()
+    for a, b in zip(canon, canon[1:]):
+        if a == b:
+            raise GraphError(f"duplicate edge {a}")
+    return tuple(canon)
+
+
+def reference_components(g: Graph) -> list[tuple[int, ...]]:
+    """Connected components by depth-first search over adjacency sets, in order of smallest member."""
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen: set[int] = set()
+    out = []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        out.append(tuple(sorted(comp)))
     return out
 
 

@@ -150,6 +150,17 @@ class TestVerify:
         assert doc["verdict"] == "pass"
         assert abs(doc["witnesses"]["alpha"] - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("exc", [NumericalError, AssertionError])
+    def test_check_fault_prints_one_error_line(self, runner, y_file, monkeypatch, exc):
+        def faulty(*args, **kwargs):
+            raise exc("layer certificate failed on this graph")
+
+        monkeypatch.setattr(verify, "check_spectral_containment", faulty)
+        res = runner.invoke(main, ["verify", "containment", "--graph", y_file, "-k", "2", "--exact"])
+        assert res.exit_code == 1
+        assert res.stdout == "" and res.stderr == "error: layer certificate failed on this graph\n"
+        assert "Traceback" not in res.output
+
     def test_edge_add_iff(self, runner, y_file):
         res = runner.invoke(main, ["verify", "edge-add-iff", "--graph", y_file, "-u", "0", "-v", "1"])
         assert json.loads(res.output)["verdict"] == "pass"
@@ -328,7 +339,7 @@ class TestCancel:
 
 class TestMemoryGuard:
     """With physical memory taken as 1 MB, the dense route refuses N >= 142
-    (50 bytes per N^2), token_graph refuses 3277 candidate rows or more, and
+    (50 bytes per N^2), token_graph refuses 5209 candidate rows or more, and
     the exact route refuses any token graph: its token-edge scatter alone is
     estimated at 1.5 MB."""
 
@@ -341,8 +352,8 @@ class TestMemoryGuard:
          "error: the dense Laplacian route at N = 190 needs about 0.00168 GiB, physical memory is 0.000931 GiB\n"),
         (["spectrum", "path:200"],
          "error: the dense Laplacian route at N = 200 needs about 0.00186 GiB, physical memory is 0.000931 GiB\n"),
-        (["construct", "token", "--graph", "complete:12", "-k", "3"],
-         "error: the 3-token graph of 12 vertices needs about 0.00108 GiB, physical memory is 0.000931 GiB\n"),
+        (["construct", "token", "--graph", "complete:14", "-k", "3"],
+         "error: the 3-token graph of 14 vertices needs about 0.00127 GiB, physical memory is 0.000931 GiB\n"),
         (["construct", "token", "--graph", "path:30", "-k", "8", "--cap", "100"],
          "error: token graph would have 5852925 vertices, cap is 100\n"),
         (["verify", "containment", "--graph", "path:6", "-k", "3", "--exact"],

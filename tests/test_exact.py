@@ -27,7 +27,7 @@ from token_spectra.graphs import (
     random_connected_gnp,
 )
 from token_spectra.spectra import laplacian, principal_submatrix
-from token_spectra.tokens import edge_array, token_graph
+from token_spectra.tokens import token_graph
 from token_spectra.verify import check_spectral_containment
 
 from helpers import (
@@ -481,7 +481,7 @@ class TestLayers:
     @pytest.mark.parametrize("corpus", ["families_7", "disconnected", "random_8_9"])
     def test_trivial_and_first_layer_give_the_base_polynomial(self, corpus):
         for g in LAYER_CORPORA[corpus]():
-            first = exact.layer_matrix(g.n, 1, edge_array(g))
+            first = exact.layer_matrix(g.n, 1, g.edge_array)
             assert IntPoly((0, 1)) * char_poly(first) == char_poly(laplacian(g))
 
     def test_base_polynomial_is_not_taken_from_the_layers(self, monkeypatch):
@@ -542,7 +542,7 @@ class TestLayerCertificate:
         real = exact._standard_polytabloids
         monkeypatch.setattr(exact, "_standard_polytabloids",
                             lambda n, h: (*real(n, h)[:3], np.ones(1 << h, dtype=np.int64)))
-        edges = edge_array(token_graph(complete_graph(n), h).graph)
+        edges = token_graph(complete_graph(n), h).graph.edge_array
         with pytest.raises(AssertionError, match="down map"):
             exact.layer_matrix(n, h, edges)
 
@@ -550,7 +550,7 @@ class TestLayerCertificate:
     def test_negated_polytabloids_break_the_unit_diagonal(self, monkeypatch, n, h):
         real = exact._standard_polytabloids
         monkeypatch.setattr(exact, "_standard_polytabloids", lambda n, h: (*real(n, h)[:3], -real(n, h)[3]))
-        edges = edge_array(token_graph(complete_graph(n), h).graph)
+        edges = token_graph(complete_graph(n), h).graph.edge_array
         with pytest.raises(AssertionError, match="diagonal"):
             exact.layer_matrix(n, h, edges)
 
@@ -567,7 +567,7 @@ class TestLayerCertificate:
         monkeypatch.setattr(exact, "_standard_polytabloids", repeated)
         g = random_connected_gnp(n, 0.5, random.Random(n))
         with pytest.raises(AssertionError, match="standard sets"):
-            exact.layer_matrix(n, h, edge_array(token_graph(g, h).graph))
+            exact.layer_matrix(n, h, token_graph(g, h).graph.edge_array)
 
 
 class TestSameCertificatesAsTheFullRoute:

@@ -1,5 +1,9 @@
+import json
+import pickle
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +31,40 @@ from token_spectra.graphs import (
     star_graph,
 )
 
-from helpers import boundary_degree, edge_union, family_corpus, induced_subgraph, random_corpus
+from helpers import (
+    boundary_degree,
+    edge_union,
+    family_corpus,
+    induced_subgraph,
+    random_corpus,
+    reference_canonical_edges,
+    reference_components,
+)
+
+DATA = Path(__file__).parent / "data"
+
+# (n, pairs) that Graph must reject whether the pairs come as tuples or as an array
+MALFORMED = [
+    (3, [(1, 1)]),  # self-loop
+    (3, [(0, 1), (-1, 2)]),  # negative endpoint
+    (3, [(0, 3)]),  # endpoint >= n
+    (3, [(0, 1), (1, 2), (0, 1)]),  # duplicate
+    (3, [(0, 1), (1, 2), (1, 0)]),  # reversed duplicate
+    (3, [(0, 1, 2)]),  # triple, so shape (1, 3)
+    (3, [(0,), (1,)]),  # singletons, so shape (2, 1)
+]
+
+
+def fingerprint_corpus() -> dict[str, Graph]:
+    """Every standard family at n <= 6, one kite, one cut-clique join and tests/data/gnp12.el."""
+    specs = ([("path", [n]) for n in range(1, 7)] + [("cycle", [n]) for n in range(3, 7)]
+             + [("complete", [n]) for n in range(1, 7)] + [("star", [n]) for n in range(1, 6)]
+             + [("complete_bipartite", [a, b]) for a in range(1, 6) for b in range(1, 7 - a)])
+    out = {f"{f}:{','.join(map(str, p))}": build_standard(f, p) for f, p in specs}
+    out["kite:cycle4,root0,s3,r3"] = build_kite(KiteSpec(head=cycle_graph(4), root=0, s=3, r=3))[0]
+    out["cut_clique:r2,path3,complete3"] = build_cut_clique_join(2, [path_graph(3), complete_graph(3)])
+    out["gnp12.el"] = parse_edge_list((DATA / "gnp12.el").read_text())
+    return out
 
 
 class TestGraphType:
@@ -58,6 +95,67 @@ class TestGraphType:
         b = cycle_graph(4)
         assert a.fingerprint() != b.fingerprint()
         assert a.fingerprint() == path_graph(4).fingerprint()
+
+    def test_array_and_pairs_agree(self):
+        rng = random.Random(3)
+        for g in family_corpus(7) + random_corpus(10, seed=5):
+            pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+            rng.shuffle(pairs)
+            for other in (Graph(g.n, pairs), Graph(g.n, np.array(pairs, dtype=np.int64).reshape(-1, 2))):
+                assert other == g and hash(other) == hash(g)
+                assert other.edges == g.edges
+                assert all(type(x) is int for e in other.edges for x in e)
+                assert other.fingerprint() == g.fingerprint()
+
+    def test_edge_array_is_read_only_copy(self):
+        given_array = np.array([[2, 1], [0, 1]])
+        g = Graph(3, given_array)
+        assert g.edge_array.dtype == np.int64 and not g.edge_array.flags.writeable
+        with pytest.raises(ValueError):
+            g.edge_array[0, 0] = 2
+        assert given_array.tolist() == [[2, 1], [0, 1]] and given_array.flags.writeable
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and not back.edge_array.flags.writeable
+
+    @pytest.mark.parametrize("n,pairs", MALFORMED)
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_rejects_malformed(self, n, pairs, as_array):
+        with pytest.raises(GraphError):
+            Graph(n, np.array(pairs) if as_array else tuple(pairs))
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (2,)], np.arange(4), np.zeros((2, 2, 2), dtype=np.int64),
+                                       np.array([[0.0, 1.0]]), [("0", "1")], [0, 1]])
+    def test_rejects_ragged_or_non_integer_edges(self, edges):
+        with pytest.raises(GraphError):
+            Graph(3, edges)
+
+    def test_fingerprints_pinned(self):
+        pinned = json.loads((DATA / "fingerprints.json").read_text())
+        assert {name: g.fingerprint() for name, g in fingerprint_corpus().items()} == pinned
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_array_matches_reference(self, n, data):
+        pairs = data.draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=10))
+        try:
+            expected = reference_canonical_edges(n, pairs)
+        except GraphError:
+            for given_edges in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+                with pytest.raises(GraphError):
+                    Graph(n, given_edges)
+            return
+        for given_edges in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+            g = Graph(n, given_edges)
+            assert g.edges == expected
+            assert g.edge_array.tolist() == [list(e) for e in expected]
+
+    @given(st.integers(0, 9), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_components_match_reference(self, n, data):
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=12)) if pool else ())
+        assert g.components() == reference_components(g)
+        assert g.is_connected() == (len(reference_components(g)) <= 1)
 
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=50, deadline=None)
@@ -280,7 +378,7 @@ class TestCutCliqueJoin:
     def test_r1_four_singletons_is_star(self):
         g = build_cut_clique_join(1, [complete_graph(1)] * 4)
         assert g == star_graph(4)
-        assert g.degree(0) == g.n - 1
+        assert sum(0 in e for e in g.edges) == g.n - 1
 
     def test_r2_two_k2(self):
         g = build_cut_clique_join(2, [complete_graph(2), complete_graph(2)])

@@ -128,6 +128,13 @@ class TestTokenGraph:
         # for k = n-1, vertex v is the complement of {n-1-v}
         assert token_graph(path_graph(3000), k).graph == path_graph(3000)
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_token_edges_stay_an_array(self, k):
+        # both sides of j = min(k, n - k); the tuple view is built only on demand
+        tg = token_graph(path_graph(8), k)
+        assert "edges" not in vars(tg.graph) and not tg.graph.edge_array.flags.writeable
+        assert tg.graph.edges == reference_token_edges(path_graph(8), k)
+
     def test_serialization_header(self, y_tree):
         text = token_graph(y_tree, 2).to_edge_list_text()
         assert text.splitlines()[0] == "# token base_n=5 k=2 codec=colex"
