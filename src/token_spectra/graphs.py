@@ -37,6 +37,19 @@ def _first(pairs: np.ndarray, bad: np.ndarray) -> Edge:
     return tuple(pairs[np.argmax(bad)].tolist())
 
 
+def _pair_array(edges) -> np.ndarray:
+    """Vertex pairs, or an array of them, as an (m, 2) integer array; GraphError when they are neither."""
+    if not isinstance(edges, np.ndarray):
+        try:
+            cols = tuple(zip(*edges, strict=True))
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"edges must be vertex pairs: {exc}") from exc
+        edges = np.array(cols).T if cols else np.empty((0, 2), dtype=np.int64)
+    if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+        raise GraphError(f"edges must form an (m, 2) integer array, got {edges.dtype} of shape {edges.shape}")
+    return edges
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph with a canonical sorted edge array.
@@ -52,15 +65,7 @@ class Graph:
         n = self.n
         if not 0 <= n < 2**31:  # so that the keys u * n + v below fit in int64
             raise GraphError(f"vertex count must be in [0, 2**31), got {n}")
-        edges = self.edge_array
-        if not isinstance(edges, np.ndarray):
-            try:
-                cols = tuple(zip(*edges, strict=True))
-            except (TypeError, ValueError) as exc:
-                raise GraphError(f"edges must be vertex pairs: {exc}") from exc
-            edges = np.array(cols).T if cols else np.empty((0, 2), dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
-            raise GraphError(f"edges must form an (m, 2) integer array, got {edges.dtype} of shape {edges.shape}")
+        edges = _pair_array(self.edge_array)
         pairs = np.sort(edges.astype(np.int64, copy=False), axis=1)
         lo, hi = pairs[:, 0], pairs[:, 1]
         bad = (lo == hi) | (lo < 0) | (hi >= n)
@@ -192,7 +197,7 @@ def build_standard(family: str, params: Sequence[int]) -> Graph:
 
 def add_edges(g: Graph, new_edges: Iterable[tuple[int, int]]) -> Graph:
     """Return g with the given edges added; rejects loops, and edges present or given twice."""
-    return Graph(g.n, np.concatenate((g.edge_array, Graph(g.n, new_edges).edge_array)))
+    return Graph(g.n, np.concatenate((g.edge_array, _pair_array(new_edges))))
 
 
 def remove_edges(g: Graph, old_edges: Iterable[tuple[int, int]]) -> Graph:

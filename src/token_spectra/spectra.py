@@ -1,6 +1,7 @@
-"""Dense Laplacian spectra with explicit eigenspace grouping.
+"""Dense Laplacian spectra with explicit eigenspace grouping, and a sparse
+route to the algebraic connectivity of large token graphs.
 
-The eigensolver itself is LAPACK's symmetric solver reached through
+The dense eigensolver is LAPACK's symmetric solver reached through
 numpy; this module adds the contracts the verification layer depends on:
 ascending eigenvalues, clustering into eigenspace groups at a relative gap
 tolerance, a residual check on every basis vector, and sign-canonicalized
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Graph, GraphError
-from .tokens import require_memory
+from .tokens import TokenGraph, lift, require_memory
 
 DEFAULT_RESID_TOL = 1e-9
 DEFAULT_GROUP_TOL = 1e-8
@@ -31,8 +32,23 @@ class NumericalError(RuntimeError):
 
 
 # Peak bytes per N^2 of the dense route: ru_maxrss less the RSS before
-# algebraic_connectivity on 5-token graphs of paths, N = 2002..6188: 48.5 to 50.4.
-DENSE_BYTES_PER_N2 = 50
+# algebraic_connectivity on 5-token graphs of paths, N = 2002..4368: 41.7 to 42.1.
+# The peak is inside eigh, with the float matrix, its eigenvectors and LAPACK's work.
+DENSE_BYTES_PER_N2 = 44
+
+# token graphs of at least this order take the sparse route in token_alpha:
+# below it dense eigh is as fast (measured on the dense-alpha ladder)
+SPARSE_MIN_ORDER = 1000
+# LOBPCG block sizes, tried in turn until the lowest group of Ritz values
+# closes; the least eigenvalue off range(B) is simple on most graphs
+SPARSE_BLOCKS = (4, 8, 16, 32)
+SPARSE_MAXITER = 500
+# Peak bytes of the sparse route, by tracemalloc on token graphs of G(16, 0.5)
+# and paths, N = 1001..18564: about 26 per Laplacian nonzero, and 113 per row
+# for each column of the LOBPCG block at every block size; the dense lift,
+# 8 per row for each base vertex, is counted at the block's rate.
+SPARSE_BYTES_PER_NONZERO = 32
+SPARSE_BYTES_PER_ROW_COLUMN = 120
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -152,12 +168,89 @@ def algebraic_connectivity(g: Graph) -> tuple[float, np.ndarray]:
     """
     if g.n < 2:
         raise GraphError("algebraic connectivity needs n >= 2")
-    spec = eig_sym(laplacian(g))
+    spec = eig_sym(laplacian(g).astype(float))  # frees the int64 matrix before eigh
     value = float(spec.values[1])
     scale = max(1.0, float(np.abs(spec.values).max()))
     if abs(value) <= DEFAULT_RESID_TOL * scale:
         value = 0.0
     return value, spec.group_of(1).basis
+
+
+def sparse_laplacian(g: Graph):
+    """Degree diagonal minus adjacency, as a scipy CSR float matrix."""
+    from scipy.sparse import csr_array
+
+    u, v = g.edge_array.T
+    diag = np.arange(g.n)
+    data = np.concatenate((np.full(2 * g.m, -1.0), np.bincount(g.edge_array.ravel(), minlength=g.n)))
+    return csr_array((data, (np.concatenate((u, v, diag)), np.concatenate((v, u, diag)))), shape=(g.n, g.n))
+
+
+def token_alpha(tg: TokenGraph) -> tuple[float, float | None]:
+    """Algebraic connectivity of tg's token graph, and mu when the sparse route gave it.
+
+    Below SPARSE_MIN_ORDER token vertices this is algebraic_connectivity of
+    the token graph and mu is None; from there on, see _sparse_token_alpha.
+    """
+    if tg.graph.n < SPARSE_MIN_ORDER:
+        return algebraic_connectivity(tg.graph)[0], None
+    return _sparse_token_alpha(tg)
+
+
+def _sparse_token_alpha(tg: TokenGraph, maxiter: int = SPARSE_MAXITER) -> tuple[float, float | None]:
+    """alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue of L(F_k) on range(B)^perp.
+
+    B is the lift of G's vertices to k-subsets. L(F_k) B = B L(G) with B of
+    full column rank, so range(B) carries the spectrum of L(G) and its
+    orthogonal complement the rest. LOBPCG, constrained to that complement
+    by Y = B, finds mu from a fixed-seed block with a Jacobi preconditioner.
+
+    A block is accepted when every Ritz residual is at most
+    DEFAULT_RESID_TOL * max(1, lam), lam the largest Ritz value of a short
+    run on L(F_k) (a lower bound on lambda_max, so the bound is never looser
+    than eig_sym's), and the lowest group of Ritz values, split at gaps
+    above DEFAULT_GROUP_TOL * max(1, lam), closes below the last one.
+    Otherwise the next block of SPARSE_BLOCKS is tried. When none is
+    accepted, or the next is too large for LOBPCG at this order, the dense
+    route decides and mu is None; it raises CapExceededError when it does
+    not fit in memory.
+    """
+    import warnings
+
+    from scipy.sparse import diags_array
+    from scipy.sparse.linalg import lobpcg
+
+    g, base = tg.graph, tg.base
+    order = g.n
+    require_memory(SPARSE_BYTES_PER_NONZERO * (2 * g.m + order)
+                   + SPARSE_BYTES_PER_ROW_COLUMN * order * (SPARSE_BLOCKS[-1] + base.n),
+                   f"the sparse route at N = {order}")
+    a_base = algebraic_connectivity(base)[0]
+    lap = sparse_laplacian(g)
+    y = lift(base.n, tg.k).toarray()
+    jacobi = diags_array(1.0 / np.maximum(lap.diagonal(), 1.0))
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # lobpcg warns when it stops short; the residuals below decide
+        top, _ = lobpcg(lap, rng.standard_normal((order, 1)), maxiter=20, tol=1e-12)
+        scale = max(1.0, float(top[0]))
+        bound = DEFAULT_RESID_TOL * scale
+        for size in SPARSE_BLOCKS:
+            if order - base.n < 5 * size:  # lobpcg takes no constraints on smaller problems
+                break
+            try:
+                vals, vecs = lobpcg(lap, rng.standard_normal((order, size)), M=jacobi, Y=y,
+                                    tol=bound / 2, maxiter=maxiter, largest=False)
+            except np.linalg.LinAlgError:
+                break
+            rank = np.argsort(vals)
+            vals, vecs = vals[rank], vecs[:, rank]
+            resid = np.linalg.norm(lap @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
+            if resid.max() <= bound and (np.diff(vals) > DEFAULT_GROUP_TOL * scale).any():
+                mu = float(vals[0])
+                value = min(a_base, mu)
+                return (0.0 if abs(value) <= bound else value), mu
+    return algebraic_connectivity(g)[0], None
 
 
 def theta(r: int, k: int) -> float:

@@ -69,6 +69,32 @@ def choose_table(n: int, j: int) -> np.ndarray:
     return choose
 
 
+def _colex_subsets(n: int, j: int) -> np.ndarray:
+    """The C(n, j) x j table of j-subsets of range(n), each sorted, rows in colex order."""
+    flat = chain.from_iterable(combinations(range(n), j))
+    subsets = np.fromiter(flat, dtype=np.int64, count=comb(n, j) * j).reshape(-1, j)
+    return subsets[np.lexsort(subsets.T)]
+
+
+def lift(n: int, k: int):
+    """The C(n, k) x n membership matrix B of k-subsets in colex order, as scipy CSR.
+
+    Row i has a 1 in each column of the i-th k-subset. B intertwines the
+    Laplacians, L(F_k) B = B L(G), and has full column rank for 1 <= k < n.
+    For k > n/2 row i is the complement of the (C(n, k) - 1 - i)-th (n - k)-subset.
+    """
+    from scipy.sparse import csr_array
+
+    j = min(k, n - k)
+    members = _colex_subsets(n, j)
+    if j < k:
+        mask = np.ones((len(members), n), dtype=bool)
+        mask[np.arange(len(members))[:, None], members] = False
+        members = np.nonzero(mask[::-1])[1].reshape(-1, k)
+    size = len(members)
+    return csr_array((np.ones(size * k), members.ravel(), np.arange(0, size * k + 1, k)), shape=(size, n))
+
+
 def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     """Build the k-token graph of g.
 
@@ -83,9 +109,7 @@ def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
         raise CapExceededError(f"token graph would have {size} vertices, cap is {cap}")
     j = min(k, n - k)
     require_memory(TOKEN_BYTES_PER_ROW * g.m * comb(n - 1, j - 1), f"the {k}-token graph of {n} vertices")
-    flat = chain.from_iterable(combinations(range(n), j))
-    subsets = np.fromiter(flat, dtype=np.int64, count=size * j).reshape(size, j)
-    subsets = subsets[np.lexsort(subsets.T)]
+    subsets = _colex_subsets(n, j)
     choose = choose_table(n, j)
     # base edges are sorted pairs (a, b) with a < b, so the neighbours of a
     # above a are head[first[a]:first[a + 1]]

@@ -42,6 +42,7 @@ from .spectra import (
     laplacian,
     principal_submatrix,
     theta,
+    token_alpha,
 )
 from .tokens import DEFAULT_CAP, token_graph
 
@@ -111,6 +112,11 @@ def _pair_witness(u: int, v: int) -> dict:
     return {"u": u, "v": v, "u_one_based": u + 1, "v_one_based": v + 1}
 
 
+def _add_complements(witnesses: dict, complements: dict) -> None:
+    """Add each mu of token_alpha's sparse route under its name; the dense route gives None."""
+    witnesses.update((name, mu) for name, mu in complements.items() if mu is not None)
+
+
 # ---------------------------------------------------------------------------
 # token-graph checks
 
@@ -143,8 +149,8 @@ def check_spectral_containment(
         verdict = PASS if divides else FAIL
         return _finish("containment", g, verdict, witnesses, {"mode": "exact"}, t0)
 
-    spec_g = eig_sym(laplacian(g)).values
-    spec_t = eig_sym(laplacian(tg.graph)).values
+    spec_g = eig_sym(laplacian(g).astype(float)).values
+    spec_t = eig_sym(laplacian(tg.graph).astype(float)).values  # the int64 matrix is freed before eigh
     bound = tol * max(1.0, float(spec_t[-1]))
     unmatched = []
     j = 0
@@ -166,8 +172,7 @@ def check_alpha_token_equality(
     """Algebraic connectivity of g equals that of its k-token graph."""
     t0 = time.perf_counter()
     a_base, _ = algebraic_connectivity(g)
-    tg = token_graph(g, k, cap=cap)
-    a_token, _ = algebraic_connectivity(tg.graph)
+    a_token, mu = token_alpha(token_graph(g, k, cap=cap))
     ok = abs(a_token - a_base) <= tol * max(1.0, abs(a_base))
     witnesses = {
         "k": k,
@@ -175,6 +180,7 @@ def check_alpha_token_equality(
         "alpha_token": a_token,
         "difference": a_token - a_base,
     }
+    _add_complements(witnesses, {"alpha_complement": mu})
     return _finish("alpha-token", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
 
 
@@ -254,9 +260,9 @@ def check_pendant_bound(
         raise GraphError(f"need 2 <= k <= {n_aug / 2} (augmented order / 2), got k={k}")
     t0 = time.perf_counter()
     h = Graph(n_aug, g.edges + ((0, g.n),))
-    a_h = algebraic_connectivity(token_graph(h, k, cap=cap).graph)[0]
-    a_km1 = algebraic_connectivity(token_graph(g, k - 1, cap=cap).graph)[0]
-    a_k = algebraic_connectivity(token_graph(g, k, cap=cap).graph)[0]
+    a_h, mu_h = token_alpha(token_graph(h, k, cap=cap))
+    a_km1, mu_km1 = token_alpha(token_graph(g, k - 1, cap=cap))
+    a_k, mu_k = token_alpha(token_graph(g, k, cap=cap))
     bound = min(a_km1 + 1.0, a_k + 1.0)
     ok = a_h <= bound + tol * max(1.0, bound)
     witnesses = {
@@ -267,6 +273,8 @@ def check_pendant_bound(
         "bound": bound,
         "pendant_attached_to": _pair_witness(0, g.n),
     }
+    _add_complements(witnesses, {"alpha_complement_augmented": mu_h, "alpha_complement_km1": mu_km1,
+                                 "alpha_complement_k": mu_k})
     return _finish("pendant-bound", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
 
 
@@ -545,7 +553,7 @@ def check_kite_head_family(
         extra.append((u, v))
     gp = add_edges(g, extra) if extra else g
     a_gp, _ = algebraic_connectivity(gp)
-    a_token, _ = algebraic_connectivity(token_graph(gp, k, cap=cap).graph)
+    a_token, mu = token_alpha(token_graph(gp, k, cap=cap))
     alpha_ok = abs(a_token - a_gp) <= tol * max(1.0, abs(a_gp))
     witnesses.update(
         {
@@ -555,6 +563,7 @@ def check_kite_head_family(
             "added_edges": [_pair_witness(u, v) for u, v in extra],
         }
     )
+    _add_complements(witnesses, {"alpha_complement": mu})
     verdict = PASS if (bridge_ok and alpha_ok) else FAIL
     witnesses["bridge_ok"] = bridge_ok
     return _finish("kite-head", g, verdict, witnesses, {"tol": tol, "num_tol": BRIDGE_TOL}, t0)
@@ -616,7 +625,7 @@ def check_bipartite_extension(
     g = build_bipartite_extension(n1, n2, mode, x_edges)
     expected = float(n1 if mode == "plus_x" else n2)
     a, _ = algebraic_connectivity(g)
-    a_token, _ = algebraic_connectivity(token_graph(g, k, cap=cap).graph)
+    a_token, mu = token_alpha(token_graph(g, k, cap=cap))
     ok = _close(a, expected, tol) and _close(a_token, expected, tol)
     witnesses = {
         "mode": mode,
@@ -625,6 +634,7 @@ def check_bipartite_extension(
         "alpha": a,
         "alpha_token": a_token,
     }
+    _add_complements(witnesses, {"alpha_complement": mu})
     return _finish("bipartite-ext", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
 
 
@@ -670,8 +680,9 @@ def check_cut_clique(
         witnesses["gap"] = float(r) - a
         verdict = PASS if bound_ok else FAIL
         return _finish("cut-clique", g, verdict, witnesses, {"tol": tol}, t0)
-    a_token, _ = algebraic_connectivity(token_graph(g, k, cap=cap).graph)
+    a_token, mu = token_alpha(token_graph(g, k, cap=cap))
     witnesses["alpha_token"] = a_token
+    _add_complements(witnesses, {"alpha_complement": mu})
     ok = bound_ok and _close(a, float(r), tol) and _close(a_token, float(r), tol)
     return _finish("cut-clique", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
 

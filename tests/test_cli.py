@@ -338,8 +338,8 @@ class TestCancel:
 
 
 class TestMemoryGuard:
-    """With physical memory taken as 1 MB, the dense route refuses N >= 142
-    (50 bytes per N^2), token_graph refuses 5209 candidate rows or more, and
+    """With physical memory taken as 1 MB, the dense route refuses N >= 151
+    (44 bytes per N^2), token_graph refuses 5209 candidate rows or more, and
     the exact route refuses any token graph: its token-edge scatter alone is
     estimated at 1.5 MB."""
 
@@ -349,9 +349,9 @@ class TestMemoryGuard:
 
     @pytest.mark.parametrize("argv, stderr", [
         (["verify", "alpha-token", "--graph", "path:20", "-k", "2"],
-         "error: the dense Laplacian route at N = 190 needs about 0.00168 GiB, physical memory is 0.000931 GiB\n"),
+         "error: the dense Laplacian route at N = 190 needs about 0.00148 GiB, physical memory is 0.000931 GiB\n"),
         (["spectrum", "path:200"],
-         "error: the dense Laplacian route at N = 200 needs about 0.00186 GiB, physical memory is 0.000931 GiB\n"),
+         "error: the dense Laplacian route at N = 200 needs about 0.00164 GiB, physical memory is 0.000931 GiB\n"),
         (["construct", "token", "--graph", "complete:14", "-k", "3"],
          "error: the 3-token graph of 14 vertices needs about 0.00127 GiB, physical memory is 0.000931 GiB\n"),
         (["construct", "token", "--graph", "path:30", "-k", "8", "--cap", "100"],

@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,28 @@ class TestPerturbations:
     def test_add_self_loop_fails(self):
         with pytest.raises(GraphError):
             add_edges(path_graph(3), [(1, 1)])
+
+    @pytest.mark.parametrize("new, message", [
+        ([(1, 0)], "duplicate edge (0, 1)"),
+        ([(0, 2), (2, 0)], "duplicate edge (0, 2)"),
+        ([(0, 3)], "edge (0, 3) out of range for n=3"),
+        ([(0, 2), (1,)], "edges must be vertex pairs"),
+        ([(0, 1, 2)], "edges must form an (m, 2) integer array"),
+        (np.array([[0.0, 2.0]]), "edges must form an (m, 2) integer array"),
+    ])
+    def test_add_edges_messages(self, new, message):
+        with pytest.raises(GraphError, match=re.escape(message)):
+            add_edges(path_graph(3), new)
+
+    def test_add_edges_builds_one_graph(self, monkeypatch):
+        built = []
+        init = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or init(g))
+        g = path_graph(4)
+        built.clear()
+        h = add_edges(g, [(0, 3)])
+        assert len(built) == 1
+        assert h == cycle_graph(4)
 
     def test_remove_edges(self):
         assert remove_edges(cycle_graph(3), [(0, 2)]) == path_graph(3)

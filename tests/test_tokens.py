@@ -273,6 +273,27 @@ class TestBinomialOperators:
                 assert np.array_equal(Lk @ B, B @ laplacian(g))
                 assert np.linalg.matrix_rank(B) == g.n
 
+    def test_src_lift_matches_dense_oracle(self):
+        # on both sides of j = min(k, n - k): k nonzeros per row, in colex order
+        rng = np.random.default_rng(3)
+        for n in range(2, 9):
+            for k in range(1, n):
+                B = tokens.lift(n, k)
+                dense = binomial_matrix(SubsetCodec(n, k))
+                assert B.format == "csr" and B.shape == dense.shape and B.nnz == comb(n, k) * k
+                assert np.array_equal(B.toarray(), dense)
+                x = rng.standard_normal(n)
+                assert np.allclose(B @ x, dense @ x)
+
+    def test_src_lift_intertwines_sparse_laplacians(self):
+        from token_spectra.spectra import sparse_laplacian
+
+        for g in family_corpus(7):
+            for k in range(1, g.n):
+                B = tokens.lift(g.n, k)
+                lhs = sparse_laplacian(token_graph(g, k).graph) @ B
+                assert np.array_equal(lhs.toarray(), (B @ sparse_laplacian(g)).toarray())
+
     def test_length_mismatch(self):
         c = SubsetCodec(5, 2)
         with pytest.raises(GraphError):
