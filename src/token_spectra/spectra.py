@@ -39,8 +39,8 @@ DENSE_BYTES_PER_N2 = 44
 # token graphs of at least this order take the sparse route in token_alpha:
 # below it dense eigh is as fast (measured on the dense-alpha ladder)
 SPARSE_MIN_ORDER = 1000
-# LOBPCG block sizes, tried in turn until the lowest group of Ritz values
-# closes; the least eigenvalue off range(B) is simple on most graphs
+# LOBPCG block sizes, tried in turn while a block's residuals stay above the
+# bound; the least eigenvalue off range(B) is simple on most graphs
 SPARSE_BLOCKS = (4, 8, 16, 32)
 SPARSE_MAXITER = 500
 # Peak bytes of the sparse route, by tracemalloc on token graphs of G(16, 0.5)
@@ -197,7 +197,7 @@ def token_alpha(tg: TokenGraph) -> tuple[float, float | None]:
     return _sparse_token_alpha(tg)
 
 
-def _sparse_token_alpha(tg: TokenGraph, maxiter: int = SPARSE_MAXITER) -> tuple[float, float | None]:
+def _sparse_token_alpha(tg: TokenGraph) -> tuple[float, float | None]:
     """alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue of L(F_k) on range(B)^perp.
 
     B is the lift of G's vertices to k-subsets. L(F_k) B = B L(G) with B of
@@ -206,14 +206,21 @@ def _sparse_token_alpha(tg: TokenGraph, maxiter: int = SPARSE_MAXITER) -> tuple[
     by Y = B, finds mu from a fixed-seed block with a Jacobi preconditioner.
 
     A block is accepted when every Ritz residual is at most
-    DEFAULT_RESID_TOL * max(1, lam), lam the largest Ritz value of a short
-    run on L(F_k) (a lower bound on lambda_max, so the bound is never looser
-    than eig_sym's), and the lowest group of Ritz values, split at gaps
-    above DEFAULT_GROUP_TOL * max(1, lam), closes below the last one.
-    Otherwise the next block of SPARSE_BLOCKS is tried. When none is
-    accepted, or the next is too large for LOBPCG at this order, the dense
-    route decides and mu is None; it raises CapExceededError when it does
-    not fit in memory.
+    DEFAULT_RESID_TOL * max(1, Delta + 1), Delta the largest degree of
+    F_k (Delta + 1 <= lambda_max when there is an edge, so the bound is never
+    looser than eig_sym's), and the lowest group of Ritz values, split at
+    gaps above DEFAULT_GROUP_TOL * max(1, Delta + 1), closes below the last
+    one. A block whose residuals are too large gives way to the next of
+    SPARSE_BLOCKS. A block whose residuals pass but whose Ritz values form
+    one group shows that mu has at least that multiplicity; no block size is
+    known to close it, so the dense route decides, as it does when no block
+    is accepted or the next is too large for LOBPCG at this order. Then mu
+    is None, and CapExceededError is raised when the dense route does not
+    fit in memory.
+
+    Unlike the dense route, this one does not certify that mu is the least
+    eigenvalue off range(B): LOBPCG could settle on a higher cluster, which
+    would make min(alpha(G), mu) read alpha(G). Certificates say so.
     """
     import warnings
 
@@ -227,29 +234,32 @@ def _sparse_token_alpha(tg: TokenGraph, maxiter: int = SPARSE_MAXITER) -> tuple[
                    f"the sparse route at N = {order}")
     a_base = algebraic_connectivity(base)[0]
     lap = sparse_laplacian(g)
+    degree = lap.diagonal()
     y = lift(base.n, tg.k).toarray()
-    jacobi = diags_array(1.0 / np.maximum(lap.diagonal(), 1.0))
+    jacobi = diags_array(1.0 / np.maximum(degree, 1.0))
+    scale = max(1.0, float(degree.max()) + 1.0)  # Grone-Merris: Delta + 1 <= lambda_max
+    bound = DEFAULT_RESID_TOL * scale
     rng = np.random.default_rng(0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # lobpcg warns when it stops short; the residuals below decide
-        top, _ = lobpcg(lap, rng.standard_normal((order, 1)), maxiter=20, tol=1e-12)
-        scale = max(1.0, float(top[0]))
-        bound = DEFAULT_RESID_TOL * scale
         for size in SPARSE_BLOCKS:
             if order - base.n < 5 * size:  # lobpcg takes no constraints on smaller problems
                 break
             try:
                 vals, vecs = lobpcg(lap, rng.standard_normal((order, size)), M=jacobi, Y=y,
-                                    tol=bound / 2, maxiter=maxiter, largest=False)
+                                    tol=bound / 2, maxiter=SPARSE_MAXITER, largest=False)
             except np.linalg.LinAlgError:
                 break
             rank = np.argsort(vals)
             vals, vecs = vals[rank], vecs[:, rank]
             resid = np.linalg.norm(lap @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
-            if resid.max() <= bound and (np.diff(vals) > DEFAULT_GROUP_TOL * scale).any():
-                mu = float(vals[0])
-                value = min(a_base, mu)
-                return (0.0 if abs(value) <= bound else value), mu
+            if resid.max() > bound:
+                continue
+            if not (np.diff(vals) > DEFAULT_GROUP_TOL * scale).any():
+                break
+            mu = float(vals[0])
+            value = min(a_base, mu)
+            return (0.0 if abs(value) <= bound else value), mu
     return algebraic_connectivity(g)[0], None
 
 

@@ -113,8 +113,15 @@ def _pair_witness(u: int, v: int) -> dict:
 
 
 def _add_complements(witnesses: dict, complements: dict) -> None:
-    """Add each mu of token_alpha's sparse route under its name; the dense route gives None."""
-    witnesses.update((name, mu) for name, mu in complements.items() if mu is not None)
+    """Add each mu of token_alpha's sparse route under its name; the dense route gives None.
+
+    The sparse route does not certify that mu is the least eigenvalue off
+    range(B), so a certificate with a mu says so under alpha_complement_least.
+    """
+    found = {name: mu for name, mu in complements.items() if mu is not None}
+    witnesses.update(found)
+    if found:
+        witnesses["alpha_complement_least"] = "not certified"
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ import pytest
 from token_spectra import spectra, tokens
 from token_spectra.graphs import (
     Graph,
-    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     parse_edge_list,
     path_graph,
+    star_graph,
 )
 from token_spectra.spectra import (
     _sparse_token_alpha,
@@ -37,6 +37,20 @@ from helpers import family_corpus, random_corpus
 
 DATA = Path(__file__).parent / "data"
 GNP12 = parse_edge_list((DATA / "gnp12.el").read_text())
+
+
+def _spy_block_sizes(monkeypatch, short=frozenset()) -> list:
+    """Record the block size of every lobpcg call; blocks of a size in short get one iteration."""
+    import scipy.sparse.linalg
+
+    sizes, lobpcg = [], scipy.sparse.linalg.lobpcg
+
+    def spy(a, x, **kw):
+        sizes.append(x.shape[1])
+        return lobpcg(a, x, **{**kw, "maxiter": 1} if x.shape[1] in short else kw)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", spy)
+    return sizes
 
 
 def _agrees(tg, value: float) -> bool:
@@ -59,7 +73,7 @@ class TestAgainstDense:
                     assert value == min(algebraic_connectivity(g)[0], mu) or value == 0.0
         # 53 instances have room for a block of 4, and 46 of them took the sparse route when
         # this was written; K_{3,4} and the star on 8 vertices fall back, as their mu has a
-        # multiplicity above every block that fits
+        # multiplicity of at least 4 and the first block converges to one group
         assert sparse >= 44
 
     def test_both_sides_of_j(self):
@@ -91,17 +105,26 @@ class TestAgainstDense:
         assert value == algebraic_connectivity(tg.graph)[0]
         assert abs(value - n) <= 1e-9 * n
 
-    def test_degenerate_mu_grows_the_block(self, monkeypatch):
-        # K_{3,7}, k = 4: mu = 6 has multiplicity 14, so blocks of 4 and 8 cannot close its group
-        tg = token_graph(complete_bipartite_graph(3, 7), 4)
+    def test_one_group_hands_over_to_dense(self, monkeypatch):
+        # star on 9 vertices, k = 4: mu = 2 has a multiplicity above 4, so the first block
+        # converges to one group and no larger block is tried
+        sizes = _spy_block_sizes(monkeypatch)
+        tg = token_graph(star_graph(8), 4)
         value, mu = _sparse_token_alpha(tg)
-        assert mu is not None and abs(mu - 6.0) <= 1e-8 and abs(value - 3.0) <= 1e-8
-        monkeypatch.setattr(spectra, "SPARSE_BLOCKS", (4, 8))
-        assert _sparse_token_alpha(tg)[1] is None
+        assert sizes == [4] and mu is None
+        assert value == algebraic_connectivity(tg.graph)[0]
 
-    def test_no_convergence_falls_back_to_dense(self):
+    def test_unconverged_block_grows(self, monkeypatch):
+        # the block of 4 is cut short, so its residuals fail and a block of 8 decides
+        sizes = _spy_block_sizes(monkeypatch, short={4})
         tg = token_graph(GNP12, 5)
-        value, mu = _sparse_token_alpha(tg, maxiter=1)
+        value, mu = _sparse_token_alpha(tg)
+        assert sizes == [4, 8] and mu is not None and _agrees(tg, value)
+
+    def test_no_convergence_falls_back_to_dense(self, monkeypatch):
+        monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)
+        tg = token_graph(GNP12, 5)
+        value, mu = _sparse_token_alpha(tg)
         assert mu is None
         assert value == algebraic_connectivity(tg.graph)[0]
 
@@ -110,8 +133,9 @@ class TestAgainstDense:
         dense_need = spectra.DENSE_BYTES_PER_N2 * tg.graph.n ** 2
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", dense_need - 1)
         assert _sparse_token_alpha(tg)[1] is not None
+        monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)
         with pytest.raises(CapExceededError, match="dense Laplacian route at N = 495"):
-            _sparse_token_alpha(tg, maxiter=1)
+            _sparse_token_alpha(tg)
 
     def test_memory_estimate_refuses_before_allocating(self, monkeypatch):
         tg = token_graph(GNP12, 4)
@@ -158,7 +182,10 @@ class TestTokenAlpha:
         assert abs(sparse.witnesses["alpha_token"] - dense.witnesses["alpha_token"]) <= 1e-9 * 40
         # pendant-bound: F_4 of the augmented graph (330) and of g (210) go sparse, F_3 of g (120) does too
         keys = {key for key in check_pendant_bound(g, 4).witnesses if key.startswith("alpha_complement")}
-        assert keys == {"alpha_complement_augmented", "alpha_complement_km1", "alpha_complement_k"}
+        assert keys == {"alpha_complement_augmented", "alpha_complement_km1", "alpha_complement_k",
+                        "alpha_complement_least"}
+        # the sparse route does not certify that mu is least, and the certificate says so
+        assert sparse.witnesses["alpha_complement_least"] == "not certified"
 
 
 def test_package_import_leaves_scipy_out():
