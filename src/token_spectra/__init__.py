@@ -38,9 +38,7 @@ from .spectra import (
     theta,
 )
 from .exact import (
-    CancelToken,
     IntPoly,
-    OperationCancelled,
     char_poly,
     count_roots_in_interval,
     cycle_path_identity_check,

@@ -106,7 +106,7 @@ class _Main(click.Group):
         # one exit path each for cancellation, refused resources and a solver or certificate fault
         try:
             return super().invoke(ctx)
-        except (KeyboardInterrupt, exact.OperationCancelled):
+        except KeyboardInterrupt:
             click.echo("cancelled", err=True)
             ctx.exit(EXIT_CANCEL)
         except CapExceededError as exc:
@@ -140,56 +140,47 @@ def main() -> None:
 @click.option("--nu", type=int, help="chord index sum for extended cycles")
 @click.option("--mode", help="bipartite extension mode: plus_x or star_y")
 @click.option("--edge", multiple=True, help="extra side-X edge 'u,v' (repeatable)")
-@click.option("--graph", "graph_spec", help="base graph for token construction")
+@click.option("--graph", help="base graph for token construction")
 @click.option("-k", type=int, help="token count for token construction")
 @click.option("--cap", type=int, default=None, help="token vertex cap")
 @click.option("-o", "--output", help="output file (default stdout)")
-def construct(family, params, head, root, s, r, tree, tree_root, comp, chord, nu,
-              mode, edge, graph_spec, k, cap, output):
-    """Write a graph in edge-list format.
+@click.pass_context
+def construct(ctx, family, **opts):
+    """Write a graph in edge-list format; exit 2 on an option FAMILY does not read.
 
     FAMILY is one of: path, cycle, complete, complete_bipartite, star,
     kite, superkite, cutclique, extcycle, bipartite, token.
     """
+    opts = _ReadRecorder(ctx, f"family {family!r}", opts)
+    need = opts.need
     try:
         if family in graphs._STANDARD_FAMILIES:
-            g = graphs.build_standard(family, list(params))
+            g = graphs.build_standard(family, list(opts["params"]))
         elif family == "kite":
-            if head is None or s is None or r is None:
-                raise click.UsageError("kite needs --head, -s, -r")
-            g, _ = graphs.build_kite(KiteSpec(head=_parse_graph_spec(head), root=root, s=s, r=r))
+            g, _ = graphs.build_kite(_kite_spec(opts, need))
         elif family == "superkite":
-            if head is None or tree is None or s is None:
-                raise click.UsageError("superkite needs --head, --tree, -s")
-            g = graphs.build_superkite(
-                _parse_graph_spec(head), root, _parse_graph_spec(tree), tree_root, s
-            )
+            g = graphs.build_superkite(_parse_graph_spec(need("head")), opts["root"],
+                                       _parse_graph_spec(need("tree")), opts["tree_root"], need("s"))
         elif family == "cutclique":
-            if r is None or not comp:
-                raise click.UsageError("cutclique needs -r and --comp")
-            g = graphs.build_cut_clique_join(r, _parse_components(comp))
+            g = graphs.build_cut_clique_join(need("r"), _parse_components(need("comp")))
         elif family == "extcycle":
-            if len(params) != 1:
+            if len(opts["params"]) != 1:
                 raise click.UsageError("extcycle needs the cycle order")
-            g = graphs.build_extended_cycle(params[0], [_parse_pair(c) for c in chord], nu=nu)
+            g = graphs.build_extended_cycle(opts["params"][0], _pairs(opts["chord"]), nu=opts["nu"])
         elif family == "bipartite":
-            if len(params) != 2 or mode is None:
+            if len(opts["params"]) != 2:
                 raise click.UsageError("bipartite needs n1 n2 and --mode")
-            g = graphs.build_bipartite_extension(
-                params[0], params[1], mode, [_parse_pair(e) for e in edge]
-            )
+            g = graphs.build_bipartite_extension(*opts["params"], need("mode"), _pairs(opts["edge"]))
         elif family == "token":
-            if graph_spec is None or k is None:
-                raise click.UsageError("token needs --graph and -k")
-            base = _parse_graph_spec(graph_spec)
-            tg = tokens.token_graph(base, k, cap=cap if cap is not None else _default_cap())
-            _emit(tg.to_edge_list_text(), output)
-            return
+            base, k, cap = _parse_graph_spec(need("graph")), need("k"), opts["cap"]
         else:
             raise click.UsageError(f"unknown family {family!r}")
+        opts.reject_unread("output")
+        if family == "token":
+            g = tokens.token_graph(base, k, cap=cap if cap is not None else _default_cap())
     except GraphError as exc:
         raise click.UsageError(str(exc)) from exc
-    _emit(graphs.format_edge_list(g), output)
+    _emit(g.to_edge_list_text() if family == "token" else graphs.format_edge_list(g), opts["output"])
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +266,30 @@ _SWEEP_INSTANCES = (("graph", "k"), ("graph", "u", "v"), ("r",))
 
 
 class _ReadRecorder(dict):
-    """Options that remember which keys were read, so unused ones can be rejected."""
+    """Options that remember which keys were read, so unused ones can be rejected; what names them in errors."""
 
-    def __init__(self, opts: dict) -> None:
+    def __init__(self, ctx: click.Context, what: str, opts: dict) -> None:
         super().__init__(opts)
+        self.ctx, self.what = ctx, what
         self.read: set[str] = set()
 
     def __getitem__(self, key):
         self.read.add(key)
         return super().__getitem__(key)
+
+    def need(self, key):
+        """The option's value; UsageError when it is not set."""
+        if self[key] in (None, ()):
+            raise click.UsageError(f"{self.what} needs {'-' if len(key) == 1 else '--'}{key}")
+        return self[key]
+
+    def reject_unread(self, *also: str) -> None:
+        """UsageError naming every option given on the command line that was not read, nor in also."""
+        given = {key for key in self if self.ctx.get_parameter_source(key) is ParameterSource.COMMANDLINE}
+        unused = given - self.read - set(also)
+        if unused:
+            flags = ", ".join(p.get_error_hint(self.ctx) for p in self.ctx.command.params if p.name in unused)
+            raise click.UsageError(f"{self.what} does not take {flags}")
 
 
 def _run_check(check_id: str, args: tuple, opts: dict, kwargs: dict) -> verify.Certificate:
@@ -327,28 +333,19 @@ def _run_check(check_id: str, args: tuple, opts: dict, kwargs: dict) -> verify.C
 @click.pass_context
 def verify_cmd(ctx, check_id, **opts):
     """Run one check and print its certificate; exit 1 on mathematical failure, 2 on an unread option."""
-    given = {key for key in opts if ctx.get_parameter_source(key) is ParameterSource.COMMANDLINE}
     opts["cap"] = opts["cap"] if opts["cap"] is not None else _default_cap()
-    opts = _ReadRecorder(opts)
+    opts = _ReadRecorder(ctx, "", opts)
     if check_id == "containment" and opts["exact"]:  # --exact is read by containment only
         check_id = "containment-exact"
-
-    def need(key):
-        if opts[key] in (None, ()):
-            raise click.UsageError(f"check {check_id!r} needs {'-' if len(key) == 1 else '--'}{key}")
-        return opts[key]
-
+    opts.what = f"check {check_id!r}"
     _, instance, keywords, _ = CHECKS[check_id]
     try:
         if callable(instance):
-            args, kwargs = instance(opts, need)
+            args, kwargs = instance(opts, opts.need)
         else:
-            args = tuple(_parse_graph_spec(need(key)) if key == "graph" else need(key) for key in instance)
+            args = tuple(_parse_graph_spec(opts.need(key)) if key == "graph" else opts.need(key) for key in instance)
             kwargs = {}
-        unused = given - opts.read - set(keywords) - {"pretty"}
-        if unused:
-            flags = ", ".join(p.get_error_hint(ctx) for p in ctx.command.params if p.name in unused)
-            raise click.UsageError(f"check {check_id!r} does not take {flags}")
+        opts.reject_unread(*keywords, "pretty")
         cert = _run_check(check_id, args, opts, kwargs)
     except GraphError as exc:
         raise click.UsageError(str(exc)) from exc

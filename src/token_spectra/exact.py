@@ -28,12 +28,14 @@ module on k-subsets splits into the two-row Specht modules S^(n-h, h),
 h = 0..j, each once (James, The Representation Theory of the Symmetric
 Groups, LNM 682). So charpoly(L(F_k)) = prod_h chi_h, where chi_h is the
 characteristic polynomial of L(F_h) on S^(n-h, h), of degree
-C(n, h) - C(n, h - 1), and depends on G and h only. ``layer_matrix``
-finds that action as an integer matrix M_h on the standard polytabloids K
-and certifies it exactly: K is unit upper triangular at the standard sets,
-so its columns are independent; the down map to (h - 1)-subsets kills
-them, and there are C(n, h) - C(n, h - 1), so they span S^(n-h, h); and
-L(F_h) K == K M_h on every row. Containment still divides this product by
+C(n, h) - C(n, h - 1), and depends on G and h only. So ``token_layers``
+takes G and k, and builds the h-token graph F_h once for each
+h = 2..min(k, n - k); F_1 is G itself, and F_k is never formed.
+``layer_matrix`` finds that action as an integer matrix M_h on the
+standard polytabloids K and certifies it exactly: K is unit upper
+triangular at the standard sets, so its columns are independent; the down
+map to (h - 1)-subsets kills them, and there are C(n, h) - C(n, h - 1), so
+they span S^(n-h, h); and L(F_h) K == K M_h on every row. Containment still divides this product by
 charpoly(L(G)), computed on its own from L(G): chi_0 chi_1 equals it in
 theory, and the division checks that, as the full polynomial was checked
 before.
@@ -49,25 +51,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .tokens import TokenGraph, choose_table, require_memory, token_graph
-
-
-class OperationCancelled(RuntimeError):
-    """A cooperative cancellation token was triggered mid-computation."""
-
-
-@dataclass
-class CancelToken:
-    """Cooperative cancellation flag checked by long-running exact routines."""
-
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def check(self) -> None:
-        if self.cancelled:
-            raise OperationCancelled("computation cancelled")
+from .graphs import Graph, cycle_graph, path_graph
+from .spectra import laplacian, principal_submatrix
+from .tokens import DEFAULT_CAP, choose_table, require_memory, token_graph, token_order
 
 
 @dataclass(frozen=True)
@@ -348,19 +334,18 @@ def _char_poly_mod(a: np.ndarray, primes: list[int]) -> np.ndarray:
     return polys[:, n]
 
 
-def char_poly(m, cancel: CancelToken | None = None) -> IntPoly:
+def char_poly(m) -> IntPoly:
     """det(xI - M) with exact integer coefficients, by a multimodular route.
 
     Monic of degree n. The coefficients are computed modulo enough
     word-size primes that their product exceeds twice the Hadamard bound
     of ``_coefficient_bound``, combined by the Chinese remainder theorem,
-    and lifted to the symmetric range. ``cancel`` is checked before each
-    batch of primes.
+    and lifted to the symmetric range.
     """
-    return char_polys([m], cancel)[0]
+    return char_polys([m])[0]
 
 
-def char_polys(mats: Sequence, cancel: CancelToken | None = None) -> list[IntPoly]:
+def char_polys(mats: Sequence) -> list[IntPoly]:
     """``char_poly`` of each matrix, with the (matrix, prime) pairs of all of them in shared batches.
 
     A batch pads its matrices with zero rows and columns to its largest
@@ -374,8 +359,6 @@ def char_polys(mats: Sequence, cancel: CancelToken | None = None) -> list[IntPol
     found: list[list[tuple[int, list[int]]]] = [[] for _ in arrays]
     start = 0
     while start < len(jobs):
-        if cancel is not None:
-            cancel.check()
         size = jobs[start][0]
         batch = jobs[start:start + max(1, _BATCH_ENTRIES // max(1, size * size))]
         h = np.zeros((len(batch), size, size), dtype=np.int64)
@@ -501,50 +484,44 @@ def layer_matrix(n: int, h: int, edges: np.ndarray) -> np.ndarray:
     return m
 
 
-def token_layers(tg: TokenGraph) -> list[np.ndarray]:
-    """The layer matrices M_1, ..., M_j of tg's k-token graph, j = min(k, n - k).
+def token_layers(g: Graph, k: int, cap: int = DEFAULT_CAP) -> list[np.ndarray]:
+    """The layer matrices M_1, ..., M_j of the k-token graph of g, j = min(k, n - k).
 
-    M_h depends on the base graph and h only. F_j is tg's own graph, read
-    in reversed colex order when k > n/2 (complementing every subset
-    reverses it); F_1 is the base graph, and F_h for 1 < h < j is built
-    here. The dimensions, with 1 for the trivial layer, must sum to C(n, k).
-    Raises CapExceededError, before building any layer, when the largest
-    would not fit in physical memory.
+    M_h depends on g and h only, so the h-token graph F_h is built for
+    h = 2..j, each once, and F_1 is g itself: the k-token graph is never
+    built. Raises, before any work, GraphError unless 1 <= k <= n - 1, and
+    CapExceededError when C(n, k) exceeds the vertex cap or the largest
+    layer would not fit in physical memory. The dimensions, with 1 for the
+    trivial layer, must sum to C(n, k).
     """
-    g, k = tg.base, tg.k
     n, j = g.n, min(k, g.n - k)
+    size = token_order(n, k, cap)
     # a layer holds K, L(F_h) K and K M_h, C(n, h) x d each, D K, C(n, h - 1) x d,
     # three int64 arrays of one scatter chunk, and for its characteristic
     # polynomial about six d x d. Measured by ru_maxrss, at n = 12..14: 36 to
     # 45 bytes per C(n, h) d for a layer, 40 per d^2 for its polynomial alone.
     dims = [(comb(n, h), comb(n, h - 1), comb(n, h) - comb(n, h - 1)) for h in range(1, j + 1)]
-    require_memory(max(8 * (3 * size * d + below * d + 6 * d * d) for size, below, d in dims)
+    require_memory(max(8 * (3 * rows * d + below * d + 6 * d * d) for rows, below, d in dims)
                    + 24 * _SCATTER_ENTRIES, f"the exact route on the {k}-token graph of {n} vertices")
-    layers = []
-    for h in range(1, j + 1):
-        if h == j:
-            edges = tg.graph.edge_array
-            if j < k:
-                edges = tg.graph.n - 1 - edges
-        else:
-            edges = (g if h == 1 else token_graph(g, h).graph).edge_array
-        layers.append(layer_matrix(n, h, edges))
+    layers = [layer_matrix(n, h, (g if h == 1 else token_graph(g, h, cap).graph).edge_array)
+              for h in range(1, j + 1)]
     dim = 1 + sum(len(m) for m in layers)
-    if dim != tg.graph.n:
-        raise AssertionError(f"layer dimensions sum to {dim}, not C(n, k) = {tg.graph.n}")
+    if dim != size:
+        raise AssertionError(f"layer dimensions sum to {dim}, not C(n, k) = {size}")
     return layers
 
 
-def token_char_polys(tg: TokenGraph, base: np.ndarray) -> tuple[IntPoly, IntPoly]:
-    """(charpoly(base), charpoly(L(F_k))), base being L(G) for tg's base graph G.
+def token_char_polys(g: Graph, k: int, cap: int = DEFAULT_CAP) -> tuple[IntPoly, IntPoly]:
+    """(charpoly(L(G)), charpoly(L(F_k))) for g = G and its k-token graph F_k.
 
-    The first comes from base alone; it only shares the batches of primes
+    The first comes from L(G) alone; it only shares the batches of primes
     of the layers, which on small graphs saves the numpy calls of a
     reduction of its own. The second is the product of the layer polynomials chi_h, h = 0..min(k, n - k):
     chi_0 = x, as every I - tau_uv vanishes on the constant functions, and
     chi_h = charpoly(M_h) for h >= 1 (see ``token_layers``).
     """
-    p, *chis = char_polys([base, *token_layers(tg)])
+    layers = token_layers(g, k, cap)
+    p, *chis = char_polys([laplacian(g), *layers])
     q = IntPoly((0, 1))
     for chi in chis:
         q = q * chi
@@ -592,9 +569,6 @@ def cycle_path_identity_check(h: int) -> bool:
     """
     if h < 3:
         raise ValueError("need h >= 3")
-    from .graphs import cycle_graph, path_graph
-    from .spectra import laplacian, principal_submatrix
-
     sub = principal_submatrix(laplacian(cycle_graph(h)), range(1, h))
     lhs = IntPoly((0, 1)) * char_poly(sub)
     rhs = char_poly(laplacian(path_graph(h)))

@@ -235,20 +235,23 @@ class KiteSpec:
     def n(self) -> int:
         return self.head.n + self.s * self.r
 
+    def label(self, i: int, j: int) -> int:
+        """Label of tail vertex (i, j), the j-th vertex of path i (1-based): head.n + (i-1)*r + (j-1)."""
+        return self.head.n + (i - 1) * self.r + (j - 1)
+
+    def levels(self) -> list[list[int]]:
+        """U_1, ..., U_r: U_j holds the labels of the level-j vertices of paths 2..s."""
+        return [[self.label(i, j) for i in range(2, self.s + 1)] for j in range(1, self.r + 1)]
+
 
 def build_kite(spec: KiteSpec) -> tuple[Graph, dict[tuple[int, int], int]]:
     """Build the kite; head vertices keep their labels.
 
     Tail vertex (i, j) of path i (1-based, i = 1..s, j = 1..r) gets label
-    head.n + (i-1)*r + (j-1); path i runs root, (i,1), ..., (i,r). Returns
-    the graph plus the (i, j) -> label table.
+    spec.label(i, j); path i runs root, (i,1), ..., (i,r). Returns the graph
+    plus the (i, j) -> label table.
     """
-    h = spec.head.n
-    table = {
-        (i, j): h + (i - 1) * spec.r + (j - 1)
-        for i in range(1, spec.s + 1)
-        for j in range(1, spec.r + 1)
-    }
+    table = {(i, j): spec.label(i, j) for i in range(1, spec.s + 1) for j in range(1, spec.r + 1)}
     edges = list(spec.head.edges)
     for i in range(1, spec.s + 1):
         prev = spec.root
@@ -419,16 +422,19 @@ def parse_edge_list(text: str) -> Graph:
 # seeded random instances for sweeps
 
 
-def random_connected_gnp(n: int, p: float, rng: random.Random, max_tries: int = 2000) -> Graph:
+GNP_TRIES = 2000  # draws random_connected_gnp makes before it gives up
+
+
+def random_connected_gnp(n: int, p: float, rng: random.Random) -> Graph:
     """Erdos-Renyi G(n, p) conditioned on connectivity, deterministic per rng state."""
     if n < 1:
         raise GraphError("need n >= 1")
-    for _ in range(max_tries):
+    for _ in range(GNP_TRIES):
         edges = tuple(e for e in combinations(range(n), 2) if rng.random() < p)
         g = Graph(n, edges)
         if g.is_connected():
             return g
-    raise GraphError(f"no connected G({n}, {p}) found in {max_tries} tries")
+    raise GraphError(f"no connected G({n}, {p}) found in {GNP_TRIES} tries")
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:

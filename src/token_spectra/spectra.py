@@ -25,6 +25,7 @@ from .tokens import TokenGraph, lift, require_memory
 
 DEFAULT_RESID_TOL = 1e-9
 DEFAULT_GROUP_TOL = 1e-8
+PAIR_TOL = 1e-7  # rank cut of eigenspace_has_equal_pair, relative to the largest singular value
 
 
 class NumericalError(RuntimeError):
@@ -235,7 +236,7 @@ def _sparse_token_alpha(tg: TokenGraph) -> tuple[float, float | None]:
     a_base = algebraic_connectivity(base)[0]
     lap = sparse_laplacian(g)
     degree = lap.diagonal()
-    y = lift(base.n, tg.k).toarray()
+    y = lift(base.n, tg.k)
     jacobi = diags_array(1.0 / np.maximum(degree, 1.0))
     scale = max(1.0, float(degree.max()) + 1.0)  # Grone-Merris: Delta + 1 <= lambda_max
     bound = DEFAULT_RESID_TOL * scale
@@ -276,7 +277,6 @@ def theta(r: int, k: int) -> float:
 def eigenspace_has_equal_pair(
     basis: np.ndarray,
     pairs: Sequence[tuple[int, int]] | tuple[int, int],
-    tol: float = 1e-7,
 ) -> tuple[bool, np.ndarray | None]:
     """Does some nonzero vector in span(basis) take equal values on every pair?
 
@@ -297,7 +297,7 @@ def eigenspace_has_equal_pair(
         return True, witness / np.linalg.norm(witness)
     _, sing, vh = np.linalg.svd(rows)
     smax = float(sing[0]) if sing.size else 0.0
-    rank = int((sing > tol * max(1.0, smax)).sum())
+    rank = int((sing > PAIR_TOL * max(1.0, smax)).sum())
     if rank >= d:
         return False, None
     witness = basis @ vh[-1]

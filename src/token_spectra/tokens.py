@@ -76,23 +76,30 @@ def _colex_subsets(n: int, j: int) -> np.ndarray:
     return subsets[np.lexsort(subsets.T)]
 
 
-def lift(n: int, k: int):
-    """The C(n, k) x n membership matrix B of k-subsets in colex order, as scipy CSR.
+def lift(n: int, k: int) -> np.ndarray:
+    """The C(n, k) x n membership matrix B of k-subsets in colex order, as a dense float array.
 
     Row i has a 1 in each column of the i-th k-subset. B intertwines the
     Laplacians, L(F_k) B = B L(G), and has full column rank for 1 <= k < n.
-    For k > n/2 row i is the complement of the (C(n, k) - 1 - i)-th (n - k)-subset.
+    For k > n/2 row i is the complement of the (C(n, k) - 1 - i)-th (n - k)-subset,
+    so B is 1 - B_(n-k) with its rows reversed.
     """
-    from scipy.sparse import csr_array
+    if 2 * k > n:
+        return 1.0 - lift(n, n - k)[::-1]
+    members = _colex_subsets(n, k)
+    out = np.zeros((len(members), n))
+    out[np.arange(len(members))[:, None], members] = 1.0
+    return out
 
-    j = min(k, n - k)
-    members = _colex_subsets(n, j)
-    if j < k:
-        mask = np.ones((len(members), n), dtype=bool)
-        mask[np.arange(len(members))[:, None], members] = False
-        members = np.nonzero(mask[::-1])[1].reshape(-1, k)
-    size = len(members)
-    return csr_array((np.ones(size * k), members.ravel(), np.arange(0, size * k + 1, k)), shape=(size, n))
+
+def token_order(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
+    """C(n, k), the k-token graph's order; GraphError unless 1 <= k <= n - 1, CapExceededError past the cap."""
+    if not 1 <= k <= n - 1:
+        raise GraphError(f"need 1 <= k <= n-1, got n={n} k={k}")
+    size = comb(n, k)
+    if size > cap:
+        raise CapExceededError(f"token graph would have {size} vertices, cap is {cap}")
+    return size
 
 
 def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
@@ -102,11 +109,7 @@ def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     Raises CapExceededError past the vertex cap or the physical memory.
     """
     n = g.n
-    if not 1 <= k <= n - 1:
-        raise GraphError(f"need 1 <= k <= n-1, got n={n} k={k}")
-    size = comb(n, k)
-    if size > cap:
-        raise CapExceededError(f"token graph would have {size} vertices, cap is {cap}")
+    size = token_order(n, k, cap)
     j = min(k, n - k)
     require_memory(TOKEN_BYTES_PER_ROW * g.m * comb(n - 1, j - 1), f"the {k}-token graph of {n} vertices")
     subsets = _colex_subsets(n, j)

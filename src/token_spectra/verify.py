@@ -14,7 +14,7 @@ Vertices in witnesses are reported both 0-indexed (internal labels) and
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import sqrt
 from typing import Iterable, Sequence
@@ -36,6 +36,7 @@ from .graphs import (
     remove_edges,
 )
 from .spectra import (
+    PAIR_TOL,
     algebraic_connectivity,
     eig_sym,
     eigenspace_has_equal_pair,
@@ -44,11 +45,10 @@ from .spectra import (
     theta,
     token_alpha,
 )
-from .tokens import DEFAULT_CAP, token_graph
+from .tokens import DEFAULT_CAP, token_graph, token_order
 
 DEFAULT_ALPHA_TOL = 1e-7
 DEFAULT_FLOAT_CONTAIN_TOL = 1e-6
-PAIR_TOL = 1e-7  # rank cut of the equal-pair test in edge-add-iff
 CONTAIN_TOL = 1e-3  # how far a kite eigenvalue may move under U_j level edges
 BRIDGE_TOL = 1e-9  # kite-head: submatrix eigenvalue against its closed form
 
@@ -77,14 +77,7 @@ class Certificate:
         return self.verdict == FAIL
 
     def to_json_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "graph": self.graph,
-            "verdict": self.verdict,
-            "witnesses": self.witnesses,
-            "tolerances": self.tolerances,
-            "runtime_ms": self.runtime_ms,
-        }
+        return asdict(self)
 
 
 def _graph_field(g: Graph | None) -> dict:
@@ -143,10 +136,9 @@ def check_spectral_containment(
     if mode not in ("exact", "float"):
         raise GraphError(f"unknown mode {mode!r}")
     t0 = time.perf_counter()
-    tg = token_graph(g, k, cap=cap)
-    witnesses: dict = {"k": k, "token_vertices": tg.graph.n, "mode": mode}
+    witnesses: dict = {"k": k, "token_vertices": token_order(g.n, k, cap), "mode": mode}
     if mode == "exact":
-        p, q = token_char_polys(tg, laplacian(g))
+        p, q = token_char_polys(g, k, cap)
         divides, result = poly_divides(p, q)
         if divides:
             witnesses["quotient_degree"] = result.degree
@@ -157,6 +149,7 @@ def check_spectral_containment(
         return _finish("containment", g, verdict, witnesses, {"mode": "exact"}, t0)
 
     spec_g = eig_sym(laplacian(g).astype(float)).values
+    tg = token_graph(g, k, cap=cap)
     spec_t = eig_sym(laplacian(tg.graph).astype(float)).values  # the int64 matrix is freed before eigh
     bound = tol * max(1.0, float(spec_t[-1]))
     unmatched = []
@@ -213,7 +206,7 @@ def check_edge_add_alpha_iff(
     a0, basis = algebraic_connectivity(g)
     a1, _ = algebraic_connectivity(add_edges(g, [(u, v)]))
     lhs = abs(a1 - a0) <= tol * max(1.0, abs(a0))
-    rhs, wit = eigenspace_has_equal_pair(basis, (u, v), tol=PAIR_TOL)
+    rhs, wit = eigenspace_has_equal_pair(basis, (u, v))
     witnesses = {
         "pair": _pair_witness(u, v),
         "alpha_before": a0,
@@ -289,16 +282,11 @@ def check_pendant_bound(
 # kite machinery
 
 
-def _tail_index(spec: KiteSpec) -> dict[int, tuple[int, int]]:
-    _, table = build_kite(spec)
-    return {label: ij for ij, label in table.items()}
-
-
 def _validate_level_edges(
     spec: KiteSpec, edges: Iterable[tuple[int, int]], min_path: int
 ) -> list[tuple[int, int]]:
     # edges must join tail vertices on one level j, with path indices >= min_path
-    where = _tail_index(spec)
+    where = {spec.label(i, j): (i, j) for i in range(1, spec.s + 1) for j in range(1, spec.r + 1)}
     out = []
     for u, v in edges:
         if u not in where or v not in where:
@@ -389,28 +377,12 @@ def build_kite_symmetrizer(spec: KiteSpec) -> np.ndarray:
     U_j holds the level-j vertices of paths 2..s. Returned scaled by
     (s-1) so all entries are integers.
     """
-    _, table = build_kite(spec)
-    n = spec.n
-    s = spec.s
-    m = np.zeros((n, n), dtype=np.int64)
-    for w in range(spec.head.n):
-        m[w, w] = s - 1
-    for j in range(1, spec.r + 1):
-        m[table[(1, j)], table[(1, j)]] = s - 1
-        level = [table[(i, j)] for i in range(2, s + 1)]
-        for a in level:
-            for b in level:
-                m[a, b] = 1
+    m = np.zeros((spec.n, spec.n), dtype=np.int64)
+    fixed = [*range(spec.head.n), *(spec.label(1, j) for j in range(1, spec.r + 1))]
+    m[fixed, fixed] = spec.s - 1
+    for level in spec.levels():
+        m[np.ix_(level, level)] = 1
     return m
-
-
-def _default_uj_edges(spec: KiteSpec) -> list[tuple[int, int]]:
-    _, table = build_kite(spec)
-    out = []
-    for j in range(1, spec.r + 1):
-        level = [table[(i, j)] for i in range(2, spec.s + 1)]
-        out.extend(combinations(level, 2))
-    return out
 
 
 def check_symmetrizer_commutation(
@@ -426,9 +398,9 @@ def check_symmetrizer_commutation(
     perturbed by edges inside the U_j levels (within CONTAIN_TOL).
     """
     t0 = time.perf_counter()
-    g, table = build_kite(spec)
+    g, _ = build_kite(spec)
     if uj_edges is None:
-        edges = _default_uj_edges(spec)
+        edges = [e for level in spec.levels() for e in combinations(level, 2)]
     else:
         edges = _validate_level_edges(spec, uj_edges, min_path=2)
     L = laplacian(g)
@@ -439,9 +411,7 @@ def check_symmetrizer_commutation(
     spec_g = eig_sym(L)
     stable = True
     some_nonzero_image = True
-    level_sets = [
-        [table[(i, j)] for i in range(2, spec.s + 1)] for j in range(1, spec.r + 1)
-    ]
+    level_sets = spec.levels()
     for grp in spec_g.groups:
         img = S @ grp.basis
         # containment in the eigenspace: projection onto the complement vanishes

@@ -10,7 +10,6 @@ from click.testing import CliRunner
 
 from token_spectra import exact, tokens, verify
 from token_spectra.cli import CHECKS, EXIT_CANCEL, main
-from token_spectra.exact import OperationCancelled
 from token_spectra.graphs import (
     KiteSpec,
     complete_graph,
@@ -93,6 +92,35 @@ class TestConstruct:
     def test_token_cap_exit_3(self, runner):
         res = runner.invoke(main, ["construct", "token", "--graph", "path:30", "-k", "8", "--cap", "100"])
         assert res.exit_code == 3
+
+    # one case per family: its argv, with options it reads, then the unread flags
+    @pytest.mark.parametrize("argv, unread", [
+        (["path", "3", "--head", "cycle:4", "-s", "9", "--mode", "star_y"], "'--head', '-s', '--mode'"),
+        (["cycle", "4", "--chord", "1,3"], "'--chord'"),
+        (["complete", "3", "-k", "2"], "'-k'"),
+        (["complete_bipartite", "2", "3", "--root", "1"], "'--root'"),
+        (["star", "3", "-o", "-", "--tree", "path:2"], "'--tree'"),
+        (["kite", "--head", "cycle:4", "-s", "3", "-r", "3", "--tree-root", "1"], "'--tree-root'"),
+        (["kite", "5", "--head", "cycle:4", "-s", "3", "-r", "3"], "'[PARAMS]...'"),
+        (["superkite", "--head", "complete:3", "--tree", "path:3", "-s", "2", "-r", "2"], "'-r'"),
+        (["cutclique", "-r", "1", "--comp", "complete:1*4", "--nu", "4"], "'--nu'"),
+        (["extcycle", "5", "--chord", "1,4", "--edge", "0,1"], "'--edge'"),
+        (["bipartite", "2", "3", "--mode", "star_y", "--graph", "path:3"], "'--graph'"),
+        (["token", "--graph", "path:4", "-k", "2", "--comp", "complete:2"], "'--comp'"),
+    ])
+    def test_unread_option_exits_2(self, runner, argv, unread):
+        res = runner.invoke(main, ["construct", *argv])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr.endswith(f"Error: family {argv[0]!r} does not take {unread}\n")
+
+    def test_options_a_family_reads_are_accepted(self, runner):
+        for argv in (["kite", "--head", "cycle:4", "--root", "1", "-s", "2", "-r", "1", "-o", "-"],
+                     ["superkite", "--head", "complete:3", "--root", "1", "--tree", "path:3", "--tree-root", "1",
+                      "-s", "2"],
+                     ["extcycle", "6", "--chord", "1,4", "--nu", "5"],
+                     ["bipartite", "2", "3", "--mode", "plus_x", "--edge", "0,1"],
+                     ["token", "--graph", "path:4", "-k", "2", "--cap", "6"]):
+            assert runner.invoke(main, ["construct", *argv]).exit_code == 0, argv
 
 
 class TestSpectrum:
@@ -311,7 +339,7 @@ class TestVerifyMatchesDirectCalls:
 
 
 class TestCancel:
-    @pytest.mark.parametrize("exc", [KeyboardInterrupt, OperationCancelled])
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt])
     @pytest.mark.parametrize("extra", [[], ["--exact"]])
     def test_verify_cancel_exits_130(self, runner, y_file, monkeypatch, exc, extra):
         def interrupted(*args, **kwargs):
@@ -335,6 +363,22 @@ class TestCancel:
         runner.invoke(main, ["verify", "containment", "--graph", y_file, "-k", "2", "--exact"])
         runner.invoke(main, ["spectrum", "complete:3", "--exact"])
         assert signal.getsignal(signal.SIGINT) is before
+
+
+class TestExactRefusals:
+    """Where j = min(k, n - k) is 1 the exact route builds no token graph, and still refuses."""
+
+    @pytest.mark.parametrize("k", ["1", "4"])
+    def test_cap_below_n_exits_3(self, runner, k):
+        res = runner.invoke(main, ["verify", "containment", "--graph", "path:5", "-k", k, "--exact", "--cap", "4"])
+        assert res.exit_code == 3
+        assert res.stdout == "" and res.stderr == "error: token graph would have 5 vertices, cap is 4\n"
+
+    @pytest.mark.parametrize("k", ["0", "5"])
+    def test_k_outside_1_to_n_minus_1_exits_2(self, runner, k):
+        res = runner.invoke(main, ["verify", "containment", "--graph", "path:5", "-k", k, "--exact"])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr.endswith(f"Error: need 1 <= k <= n-1, got n=5 k={k}\n")
 
 
 class TestMemoryGuard:

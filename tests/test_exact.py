@@ -6,11 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from token_spectra import exact
+from token_spectra import exact, verify
 from token_spectra.exact import (
-    CancelToken,
     IntPoly,
-    OperationCancelled,
     char_poly,
     count_roots_in_interval,
     cycle_path_identity_check,
@@ -20,6 +18,7 @@ from token_spectra.exact import (
 )
 from token_spectra.graphs import (
     Graph,
+    GraphError,
     build_bipartite_extension,
     build_cut_clique_join,
     complete_graph,
@@ -27,7 +26,7 @@ from token_spectra.graphs import (
     random_connected_gnp,
 )
 from token_spectra.spectra import laplacian, principal_submatrix
-from token_spectra.tokens import token_graph
+from token_spectra.tokens import DEFAULT_CAP, CapExceededError, token_graph
 from token_spectra.verify import check_spectral_containment
 
 from helpers import (
@@ -113,12 +112,6 @@ class TestCharPoly:
 
     def test_accepts_integral_float_matrix(self):
         assert char_poly(np.array([[1.0, -1.0], [-1.0, 1.0]])) == IntPoly((0, -2, 1))
-
-    def test_cancellation(self):
-        token = CancelToken()
-        token.cancel()
-        with pytest.raises(OperationCancelled):
-            char_poly(laplacian(complete_graph(5)), cancel=token)
 
 
 def _token_laplacians(graphs, ks=(2, 3)):
@@ -273,25 +266,6 @@ class TestMultimodularInvariants:
             assert char_poly(m) != expected, target
         monkeypatch.setattr(exact, "_char_poly_mod", real)
         assert char_poly(m) == expected
-
-
-class TestCancelMidRun:
-    def test_cancel_on_second_check(self):
-        class CancelOnSecondCheck(CancelToken):
-            checks = 0
-
-            def check(self):
-                self.checks += 1
-                if self.checks == 2:
-                    self.cancel()
-                super().check()
-
-        m = laplacian(path_graph(300))  # at this order each batch holds one prime
-        assert len(_primes_for(m)) > 1
-        token = CancelOnSecondCheck()
-        with pytest.raises(OperationCancelled):
-            char_poly(m, cancel=token)
-        assert token.checks == 2
 
 
 class TestPolyDivides:
@@ -449,33 +423,36 @@ class TestLayers:
         assert graphs
         for g in graphs:
             for k in range(1, g.n):  # k and n - k, and the single layer at k = 1, n - 1
-                tg = token_graph(g, k)
-                p, q = token_char_polys(tg, laplacian(g))
-                assert q == char_poly(laplacian(tg.graph)), (g.n, g.edges, k)
+                p, q = token_char_polys(g, k)
+                assert q == char_poly(laplacian(token_graph(g, k).graph)), (g.n, g.edges, k)
                 assert p == char_poly(laplacian(g))
 
     def test_n10_k5(self):
         tg = token_graph(random_connected_gnp(10, 0.5, random.Random(105)), 5)
         assert tg.graph.n == 252
-        assert token_char_polys(tg, laplacian(tg.base))[1] == char_poly(laplacian(tg.graph))
+        assert token_char_polys(tg.base, 5)[1] == char_poly(laplacian(tg.graph))
 
     def test_dimensions(self):
         for n in range(2, 12):
             g = random_connected_gnp(n, 0.5, random.Random(n))
             for k in range(1, n):
                 j = min(k, n - k)
-                dims = [len(m) for m in token_layers(token_graph(g, k))]
+                dims = [len(m) for m in token_layers(g, k)]
                 assert dims == [math.comb(n, h) - math.comb(n, h - 1) for h in range(1, j + 1)]
                 assert 1 + sum(dims) == math.comb(n, k)
 
     @pytest.mark.parametrize("g", family_corpus(8) + random_corpus(4, n_range=(6, 9), seed=62),
                              ids=lambda g: f"n{g.n}m{g.m}")
     def test_layers_do_not_depend_on_k(self, g):
-        # at k = h the last layer comes straight from F_h; other k reach M_h
-        # through a smaller j, or through F_(n-h) read in reversed colex order
-        direct = {h: token_layers(token_graph(g, h))[-1] for h in range(1, g.n // 2 + 1)}
+        # M_h from F_h, and from F_(n-h) read in reversed colex order, as complementing
+        # every subset maps one onto the other; token_layers gives it at every k
+        direct = {}
+        for h in range(1, g.n // 2 + 1):
+            direct[h] = exact.layer_matrix(g.n, h, token_graph(g, h).graph.edge_array)
+            other = token_graph(g, g.n - h).graph
+            assert np.array_equal(exact.layer_matrix(g.n, h, other.n - 1 - other.edge_array), direct[h]), h
         for k in range(1, g.n):
-            for h, m in enumerate(token_layers(token_graph(g, k)), start=1):
+            for h, m in enumerate(token_layers(g, k), start=1):
                 assert np.array_equal(m, direct[h]), (k, h)
 
     @pytest.mark.parametrize("corpus", ["families_7", "disconnected", "random_8_9"])
@@ -487,15 +464,39 @@ class TestLayers:
     def test_base_polynomial_is_not_taken_from_the_layers(self, monkeypatch):
         g = random_connected_gnp(7, 0.5, random.Random(71))
         real = exact.token_layers
-        monkeypatch.setattr(exact, "token_layers", lambda tg: [m + 1 for m in real(tg)])
-        p, q = token_char_polys(token_graph(g, 3), laplacian(g))
+        monkeypatch.setattr(exact, "token_layers", lambda g, k, cap: [m + 1 for m in real(g, k, cap)])
+        p, q = token_char_polys(g, 3)
         assert p == char_poly(laplacian(g))
         assert not poly_divides(p, q)[0]
+
+    def test_each_token_graph_is_built_once_and_never_past_n_over_2(self, monkeypatch):
+        orders = []
+        real = exact.token_graph
+        monkeypatch.setattr(exact, "token_graph", lambda g, h, cap: orders.append(h) or real(g, h, cap))
+        monkeypatch.setattr(verify, "token_graph", lambda *a, **kw: pytest.fail("the exact route built F_k"))
+        for n in (8, 9):
+            g = random_connected_gnp(n, 0.5, random.Random(90 + n))
+            for k in range(1, n):
+                orders.clear()
+                assert check_spectral_containment(g, k).passed
+                assert orders == list(range(2, min(k, n - k) + 1)), (n, k)
+
+    @pytest.mark.parametrize("route", [token_layers, token_char_polys,
+                                       lambda g, k, cap=DEFAULT_CAP: check_spectral_containment(g, k, cap=cap)])
+    def test_refusals_where_no_token_graph_is_built(self, route):
+        # at k = 1 and k = n - 1, j = 1 and only G itself is read
+        g = path_graph(5)
+        for k in (1, 4):
+            with pytest.raises(CapExceededError, match="^token graph would have 5 vertices, cap is 4$"):
+                route(g, k, 4)
+        for k in (0, 5):
+            with pytest.raises(GraphError, match=f"^need 1 <= k <= n-1, got n=5 k={k}$"):
+                route(g, k)
 
     def test_k1_quotient_is_one(self):
         for g in family_corpus(6):
             for k in (1, g.n - 1):
-                assert len(token_layers(token_graph(g, k))) == 1
+                assert len(token_layers(g, k)) == 1
                 cert = check_spectral_containment(g, k)
                 assert cert.passed
                 assert (cert.witnesses["quotient_degree"], cert.witnesses["quotient"]) == (0, ["1"])
@@ -524,7 +525,7 @@ class TestLayerCertificate:
     def test_overflow_guard(self, monkeypatch):
         _corrupt_one_entry(monkeypatch, 1 << 62)
         with pytest.raises(AssertionError, match="overflow"):
-            token_layers(token_graph(complete_graph(5), 2))
+            token_layers(complete_graph(5), 2)
 
     def test_dimension_check(self, monkeypatch):
         real = exact._standard_polytabloids
@@ -535,7 +536,7 @@ class TestLayerCertificate:
 
         monkeypatch.setattr(exact, "_standard_polytabloids", one_short)
         with pytest.raises(AssertionError, match="standard polytabloids"):
-            token_layers(token_graph(complete_graph(5), 2))
+            token_layers(complete_graph(5), 2)
 
     @pytest.mark.parametrize("n,h", [(4, 1), (6, 2), (7, 3), (8, 4)])
     def test_unsigned_sums_leave_the_kernel_of_the_down_map(self, monkeypatch, n, h):
