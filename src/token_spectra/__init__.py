@@ -27,7 +27,6 @@ from .tokens import (
     token_graph,
 )
 from .spectra import (
-    EigenGroup,
     NumericalError,
     Spectrum,
     algebraic_connectivity,

@@ -46,7 +46,7 @@ def _parse_graph_spec(spec: str) -> Graph:
     """Parse "family:params" (e.g. cycle:4, complete_bipartite:2,3) or a file path."""
     if ":" in spec:
         name, _, rest = spec.partition(":")
-        if name in graphs._STANDARD_FAMILIES:
+        if name in graphs.STANDARD_FAMILIES:
             try:
                 params = [int(x) for x in rest.split(",") if x != ""]
             except ValueError as exc:
@@ -154,10 +154,10 @@ def construct(ctx, family, **opts):
     opts = _ReadRecorder(ctx, f"family {family!r}", opts)
     need = opts.need
     try:
-        if family in graphs._STANDARD_FAMILIES:
+        if family in graphs.STANDARD_FAMILIES:
             g = graphs.build_standard(family, list(opts["params"]))
         elif family == "kite":
-            g, _ = graphs.build_kite(_kite_spec(opts, need))
+            g = graphs.build_kite(_kite_spec(opts, need))
         elif family == "superkite":
             g = graphs.build_superkite(_parse_graph_spec(need("head")), opts["root"],
                                        _parse_graph_spec(need("tree")), opts["tree_root"], need("s"))
@@ -197,11 +197,13 @@ def construct(ctx, family, **opts):
 def spectrum(graph_spec, exact_flag, tol, group_tol, pretty, output):
     """Laplacian spectrum of a graph, as JSON."""
     g = _parse_graph_spec(graph_spec)
-    spec = spectra.eig_sym(spectra.laplacian(g), resid_tol=tol, group_tol=group_tol)
-    doc = spec.to_json_dict()
-    doc["n"] = g.n
-    doc["m"] = g.m
-    doc["algebraic_connectivity"] = float(spec.values[1]) if g.n >= 2 else None
+    spec = spectra.eig_sym(spectra.laplacian(g).astype(float), resid_tol=tol, group_tol=group_tol)
+    doc = {"values": spec.values.tolist(),
+           "groups": [{"value": value, "mult": grp.stop - grp.start}
+                      for value, grp in zip(spec.distinct_values(), spec.groups)],
+           "tolerances": {"resid_tol": tol, "group_tol": group_tol},
+           "n": g.n, "m": g.m,
+           "algebraic_connectivity": spectra.fiedler_value(spec.values) if g.n >= 2 else None}
     if exact_flag:
         doc["char_poly"] = exact.char_poly(spectra.laplacian(g)).to_json_list()
     _emit(_json_dump(doc, pretty), output)
@@ -230,7 +232,7 @@ def _kite_head(opts: dict, need):
 def _cut_clique(opts: dict, need):
     removed = _pairs(opts["remove"])
     comps = _parse_components(need("comp"))
-    return (need("r"), comps), dict(full_join=not removed, removed_join_edges=removed)
+    return (need("r"), comps), dict(removed_join_edges=removed)
 
 
 # check id -> (name of its verify.check_* function, the instance it takes,

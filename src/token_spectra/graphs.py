@@ -168,27 +168,24 @@ def star_graph(leaves: int) -> Graph:
     return complete_bipartite_graph(1, leaves)
 
 
-_STANDARD_FAMILIES = ("path", "cycle", "complete", "complete_bipartite", "star")
+# family name -> constructor; complete_bipartite takes two parameters, the others one
+STANDARD_FAMILIES = {
+    "path": path_graph,
+    "cycle": cycle_graph,
+    "complete": complete_graph,
+    "complete_bipartite": complete_bipartite_graph,
+    "star": star_graph,
+}
 
 
 def build_standard(family: str, params: Sequence[int]) -> Graph:
     """Dispatch to a standard family constructor by name."""
-    if family not in _STANDARD_FAMILIES:
+    if family not in STANDARD_FAMILIES:
         raise GraphError(f"unknown family {family!r}")
-    if family == "complete_bipartite":
-        if len(params) != 2:
-            raise GraphError("complete_bipartite takes two parameters")
-        return complete_bipartite_graph(params[0], params[1])
-    if len(params) != 1:
-        raise GraphError(f"{family} takes one parameter")
-    (p,) = params
-    if family == "path":
-        return path_graph(p)
-    if family == "cycle":
-        return cycle_graph(p)
-    if family == "complete":
-        return complete_graph(p)
-    return star_graph(p)
+    two = family == "complete_bipartite"
+    if len(params) != 1 + two:
+        raise GraphError(f"{family} takes {'two parameters' if two else 'one parameter'}")
+    return STANDARD_FAMILIES[family](*params)
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +241,16 @@ class KiteSpec:
         return [[self.label(i, j) for i in range(2, self.s + 1)] for j in range(1, self.r + 1)]
 
 
-def build_kite(spec: KiteSpec) -> tuple[Graph, dict[tuple[int, int], int]]:
+def build_kite(spec: KiteSpec) -> Graph:
     """Build the kite; head vertices keep their labels.
 
     Tail vertex (i, j) of path i (1-based, i = 1..s, j = 1..r) gets label
-    spec.label(i, j); path i runs root, (i,1), ..., (i,r). Returns the graph
-    plus the (i, j) -> label table.
+    spec.label(i, j); path i runs root, (i,1), ..., (i,r).
     """
-    table = {(i, j): spec.label(i, j) for i in range(1, spec.s + 1) for j in range(1, spec.r + 1)}
-    edges = list(spec.head.edges)
-    for i in range(1, spec.s + 1):
-        prev = spec.root
-        for j in range(1, spec.r + 1):
-            edges.append((prev, table[(i, j)]))
-            prev = table[(i, j)]
-    return Graph(spec.n, tuple(edges)), table
+    tail = spec.head.n + np.arange(spec.s * spec.r).reshape(spec.s, spec.r)  # tail[i-1, j-1] = spec.label(i, j)
+    prev = np.column_stack((np.full(spec.s, spec.root), tail[:, :-1]))
+    paths = np.column_stack((prev.ravel(), tail.ravel()))
+    return Graph(spec.n, np.concatenate((spec.head.edge_array, paths)))
 
 
 def build_superkite(head: Graph, root: int, tree: Graph, tree_root: int, s: int) -> Graph:

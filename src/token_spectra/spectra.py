@@ -4,8 +4,9 @@ route to the algebraic connectivity of large token graphs.
 The dense eigensolver is LAPACK's symmetric solver reached through
 numpy; this module adds the contracts the verification layer depends on:
 ascending eigenvalues, clustering into eigenspace groups at a relative gap
-tolerance, a residual check on every basis vector, and sign-canonicalized
-bases so repeated runs produce identical output.
+tolerance, a residual check on every eigenvector, and sign-canonicalized
+eigenvectors so repeated runs produce identical output. A Spectrum's
+groups are slices into its values and its read-only eigenvector columns.
 
 Grouping matters because several checks quantify over the *whole*
 eigenspace of the algebraic connectivity: a single computed eigenvector is
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -75,39 +76,24 @@ def principal_submatrix(m: np.ndarray, keep: Iterable[int]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EigenGroup:
-    """One eigenspace: the member eigenvalues and an orthonormal basis."""
-
-    value: float  # representative (mean of members)
-    members: tuple[float, ...]
-    basis: np.ndarray  # (order, mult), orthonormal columns
-
-    @property
-    def mult(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class Spectrum:
-    values: np.ndarray  # ascending
-    groups: tuple[EigenGroup, ...]
-    resid_tol: float
-    group_tol: float
+    """Eigenpairs of a symmetric matrix, grouped into eigenspaces.
 
-    def group_of(self, index: int) -> EigenGroup:
+    For each slice grp in groups, values[grp] are the group's members and
+    vectors[:, grp] an orthonormal basis of its eigenspace.
+    """
+
+    values: np.ndarray  # ascending
+    vectors: np.ndarray  # (order, order), read-only; column i belongs to values[i]
+    groups: tuple[slice, ...]
+
+    def group_of(self, index: int) -> slice:
         """The group containing the index-th smallest eigenvalue."""
-        ends = np.cumsum([grp.mult for grp in self.groups])
-        return self.groups[int(np.searchsorted(ends, index, side="right"))]
+        return next(grp for grp in self.groups if index < grp.stop)
 
     def distinct_values(self) -> list[float]:
-        return [grp.value for grp in self.groups]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "values": [float(v) for v in self.values],
-            "groups": [{"value": g.value, "mult": g.mult} for g in self.groups],
-            "tolerances": {"resid_tol": self.resid_tol, "group_tol": self.group_tol},
-        }
+        """Each group's representative, the mean of its members."""
+        return [float(np.mean(self.values[grp])) for grp in self.groups]
 
 
 def _canonical_signs(vectors: np.ndarray) -> None:
@@ -137,7 +123,7 @@ def eig_sym(
         raise GraphError("matrix is not symmetric")
     n = a.shape[0]
     if n == 0:
-        return Spectrum(np.empty(0), (), resid_tol, group_tol)
+        return Spectrum(np.empty(0), np.empty((0, 0)), ())
     try:
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -152,29 +138,31 @@ def eig_sym(
         )
 
     _canonical_signs(q)
+    q.flags.writeable = False
     cuts = (np.flatnonzero(np.diff(w) > group_tol * scale) + 1).tolist()
-    members = w.tolist()
-    groups = tuple(
-        EigenGroup(value=float(np.mean(w[s:e])), members=tuple(members[s:e]), basis=q[:, s:e].copy())
-        for s, e in zip([0, *cuts], [*cuts, n])
-    )
-    return Spectrum(values=w, groups=groups, resid_tol=resid_tol, group_tol=group_tol)
+    groups = tuple(slice(s, e) for s, e in zip([0, *cuts], [*cuts, n]))
+    return Spectrum(values=w, vectors=q, groups=groups)
+
+
+def fiedler_value(values: np.ndarray) -> float:
+    """values[1] of an ascending Laplacian spectrum, set to exactly 0 (a disconnected
+    graph) when within DEFAULT_RESID_TOL * max(1, max |values|) of it."""
+    value = float(values[1])
+    scale = max(1.0, float(np.abs(values).max()))
+    return 0.0 if abs(value) <= DEFAULT_RESID_TOL * scale else value
 
 
 def algebraic_connectivity(g: Graph) -> tuple[float, np.ndarray]:
     """Second-smallest Laplacian eigenvalue and an orthonormal basis of its eigenspace.
 
-    For a disconnected graph the value is exactly 0. A single vertex has no
-    second eigenvalue, so n >= 2 is required.
+    For a disconnected graph the value is exactly 0 (see fiedler_value). A
+    single vertex has no second eigenvalue, so n >= 2 is required.
     """
     if g.n < 2:
         raise GraphError("algebraic connectivity needs n >= 2")
     spec = eig_sym(laplacian(g).astype(float))  # frees the int64 matrix before eigh
-    value = float(spec.values[1])
-    scale = max(1.0, float(np.abs(spec.values).max()))
-    if abs(value) <= DEFAULT_RESID_TOL * scale:
-        value = 0.0
-    return value, spec.group_of(1).basis
+    # a copy, so that the caller's basis does not keep the whole N x N matrix alive
+    return fiedler_value(spec.values), spec.vectors[:, spec.group_of(1)].copy()
 
 
 def sparse_laplacian(g: Graph):
@@ -274,14 +262,11 @@ def theta(r: int, k: int) -> float:
     return 2.0 + 2.0 * math.cos(2.0 * k * math.pi / (2 * r + 1))
 
 
-def eigenspace_has_equal_pair(
-    basis: np.ndarray,
-    pairs: Sequence[tuple[int, int]] | tuple[int, int],
-) -> tuple[bool, np.ndarray | None]:
-    """Does some nonzero vector in span(basis) take equal values on every pair?
+def eigenspace_has_equal_pair(basis: np.ndarray, pair: tuple[int, int]) -> tuple[bool, np.ndarray | None]:
+    """Does some nonzero vector in span(basis) take equal values at both vertices of pair?
 
-    Decided by the rank of the constraint matrix restricted to the basis:
-    a solution exists iff the rank is below the basis dimension. Returns a
+    Decided by the rank of the constraint row restricted to the basis: a
+    solution exists iff the rank is below the basis dimension. Returns a
     unit witness vector when one exists.
     """
     basis = np.asarray(basis, dtype=float)
@@ -290,14 +275,9 @@ def eigenspace_has_equal_pair(
     d = basis.shape[1]
     if d == 0:
         return False, None
-    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T  # a single pair may come bare
-    rows = basis[u] - basis[v]
-    if rows.size == 0:
-        witness = basis[:, 0]
-        return True, witness / np.linalg.norm(witness)
-    _, sing, vh = np.linalg.svd(rows)
-    smax = float(sing[0]) if sing.size else 0.0
-    rank = int((sing > PAIR_TOL * max(1.0, smax)).sum())
+    u, v = pair
+    _, sing, vh = np.linalg.svd(basis[[u]] - basis[[v]])
+    rank = int((sing > PAIR_TOL * max(1.0, float(sing[0]))).sum())
     if rank >= d:
         return False, None
     witness = basis @ vh[-1]

@@ -81,11 +81,7 @@ def lift(n: int, k: int) -> np.ndarray:
 
     Row i has a 1 in each column of the i-th k-subset. B intertwines the
     Laplacians, L(F_k) B = B L(G), and has full column rank for 1 <= k < n.
-    For k > n/2 row i is the complement of the (C(n, k) - 1 - i)-th (n - k)-subset,
-    so B is 1 - B_(n-k) with its rows reversed.
     """
-    if 2 * k > n:
-        return 1.0 - lift(n, n - k)[::-1]
     members = _colex_subsets(n, k)
     out = np.zeros((len(members), n))
     out[np.arange(len(members))[:, None], members] = 1.0

@@ -228,8 +228,8 @@ def check_interlacing(g: Graph, u: int, v: int, tol: float = DEFAULT_ALPHA_TOL) 
     if g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) already present")
     t0 = time.perf_counter()
-    w0 = eig_sym(laplacian(g)).values
-    w1 = eig_sym(laplacian(add_edges(g, [(u, v)]))).values
+    w0 = eig_sym(laplacian(g).astype(float)).values  # the int64 matrices are freed before eigh
+    w1 = eig_sym(laplacian(add_edges(g, [(u, v)])).astype(float)).values
     bound = tol * max(1.0, float(w1[-1]))
     violations = []
     for i in range(g.n):
@@ -313,7 +313,7 @@ def check_tail_edges_preserve_alpha(
     verdict is precondition_unmet: no claim is made either way.
     """
     t0 = time.perf_counter()
-    g, _ = build_kite(spec)
+    g = build_kite(spec)
     edges = _validate_level_edges(spec, added_edges, min_path=1)
     a0, _ = algebraic_connectivity(g)
     th = theta(spec.r, spec.r)
@@ -352,7 +352,7 @@ def check_kite_alpha_theta_iff(spec: KiteSpec, tol: float = DEFAULT_ALPHA_TOL) -
     agree on this kite.
     """
     t0 = time.perf_counter()
-    g, _ = build_kite(spec)
+    g = build_kite(spec)
     a, _ = algebraic_connectivity(g)
     th = theta(spec.r, spec.r)
     lam = _head_submatrix_min_eig(spec.head, spec.root)
@@ -398,7 +398,7 @@ def check_symmetrizer_commutation(
     perturbed by edges inside the U_j levels (within CONTAIN_TOL).
     """
     t0 = time.perf_counter()
-    g, _ = build_kite(spec)
+    g = build_kite(spec)
     if uj_edges is None:
         edges = [e for level in spec.levels() for e in combinations(level, 2)]
     else:
@@ -413,9 +413,10 @@ def check_symmetrizer_commutation(
     some_nonzero_image = True
     level_sets = spec.levels()
     for grp in spec_g.groups:
-        img = S @ grp.basis
+        basis = spec_g.vectors[:, grp]
+        img = S @ basis
         # containment in the eigenspace: projection onto the complement vanishes
-        out_of_space = img - grp.basis @ (grp.basis.T @ img)
+        out_of_space = img - basis @ (basis.T @ img)
         if np.abs(out_of_space).max() > tol * max(1.0, float(spec_g.values[-1])):
             stable = False
         norms = np.linalg.norm(img, axis=0)
@@ -518,7 +519,7 @@ def check_kite_head_family(
     else:
         raise GraphError(f"unknown variant {variant!r}")
 
-    g, _ = build_kite(spec)
+    g = build_kite(spec)
     witnesses["theta_r"] = theta(r, r)
     if not hypothesis:
         return _finish("kite-head", g, PRECONDITION_UNMET, witnesses, {"tol": tol}, t0)
@@ -618,7 +619,6 @@ def check_bipartite_extension(
 def check_cut_clique(
     r: int,
     components: Sequence[Graph],
-    full_join: bool = True,
     k: int = 2,
     removed_join_edges: Sequence[tuple[int, int]] = (),
     tol: float = DEFAULT_ALPHA_TOL,
@@ -632,16 +632,12 @@ def check_cut_clique(
     """
     t0 = time.perf_counter()
     g = build_cut_clique_join(r, components)
+    for u, v in removed_join_edges:
+        if not (min(u, v) < r <= max(u, v)):
+            raise GraphError(f"({u}, {v}) is not a clique-component join edge")
+    full_join = not removed_join_edges
     if not full_join:
-        if not removed_join_edges:
-            raise GraphError("partial join requires the removed join edges")
-        for u, v in removed_join_edges:
-            lo, hi = min(u, v), max(u, v)
-            if not (lo < r <= hi):
-                raise GraphError(f"({u}, {v}) is not a clique-component join edge")
         g = remove_edges(g, removed_join_edges)
-    elif removed_join_edges:
-        raise GraphError("removed_join_edges given but full_join is True")
 
     a, _ = algebraic_connectivity(g)
     bound_ok = a <= r + tol * max(1.0, float(r))

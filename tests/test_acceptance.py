@@ -108,9 +108,9 @@ def test_criterion_03_theta_table_reproduction():
 
 def test_criterion_04_triangle_head_kite_counterexample_values():
     spec = KiteSpec(head=complete_graph(3), root=0, s=3, r=3)
-    g, table = build_kite(spec)
-    level1 = (table[(1, 1)], table[(3, 1)])
-    level3 = (table[(1, 3)], table[(2, 3)])
+    g = build_kite(spec)
+    level1 = (spec.label(1, 1), spec.label(3, 1))
+    level3 = (spec.label(1, 3), spec.label(2, 3))
     g_plus = add_edges(g, [level1, level3])
     alpha_plus, _ = algebraic_connectivity(g_plus)
     alpha_minus, _ = algebraic_connectivity(remove_edges(g_plus, [level3]))
@@ -122,7 +122,7 @@ def test_criterion_04_triangle_head_kite_counterexample_values():
 
 def test_criterion_05_kite_symmetrizer_example():
     spec = KiteSpec(head=Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), root=0, s=3, r=3)
-    kite, table = build_kite(spec)
+    kite = build_kite(spec)
 
     alpha, _ = algebraic_connectivity(kite)
     # alpha here is exactly theta_3: the head submatrix eigenvalue 0.586
@@ -145,7 +145,7 @@ def test_criterion_05_kite_symmetrizer_example():
         out[:4] = vec[:4]
         for i in range(1, 4):
             for j in range(1, 4):
-                out[table[(i, j)]] = vec[4 + (j - 1) * 3 + (i - 1)]
+                out[spec.label(i, j)] = vec[4 + (j - 1) * 3 + (i - 1)]
         return out
 
     y = to_path_major(y_reference)
@@ -157,7 +157,7 @@ def test_criterion_05_kite_symmetrizer_example():
     assert per_entry <= 5e-5
 
     spec_g = eig_sym(L)
-    g_plus = add_edges(kite, [(table[(2, j)], table[(3, j)]) for j in range(1, 4)])
+    g_plus = add_edges(kite, [(spec.label(2, j), spec.label(3, j)) for j in range(1, 4)])
     spec_plus = eig_sym(laplacian(g_plus))
     worst = 0.0
     for val in spec_g.distinct_values():
@@ -171,7 +171,7 @@ def test_criterion_05_kite_symmetrizer_example():
 def test_criterion_06_perturbed_head_submatrix_values():
     head = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
     spec = KiteSpec(head=head, root=0, s=2, r=3)
-    kite, _ = build_kite(spec)
+    kite = build_kite(spec)
     keep = range(1, 6)
 
     lam_head = float(eig_sym(principal_submatrix(laplacian(head), keep)).values[0])
@@ -301,11 +301,11 @@ def test_criterion_10_random_property_suites():
             remove_edges(g, [(u, v)]) if g.has_edge(u, v) else add_edges(g, [(u, v)])
         )
         w2 = eig_sym(laplacian(toggled)).values
-        for grp in spec.groups:
-            ok, _ = eigenspace_has_equal_pair(grp.basis, (u, v))
+        for value, grp in zip(spec.distinct_values(), spec.groups):
+            ok, _ = eigenspace_has_equal_pair(spec.vectors[:, grp], (u, v))
             if ok and done < instances:
-                nearest = min(abs(grp.value - x) for x in w2)
-                assert nearest <= 1e-6 * max(1.0, abs(grp.value))
+                nearest = min(abs(value - x) for x in w2)
+                assert nearest <= 1e-6 * max(1.0, abs(value))
                 done += 1
 
     rng = random.Random(3004)

@@ -5,10 +5,11 @@ import multiprocessing
 import signal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from token_spectra import exact, tokens, verify
+from token_spectra import exact, spectra, tokens, verify
 from token_spectra.cli import CHECKS, EXIT_CANCEL, main
 from token_spectra.graphs import (
     KiteSpec,
@@ -135,6 +136,8 @@ class TestSpectrum:
         res = runner.invoke(main, ["spectrum", "complete:4"])
         doc = json.loads(res.output)
         assert [round(v, 6) for v in doc["values"]] == [0, 4, 4, 4]
+        assert [grp["mult"] for grp in doc["groups"]] == [1, 3]
+        assert abs(doc["groups"][1]["value"] - 4.0) < 1e-9
 
     def test_kite_spec(self, runner):
         res = runner.invoke(main, ["construct", "kite", "--head", "cycle:4", "-s", "3", "-r", "3"])
@@ -149,6 +152,42 @@ class TestSpectrum:
         res = runner.invoke(main, ["spectrum", "complete:2", "--exact"])
         doc = json.loads(res.output)
         assert doc["char_poly"] == ["0", "-2", "1"]
+
+    @pytest.mark.parametrize("flags", [[], ["--exact"], ["--tol", "1e-6", "--group-tol", "1e-4"]])
+    def test_json_document(self, runner, y_file, flags):
+        res = runner.invoke(main, ["spectrum", y_file, *flags])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        keys = ["values", "groups", "tolerances", "n", "m", "algebraic_connectivity"]
+        assert list(doc) == keys + (["char_poly"] if "--exact" in flags else [])
+        assert all(list(grp) == ["value", "mult"] for grp in doc["groups"])
+        assert sum(grp["mult"] for grp in doc["groups"]) == len(doc["values"]) == doc["n"] == 5
+        tol, group_tol = (1e-6, 1e-4) if "--tol" in flags else (1e-9, 1e-8)
+        assert doc["tolerances"] == {"resid_tol": tol, "group_tol": group_tol}
+        assert doc["m"] == 4 and doc["algebraic_connectivity"] == doc["values"][1]
+
+    def test_disconnected_alpha_is_zero(self, runner, tmp_path):
+        path = tmp_path / "disconnected.el"
+        path.write_text("5 3\n0 1\n1 2\n3 4\n")
+        doc = json.loads(runner.invoke(main, ["spectrum", str(path)]).output)
+        assert doc["algebraic_connectivity"] == 0.0
+        assert doc["algebraic_connectivity"] == spectra.algebraic_connectivity(parse_edge_list(path.read_text()))[0]
+        assert [grp["mult"] for grp in doc["groups"]][0] == 2
+
+    def test_eigensolver_gets_a_float_matrix(self, runner, monkeypatch):
+        # an int64 Laplacian handed to eig_sym stays alive through eigh, next to its float copy
+        seen = []
+
+        def spy(m, *args, **kwargs):
+            seen.append(m.dtype)
+            return eig_sym(m, *args, **kwargs)
+
+        eig_sym = spectra.eig_sym
+        monkeypatch.setattr(spectra, "eig_sym", spy)
+        monkeypatch.setattr(verify, "eig_sym", spy)
+        assert runner.invoke(main, ["spectrum", "path:5"]).exit_code == 0
+        assert runner.invoke(main, ["verify", "interlacing", "--graph", "path:5", "-u", "0", "-v", "4"]).exit_code == 0
+        assert seen == [np.float64] * 3
 
     def test_parse_failure_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.el"

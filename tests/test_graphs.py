@@ -62,7 +62,7 @@ def fingerprint_corpus() -> dict[str, Graph]:
              + [("complete", [n]) for n in range(1, 7)] + [("star", [n]) for n in range(1, 6)]
              + [("complete_bipartite", [a, b]) for a in range(1, 6) for b in range(1, 7 - a)])
     out = {f"{f}:{','.join(map(str, p))}": build_standard(f, p) for f, p in specs}
-    out["kite:cycle4,root0,s3,r3"] = build_kite(KiteSpec(head=cycle_graph(4), root=0, s=3, r=3))[0]
+    out["kite:cycle4,root0,s3,r3"] = build_kite(KiteSpec(head=cycle_graph(4), root=0, s=3, r=3))
     out["cut_clique:r2,path3,complete3"] = build_cut_clique_join(2, [path_graph(3), complete_graph(3)])
     out["gnp12.el"] = parse_edge_list((DATA / "gnp12.el").read_text())
     return out
@@ -283,7 +283,7 @@ class TestInducedAndBoundary:
         assert index == {1: 0, 2: 1, 3: 2}
 
     def test_kite_head_restriction(self, c4_kite_spec):
-        kite, _ = build_kite(c4_kite_spec)
+        kite = build_kite(c4_kite_spec)
         sub, _ = induced_subgraph(kite, range(4))
         assert sub == cycle_graph(4)
 
@@ -320,11 +320,11 @@ class TestInducedAndBoundary:
 
 class TestKites:
     def test_c4_head_kite_shape(self, c4_kite_spec):
-        kite, table = build_kite(c4_kite_spec)
+        kite = build_kite(c4_kite_spec)
         assert kite.n == 4 + 3 * 3
         assert kite.m == 4 + 3 * 3
         # path 2 is root, then labels 7, 8, 9
-        assert table[(2, 1)] == 7 and table[(2, 3)] == 9
+        assert c4_kite_spec.label(2, 1) == 7 and c4_kite_spec.label(2, 3) == 9
         assert kite.has_edge(0, 7) and kite.has_edge(7, 8) and kite.has_edge(8, 9)
 
     def test_counts_hold_for_many_specs(self):
@@ -332,16 +332,16 @@ class TestKites:
             for s in (2, 3, 4):
                 for r in (1, 2, 3):
                     spec = KiteSpec(head=head, root=0, s=s, r=r)
-                    kite, _ = build_kite(spec)
+                    kite = build_kite(spec)
                     assert kite.n == head.n + s * r
                     assert kite.m == head.m + s * r
 
     def test_two_pendant_paths_on_one_vertex(self):
-        kite, _ = build_kite(KiteSpec(head=complete_graph(1), root=0, s=2, r=1))
+        kite = build_kite(KiteSpec(head=complete_graph(1), root=0, s=2, r=1))
         assert kite == Graph(3, [(0, 1), (0, 2)])  # a 3-vertex path centered at 0
 
     def test_triangle_head_kite(self, k3_kite_spec):
-        kite, table = build_kite(k3_kite_spec)
+        kite = build_kite(k3_kite_spec)
         assert kite.n == 12
         expected = Graph(
             12,
@@ -351,7 +351,7 @@ class TestKites:
              (0, 9), (9, 10), (10, 11)],
         )
         assert kite == expected
-        assert table[(1, 3)] == 5 and table[(2, 3)] == 8
+        assert k3_kite_spec.label(1, 3) == 5 and k3_kite_spec.label(2, 3) == 8
 
     def test_invalid_specs(self):
         with pytest.raises(GraphError):
@@ -366,9 +366,10 @@ class TestSuperkites:
     def test_path_supertail_equals_kite(self):
         for s in (2, 3):
             for r in (1, 2, 3):
-                kite, _ = build_kite(KiteSpec(head=cycle_graph(4), root=0, s=s, r=r))
-                sk = build_superkite(cycle_graph(4), 0, path_graph(r + 1), 0, s)
-                assert sk == kite
+                for root in (0, 2):
+                    kite = build_kite(KiteSpec(head=cycle_graph(4), root=root, s=s, r=r))
+                    sk = build_superkite(cycle_graph(4), root, path_graph(r + 1), 0, s)
+                    assert sk == kite
 
     def test_single_edge_tree(self):
         sk = build_superkite(complete_graph(1), 0, path_graph(2), 0, 2)

@@ -11,6 +11,7 @@ from token_spectra.graphs import (
     KiteSpec,
     add_edges,
     build_kite,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -21,6 +22,7 @@ from token_spectra.spectra import (
     algebraic_connectivity,
     eig_sym,
     eigenspace_has_equal_pair,
+    fiedler_value,
     laplacian,
     principal_submatrix,
     theta,
@@ -86,13 +88,17 @@ class TestLaplacian:
 def _repeated_eigenvalue_token_graphs() -> list[Graph]:
     # K_n token graphs and C4-kite token graphs have eigenvalues of high
     # multiplicity; the largest here has N = C(15, 3) = 455 vertices
-    kite, _ = build_kite(KiteSpec(head=cycle_graph(4), root=0, s=3, r=3))
+    kite = build_kite(KiteSpec(head=cycle_graph(4), root=0, s=3, r=3))
     out = [token_graph(complete_graph(n), k).graph for n in (5, 7, 9, 15) for k in (2, 3)]
     return out + [token_graph(kite, 2).graph, token_graph(kite, 3).graph]
 
 
 REFERENCE_CORPUS = family_corpus(8) + random_corpus(12, n_range=(4, 12), seed=21) \
     + _repeated_eigenvalue_token_graphs()
+
+
+def _mult(grp: slice) -> int:
+    return grp.stop - grp.start
 
 
 def _bits(x: float) -> str:
@@ -114,14 +120,14 @@ class TestMatchesReferenceLoops:
         values, groups = reference_groups(ref)
         assert spec.values.tobytes() == values.tobytes()
         assert len(spec.groups) == len(groups)
-        for grp, (value, members, basis) in zip(spec.groups, groups):
-            assert _bits(grp.value) == _bits(value)
-            assert [_bits(x) for x in grp.members] == [_bits(x) for x in members]
-            assert grp.basis.shape == basis.shape
-            assert grp.basis.tobytes() == basis.tobytes()
+        for mean, grp, (value, members, basis) in zip(spec.distinct_values(), spec.groups, groups):
+            assert _bits(mean) == _bits(value)
+            assert [_bits(x) for x in spec.values[grp]] == [_bits(x) for x in members]
+            assert spec.vectors[:, grp].shape == basis.shape
+            assert spec.vectors[:, grp].tobytes() == basis.tobytes()
 
     def test_corpus_has_repeated_eigenvalues(self):
-        mults = [grp.mult for g in REFERENCE_CORPUS for grp in eig_sym(laplacian(g)).groups]
+        mults = [_mult(grp) for g in REFERENCE_CORPUS for grp in eig_sym(laplacian(g)).groups]
         assert max(mults) >= 10 and max(g.n for g in REFERENCE_CORPUS) == 455
 
 
@@ -152,41 +158,41 @@ class TestEigSym:
     def test_k4_spectrum_and_grouping(self):
         spec = eig_sym(laplacian(complete_graph(4)))
         assert np.allclose(spec.values, [0, 4, 4, 4], atol=1e-9)
-        assert [g.mult for g in spec.groups] == [1, 3]
+        assert [_mult(grp) for grp in spec.groups] == [1, 3]
 
     def test_y_tree_alpha(self, y_tree):
         spec = eig_sym(laplacian(y_tree))
         assert abs(spec.values[1] - 0.5188056959) < 1e-9
 
     def test_kite_alpha_is_smallest_theta(self, c4_kite_spec):
-        kite, _ = build_kite(c4_kite_spec)
+        kite = build_kite(c4_kite_spec)
         spec = eig_sym(laplacian(kite))
         assert abs(spec.values[1] - theta(3, 3)) < 1e-9
-        assert spec.group_of(1).mult == 2
+        assert spec.group_of(1) == slice(1, 3)
 
     def test_basis_orthonormal_and_residual(self):
         for g in random_corpus(5, seed=12):
             L = laplacian(g).astype(float)
             spec = eig_sym(L)
             for grp in spec.groups:
-                gram = grp.basis.T @ grp.basis
-                assert np.allclose(gram, np.eye(grp.mult), atol=1e-9)
-                resid = L @ grp.basis - grp.basis * np.array(grp.members)
+                basis = spec.vectors[:, grp]
+                gram = basis.T @ basis
+                assert np.allclose(gram, np.eye(_mult(grp)), atol=1e-9)
+                resid = L @ basis - basis * spec.values[grp]
                 assert np.abs(resid).max() < 1e-8 * max(1.0, spec.values[-1])
 
     def test_multiplicities_sum_to_order(self):
         for g in family_corpus(7):
             spec = eig_sym(laplacian(g))
-            assert sum(grp.mult for grp in spec.groups) == g.n
+            assert sum(_mult(grp) for grp in spec.groups) == g.n
+            assert [grp.start for grp in spec.groups[1:]] == [grp.stop for grp in spec.groups[:-1]]
 
     def test_sign_canonicalization_deterministic(self, y_tree):
         a = eig_sym(laplacian(y_tree))
         b = eig_sym(laplacian(y_tree))
-        for ga, gb in zip(a.groups, b.groups):
-            assert np.array_equal(ga.basis, gb.basis)
+        assert a.groups == b.groups and np.array_equal(a.vectors, b.vectors)
         for grp in a.groups:
-            for j in range(grp.mult):
-                col = grp.basis[:, j]
+            for col in a.vectors[:, grp].T:
                 first = col[np.abs(col) > 1e-8][0]
                 assert first > 0
 
@@ -196,10 +202,24 @@ class TestEigSym:
         with pytest.raises(GraphError):
             eig_sym(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
-    def test_json_shape(self, y_tree):
-        doc = eig_sym(laplacian(y_tree)).to_json_dict()
-        assert set(doc) == {"values", "groups", "tolerances"}
-        assert all(set(g) == {"value", "mult"} for g in doc["groups"])
+    def test_vectors_read_only(self, y_tree):
+        spec = eig_sym(laplacian(y_tree))
+        assert not spec.vectors.flags.writeable
+        with pytest.raises(ValueError):
+            spec.vectors[0, 0] = 1.0
+        # algebraic_connectivity copies its group's columns instead, so the matrix can be freed
+        _, basis = algebraic_connectivity(y_tree)
+        assert basis.base is None and basis.tobytes() == spec.vectors[:, spec.group_of(1)].tobytes()
+
+    def test_group_of_every_index(self):
+        spec = eig_sym(laplacian(complete_bipartite_graph(2, 3)))  # 0, 2, 2, 3, 5
+        assert spec.groups == (slice(0, 1), slice(1, 3), slice(3, 4), slice(4, 5))
+        assert [spec.group_of(i) for i in range(5)] == [spec.groups[i] for i in (0, 1, 1, 2, 3)]
+        assert spec.distinct_values() == [float(np.mean(spec.values[grp])) for grp in spec.groups]
+
+    def test_empty_matrix(self):
+        spec = eig_sym(np.empty((0, 0)))
+        assert spec.values.size == 0 and spec.vectors.shape == (0, 0) and spec.groups == ()
 
 
 class TestAlgebraicConnectivity:
@@ -226,6 +246,14 @@ class TestAlgebraicConnectivity:
     def test_single_vertex_errors(self):
         with pytest.raises(GraphError):
             algebraic_connectivity(Graph(1))
+
+    def test_fiedler_value_is_the_returned_value(self):
+        # the zero rule has one home: algebraic_connectivity reads it from fiedler_value
+        disconnected = [Graph(4, [(0, 1), (2, 3)]), Graph(5, [(0, 1), (1, 2), (3, 4)]), Graph(3)]
+        for g in family_corpus(6) + disconnected:
+            value = fiedler_value(eig_sym(laplacian(g).astype(float)).values)
+            assert _bits(value) == _bits(algebraic_connectivity(g)[0])
+        assert all(fiedler_value(eig_sym(laplacian(g)).values) == 0.0 for g in disconnected)
 
 
 class TestRayleigh:
@@ -319,12 +347,6 @@ class TestEqualPairTest:
                     return
         pytest.fail("no basis with a negative raw witness")
 
-    def test_multiple_pairs(self):
-        _, basis = algebraic_connectivity(complete_graph(5))
-        ok, wit = eigenspace_has_equal_pair(basis, [(0, 1), (2, 3)])
-        assert ok
-        assert abs(wit[0] - wit[1]) < 1e-9 and abs(wit[2] - wit[3]) < 1e-9
-
 
 class TestInterlacingAndSumBounds:
     def test_edge_addition_interlacing_random(self):
@@ -376,6 +398,5 @@ class TestFloatVsExactAgreement:
         for g in corpus:
             p = char_poly(laplacian(g))
             spec = eig_sym(laplacian(g))
-            for grp in spec.groups:
-                lam = grp.value
+            for lam in spec.distinct_values():
                 assert count_roots_in_interval(p, lam - 1e-6, lam + 1e-6) >= 1

@@ -121,9 +121,9 @@ class TestEdgeAddIff:
     def test_kite_level_edge_back_in(self, k3_kite_spec):
         # 12-vertex kite plus one level edge; re-adding the removed level edge
         # changes alpha, and no Fiedler vector equalizes the pair
-        g, table = build_kite(k3_kite_spec)
-        gp = add_edges(g, [(table[(1, 1)], table[(3, 1)])])
-        u, v = table[(1, 3)], table[(2, 3)]
+        g = build_kite(k3_kite_spec)
+        gp = add_edges(g, [(k3_kite_spec.label(1, 1), k3_kite_spec.label(3, 1))])
+        u, v = k3_kite_spec.label(1, 3), k3_kite_spec.label(2, 3)
         cert = check_edge_add_alpha_iff(gp, u, v)
         assert cert.passed
         assert not cert.witnesses["alpha_preserved"]
@@ -161,9 +161,8 @@ class TestTailEdges:
         assert abs(cert.witnesses["alpha_after"] - cert.witnesses["alpha"]) < 1e-9
 
     def test_triangle_head_kite_hypothesis_fails(self, k3_kite_spec):
-        g, table = build_kite(k3_kite_spec)
         cert = check_tail_edges_preserve_alpha(
-            k3_kite_spec, [(table[(1, 3)], table[(2, 3)])]
+            k3_kite_spec, [(k3_kite_spec.label(1, 3), k3_kite_spec.label(2, 3))]
         )
         assert cert.verdict == PRECONDITION_UNMET
 
@@ -175,13 +174,12 @@ class TestTailEdges:
         assert abs(cert.witnesses["alpha"] - 1.0) < 1e-9
 
     def test_rejects_cross_level_edges(self, k3_kite_spec):
-        g, table = build_kite(k3_kite_spec)
         with pytest.raises(GraphError):
             check_tail_edges_preserve_alpha(
-                k3_kite_spec, [(table[(1, 1)], table[(2, 2)])]
+                k3_kite_spec, [(k3_kite_spec.label(1, 1), k3_kite_spec.label(2, 2))]
             )
         with pytest.raises(GraphError):
-            check_tail_edges_preserve_alpha(k3_kite_spec, [(0, table[(1, 1)])])
+            check_tail_edges_preserve_alpha(k3_kite_spec, [(0, k3_kite_spec.label(1, 1))])
 
 
 class TestKiteIff:
@@ -221,10 +219,9 @@ class TestSymmetrizer:
 
     def test_level_rows_sum_to_scale(self, c4_kite_spec):
         S = build_kite_symmetrizer(c4_kite_spec)
-        _, table = build_kite(c4_kite_spec)
         for j in range(1, 4):
             for i in range(2, 4):
-                row = S[table[(i, j)]]
+                row = S[c4_kite_spec.label(i, j)]
                 assert row.sum() == c4_kite_spec.s - 1
 
     def test_commutation_certificate(self, c4_kite_spec):
@@ -256,26 +253,22 @@ class TestCutClique:
 
     def test_r2_two_k2(self):
         cert = check_cut_clique(2, [complete_graph(2), complete_graph(2)], k=2)
-        assert cert.passed
+        assert cert.passed and cert.witnesses["full_join"]
         assert abs(cert.witnesses["alpha"] - 2.0) < 1e-9
 
     def test_partial_join_records_gap(self):
         cert = check_cut_clique(
             2, [complete_graph(2), complete_graph(2)],
-            full_join=False, removed_join_edges=[(0, 2)],
+            removed_join_edges=[(0, 2)],
         )
         assert cert.passed
         assert cert.witnesses["gap"] > 1e-6
         assert cert.witnesses["bound_alpha_le_r"]
+        assert not cert.witnesses["full_join"] and "alpha_token" not in cert.witnesses
 
     def test_partial_join_needs_removed_edges(self):
-        with pytest.raises(GraphError):
-            check_cut_clique(2, [complete_graph(2)] * 2, full_join=False)
-        with pytest.raises(GraphError):
-            check_cut_clique(
-                2, [complete_graph(2)] * 2,
-                full_join=False, removed_join_edges=[(2, 3)],
-            )
+        with pytest.raises(GraphError, match=r"\(2, 3\) is not a clique-component join edge"):
+            check_cut_clique(2, [complete_graph(2)] * 2, removed_join_edges=[(2, 3)])
 
 
 class TestPendantBound:
@@ -343,10 +336,10 @@ class TestKiteHeadFamily:
         assert cert.verdict == PRECONDITION_UNMET
 
     def test_cycle_head_with_perturbation(self):
-        _, table = build_kite(KiteSpec(head=cycle_graph(5), root=0, s=3, r=3))
+        spec = KiteSpec(head=cycle_graph(5), root=0, s=3, r=3)
         cert = check_kite_head_family(
             "cycle", s=3, r=3, h=5, k=2,
-            head_edges=[(1, 3)], tail_edges=[(table[(2, 1)], table[(3, 1)])],
+            head_edges=[(1, 3)], tail_edges=[(spec.label(2, 1), spec.label(3, 1))],
         )
         assert cert.passed
 
@@ -371,7 +364,7 @@ class TestKiteHeadFamily:
 
 class TestCutVertexSplit:
     def test_spider_equal_legs(self):
-        g, _ = build_kite(KiteSpec(head=complete_graph(1), root=0, s=3, r=2))
+        g = build_kite(KiteSpec(head=complete_graph(1), root=0, s=3, r=2))
         cert = check_cut_vertex_split(g, 0)
         assert cert.passed
         assert abs(cert.witnesses["alpha"] - 0.3820) < 5e-5
@@ -415,7 +408,7 @@ class TestSuperkiteInstances:
         from token_spectra.graphs import build_superkite
 
         sk = build_superkite(cycle_graph(4), 0, path_graph(4), 0, 3)
-        kite, _ = build_kite(KiteSpec(head=cycle_graph(4), root=0, s=3, r=3))
+        kite = build_kite(KiteSpec(head=cycle_graph(4), root=0, s=3, r=3))
         a1, _ = algebraic_connectivity(sk)
         a2, _ = algebraic_connectivity(kite)
         assert abs(a1 - a2) < 1e-12
@@ -465,9 +458,9 @@ class TestCrossCheckTransfers:
                 else add_edges(g, [(u, v)])
             )
             w2 = eig_sym(laplacian(g2)).values
-            for grp in spec.groups:
-                ok, _ = eigenspace_has_equal_pair(grp.basis, (u, v))
+            for value, grp in zip(spec.distinct_values(), spec.groups):
+                ok, _ = eigenspace_has_equal_pair(spec.vectors[:, grp], (u, v))
                 if ok:
-                    assert min(abs(grp.value - x) for x in w2) < 1e-6 * max(1.0, abs(grp.value))
+                    assert min(abs(value - x) for x in w2) < 1e-6 * max(1.0, abs(value))
                     checked += 1
         assert checked >= 20
