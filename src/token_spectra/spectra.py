@@ -37,6 +37,10 @@ class NumericalError(RuntimeError):
 # algebraic_connectivity on 5-token graphs of paths, N = 2002..4368: 41.7 to 42.1.
 # The peak is inside eigh, with the float matrix, its eigenvectors and LAPACK's work.
 DENSE_BYTES_PER_N2 = 44
+# Peak bytes per N^2 of token_spectrum, measured the same way on 5-token graphs of
+# paths, N = 2002 and 4368: 16.2 and 16.1. It holds the float Laplacian and
+# eigvalsh's copy of it; the int64 matrix it was made from is freed before.
+VALUES_BYTES_PER_N2 = 18
 
 # token graphs of at least this order take the sparse route in token_alpha:
 # below it dense eigh is as fast (measured on the dense-alpha ladder)
@@ -53,9 +57,13 @@ SPARSE_BYTES_PER_NONZERO = 32
 SPARSE_BYTES_PER_ROW_COLUMN = 120
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Degree diagonal minus adjacency, as an exact integer matrix."""
-    require_memory(DENSE_BYTES_PER_N2 * g.n * g.n, f"the dense Laplacian route at N = {g.n}")
+def laplacian(g: Graph, bytes_per_n2: int = DENSE_BYTES_PER_N2) -> np.ndarray:
+    """Degree diagonal minus adjacency, as an exact integer matrix.
+
+    Refused with CapExceededError, before allocating, when the caller's
+    route, at bytes_per_n2 bytes per entry, would not fit in memory.
+    """
+    require_memory(bytes_per_n2 * g.n * g.n, f"the dense Laplacian route at N = {g.n}")
     L = np.zeros((g.n, g.n), dtype=np.int64)
     u, v = g.edge_array.T
     L[u, v] = -1
@@ -72,7 +80,7 @@ def principal_submatrix(m: np.ndarray, keep: Iterable[int]) -> np.ndarray:
     for v in idx:
         if not (0 <= v < order):
             raise GraphError(f"index {v} out of range [0, {order})")
-    return m[np.ix_(idx, idx)].copy()
+    return m[np.ix_(idx, idx)]
 
 
 @dataclass(frozen=True)
@@ -184,6 +192,30 @@ def token_alpha(tg: TokenGraph) -> tuple[float, float | None]:
     if tg.graph.n < SPARSE_MIN_ORDER:
         return algebraic_connectivity(tg.graph)[0], None
     return _sparse_token_alpha(tg)
+
+
+def token_spectrum(tg: TokenGraph, base: Spectrum) -> np.ndarray:
+    """Ascending eigenvalues of L(F_k) from one values-only solve, certified by base = eig_sym(L(G)).
+
+    Each eigenvector v of L(G) lifts to x = B v, B = lift(n, k), an
+    eigenvector of L(F_k) for v's eigenvalue lambda since L(F_k) B = B L(G).
+    NumericalError unless every lifted pair has ||L(F_k) x - lambda x|| / ||x||
+    <= DEFAULT_RESID_TOL * max(1, max |values|). B^T B = c I + c' J keeps the
+    lifts of a connected G orthogonal, so by the residual theorem (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 11) each eigenvalue of L(G), with
+    its multiplicity, lies within a small multiple of that bound of spec(L(F_k)).
+    """
+    lap = laplacian(tg.graph, VALUES_BYTES_PER_N2).astype(float)  # the int64 matrix is freed before eigvalsh
+    try:
+        values = np.linalg.eigvalsh(lap)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+    x = lift(tg.base.n, tg.k) @ base.vectors
+    resid = np.linalg.norm(lap @ x - x * base.values, axis=0) / np.linalg.norm(x, axis=0)
+    bound = DEFAULT_RESID_TOL * max(1.0, float(np.abs(values).max()))
+    if resid.max() > bound:
+        raise NumericalError(f"lifted residual {resid.max():.3g} exceeds bound {bound:.3g}")
+    return values
 
 
 def _sparse_token_alpha(tg: TokenGraph) -> tuple[float, float | None]:

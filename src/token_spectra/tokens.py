@@ -26,9 +26,9 @@ from .graphs import Graph, GraphError, format_edge_list
 DEFAULT_CAP = 200_000
 
 # Peak bytes per candidate row, of which there are |E| * C(n-1, j-1): ru_maxrss
-# less the RSS before token_graph, on paths, cycles and complete graphs with 89k
-# to 1.8M rows and j = 2..10: 110 to 184.
-TOKEN_BYTES_PER_ROW = 192
+# less the RSS before token_graph, on paths, cycles and complete graphs with 104k
+# to 1.8M rows and j = 2..10: 62 to 102.
+TOKEN_BYTES_PER_ROW = 112
 # None where os.sysconf is missing (Windows): the estimates go unchecked there
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else None
 
@@ -98,6 +98,35 @@ def token_order(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
     return size
 
 
+def _token_edges(g: Graph, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Colex ranks (source, target), source < target, of the j-token graph's edges."""
+    n = g.n
+    subsets = _colex_subsets(n, j)
+    choose = choose_table(n, j)
+    # base edges are sorted pairs (a, b) with a < b, so the neighbours of a
+    # above a are head[first[a]:first[a + 1]]
+    tail, head = g.edge_array.T
+    first = np.searchsorted(tail, np.arange(n + 1))
+    a = subsets.ravel()
+    deg = first[a + 1] - first[a]
+    # one candidate row per (subset, position of a in it, neighbour b of a above a)
+    source, pos = np.divmod(np.repeat(np.arange(a.size), deg), j)
+    b = head[np.arange(deg.sum()) + np.repeat(first[a] - (np.cumsum(deg) - deg), deg)]
+    # b must lie outside the source subset; tested, and the rank summed, one
+    # column at a time, so that only the rows kept are ever gathered whole
+    free = np.ones(b.size, dtype=bool)
+    for column in subsets.T:
+        free &= column[source] != b
+    source, pos, b = source[free], pos[free], b[free]
+    rows = subsets[source]
+    rows[np.arange(b.size), pos] = b
+    rows.sort(axis=1)
+    target = choose[rows[:, 0], 1]
+    for i in range(1, j):
+        target += choose[rows[:, i], i + 1]
+    return source, target
+
+
 def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     """Build the k-token graph of g.
 
@@ -108,26 +137,10 @@ def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     size = token_order(n, k, cap)
     j = min(k, n - k)
     require_memory(TOKEN_BYTES_PER_ROW * g.m * comb(n - 1, j - 1), f"the {k}-token graph of {n} vertices")
-    subsets = _colex_subsets(n, j)
-    choose = choose_table(n, j)
-    # base edges are sorted pairs (a, b) with a < b, so the neighbours of a
-    # above a are head[first[a]:first[a + 1]]
-    tail, head = g.edge_array.T
-    first = np.searchsorted(tail, np.arange(n + 1))
-    a = subsets.ravel()
-    deg = first[a + 1] - first[a]
-    # one row per (subset, position of a in it, neighbour b of a above a)
-    source, pos = np.divmod(np.repeat(np.arange(a.size), deg), j)
-    b = head[np.arange(deg.sum()) + np.repeat(first[a] - (np.cumsum(deg) - deg), deg)]
-    rows = subsets[source]
-    free = (rows != b[:, None]).all(axis=1)
-    source, pos, b, rows = source[free], pos[free], b[free], rows[free]
-    rows[np.arange(b.size), pos] = b
-    rows.sort(axis=1)
-    target = choose[rows, np.arange(1, j + 1)].sum(axis=1)
-    if j < k:
-        source, target = size - 1 - target, size - 1 - source
-    tg = Graph(size, np.column_stack((source, target)))
+    edges = np.column_stack(_token_edges(g, j))
+    if j < k:  # complementing reverses colex order; Graph orients each edge
+        edges = size - 1 - edges
+    tg = Graph(size, edges)
     expected = g.m * comb(g.n - 2, k - 1)
     if tg.m != expected:
         raise AssertionError(f"token edge count {tg.m} != |E|*C(n-2,k-1) = {expected}")

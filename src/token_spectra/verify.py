@@ -37,6 +37,7 @@ from .graphs import (
 )
 from .spectra import (
     PAIR_TOL,
+    Spectrum,
     algebraic_connectivity,
     eig_sym,
     eigenspace_has_equal_pair,
@@ -44,6 +45,7 @@ from .spectra import (
     principal_submatrix,
     theta,
     token_alpha,
+    token_spectrum,
 )
 from .tokens import DEFAULT_CAP, token_graph, token_order
 
@@ -131,7 +133,10 @@ def check_spectral_containment(
     """Every Laplacian eigenvalue of g appears in the spectrum of its k-token graph.
 
     Exact mode decides divisibility of characteristic polynomials over the
-    integers; float mode matches eigenvalue multisets within tol.
+    integers. Float mode matches eigenvalue multisets within tol; it reads
+    only eigenvalues of L(F_k), certified by the residuals of every
+    eigenpair of L(G) lifted through B (spectra.token_spectrum), and
+    raises NumericalError when one exceeds its bound.
     """
     if mode not in ("exact", "float"):
         raise GraphError(f"unknown mode {mode!r}")
@@ -148,9 +153,9 @@ def check_spectral_containment(
         verdict = PASS if divides else FAIL
         return _finish("containment", g, verdict, witnesses, {"mode": "exact"}, t0)
 
-    spec_g = eig_sym(laplacian(g).astype(float)).values
-    tg = token_graph(g, k, cap=cap)
-    spec_t = eig_sym(laplacian(tg.graph).astype(float)).values  # the int64 matrix is freed before eigh
+    base = eig_sym(laplacian(g).astype(float))
+    spec_t = token_spectrum(token_graph(g, k, cap=cap), base)
+    spec_g = base.values
     bound = tol * max(1.0, float(spec_t[-1]))
     unmatched = []
     j = 0
@@ -385,6 +390,30 @@ def build_kite_symmetrizer(spec: KiteSpec) -> np.ndarray:
     return m
 
 
+def _symmetrizer_on_eigenspaces(spec_g: Spectrum, S: np.ndarray, levels: list[list[int]], tol: float
+                                ) -> tuple[bool, bool]:
+    """Does S map every eigenspace into itself, with the tail coordinates of
+    each eigenspace's largest image equal per level; and is every image nonzero?"""
+    stable = True
+    some_nonzero_image = True
+    for grp in spec_g.groups:
+        basis = spec_g.vectors[:, grp]
+        img = S @ basis
+        # containment in the eigenspace: projection onto the complement vanishes
+        out_of_space = img - basis @ (basis.T @ img)
+        if np.abs(out_of_space).max() > tol * max(1.0, float(spec_g.values[-1])):
+            stable = False
+        norms = np.linalg.norm(img, axis=0)
+        if norms.max() <= tol:
+            some_nonzero_image = False
+        col = img[:, int(np.argmax(norms))]
+        for level in levels:
+            vals = col[level]
+            if vals.size and np.abs(vals - vals.mean()).max() > tol:
+                stable = False
+    return stable, some_nonzero_image
+
+
 def check_symmetrizer_commutation(
     spec: KiteSpec,
     uj_edges: Sequence[tuple[int, int]] | None = None,
@@ -403,35 +432,24 @@ def check_symmetrizer_commutation(
         edges = [e for level in spec.levels() for e in combinations(level, 2)]
     else:
         edges = _validate_level_edges(spec, uj_edges, min_path=2)
-    L = laplacian(g)
-    S_scaled = build_kite_symmetrizer(spec)
-    commutes = bool(np.array_equal(L @ S_scaled, S_scaled @ L))
+    lap = laplacian(g).astype(float)
+    sym = build_kite_symmetrizer(spec).astype(float)
+    # every partial sum of these products is an integer of magnitude at most
+    # 2 * max degree * (s - 1), far below 2**53, so the float products are exact
+    commutes = bool(np.array_equal(lap @ sym, sym @ lap))
+    del sym  # only the Laplacian stays alive through eigh
 
-    S = S_scaled.astype(float) / (spec.s - 1)
-    spec_g = eig_sym(L)
-    stable = True
-    some_nonzero_image = True
-    level_sets = spec.levels()
-    for grp in spec_g.groups:
-        basis = spec_g.vectors[:, grp]
-        img = S @ basis
-        # containment in the eigenspace: projection onto the complement vanishes
-        out_of_space = img - basis @ (basis.T @ img)
-        if np.abs(out_of_space).max() > tol * max(1.0, float(spec_g.values[-1])):
-            stable = False
-        norms = np.linalg.norm(img, axis=0)
-        if norms.max() <= tol:
-            some_nonzero_image = False
-        col = img[:, int(np.argmax(norms))]
-        for level in level_sets:
-            vals = col[level]
-            if vals.size and np.abs(vals - vals.mean()).max() > tol:
-                stable = False
+    spec_g = eig_sym(lap)
+    del lap
+    stable, some_nonzero_image = _symmetrizer_on_eigenspaces(
+        spec_g, build_kite_symmetrizer(spec) / (spec.s - 1), spec.levels(), tol)
+    distinct = spec_g.distinct_values()
+    del spec_g  # freed before the perturbed graph's eigensolve
 
     gp = add_edges(g, edges)
     spec_gp = eig_sym(laplacian(gp).astype(float))
     missing = []
-    for val in spec_g.distinct_values():
+    for val in distinct:
         if min(abs(val - x) for x in spec_gp.values) > CONTAIN_TOL:
             missing.append(val)
 
@@ -439,7 +457,7 @@ def check_symmetrizer_commutation(
         "commutes_exactly": commutes,
         "eigenspaces_stable": stable,
         "nonzero_symmetrized_image": some_nonzero_image,
-        "distinct_eigenvalues": spec_g.distinct_values(),
+        "distinct_eigenvalues": distinct,
         "perturbed_spectrum": [float(x) for x in spec_gp.values],
         "missing_eigenvalues": missing,
         "added_edges": [_pair_witness(u, v) for u, v in edges],
@@ -562,10 +580,13 @@ def check_cut_vertex_split(g: Graph, cut_vertex: int, tol: float = DEFAULT_ALPHA
     comps = [c for c in sub_all.components() if c != (cut_vertex,)]
     if len(comps) < 2:
         raise GraphError(f"vertex {cut_vertex} is not a cut vertex")
-    L = laplacian(g)
-    lam1s = sorted(
-        float(eig_sym(principal_submatrix(L, comp)).values[0]) for comp in comps
-    )
+    lap = laplacian(g).astype(float)
+    subs = [principal_submatrix(lap, comp) for comp in comps]
+    del lap  # each eigensolve holds only the submatrices not yet solved
+    lam1s = []
+    while subs:
+        lam1s.append(float(eig_sym(subs.pop()).values[0]))
+    lam1s.sort()
     a, _ = algebraic_connectivity(g)
     witnesses = {
         "cut_vertex": {"index": cut_vertex, "one_based": cut_vertex + 1},

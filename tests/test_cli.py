@@ -228,6 +228,14 @@ class TestVerify:
         assert res.stdout == "" and res.stderr == "error: layer certificate failed on this graph\n"
         assert "Traceback" not in res.output
 
+    def test_corrupted_lift_prints_one_error_line(self, runner, y_file, monkeypatch):
+        real = tokens.lift
+        monkeypatch.setattr(spectra, "lift", lambda n, k: real(n, k)[::-1])
+        res = runner.invoke(main, ["verify", "containment", "--graph", y_file, "-k", "2"])
+        assert res.exit_code == 1
+        assert res.stdout == "" and res.stderr.startswith("error: lifted residual ")
+        assert res.stderr.count("\n") == 1 and "Traceback" not in res.output
+
     def test_edge_add_iff(self, runner, y_file):
         res = runner.invoke(main, ["verify", "edge-add-iff", "--graph", y_file, "-u", "0", "-v", "1"])
         assert json.loads(res.output)["verdict"] == "pass"
@@ -422,7 +430,7 @@ class TestExactRefusals:
 
 class TestMemoryGuard:
     """With physical memory taken as 1 MB, the dense route refuses N >= 151
-    (44 bytes per N^2), token_graph refuses 5209 candidate rows or more, and
+    (44 bytes per N^2), token_graph refuses 8929 candidate rows or more, and
     the exact route refuses any token graph: its token-edge scatter alone is
     estimated at 1.5 MB."""
 
@@ -435,8 +443,8 @@ class TestMemoryGuard:
          "error: the dense Laplacian route at N = 190 needs about 0.00148 GiB, physical memory is 0.000931 GiB\n"),
         (["spectrum", "path:200"],
          "error: the dense Laplacian route at N = 200 needs about 0.00164 GiB, physical memory is 0.000931 GiB\n"),
-        (["construct", "token", "--graph", "complete:14", "-k", "3"],
-         "error: the 3-token graph of 14 vertices needs about 0.00127 GiB, physical memory is 0.000931 GiB\n"),
+        (["construct", "token", "--graph", "complete:16", "-k", "3"],
+         "error: the 3-token graph of 16 vertices needs about 0.00131 GiB, physical memory is 0.000931 GiB\n"),
         (["construct", "token", "--graph", "path:30", "-k", "8", "--cap", "100"],
          "error: token graph would have 5852925 vertices, cap is 100\n"),
         (["verify", "containment", "--graph", "path:6", "-k", "3", "--exact"],
@@ -450,6 +458,8 @@ class TestMemoryGuard:
     def test_below_the_estimate_runs(self, runner):
         assert runner.invoke(main, ["verify", "alpha-token", "--graph", "path:17", "-k", "2"]).exit_code == 0
         assert runner.invoke(main, ["construct", "token", "--graph", "complete:11", "-k", "3"]).exit_code == 0
+        # 7098 candidate rows at 112 bytes each, under 1 MB
+        assert runner.invoke(main, ["construct", "token", "--graph", "complete:14", "-k", "3"]).exit_code == 0
 
     def test_sweep_gives_one_cap_exceeded_row(self, runner, tmp_path):
         spec = tmp_path / "spec.json"
@@ -617,6 +627,18 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO((tmp_path / "rows.csv").read_text())))
         assert [(r["instance"], r["verdict"]) for r in rows] == [(f"path:{n}", "error") for n in (3, 4, 5)]
         assert all("L(F_h) K != K M_h" in r["detail"] for r in rows)
+        assert json.loads(res.stdout)["error"] == 3
+
+    def test_corrupted_lift_gives_error_rows(self, runner, tmp_path, monkeypatch):
+        real = tokens.lift
+        monkeypatch.setattr(spectra, "lift", lambda n, k: real(n, k)[::-1])
+        spec = self._write_spec(tmp_path, family={"name": "star", "n": [3, 5]}, k_range=[1, 1],
+                                checks=["containment"])
+        res = runner.invoke(main, ["sweep", spec, "--csv", str(tmp_path / "rows.csv")])
+        assert res.exit_code == 1
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "rows.csv").read_text())))
+        assert [(r["instance"], r["verdict"]) for r in rows] == [(f"star:{n}", "error") for n in (3, 4, 5)]
+        assert all(r["detail"].startswith("lifted residual ") for r in rows)
         assert json.loads(res.stdout)["error"] == 3
 
     def test_bad_spec_exit_2(self, runner, tmp_path):
