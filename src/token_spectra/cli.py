@@ -483,8 +483,10 @@ def sweep(spec_file, csv_path, jobs, seed, cap, pretty):
         raise click.UsageError(f"bad sweep spec: {exc}") from exc
 
     if jobs > 1:
+        # multiprocessing.Pool.map's default chunk size: about four chunks per worker,
+        # so each worker pickles a few batches instead of one round trip per cell
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
+            rows = list(pool.map(_sweep_row, tasks, chunksize=max(1, -(-len(tasks) // (4 * jobs)))))
     else:
         rows = [_sweep_row(t) for t in tasks]
 

@@ -42,8 +42,12 @@ DENSE_BYTES_PER_N2 = 44
 # eigvalsh's copy of it; the int64 matrix it was made from is freed before.
 VALUES_BYTES_PER_N2 = 18
 
-# token graphs of at least this order take the sparse route in token_alpha:
-# below it dense eigh is as fast (measured on the dense-alpha ladder)
+# token graphs of at least this order take the sparse route in token_alpha.
+# Against the dense route's eigvalsh, best of 3 with 1 BLAS thread: on
+# G(n, C(n,2)//2 + 1) graphs sparse was as fast at N = 495 and 2.6x faster at
+# N = 924 (39 against 99 ms); on paths dense was 1.5x faster at N = 792 and
+# sparse 1.2x faster at N = 924. Below this order the dense route takes at
+# most about 0.1 s and certifies alpha, which the sparse route does not.
 SPARSE_MIN_ORDER = 1000
 # LOBPCG block sizes, tried in turn while a block's residuals stay above the
 # bound; the least eigenvalue off range(B) is simple on most graphs
@@ -186,11 +190,13 @@ def sparse_laplacian(g: Graph):
 def token_alpha(tg: TokenGraph) -> tuple[float, float | None]:
     """Algebraic connectivity of tg's token graph, and mu when the sparse route gave it.
 
-    Below SPARSE_MIN_ORDER token vertices this is algebraic_connectivity of
-    the token graph and mu is None; from there on, see _sparse_token_alpha.
+    Below SPARSE_MIN_ORDER token vertices alpha is fiedler_value of
+    token_spectrum: the eigenvalues of L(F_k) from one values-only solve,
+    certified by the eigenpairs of L(G) lifted through B, and mu is None.
+    From there on, see _sparse_token_alpha.
     """
     if tg.graph.n < SPARSE_MIN_ORDER:
-        return algebraic_connectivity(tg.graph)[0], None
+        return fiedler_value(token_spectrum(tg, eig_sym(laplacian(tg.base).astype(float)))), None
     return _sparse_token_alpha(tg)
 
 
@@ -236,8 +242,9 @@ def _sparse_token_alpha(tg: TokenGraph) -> tuple[float, float | None]:
     one group shows that mu has at least that multiplicity; no block size is
     known to close it, so the dense route decides, as it does when no block
     is accepted or the next is too large for LOBPCG at this order. Then mu
-    is None, and CapExceededError is raised when the dense route does not
-    fit in memory.
+    is None, and alpha is read from values only, from token_spectrum,
+    certified by the eigenpairs of L(G) lifted through B; CapExceededError
+    is raised when that solve does not fit in memory.
 
     Unlike the dense route, this one does not certify that mu is the least
     eigenvalue off range(B): LOBPCG could settle on a higher cluster, which
@@ -248,15 +255,16 @@ def _sparse_token_alpha(tg: TokenGraph) -> tuple[float, float | None]:
     from scipy.sparse import diags_array
     from scipy.sparse.linalg import lobpcg
 
-    g, base = tg.graph, tg.base
+    g, n = tg.graph, tg.base.n
     order = g.n
     require_memory(SPARSE_BYTES_PER_NONZERO * (2 * g.m + order)
-                   + SPARSE_BYTES_PER_ROW_COLUMN * order * (SPARSE_BLOCKS[-1] + base.n),
+                   + SPARSE_BYTES_PER_ROW_COLUMN * order * (SPARSE_BLOCKS[-1] + n),
                    f"the sparse route at N = {order}")
-    a_base = algebraic_connectivity(base)[0]
+    base = eig_sym(laplacian(tg.base).astype(float))
+    a_base = fiedler_value(base.values)
     lap = sparse_laplacian(g)
     degree = lap.diagonal()
-    y = lift(base.n, tg.k)
+    y = lift(n, tg.k)
     jacobi = diags_array(1.0 / np.maximum(degree, 1.0))
     scale = max(1.0, float(degree.max()) + 1.0)  # Grone-Merris: Delta + 1 <= lambda_max
     bound = DEFAULT_RESID_TOL * scale
@@ -264,7 +272,7 @@ def _sparse_token_alpha(tg: TokenGraph) -> tuple[float, float | None]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # lobpcg warns when it stops short; the residuals below decide
         for size in SPARSE_BLOCKS:
-            if order - base.n < 5 * size:  # lobpcg takes no constraints on smaller problems
+            if order - n < 5 * size:  # lobpcg takes no constraints on smaller problems
                 break
             try:
                 vals, vecs = lobpcg(lap, rng.standard_normal((order, size)), M=jacobi, Y=y,
@@ -281,7 +289,7 @@ def _sparse_token_alpha(tg: TokenGraph) -> tuple[float, float | None]:
             mu = float(vals[0])
             value = min(a_base, mu)
             return (0.0 if abs(value) <= bound else value), mu
-    return algebraic_connectivity(g)[0], None
+    return fiedler_value(token_spectrum(tg, base)), None
 
 
 def theta(r: int, k: int) -> float:

@@ -390,10 +390,10 @@ def build_kite_symmetrizer(spec: KiteSpec) -> np.ndarray:
     return m
 
 
-def _symmetrizer_on_eigenspaces(spec_g: Spectrum, S: np.ndarray, levels: list[list[int]], tol: float
+def _symmetrizer_on_eigenspaces(spec_g: Spectrum, S: np.ndarray, levels: np.ndarray, tol: float
                                 ) -> tuple[bool, bool]:
     """Does S map every eigenspace into itself, with the tail coordinates of
-    each eigenspace's largest image equal per level; and is every image nonzero?"""
+    each eigenspace's largest image equal per level (row of levels); and is every image nonzero?"""
     stable = True
     some_nonzero_image = True
     for grp in spec_g.groups:
@@ -406,11 +406,9 @@ def _symmetrizer_on_eigenspaces(spec_g: Spectrum, S: np.ndarray, levels: list[li
         norms = np.linalg.norm(img, axis=0)
         if norms.max() <= tol:
             some_nonzero_image = False
-        col = img[:, int(np.argmax(norms))]
-        for level in levels:
-            vals = col[level]
-            if vals.size and np.abs(vals - vals.mean()).max() > tol:
-                stable = False
+        tails = img[levels, int(np.argmax(norms))]
+        if np.abs(tails - tails.mean(axis=1, keepdims=True)).max() > tol:
+            stable = False
     return stable, some_nonzero_image
 
 
@@ -442,16 +440,16 @@ def check_symmetrizer_commutation(
     spec_g = eig_sym(lap)
     del lap
     stable, some_nonzero_image = _symmetrizer_on_eigenspaces(
-        spec_g, build_kite_symmetrizer(spec) / (spec.s - 1), spec.levels(), tol)
+        spec_g, build_kite_symmetrizer(spec) / (spec.s - 1), np.array(spec.levels()), tol)
     distinct = spec_g.distinct_values()
     del spec_g  # freed before the perturbed graph's eigensolve
 
     gp = add_edges(g, edges)
     spec_gp = eig_sym(laplacian(gp).astype(float))
-    missing = []
-    for val in distinct:
-        if min(abs(val - x) for x in spec_gp.values) > CONTAIN_TOL:
-            missing.append(val)
+    # the nearest perturbed eigenvalue to each distinct one is a neighbour of its insertion point
+    ends = np.clip(np.searchsorted(spec_gp.values, distinct) - [[1], [0]], 0, g.n - 1)
+    nearest = np.abs(np.array(distinct) - spec_gp.values[ends]).min(axis=0)
+    missing = [val for val, d in zip(distinct, nearest) if d > CONTAIN_TOL]
 
     witnesses = {
         "commutes_exactly": commutes,

@@ -236,6 +236,14 @@ class TestVerify:
         assert res.stdout == "" and res.stderr.startswith("error: lifted residual ")
         assert res.stderr.count("\n") == 1 and "Traceback" not in res.output
 
+    def test_corrupted_lift_in_alpha_token_prints_one_error_line(self, runner, y_file, monkeypatch):
+        real = tokens.lift
+        monkeypatch.setattr(spectra, "lift", lambda n, k: real(n, k)[::-1])
+        res = runner.invoke(main, ["verify", "alpha-token", "--graph", y_file, "-k", "2"])
+        assert res.exit_code == 1
+        assert res.stdout == "" and res.stderr.startswith("error: lifted residual ")
+        assert res.stderr.count("\n") == 1 and "Traceback" not in res.output
+
     def test_edge_add_iff(self, runner, y_file):
         res = runner.invoke(main, ["verify", "edge-add-iff", "--graph", y_file, "-u", "0", "-v", "1"])
         assert json.loads(res.output)["verdict"] == "pass"
@@ -266,8 +274,9 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "cut-vertex-split", "--graph", str(path), "--vertex", "0"])
         assert json.loads(res.output)["verdict"] == "pass"
 
-    def test_math_failure_exit_1(self, runner, y_file):
-        res = runner.invoke(main, ["verify", "alpha-token", "--graph", y_file, "-k", "2", "--tol", "0"])
+    def test_math_failure_exit_1(self, runner):
+        # at tol 0 the last bit decides: alpha(F_2(P_5)) reads 3.9e-16 below alpha(P_5)
+        res = runner.invoke(main, ["verify", "alpha-token", "--graph", "path:5", "-k", "2", "--tol", "0"])
         assert res.exit_code == 1
         assert json.loads(res.output)["verdict"] == "fail"
 
@@ -429,8 +438,9 @@ class TestExactRefusals:
 
 
 class TestMemoryGuard:
-    """With physical memory taken as 1 MB, the dense route refuses N >= 151
-    (44 bytes per N^2), token_graph refuses 8929 candidate rows or more, and
+    """With physical memory taken as 1 MB, the dense route with eigenvectors
+    refuses N >= 151 (44 bytes per N^2), the values-only route of alpha-token
+    N >= 236 (18 bytes per N^2), token_graph refuses 8929 candidate rows or more, and
     the exact route refuses any token graph: its token-edge scatter alone is
     estimated at 1.5 MB."""
 
@@ -439,8 +449,8 @@ class TestMemoryGuard:
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", 10**6)
 
     @pytest.mark.parametrize("argv, stderr", [
-        (["verify", "alpha-token", "--graph", "path:20", "-k", "2"],
-         "error: the dense Laplacian route at N = 190 needs about 0.00148 GiB, physical memory is 0.000931 GiB\n"),
+        (["verify", "alpha-token", "--graph", "path:23", "-k", "2"],
+         "error: the dense Laplacian route at N = 253 needs about 0.00107 GiB, physical memory is 0.000931 GiB\n"),
         (["spectrum", "path:200"],
          "error: the dense Laplacian route at N = 200 needs about 0.00164 GiB, physical memory is 0.000931 GiB\n"),
         (["construct", "token", "--graph", "complete:16", "-k", "3"],
@@ -463,13 +473,13 @@ class TestMemoryGuard:
 
     def test_sweep_gives_one_cap_exceeded_row(self, runner, tmp_path):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"family": {"name": "path", "n": [15, 18]}, "checks": ["alpha-token"]}))
+        spec.write_text(json.dumps({"family": {"name": "path", "n": [20, 23]}, "checks": ["alpha-token"]}))
         res = runner.invoke(main, ["sweep", str(spec), "--csv", str(tmp_path / "rows.csv")])
         assert res.exit_code == 0
         rows = list(csv.DictReader(io.StringIO((tmp_path / "rows.csv").read_text())))
         assert [(r["instance"], r["verdict"]) for r in rows] == [
-            ("path:15", "pass"), ("path:16", "pass"), ("path:17", "pass"), ("path:18", "cap_exceeded")]
-        assert rows[3]["detail"].startswith("the dense Laplacian route at N = 153 needs about")
+            ("path:20", "pass"), ("path:21", "pass"), ("path:22", "pass"), ("path:23", "cap_exceeded")]
+        assert rows[3]["detail"].startswith("the dense Laplacian route at N = 253 needs about")
         summary = json.loads(res.stdout)
         assert (summary["pass"], summary["cap_exceeded"], summary["fail"]) == (3, 1, 0)
 
@@ -566,6 +576,20 @@ class TestSweep:
             return [r[:-1] for r in csv.reader(io.StringIO(text.split("\n{", 1)[0]))]
 
         assert rows_no_runtime(serial) == rows_no_runtime(parallel)
+
+    @pytest.mark.parametrize("count", [0, 7])
+    def test_chunked_jobs_keep_task_order(self, runner, tmp_path, count):
+        # 3 workers take chunks of ceil(tasks / 12): 14 tasks make 7 chunks of 2, none makes no chunk
+        spec = self._write_spec(tmp_path, family={"name": "tree_random", "n": [4, 6], "count": count})
+        serial = runner.invoke(main, ["sweep", spec, "--csv", "-"]).output
+        parallel = runner.invoke(main, ["sweep", spec, "--csv", "-", "--jobs", "3"])
+        assert parallel.exit_code == 0
+
+        def rows_no_runtime(text):
+            return [r[:-1] for r in csv.reader(io.StringIO(text.split("\n{", 1)[0]))]
+
+        assert len(rows_no_runtime(parallel.output)) == 1 + 2 * count
+        assert rows_no_runtime(serial) == rows_no_runtime(parallel.output)
 
     def test_precondition_rows_for_inapplicable_checks(self, runner, tmp_path):
         # pendant bound needs k <= (n+1)/2; small trees with k = 3 are skipped as data

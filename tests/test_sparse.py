@@ -26,9 +26,11 @@ from token_spectra.spectra import (
     _sparse_token_alpha,
     algebraic_connectivity,
     eig_sym,
+    fiedler_value,
     laplacian,
     sparse_laplacian,
     token_alpha,
+    token_spectrum,
 )
 from token_spectra.tokens import CapExceededError, token_graph
 from token_spectra.verify import check_alpha_token_equality, check_pendant_bound
@@ -51,6 +53,11 @@ def _spy_block_sizes(monkeypatch, short=frozenset()) -> list:
 
     monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", spy)
     return sizes
+
+
+def _dense(tg) -> float:
+    """alpha(F_k) by the dense route: one values-only solve, certified by G's lifted eigenpairs."""
+    return fiedler_value(token_spectrum(tg, eig_sym(laplacian(tg.base).astype(float))))
 
 
 def _agrees(tg, value: float) -> bool:
@@ -102,7 +109,7 @@ class TestAgainstDense:
         tg = token_graph(complete_graph(n), k)
         value, mu = _sparse_token_alpha(tg)
         assert mu is None
-        assert value == algebraic_connectivity(tg.graph)[0]
+        assert value == _dense(tg)
         assert abs(value - n) <= 1e-9 * n
 
     def test_one_group_hands_over_to_dense(self, monkeypatch):
@@ -112,7 +119,7 @@ class TestAgainstDense:
         tg = token_graph(star_graph(8), 4)
         value, mu = _sparse_token_alpha(tg)
         assert sizes == [4] and mu is None
-        assert value == algebraic_connectivity(tg.graph)[0]
+        assert value == _dense(tg)
 
     def test_unconverged_block_grows(self, monkeypatch):
         # the block of 4 is cut short, so its residuals fail and a block of 8 decides
@@ -126,11 +133,11 @@ class TestAgainstDense:
         tg = token_graph(GNP12, 5)
         value, mu = _sparse_token_alpha(tg)
         assert mu is None
-        assert value == algebraic_connectivity(tg.graph)[0]
+        assert value == _dense(tg)
 
     def test_fallback_that_does_not_fit_raises(self, monkeypatch):
         tg = token_graph(GNP12, 4)  # N = 495
-        dense_need = spectra.DENSE_BYTES_PER_N2 * tg.graph.n ** 2
+        dense_need = spectra.VALUES_BYTES_PER_N2 * tg.graph.n ** 2
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", dense_need - 1)
         assert _sparse_token_alpha(tg)[1] is not None
         monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)
@@ -161,7 +168,7 @@ class TestTokenAlpha:
         for g, k in [(GNP12, 4), (path_graph(9), 3), (cycle_graph(8), 4)]:
             tg = token_graph(g, k)
             assert tg.graph.n < spectra.SPARSE_MIN_ORDER
-            assert token_alpha(tg) == (algebraic_connectivity(tg.graph)[0], None)
+            assert token_alpha(tg) == (_dense(tg), None)
 
     def test_sparse_from_threshold(self, monkeypatch):
         tg = token_graph(GNP12, 4)

@@ -1,8 +1,10 @@
-"""The values-only route of float containment against the full eigensolver and the exact route.
+"""The values-only route of float containment and of alpha(F_k) against the
+full eigensolver and the exact route.
 
 spectra.token_spectrum reads only eigenvalues of L(F_k) and certifies them
 by lifting every eigenpair of L(G) through the membership matrix B; these
-tests cross-check its values, its verdicts and its guard.
+tests cross-check its values, its verdicts and its guard, and the alpha
+that token_alpha's dense paths read from it.
 """
 
 import tracemalloc
@@ -16,8 +18,11 @@ from token_spectra.graphs import parse_edge_list, path_graph
 from token_spectra.spectra import (
     NumericalError,
     Spectrum,
+    algebraic_connectivity,
     eig_sym,
+    fiedler_value,
     laplacian,
+    token_alpha,
     token_spectrum,
 )
 from token_spectra.tokens import CapExceededError, token_graph
@@ -75,6 +80,61 @@ def test_every_lifted_eigenpair_is_checked():
         vectors[0, i] += 1e-3
         with pytest.raises(NumericalError, match="lifted residual"):
             token_spectrum(tg, Spectrum(base.values, vectors, base.groups))
+
+
+class TestTokenAlpha:
+    """token_alpha's two dense paths, below SPARSE_MIN_ORDER and on the sparse route's handover."""
+
+    @pytest.fixture
+    def handover(self, monkeypatch):
+        # every token graph takes the sparse route, where LOBPCG fails at once and hands over to dense
+        import scipy.sparse.linalg
+
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced handover")
+
+        monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 0)
+        monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", fails)
+
+    def test_matches_the_full_eigensolver(self, corpus):
+        for g in corpus:
+            for k in range(1, g.n):
+                tg = token_graph(g, k)
+                full = eig_sym(laplacian(tg.graph).astype(float)).values
+                value, mu = token_alpha(tg)
+                assert mu is None
+                assert abs(value - algebraic_connectivity(tg.graph)[0]) <= 1e-9 * max(1.0, float(full[-1]))
+
+    def test_handover_reads_the_same_bits(self, handover):
+        for g, k in [(GNP12, 3), (path_graph(7), 2), (path_graph(7), 3)]:
+            tg = token_graph(g, k)
+            assert token_alpha(tg) == (fiedler_value(token_spectrum(tg, _base(g))), None)
+
+    @pytest.mark.parametrize("route", ["dense", "handover"])
+    def test_corrupted_lift_raises(self, request, monkeypatch, route):
+        if route == "handover":
+            request.getfixturevalue("handover")
+        real = tokens.lift
+        monkeypatch.setattr(spectra, "lift", lambda n, k: real(n, k)[::-1])
+        for k in (2, 3):
+            tg = token_graph(GNP12, k)
+            with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
+                token_alpha(tg)
+
+    @pytest.mark.parametrize("route", ["dense", "handover"])
+    def test_no_eigenvectors_of_the_token_laplacian(self, request, monkeypatch, route):
+        if route == "handover":
+            request.getfixturevalue("handover")
+        orders, eigh = [], np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            orders.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        tg = token_graph(GNP12, 4)
+        assert token_alpha(tg)[0] > 0
+        assert orders == [GNP12.n]  # only L(G), whose eigenpairs certify the values of L(F_k)
 
 
 class TestMemoryCharge:

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from token_spectra import verify
 from token_spectra.graphs import (
     Graph,
     GraphError,
@@ -15,12 +16,14 @@ from token_spectra.graphs import (
     path_graph,
     star_graph,
 )
-from token_spectra.spectra import algebraic_connectivity, theta
+from token_spectra.spectra import algebraic_connectivity, eig_sym, laplacian, theta
 from token_spectra.tokens import CapExceededError
 from token_spectra.verify import (
+    CONTAIN_TOL,
     FAIL,
     PASS,
     PRECONDITION_UNMET,
+    _symmetrizer_on_eigenspaces,
     build_kite_symmetrizer,
     check_alpha_token_equality,
     check_bipartite_extension,
@@ -54,8 +57,9 @@ class TestCertificate:
         a.pop("runtime_ms"), b.pop("runtime_ms")
         assert a == b
 
-    def test_fail_certificates_carry_witnesses(self, y_tree):
-        cert = check_alpha_token_equality(y_tree, 2, tol=0.0)
+    def test_fail_certificates_carry_witnesses(self):
+        # at tol 0 the last bit decides: alpha(F_2(P_5)) reads 3.9e-16 below alpha(P_5)
+        cert = check_alpha_token_equality(path_graph(5), 2, tol=0.0)
         assert cert.verdict == FAIL
         assert "difference" in cert.witnesses and "alpha_token" in cert.witnesses
 
@@ -235,6 +239,45 @@ class TestSymmetrizer:
         spec = KiteSpec(head=complete_graph(1), root=0, s=2, r=2)
         cert = check_symmetrizer_commutation(spec)
         assert cert.passed and cert.witnesses["commutes_exactly"]
+
+    @staticmethod
+    def _on_eigenspaces_loop(spec_g, S, levels, tol):
+        """_symmetrizer_on_eigenspaces with one mean per level, as a reference."""
+        stable = some_nonzero_image = True
+        for grp in spec_g.groups:
+            basis = spec_g.vectors[:, grp]
+            img = S @ basis
+            if np.abs(img - basis @ (basis.T @ img)).max() > tol * max(1.0, float(spec_g.values[-1])):
+                stable = False
+            norms = np.linalg.norm(img, axis=0)
+            if norms.max() <= tol:
+                some_nonzero_image = False
+            col = img[:, int(np.argmax(norms))]
+            for level in levels:
+                if np.abs(col[level] - col[level].mean()).max() > tol:
+                    stable = False
+        return stable, some_nonzero_image
+
+    def test_eigenspace_test_matches_the_loop(self, c4_kite_spec):
+        unstable = 0
+        for spec in [c4_kite_spec, KiteSpec(head=path_graph(3), root=1, s=4, r=2),
+                     KiteSpec(head=star_graph(3), root=0, s=2, r=5)]:
+            spec_g = eig_sym(laplacian(build_kite(spec)).astype(float))
+            # the identity keeps every eigenspace, but a degenerate one's first basis
+            # vector need not agree across the tail paths of a level
+            for S in (build_kite_symmetrizer(spec) / (spec.s - 1), np.eye(spec.n)):
+                got = _symmetrizer_on_eigenspaces(spec_g, S, np.array(spec.levels()), 1e-7)
+                assert got == self._on_eigenspaces_loop(spec_g, S, spec.levels(), 1e-7)
+                unstable += not got[0]
+        assert unstable >= 1
+
+    def test_missing_eigenvalues_match_the_scan(self, c4_kite_spec, monkeypatch):
+        # a head-to-tail edge in place of the level edges moves some eigenvalues away
+        monkeypatch.setattr(verify, "add_edges", lambda g, edges: add_edges(g, [(1, g.n - 1)]))
+        w = check_symmetrizer_commutation(c4_kite_spec).witnesses
+        loop = [val for val in w["distinct_eigenvalues"]
+                if min(abs(val - x) for x in w["perturbed_spectrum"]) > CONTAIN_TOL]
+        assert loop and w["missing_eigenvalues"] == loop
 
     def test_perturbed_spectrum_contains_distinct_values(self, c4_kite_spec):
         cert = check_symmetrizer_commutation(c4_kite_spec)
