@@ -1,5 +1,8 @@
-"""Dense Laplacian spectra with explicit eigenspace grouping, and a sparse
-route to the algebraic connectivity of large token graphs.
+"""Dense Laplacian spectra with explicit eigenspace grouping, a sparse
+route to the algebraic connectivity of large token graphs, and a bound,
+from a base graph's eigenpairs lifted to its token graph, on how far the
+base graph's eigenvalues lie from the token graph's, which decides float
+containment without solving the token Laplacian.
 
 The dense eigensolver is LAPACK's symmetric solver reached through
 numpy; this module adds the contracts the verification layer depends on:
@@ -40,7 +43,22 @@ DENSE_BYTES_PER_N2 = 44
 # Peak bytes per N^2 of token_spectrum, measured the same way on 5-token graphs of
 # paths, N = 2002 and 4368: 16.2 and 16.1. It holds the float Laplacian and
 # eigvalsh's copy of it; the int64 matrix it was made from is freed before.
+# token_alpha's dense paths pay it; float containment takes lifted_residual_bound
+# instead, a bound from Kahan's theorem on the distance of L(G)'s eigenvalues to
+# spec(L(F_k)), with scale max(1, Delta + 1), and is charged at the rates below.
 VALUES_BYTES_PER_N2 = 18
+# Peak bytes of lifted_residual_bound per token edge and per entry of the N x n lift:
+# ru_maxrss less the RSS before it, in a fresh process, on 12 token graphs of paths,
+# cycles, stars, complete graphs and tests/data/gnp18.el, N = 220..74613. A least-squares
+# fit gives 38 per edge and 22 per entry; complete graphs alone, where laplacian_apply
+# scatters one column at a time, put 37 to 38 on each edge, and paths, cycles and stars
+# 23 to 25 on each entry. These rates cover every case by 1.13 to 1.64.
+RITZ_BYTES_PER_EDGE = 40
+RITZ_BYTES_PER_ROW_COLUMN = 40
+# laplacian_apply scatters every column in one bincount up to this many (edge, column)
+# pairs, and column by column above it; one bincount per column cost about 40 us
+# more on the tiny token graphs of sweeps (N = 15..45), timed between their other checks
+APPLY_FLAT_ENTRIES = 16384
 
 # token graphs of at least this order take the sparse route in token_alpha.
 # Against the dense route's eigvalsh, best of 3 with 1 BLAS thread: on
@@ -222,6 +240,74 @@ def token_spectrum(tg: TokenGraph, base: Spectrum) -> np.ndarray:
     if resid.max() > bound:
         raise NumericalError(f"lifted residual {resid.max():.3g} exceeds bound {bound:.3g}")
     return values
+
+
+def laplacian_apply(g: Graph, y: np.ndarray) -> np.ndarray:
+    """L(g) y from g's edge array, with no order x order matrix.
+
+    L = D^T D with D the signed edge-vertex incidence matrix: z = y[u] - y[v]
+    over the edges (u, v) is added at u and subtracted at v, by one bincount
+    over all columns at once while there are at most APPLY_FLAT_ENTRIES
+    (edge, column) pairs, and one column at a time beyond that.
+    """
+    u, v = g.edge_array.T
+    width = y.shape[1] if g.m * y.shape[1] <= APPLY_FLAT_ENTRIES else 1
+    at = np.arange(width)
+    iu, iv = (u[:, None] * width + at).ravel(), (v[:, None] * width + at).ravel()
+    out = np.empty(y.shape)
+    for c in range(0, y.shape[1], width):
+        block = y[:, c:c + width]
+        z = (block[u] - block[v]).ravel()
+        out[:, c:c + width] = (np.bincount(iu, z, g.n * width)
+                               - np.bincount(iv, z, g.n * width)).reshape(g.n, width)
+    return out
+
+
+def lifted_residual_bound(tg: TokenGraph, base: Spectrum) -> tuple[float, float]:
+    """(err, scale): each eigenvalue of base = eig_sym(L(G)), with its multiplicity,
+    lies within err of its own eigenvalue of L(F_k).
+
+    X = B V, B = lift(n, k) and V = base.vectors, would span an invariant
+    subspace of L(F_k), since L(F_k) B = B L(G). L(F_k) is applied to X from
+    the token graph's edges only (laplacian_apply), so no C(n, k) x C(n, k)
+    matrix is formed or solved. With Lambda = diag(base.values):
+
+    - Each lifted pair is checked on its own: R = L(F_k) X - X Lambda, and
+      NumericalError unless ||R e_i|| <= DEFAULT_RESID_TOL * scale * ||X e_i||
+      for every column. scale = max(1, Delta + 1), Delta the largest degree
+      of F_k, is at most max(1, lambda_max(F_k)) (Grone-Merris).
+    - With M = X^T X, mu = lambda_min(M) and P = M^(1/2), U = X P^-1 is
+      orthonormal (the lifts of a disconnected G's kernel basis are not
+      orthogonal), and E = L(F_k) U - U Lambda = (U [P, Lambda] + R) P^-1.
+      [P, Lambda] solves P Z + Z P = [M, Lambda], so ||[P, Lambda]||_F <=
+      ||[M, Lambda]||_F / (2 sqrt(mu)), and ||E||_2 <= e = (||R||_F +
+      ||[M, Lambda]||_F / (2 sqrt(mu))) / sqrt(mu). [M, Lambda] vanishes
+      but for rounding: M couples only lifts of kernel vectors.
+    - H = U^T L(F_k) U is within ||U^T E|| <= e of Lambda, so by Weyl its
+      ascending eigenvalues are within e of base.values; by Kahan's theorem
+      (Parlett, The Symmetric Eigenvalue Problem, ch. 11) they lie within
+      ||L(F_k) U - U H|| <= e of n distinct eigenvalues of L(F_k). So
+      err = 2 e. An M with condition number above 1e9 raises NumericalError;
+      the lift's is 1 + n (k - 1) / (n - k).
+    """
+    g, n = tg.graph, tg.base.n
+    require_memory(RITZ_BYTES_PER_EDGE * g.m + RITZ_BYTES_PER_ROW_COLUMN * g.n * n,
+                   f"the lifted certificate at N = {g.n}")
+    x = lift(n, tg.k) @ base.vectors
+    lam = base.values
+    r = laplacian_apply(g, x) - x * lam
+    scale = max(1.0, float(np.bincount(g.edge_array.ravel(), minlength=g.n).max()) + 1.0)
+    bound = DEFAULT_RESID_TOL * scale
+    rr, gram = np.einsum("ij,ij->j", r, r), x.T @ x
+    if not (rr <= bound * bound * gram.diagonal()).all():  # also when NaN got in
+        resid = np.sqrt(rr / gram.diagonal()).max()
+        raise NumericalError(f"lifted residual {resid:.3g} exceeds bound {bound:.3g}")
+    d = np.linalg.eigvalsh(gram)
+    if not d[0] > DEFAULT_RESID_TOL * d[-1]:
+        raise NumericalError(f"lifted eigenvectors are dependent: Gram eigenvalues {d[0]:.3g} to {d[-1]:.3g}")
+    root = np.sqrt(d[0])
+    commutator = np.linalg.norm(gram * np.subtract.outer(lam, lam))
+    return float(2 * (np.sqrt(rr.sum()) + commutator / (2 * root)) / root), scale
 
 
 def _sparse_token_alpha(tg: TokenGraph) -> tuple[float, float | None]:

@@ -70,10 +70,13 @@ def choose_table(n: int, j: int) -> np.ndarray:
 
 
 def _colex_subsets(n: int, j: int) -> np.ndarray:
-    """The C(n, j) x j table of j-subsets of range(n), each sorted, rows in colex order."""
-    flat = chain.from_iterable(combinations(range(n), j))
-    subsets = np.fromiter(flat, dtype=np.int64, count=comb(n, j) * j).reshape(-1, j)
-    return subsets[np.lexsort(subsets.T)]
+    """The C(n, j) x j table of j-subsets of range(n), each sorted, rows in colex order.
+
+    Colex order is lexicographic order on the subsets written in descending
+    order, read backwards; so no sort is needed.
+    """
+    flat = chain.from_iterable(combinations(range(n - 1, -1, -1), j))
+    return np.fromiter(flat, dtype=np.int64, count=comb(n, j) * j).reshape(-1, j)[::-1, ::-1]
 
 
 def lift(n: int, k: int) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""The values-only route of float containment and of alpha(F_k) against the
-full eigensolver and the exact route.
+"""The values-only route of alpha(F_k) and the lifted certificate of float
+containment, against the full eigensolver and the exact route.
 
 spectra.token_spectrum reads only eigenvalues of L(F_k) and certifies them
 by lifting every eigenpair of L(G) through the membership matrix B; these
-tests cross-check its values, its verdicts and its guard, and the alpha
-that token_alpha's dense paths read from it.
+tests cross-check its values and its guard, and the alpha that
+token_alpha's dense paths read from it. Float containment reads no
+spectrum of L(F_k) at all: spectra.lifted_residual_bound bounds, by Kahan's
+theorem, how far each eigenvalue of L(G) lies from its own eigenvalue of
+L(F_k), and the tests below check that bound, its guards, and its verdicts.
 """
 
 import tracemalloc
@@ -13,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from token_spectra import spectra, tokens
-from token_spectra.graphs import parse_edge_list, path_graph
+from token_spectra import spectra, tokens, verify
+from token_spectra.graphs import Graph, parse_edge_list, path_graph
 from token_spectra.spectra import (
     NumericalError,
     Spectrum,
@@ -22,10 +25,12 @@ from token_spectra.spectra import (
     eig_sym,
     fiedler_value,
     laplacian,
+    laplacian_apply,
+    lifted_residual_bound,
     token_alpha,
     token_spectrum,
 )
-from token_spectra.tokens import CapExceededError, token_graph
+from token_spectra.tokens import CapExceededError, TokenGraph, token_graph
 from token_spectra.verify import check_spectral_containment
 
 from helpers import connected_class_representatives, family_corpus
@@ -80,6 +85,109 @@ def test_every_lifted_eigenpair_is_checked():
         vectors[0, i] += 1e-3
         with pytest.raises(NumericalError, match="lifted residual"):
             token_spectrum(tg, Spectrum(base.values, vectors, base.groups))
+
+
+def _within_distinct(points, values, bound) -> bool:
+    """Does each of the ascending points lie within bound of its own one of the ascending values?
+
+    For intervals of one width, matching in order finds such an assignment when one exists.
+    """
+    j = 0
+    for p in points:
+        while j < len(values) and values[j] < p - bound:
+            j += 1
+        if j == len(values) or values[j] > p + bound:
+            return False
+        j += 1
+    return True
+
+
+def _corrupted(tg: TokenGraph, edges: np.ndarray) -> TokenGraph:
+    return TokenGraph(base=tg.base, k=tg.k, graph=Graph(tg.graph.n, edges))
+
+
+class TestLiftedCertificate:
+    """lifted_residual_bound: L(G)'s eigenpairs lifted to F_k, and the bound they give."""
+
+    @pytest.mark.parametrize("flat_entries", [spectra.APPLY_FLAT_ENTRIES, 0])  # 0: column by column
+    def test_laplacian_apply_matches_the_matrix(self, monkeypatch, flat_entries):
+        monkeypatch.setattr(spectra, "APPLY_FLAT_ENTRIES", flat_entries)
+        for g, k in [(GNP12, 3), (path_graph(6), 2), (Graph(5, [(0, 1), (1, 2), (3, 4)]), 2)]:
+            tg = token_graph(g, k)
+            y = np.random.default_rng(0).standard_normal((tg.graph.n, 5))
+            want = laplacian(tg.graph) @ y
+            assert np.abs(laplacian_apply(tg.graph, y) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_eigenvalues_lie_near_distinct_eigenvalues(self, corpus):
+        for g in corpus:
+            base = _base(g)
+            for k in range(1, g.n):
+                tg = token_graph(g, k)
+                full = eig_sym(laplacian(tg.graph).astype(float)).values
+                err, scale = lifted_residual_bound(tg, base)
+                assert scale <= max(1.0, float(full[-1])) + 1e-9
+                assert 0 < err <= 1e-9 * scale, (g.edges, k)
+                assert _within_distinct(base.values, full, err), (g.edges, k)
+
+    def test_disconnected_graph_matches_zero_at_full_multiplicity(self):
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        base = _base(g)
+        assert (np.abs(base.values) <= 1e-12).sum() == 2  # the two components
+        for k in range(1, g.n):
+            cert = check_spectral_containment(g, k, mode="float")
+            assert cert.passed and cert.witnesses["unmatched"] == []
+            assert check_spectral_containment(g, k, mode="exact").passed
+            tg = token_graph(g, k)
+            err, scale = lifted_residual_bound(tg, base)
+            assert err <= 1e-9 * scale
+            assert _within_distinct(base.values, eig_sym(laplacian(tg.graph).astype(float)).values, err)
+
+    @pytest.mark.parametrize("change", ["dropped", "redirected"])
+    def test_corrupted_token_graph_raises(self, change):
+        for k in (2, 3):
+            tg = token_graph(GNP12, k)
+            edges = tg.graph.edge_array.copy()
+            if change == "dropped":
+                edges = edges[1:]
+            else:  # the first edge's far end moved to a vertex it is not adjacent to
+                (u, v), taken = edges[0], set(map(tuple, edges.tolist()))
+                edges[0, 1] = next(w for w in range(u + 1, tg.graph.n) if w != v and (u, w) not in taken)
+            with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
+                lifted_residual_bound(_corrupted(tg, edges), _base(GNP12))
+
+    def test_dependent_lift_raises(self, monkeypatch):
+        # two equal columns of B make the lifted eigenvectors dependent; residuals stay exact
+        real = tokens.lift
+        monkeypatch.setattr(spectra, "lift", lambda n, k: real(n, k)[:, [0, 0, *range(2, n)]])
+        g = Graph(4, [])
+        with pytest.raises(NumericalError, match="dependent"):
+            lifted_residual_bound(token_graph(g, 2), _base(g))
+
+    def test_unmatched_is_decided_by_the_bound(self):
+        # every eigenvalue is matched iff err <= tol * scale
+        err, scale = lifted_residual_bound(token_graph(GNP12, 3), _base(GNP12))
+        below = check_spectral_containment(GNP12, 3, mode="float", tol=err / scale / 2)
+        assert below.failed and below.witnesses["unmatched"] == _base(GNP12).values.tolist()
+        assert check_spectral_containment(GNP12, 3, mode="float", tol=1.01 * err / scale).passed
+
+    def test_corrupted_token_graph_fails_containment(self, monkeypatch):
+        real = verify.token_graph
+        monkeypatch.setattr(verify, "token_graph", lambda g, k, cap: _corrupted(
+            real(g, k, cap), real(g, k, cap).graph.edge_array[1:]))
+        with pytest.raises(NumericalError, match="lifted residual"):
+            check_spectral_containment(GNP12, 3, mode="float")
+
+    def test_no_eigensolve_of_the_token_laplacian(self, monkeypatch):
+        orders = []
+        for name in ("eigh", "eigvalsh"):
+            def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
+                orders.append(a.shape[0])
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        for k in (2, 4, 6):
+            assert check_spectral_containment(GNP12, k, mode="float").passed
+        assert orders and max(orders) == GNP12.n
 
 
 class TestTokenAlpha:
@@ -138,22 +246,58 @@ class TestTokenAlpha:
 
 
 class TestMemoryCharge:
-    """The values-only route is charged VALUES_BYTES_PER_N2, not the eigenvector route's rate."""
+    """token_spectrum, the values-only route of token_alpha's dense paths, is charged
+    VALUES_BYTES_PER_N2, not the eigenvector route's rate; float containment is charged
+    per token edge and per entry of the N x n lift, and forms no N x N array."""
 
     G, K, N = path_graph(14), 4, 1001
 
-    def test_runs_between_the_two_rates(self, monkeypatch):
+    @pytest.fixture
+    def values_only(self, monkeypatch):
+        """token_spectrum's alpha, and token_alpha's dense branch, each from building F_k on."""
+        monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", self.N + 1)
+        return [lambda: fiedler_value(token_spectrum(token_graph(self.G, self.K), _base(self.G))),
+                lambda: token_alpha(token_graph(self.G, self.K))[0]]
+
+    def test_runs_between_the_two_rates(self, monkeypatch, values_only):
         assert spectra.VALUES_BYTES_PER_N2 < 30 < spectra.DENSE_BYTES_PER_N2
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", 30 * self.N ** 2)
-        assert check_spectral_containment(self.G, self.K, mode="float").passed
+        for alpha in values_only:
+            assert alpha() > 0
 
-    def test_refuses_below_its_rate_before_allocating(self, monkeypatch):
+    def test_refuses_below_its_rate_before_allocating(self, monkeypatch, values_only):
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", spectra.VALUES_BYTES_PER_N2 * self.N ** 2 - 1)
+        for alpha in values_only:
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapExceededError, match=f"dense Laplacian route at N = {self.N}"):
+                    alpha()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < self.N ** 2  # the int64 Laplacian alone would take 8 N^2
+
+    def test_certificate_refuses_below_its_estimate_before_allocating(self, monkeypatch):
+        tg, base = token_graph(self.G, self.K), _base(self.G)
+        need = (spectra.RITZ_BYTES_PER_EDGE * tg.graph.m
+                + spectra.RITZ_BYTES_PER_ROW_COLUMN * self.N * self.G.n)
+        monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", need - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(CapExceededError, match=f"dense Laplacian route at N = {self.N}"):
-                check_spectral_containment(self.G, self.K, mode="float")
+            with pytest.raises(CapExceededError, match=f"lifted certificate at N = {self.N}"):
+                lifted_residual_bound(tg, base)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < self.N ** 2  # the int64 Laplacian alone would take 8 N^2
+        assert peak < 8 * self.N * self.G.n  # the lift alone would take 8 N n
+        monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", need)
+        assert check_spectral_containment(self.G, self.K, mode="float").passed
+
+    def test_containment_forms_no_token_matrix(self):
+        tracemalloc.start()
+        try:
+            assert check_spectral_containment(self.G, self.K, mode="float").passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.N ** 2
