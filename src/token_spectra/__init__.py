@@ -39,7 +39,6 @@ from .spectra import (
 from .exact import (
     IntPoly,
     char_poly,
-    count_roots_in_interval,
     cycle_path_identity_check,
     poly_divides,
 )

@@ -1,8 +1,7 @@
 """Exact integer characteristic polynomials and polynomial certificates.
 
 Nothing in this module touches floating point: characteristic polynomials
-are exact integers, divisibility is decided by exact long division, and
-counting real roots in an interval uses a Sturm chain over rationals.
+are exact integers, and divisibility is decided by exact long division.
 Spectral containment decided here is binary, not tolerance-dependent,
 which is what makes it certificate-grade.
 
@@ -44,7 +43,6 @@ before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt
 from typing import Sequence
@@ -82,14 +80,6 @@ class IntPoly:
     def zero(cls) -> "IntPoly":
         return cls((0,))
 
-    @classmethod
-    def one(cls) -> "IntPoly":
-        return cls((1,))
-
-    @classmethod
-    def x_minus(cls, a: int) -> "IntPoly":
-        return cls((-a, 1))
-
     @property
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
@@ -107,21 +97,6 @@ class IntPoly:
     def is_monic(self) -> bool:
         return self.leading == 1 and not self.is_zero
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(tuple(out))
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         if self.is_zero or other.is_zero:
             return IntPoly.zero()
@@ -133,37 +108,9 @@ class IntPoly:
                 out[i + j] += a * b
         return IntPoly(tuple(out))
 
-    def __pow__(self, e: int) -> "IntPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        out = IntPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def evaluate(self, x):
-        """Horner evaluation; exact for int or Fraction arguments."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "IntPoly":
-        if self.degree <= 0:
-            return IntPoly.zero()
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
     def to_json_list(self) -> list[str]:
         """Decimal strings, ascending degree (coefficients can be huge)."""
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json_list(cls, items: Sequence[str]) -> "IntPoly":
-        return cls(tuple(int(s) for s in items))
 
 
 def _as_int_matrix(m) -> np.ndarray:
@@ -574,54 +521,3 @@ def cycle_path_identity_check(h: int) -> bool:
     rhs = char_poly(laplacian(path_graph(h)))
     return lhs == rhs
 
-
-def _sign_variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for coeffs in chain:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        if acc != 0:
-            signs.append(1 if acc > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots_in_interval(p: IntPoly, lo, hi) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi].
-
-    Sturm chain over exact rationals; lo and hi may be ints, Fractions, or
-    floats (floats are converted exactly).
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no root count")
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if lo > hi:
-        raise ValueError("empty interval")
-    if p.degree == 0:
-        return 0
-    chain = [[Fraction(c) for c in p.coeffs]]
-    chain.append([Fraction(c) for c in p.derivative().coeffs])
-    while True:
-        a, b = chain[-2], chain[-1]
-        if len(b) == 1 and b[0] == 0:
-            chain.pop()
-            break
-        rem = list(a)
-        while len(rem) >= len(b) and any(c != 0 for c in rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            factor = rem[-1] / b[-1]
-            shift = len(rem) - len(b)
-            for i, c in enumerate(b):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        while len(rem) > 1 and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            rem = [Fraction(0)]
-        if len(rem) == 1 and rem[0] == 0:
-            break
-        chain.append([-c for c in rem])
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)

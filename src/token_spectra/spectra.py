@@ -1,8 +1,8 @@
 """Dense Laplacian spectra with explicit eigenspace grouping, a sparse
-route to the algebraic connectivity of large token graphs, and a bound,
-from a base graph's eigenpairs lifted to its token graph, on how far the
-base graph's eigenvalues lie from the token graph's, which decides float
-containment without solving the token Laplacian.
+route to the algebraic connectivity of large token graphs, a bound, from
+a base graph's eigenpairs lifted to its token graph, on how far the base
+graph's eigenvalues lie from the token graph's, which decides float
+containment, and with one Cholesky, where a check's interval holds alpha.
 
 The dense eigensolver is LAPACK's symmetric solver reached through
 numpy; this module adds the contracts the verification layer depends on:
@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import Graph, GraphError
-from .tokens import TokenGraph, lift, require_memory
+from .tokens import CapExceededError, TokenGraph, lift, require_memory
 
 DEFAULT_RESID_TOL = 1e-9
 DEFAULT_GROUP_TOL = 1e-8
@@ -43,10 +43,16 @@ DENSE_BYTES_PER_N2 = 44
 # Peak bytes per N^2 of token_spectrum, measured the same way on 5-token graphs of
 # paths, N = 2002 and 4368: 16.2 and 16.1. It holds the float Laplacian and
 # eigvalsh's copy of it; the int64 matrix it was made from is freed before.
-# token_alpha's dense paths pay it; float containment takes lifted_residual_bound
+# token_alpha's dense paths pay it past _proved_alpha; containment takes lifted_residual_bound
 # instead, a bound from Kahan's theorem on the distance of L(G)'s eigenvalues to
 # spec(L(F_k)), with scale max(1, Delta + 1), and is charged at the rates below.
 VALUES_BYTES_PER_N2 = 18
+# Peak bytes per N^2 of _proved_alpha with its Cholesky, which holds the float matrix,
+# numpy's copy of it for LAPACK and the factor: ru_maxrss less the RSS before it, in a
+# fresh process, on 4- and 5-token graphs of paths, cycles, K_13 and tests/data/gnp12.el
+# and gnp18.el, N = 715..8568: 30.5 at N = 715, 28.2 at N = 1001, 24.4 at N = 8568.
+PROOF_BYTES_PER_N2 = 32
+UNIT_ROUNDOFF = 2.0 ** -53
 # Peak bytes of lifted_residual_bound per token edge and per entry of the N x n lift:
 # ru_maxrss less the RSS before it, in a fresh process, on 12 token graphs of paths,
 # cycles, stars, complete graphs and tests/data/gnp18.el, N = 220..74613. A least-squares
@@ -205,17 +211,91 @@ def sparse_laplacian(g: Graph):
     return csr_array((data, (np.concatenate((u, v, diag)), np.concatenate((v, u, diag)))), shape=(g.n, g.n))
 
 
-def token_alpha(tg: TokenGraph) -> tuple[float, float | None]:
-    """Algebraic connectivity of tg's token graph, and mu when the sparse route gave it.
+def token_alpha(tg: TokenGraph, accept: tuple[float, float] | None = None
+                ) -> tuple[float, float | None, tuple[float, float] | None]:
+    """Algebraic connectivity of tg's token graph, as (alpha, mu, proved).
 
-    Below SPARSE_MIN_ORDER token vertices alpha is fiedler_value of
-    token_spectrum: the eigenvalues of L(F_k) from one values-only solve,
-    certified by the eigenpairs of L(G) lifted through B, and mu is None.
-    From there on, see _sparse_token_alpha.
+    accept = (lo, hi) is the interval that the caller's check accepts for
+    alpha. Then below SPARSE_MIN_ORDER token vertices, and where the sparse
+    route hands over, _proved_alpha first tries to prove
+    lo < lambda_2(L(F_k)) <= upper <= hi, and proved = (lo, upper) if it does.
+    Otherwise alpha is fiedler_value of token_spectrum: the eigenvalues of
+    L(F_k) from one values-only solve, certified by the eigenpairs of L(G)
+    lifted through B, and proved is None. mu is the sparse route's (see
+    _sparse_token_alpha), None on the dense route.
     """
     if tg.graph.n < SPARSE_MIN_ORDER:
-        return fiedler_value(token_spectrum(tg, eig_sym(laplacian(tg.base).astype(float)))), None
-    return _sparse_token_alpha(tg)
+        return _dense_token_alpha(tg, eig_sym(laplacian(tg.base).astype(float)), accept)
+    return _sparse_token_alpha(tg, accept)
+
+
+def _dense_token_alpha(tg: TokenGraph, base: Spectrum, accept: tuple[float, float] | None
+                       ) -> tuple[float, None, tuple[float, float] | None]:
+    """token_alpha's dense route, from base = eig_sym(L(G)): the proof first, when accept is given."""
+    proved = None if accept is None else _proved_alpha(tg, base, *accept)
+    return proved or (fiedler_value(token_spectrum(tg, base)), None, None)
+
+
+def _proved_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float
+                  ) -> tuple[float, None, tuple[float, float]] | None:
+    """(alpha, None, (lo, upper)) once lo < lambda_2(L(F_k)) <= upper <= hi is proved, else None.
+
+    Upper end: by lifted_residual_bound, the eigenvalues 0 and base.values[1]
+    of L(G) lie within err of two distinct eigenvalues of L(F_k), so
+    lambda_2 <= upper = base.values[1] + err, rounded up. Lower end: for
+    lo < 0 it holds, as L(F_k) is positive semidefinite; for lo >= 0 it
+    takes _exceeds, and PROOF_BYTES_PER_N2 per N^2 of memory, or None.
+    alpha is the Rayleigh quotient of the lifted Fiedler vector B v,
+    v = base.vectors[:, 1], from the token edges; exactly 0 within
+    DEFAULT_RESID_TOL * scale of it, with lifted_residual_bound's scale.
+    """
+    g = tg.graph
+    try:  # a proof that does not fit in memory leaves alpha to token_spectrum
+        require_memory(PROOF_BYTES_PER_N2 * g.n * g.n if lo >= 0 else 0, f"the proof at N = {g.n}")
+        err, scale = lifted_residual_bound(tg, base)
+    except CapExceededError:
+        return None
+    upper = float(np.nextafter(base.values[1] + err, np.inf))
+    if not (upper <= hi and (lo < 0 or _exceeds(g, lo))):
+        return None
+    x = lift(tg.base.n, tg.k) @ base.vectors[:, 1]
+    z = x[g.edge_array[:, 0]] - x[g.edge_array[:, 1]]
+    alpha = float(z @ z / (x @ x))
+    return (0.0 if alpha <= DEFAULT_RESID_TOL * scale else alpha), None, (lo, upper)
+
+
+def _exceeds(g: Graph, lo: float) -> bool:
+    """Is every eigenvalue of L(g) on the complement of the constant vector 1 above lo >= 0?
+
+    True only when proved. A = L + t J, with J = 1 1^T and t a power of two
+    with t N > lo + 1, agrees with L on 1^perp and has the eigenvalue t N on
+    1; its entries t - 1, t and degree + t are exact. M = fl(A - s I), with
+    s = fl(lo + c), rounds only its diagonal, each entry by at most u times
+    its value (u the unit roundoff), which is at most Delta + t. If
+    floating-point Cholesky of M succeeds, M + dM = G^T G is positive
+    definite with ||dM|| <= gamma / (1 - gamma) tr(M), gamma = gamma_{N+1},
+    for any order of summation (S. M. Rump, Verification of positive
+    definiteness, BIT 46 (2006) 433-452, after Demmel; Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm 10.3). tr(M) <= 2|E| + N t.
+    So lambda_min(A) > s - c' with c' = gamma / (1 - gamma) (2|E| + N t)
+    + u (Delta + t), and c covers c', the rounding of s, and that of c
+    itself; Rump's underflow terms lie below that last margin.
+    """
+    n = g.n
+    t = math.ldexp(1.0, math.frexp((lo + 2.0) / n)[1])
+    degree = np.bincount(g.edge_array.ravel(), minlength=n)
+    gamma = (n + 1) * UNIT_ROUNDOFF / (1 - (n + 1) * UNIT_ROUNDOFF)
+    c = (gamma / (1 - gamma) * (2 * g.m + n * t)
+         + UNIT_ROUNDOFF * (float(degree.max()) + t + 2 * lo)) * (1 + 2.0 ** -40)
+    a = np.full((n, n), t)
+    u, v = g.edge_array.T
+    a[u, v] = a[v, u] = t - 1.0
+    a[np.diag_indices(n)] = (degree + t) - (lo + c)
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def token_spectrum(tg: TokenGraph, base: Spectrum) -> np.ndarray:
@@ -242,25 +322,30 @@ def token_spectrum(tg: TokenGraph, base: Spectrum) -> np.ndarray:
     return values
 
 
-def laplacian_apply(g: Graph, y: np.ndarray) -> np.ndarray:
-    """L(g) y from g's edge array, with no order x order matrix.
+def laplacian_apply(g: Graph, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L(g) y, the degrees of g) from g's edge array, with no order x order matrix.
 
     L = D^T D with D the signed edge-vertex incidence matrix: z = y[u] - y[v]
     over the edges (u, v) is added at u and subtracted at v, by one bincount
-    over all columns at once while there are at most APPLY_FLAT_ENTRIES
-    (edge, column) pairs, and one column at a time beyond that.
+    per end over all columns at once while there are at most
+    APPLY_FLAT_ENTRIES (edge, column) pairs, and one column at a time beyond
+    that. A last column of z, 1 on every edge, counts the degrees in the same
+    bincounts, as the sum of its two ends.
     """
     u, v = g.edge_array.T
-    width = y.shape[1] if g.m * y.shape[1] <= APPLY_FLAT_ENTRIES else 1
+    cols = y.shape[1] + 1
+    width = cols if g.m * cols <= APPLY_FLAT_ENTRIES else 1
     at = np.arange(width)
     iu, iv = (u[:, None] * width + at).ravel(), (v[:, None] * width + at).ravel()
-    out = np.empty(y.shape)
-    for c in range(0, y.shape[1], width):
+    out = np.empty((g.n, cols))
+    for c in range(0, cols, width):
         block = y[:, c:c + width]
-        z = (block[u] - block[v]).ravel()
-        out[:, c:c + width] = (np.bincount(iu, z, g.n * width)
-                               - np.bincount(iv, z, g.n * width)).reshape(g.n, width)
-    return out
+        z = np.ones((g.m, width))
+        np.subtract(block[u], block[v], out=z[:, :block.shape[1]])
+        at_u, at_v = (np.bincount(i, z.ravel(), g.n * width).reshape(g.n, width) for i in (iu, iv))
+        out[:, c:c + width] = at_u - at_v
+    out[:, -1] = at_u[:, -1] + at_v[:, -1]  # the last block ends with the column of ones
+    return out[:, :-1], out[:, -1]
 
 
 def lifted_residual_bound(tg: TokenGraph, base: Spectrum) -> tuple[float, float]:
@@ -295,8 +380,9 @@ def lifted_residual_bound(tg: TokenGraph, base: Spectrum) -> tuple[float, float]
                    f"the lifted certificate at N = {g.n}")
     x = lift(n, tg.k) @ base.vectors
     lam = base.values
-    r = laplacian_apply(g, x) - x * lam
-    scale = max(1.0, float(np.bincount(g.edge_array.ravel(), minlength=g.n).max()) + 1.0)
+    lx, degree = laplacian_apply(g, x)
+    r = lx - x * lam
+    scale = max(1.0, float(degree.max()) + 1.0)
     bound = DEFAULT_RESID_TOL * scale
     rr, gram = np.einsum("ij,ij->j", r, r), x.T @ x
     if not (rr <= bound * bound * gram.diagonal()).all():  # also when NaN got in
@@ -310,7 +396,8 @@ def lifted_residual_bound(tg: TokenGraph, base: Spectrum) -> tuple[float, float]
     return float(2 * (np.sqrt(rr.sum()) + commutator / (2 * root)) / root), scale
 
 
-def _sparse_token_alpha(tg: TokenGraph) -> tuple[float, float | None]:
+def _sparse_token_alpha(tg: TokenGraph, accept: tuple[float, float] | None = None
+                        ) -> tuple[float, float | None, tuple[float, float] | None]:
     """alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue of L(F_k) on range(B)^perp.
 
     B is the lift of G's vertices to k-subsets. L(F_k) B = B L(G) with B of
@@ -374,8 +461,8 @@ def _sparse_token_alpha(tg: TokenGraph) -> tuple[float, float | None]:
                 break
             mu = float(vals[0])
             value = min(a_base, mu)
-            return (0.0 if abs(value) <= bound else value), mu
-    return fiedler_value(token_spectrum(tg, base)), None
+            return (0.0 if abs(value) <= bound else value), mu, None
+    return _dense_token_alpha(tg, base, accept)
 
 
 def theta(r: int, k: int) -> float:

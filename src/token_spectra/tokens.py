@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 
@@ -57,6 +58,9 @@ class TokenGraph:
         return format_edge_list(self.graph, header=header)
 
 
+# choose_table and _colex_subsets are memoized, as read-only arrays: a sweep builds
+# many token graphs of a few (n, j), and their fixed numpy overhead dominated there
+@lru_cache(maxsize=32)
 def choose_table(n: int, j: int) -> np.ndarray:
     """choose[m, i] = C(m, i) for m <= n, i <= j, so the colex rank of a row s is choose[s, 1..j].sum().
 
@@ -66,9 +70,11 @@ def choose_table(n: int, j: int) -> np.ndarray:
     choose[:, 0] = 1
     for i in range(1, j + 1):
         choose[1:, i] = np.cumsum(choose[:-1, i - 1])
+    choose.flags.writeable = False
     return choose
 
 
+@lru_cache(maxsize=32)
 def _colex_subsets(n: int, j: int) -> np.ndarray:
     """The C(n, j) x j table of j-subsets of range(n), each sorted, rows in colex order.
 
@@ -76,7 +82,9 @@ def _colex_subsets(n: int, j: int) -> np.ndarray:
     order, read backwards; so no sort is needed.
     """
     flat = chain.from_iterable(combinations(range(n - 1, -1, -1), j))
-    return np.fromiter(flat, dtype=np.int64, count=comb(n, j) * j).reshape(-1, j)[::-1, ::-1]
+    table = np.fromiter(flat, dtype=np.int64, count=comb(n, j) * j).reshape(-1, j)[::-1, ::-1]
+    table.flags.writeable = False
+    return table
 
 
 def lift(n: int, k: int) -> np.ndarray:

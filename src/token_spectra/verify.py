@@ -107,16 +107,26 @@ def _pair_witness(u: int, v: int) -> dict:
     return {"u": u, "v": v, "u_one_based": u + 1, "v_one_based": v + 1}
 
 
-def _add_complements(witnesses: dict, complements: dict) -> None:
-    """Add each mu of token_alpha's sparse route under its name; the dense route gives None.
+def _accepts(target: float, tol: float) -> tuple[float, float]:
+    """The interval target +- tol * max(1, |target|) that a check accepts for alpha(F_k)."""
+    half = tol * max(1.0, abs(target))
+    return target - half, target + half
 
-    The sparse route does not certify that mu is the least eigenvalue off
-    range(B), so a certificate with a mu says so under alpha_complement_least.
+
+def _add_complements(witnesses: dict, complements: dict, proved: tuple[float, float] | None = None) -> None:
+    """Add each mu of token_alpha's sparse route under its name, and the bounds it proved.
+
+    The dense route gives mu = None. The sparse route does not certify that
+    mu is the least eigenvalue off range(B), so a certificate with a mu says
+    so under alpha_complement_least. Where token_alpha proved
+    lower < alpha(F_k) <= upper, they are alpha_token_lower and alpha_token_upper.
     """
     found = {name: mu for name, mu in complements.items() if mu is not None}
     witnesses.update(found)
     if found:
         witnesses["alpha_complement_least"] = "not certified"
+    if proved is not None:
+        witnesses["alpha_token_lower"], witnesses["alpha_token_upper"] = proved
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +181,7 @@ def check_alpha_token_equality(
     """Algebraic connectivity of g equals that of its k-token graph."""
     t0 = time.perf_counter()
     a_base, _ = algebraic_connectivity(g)
-    a_token, mu = token_alpha(token_graph(g, k, cap=cap))
+    a_token, mu, proved = token_alpha(token_graph(g, k, cap=cap), _accepts(a_base, tol))
     ok = abs(a_token - a_base) <= tol * max(1.0, abs(a_base))
     witnesses = {
         "k": k,
@@ -179,7 +189,7 @@ def check_alpha_token_equality(
         "alpha_token": a_token,
         "difference": a_token - a_base,
     }
-    _add_complements(witnesses, {"alpha_complement": mu})
+    _add_complements(witnesses, {"alpha_complement": mu}, proved)
     return _finish("alpha-token", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
 
 
@@ -259,9 +269,9 @@ def check_pendant_bound(
         raise GraphError(f"need 2 <= k <= {n_aug / 2} (augmented order / 2), got k={k}")
     t0 = time.perf_counter()
     h = Graph(n_aug, g.edges + ((0, g.n),))
-    a_h, mu_h = token_alpha(token_graph(h, k, cap=cap))
-    a_km1, mu_km1 = token_alpha(token_graph(g, k - 1, cap=cap))
-    a_k, mu_k = token_alpha(token_graph(g, k, cap=cap))
+    a_h, mu_h, _ = token_alpha(token_graph(h, k, cap=cap))
+    a_km1, mu_km1, _ = token_alpha(token_graph(g, k - 1, cap=cap))
+    a_k, mu_k, _ = token_alpha(token_graph(g, k, cap=cap))
     bound = min(a_km1 + 1.0, a_k + 1.0)
     ok = a_h <= bound + tol * max(1.0, bound)
     witnesses = {
@@ -547,7 +557,7 @@ def check_kite_head_family(
         extra.append((u, v))
     gp = add_edges(g, extra) if extra else g
     a_gp, _ = algebraic_connectivity(gp)
-    a_token, mu = token_alpha(token_graph(gp, k, cap=cap))
+    a_token, mu, proved = token_alpha(token_graph(gp, k, cap=cap), _accepts(a_gp, tol))
     alpha_ok = abs(a_token - a_gp) <= tol * max(1.0, abs(a_gp))
     witnesses.update(
         {
@@ -557,7 +567,7 @@ def check_kite_head_family(
             "added_edges": [_pair_witness(u, v) for u, v in extra],
         }
     )
-    _add_complements(witnesses, {"alpha_complement": mu})
+    _add_complements(witnesses, {"alpha_complement": mu}, proved)
     verdict = PASS if (bridge_ok and alpha_ok) else FAIL
     witnesses["bridge_ok"] = bridge_ok
     return _finish("kite-head", g, verdict, witnesses, {"tol": tol, "num_tol": BRIDGE_TOL}, t0)
@@ -622,7 +632,7 @@ def check_bipartite_extension(
     g = build_bipartite_extension(n1, n2, mode, x_edges)
     expected = float(n1 if mode == "plus_x" else n2)
     a, _ = algebraic_connectivity(g)
-    a_token, mu = token_alpha(token_graph(g, k, cap=cap))
+    a_token, mu, proved = token_alpha(token_graph(g, k, cap=cap), _accepts(expected, tol))
     ok = _close(a, expected, tol) and _close(a_token, expected, tol)
     witnesses = {
         "mode": mode,
@@ -631,7 +641,7 @@ def check_bipartite_extension(
         "alpha": a,
         "alpha_token": a_token,
     }
-    _add_complements(witnesses, {"alpha_complement": mu})
+    _add_complements(witnesses, {"alpha_complement": mu}, proved)
     return _finish("bipartite-ext", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
 
 
@@ -672,9 +682,9 @@ def check_cut_clique(
         witnesses["gap"] = float(r) - a
         verdict = PASS if bound_ok else FAIL
         return _finish("cut-clique", g, verdict, witnesses, {"tol": tol}, t0)
-    a_token, mu = token_alpha(token_graph(g, k, cap=cap))
+    a_token, mu, proved = token_alpha(token_graph(g, k, cap=cap), _accepts(float(r), tol))
     witnesses["alpha_token"] = a_token
-    _add_complements(witnesses, {"alpha_complement": mu})
+    _add_complements(witnesses, {"alpha_complement": mu}, proved)
     ok = bound_ok and _close(a, float(r), tol) and _close(a_token, float(r), tol)
     return _finish("cut-clique", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
 

@@ -6,13 +6,15 @@ polynomial, the colex subset codec with the per-edge token-graph loop
 and the binomial lift built on it, the per-edge Laplacian and
 per-eigenvalue grouping loops the spectra module replaced, the
 Faddeev-LeVerrier characteristic polynomial the exact module replaced,
-and the exact containment check on the whole token Laplacian, which the
-layered route replaced)."""
+the exact containment check on the whole token Laplacian, which the
+layered route replaced, and the integer-polynomial operations and Sturm
+root count that only the tests call)."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
 from math import comb
@@ -156,15 +158,119 @@ def rayleigh(m: np.ndarray, x: Sequence[float], edges: Iterable[tuple[int, int]]
     return val
 
 
+ONE = IntPoly((1,))
+
+
+def poly_add(p: IntPoly, q: IntPoly) -> IntPoly:
+    a, b = (p.coeffs, q.coeffs) if len(p.coeffs) >= len(q.coeffs) else (q.coeffs, p.coeffs)
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return IntPoly(tuple(out))
+
+
+def poly_sub(p: IntPoly, q: IntPoly) -> IntPoly:
+    return poly_add(p, IntPoly(tuple(-c for c in q.coeffs)))
+
+
+def x_minus(a: int) -> IntPoly:
+    """The polynomial x - a."""
+    return IntPoly((-a, 1))
+
+
+def poly_pow(p: IntPoly, e: int) -> IntPoly:
+    """p ** e by repeated squaring."""
+    if e < 0:
+        raise ValueError("negative power")
+    out = ONE
+    while e:
+        if e & 1:
+            out = out * p
+        p = p * p
+        e >>= 1
+    return out
+
+
+def evaluate(p: IntPoly, x):
+    """Horner evaluation; exact for int or Fraction arguments."""
+    acc = x * 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def derivative(p: IntPoly) -> IntPoly:
+    if p.degree <= 0:
+        return IntPoly.zero()
+    return IntPoly(tuple(i * c for i, c in enumerate(p.coeffs) if i > 0))
+
+
+def from_json_list(items: Sequence[str]) -> IntPoly:
+    """The inverse of IntPoly.to_json_list."""
+    return IntPoly(tuple(int(s) for s in items))
+
+
+def _sign_variations(chain: list[list[Fraction]], x: Fraction) -> int:
+    signs = []
+    for coeffs in chain:
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        if acc != 0:
+            signs.append(1 if acc > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def count_roots_in_interval(p: IntPoly, lo, hi) -> int:
+    """Number of distinct real roots of p in the half-open interval (lo, hi].
+
+    Sturm chain over exact rationals; lo and hi may be ints, Fractions, or
+    floats (floats are converted exactly).
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial has no root count")
+    lo = Fraction(lo)
+    hi = Fraction(hi)
+    if lo > hi:
+        raise ValueError("empty interval")
+    if p.degree == 0:
+        return 0
+    chain = [[Fraction(c) for c in p.coeffs]]
+    chain.append([Fraction(c) for c in derivative(p).coeffs])
+    while True:
+        a, b = chain[-2], chain[-1]
+        if len(b) == 1 and b[0] == 0:
+            chain.pop()
+            break
+        rem = list(a)
+        while len(rem) >= len(b) and any(c != 0 for c in rem):
+            if rem[-1] == 0:
+                rem.pop()
+                continue
+            factor = rem[-1] / b[-1]
+            shift = len(rem) - len(b)
+            for i, c in enumerate(b):
+                rem[shift + i] -= factor * c
+            rem.pop()
+        while len(rem) > 1 and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            rem = [Fraction(0)]
+        if len(rem) == 1 and rem[0] == 0:
+            break
+        chain.append([-c for c in rem])
+    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+
+
 def closed_form_gstar_poly(n1: int, n2: int, r: int) -> IntPoly:
     """Expand x(x-r)(x-r-n1)^(n1-1)(x-r-n2)^(n2-1)(x-n)^r with n = n1+n2+r."""
     if n1 < 1 or n2 < 1 or r < 1:
         raise ValueError("need n1, n2, r >= 1")
     n = n1 + n2 + r
-    out = IntPoly((0, 1)) * IntPoly.x_minus(r)
-    out = out * IntPoly.x_minus(r + n1) ** (n1 - 1)
-    out = out * IntPoly.x_minus(r + n2) ** (n2 - 1)
-    out = out * IntPoly.x_minus(n) ** r
+    out = IntPoly((0, 1)) * x_minus(r)
+    out = out * poly_pow(x_minus(r + n1), n1 - 1)
+    out = out * poly_pow(x_minus(r + n2), n2 - 1)
+    out = out * poly_pow(x_minus(n), r)
     return out
 
 
@@ -208,7 +314,7 @@ def reference_char_poly(m) -> IntPoly:
     a = [[int(x) for x in row] for row in np.asarray(m).tolist()]
     n = len(a)
     if n == 0:
-        return IntPoly.one()
+        return ONE
     rows = [[(j, v) for j, v in enumerate(row) if v != 0] for row in a]
     mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     c = [0] * (n + 1)

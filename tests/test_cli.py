@@ -277,7 +277,7 @@ class TestVerify:
     def test_math_failure_exit_1(self, runner, monkeypatch):
         # alpha(F_2(P_5)) read 0.5 too high: a fail that no rounding decides
         real = verify.token_alpha
-        monkeypatch.setattr(verify, "token_alpha", lambda tg: (real(tg)[0] + 0.5, None))
+        monkeypatch.setattr(verify, "token_alpha", lambda tg, accept=None: (real(tg, accept)[0] + 0.5, None, None))
         res = runner.invoke(main, ["verify", "alpha-token", "--graph", "path:5", "-k", "2"])
         assert res.exit_code == 1
         assert json.loads(res.output)["verdict"] == "fail"

@@ -73,7 +73,7 @@ class TestAgainstDense:
         for g in [*family_corpus(8), *random_corpus(12, n_range=(6, 10), seed=5)]:
             for k in range(1, g.n):
                 tg = token_graph(g, k)
-                value, mu = _sparse_token_alpha(tg)
+                value, mu, _ = _sparse_token_alpha(tg)
                 assert _agrees(tg, value), (g, k)
                 if mu is not None:
                     sparse += 1
@@ -94,20 +94,20 @@ class TestAgainstDense:
     def test_gnp_at_n_1001(self):
         g = random_corpus(1, n_range=(14, 14), seed=2)[0]
         tg = token_graph(g, 4)
-        value, mu = _sparse_token_alpha(tg)
+        value, mu, _ = _sparse_token_alpha(tg)
         assert mu is not None and _agrees(tg, value)
 
     def test_disconnected_base_gives_zero(self):
         g = Graph(10, [*cycle_graph(5).edges, *((u + 5, v + 5) for u, v in cycle_graph(5).edges)])
         for k in (2, 3, 7):
-            value, mu = _sparse_token_alpha(token_graph(g, k))
+            value, mu, _ = _sparse_token_alpha(token_graph(g, k))
             assert value == 0.0 and mu is not None
 
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 2), (7, 3), (8, 3), (9, 4)])
     def test_complete_graph_falls_back(self, n, k):
         # mu = 2(n - 1) has multiplicity C(n, 2) - n, beyond every block that fits at this order
         tg = token_graph(complete_graph(n), k)
-        value, mu = _sparse_token_alpha(tg)
+        value, mu, _ = _sparse_token_alpha(tg)
         assert mu is None
         assert value == _dense(tg)
         assert abs(value - n) <= 1e-9 * n
@@ -117,7 +117,7 @@ class TestAgainstDense:
         # converges to one group and no larger block is tried
         sizes = _spy_block_sizes(monkeypatch)
         tg = token_graph(star_graph(8), 4)
-        value, mu = _sparse_token_alpha(tg)
+        value, mu, _ = _sparse_token_alpha(tg)
         assert sizes == [4] and mu is None
         assert value == _dense(tg)
 
@@ -125,13 +125,13 @@ class TestAgainstDense:
         # the block of 4 is cut short, so its residuals fail and a block of 8 decides
         sizes = _spy_block_sizes(monkeypatch, short={4})
         tg = token_graph(GNP12, 5)
-        value, mu = _sparse_token_alpha(tg)
+        value, mu, _ = _sparse_token_alpha(tg)
         assert sizes == [4, 8] and mu is not None and _agrees(tg, value)
 
     def test_no_convergence_falls_back_to_dense(self, monkeypatch):
         monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)
         tg = token_graph(GNP12, 5)
-        value, mu = _sparse_token_alpha(tg)
+        value, mu, _ = _sparse_token_alpha(tg)
         assert mu is None
         assert value == _dense(tg)
 
@@ -168,7 +168,7 @@ class TestTokenAlpha:
         for g, k in [(GNP12, 4), (path_graph(9), 3), (cycle_graph(8), 4)]:
             tg = token_graph(g, k)
             assert tg.graph.n < spectra.SPARSE_MIN_ORDER
-            assert token_alpha(tg) == (_dense(tg), None)
+            assert token_alpha(tg) == (_dense(tg), None, None)
 
     def test_sparse_from_threshold(self, monkeypatch):
         tg = token_graph(GNP12, 4)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from token_spectra.exact import char_poly, count_roots_in_interval
+from token_spectra.exact import char_poly
 from token_spectra.graphs import (
     Graph,
     GraphError,
@@ -30,6 +30,7 @@ from token_spectra.spectra import (
 from token_spectra.tokens import token_graph
 
 from helpers import (
+    count_roots_in_interval,
     family_corpus,
     random_corpus,
     rayleigh,

@@ -1,5 +1,6 @@
-"""The values-only route of alpha(F_k) and the lifted certificate of float
-containment, against the full eigensolver and the exact route.
+"""The values-only route of alpha(F_k), the proof that alpha(F_k) lies in a
+check's interval, and the lifted certificate of float containment, against
+the full eigensolver and the exact route.
 
 spectra.token_spectrum reads only eigenvalues of L(F_k) and certifies them
 by lifting every eigenpair of L(G) through the membership matrix B; these
@@ -8,16 +9,22 @@ token_alpha's dense paths read from it. Float containment reads no
 spectrum of L(F_k) at all: spectra.lifted_residual_bound bounds, by Kahan's
 theorem, how far each eigenvalue of L(G) lies from its own eigenvalue of
 L(F_k), and the tests below check that bound, its guards, and its verdicts.
+Given the interval a check accepts, token_alpha proves lo < lambda_2 <= upper
+from that bound and one Cholesky (spectra._proved_alpha) before it solves.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from token_spectra import spectra, tokens, verify
-from token_spectra.graphs import Graph, parse_edge_list, path_graph
+from token_spectra.graphs import Graph, complete_graph, parse_edge_list, path_graph
 from token_spectra.spectra import (
     NumericalError,
     Spectrum,
@@ -30,8 +37,15 @@ from token_spectra.spectra import (
     token_alpha,
     token_spectrum,
 )
-from token_spectra.tokens import CapExceededError, TokenGraph, token_graph
-from token_spectra.verify import check_spectral_containment
+from token_spectra.tokens import CapExceededError, TokenGraph, lift, token_graph
+from token_spectra.verify import (
+    check_alpha_token_equality,
+    check_bipartite_extension,
+    check_cut_clique,
+    check_kite_head_family,
+    check_pendant_bound,
+    check_spectral_containment,
+)
 
 from helpers import connected_class_representatives, family_corpus
 
@@ -116,7 +130,9 @@ class TestLiftedCertificate:
             tg = token_graph(g, k)
             y = np.random.default_rng(0).standard_normal((tg.graph.n, 5))
             want = laplacian(tg.graph) @ y
-            assert np.abs(laplacian_apply(tg.graph, y) - want).max() <= 1e-12 * np.abs(want).max()
+            applied, degree = laplacian_apply(tg.graph, y)
+            assert np.abs(applied - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(degree, laplacian(tg.graph).diagonal())
 
     def test_eigenvalues_lie_near_distinct_eigenvalues(self, corpus):
         for g in corpus:
@@ -209,14 +225,14 @@ class TestTokenAlpha:
             for k in range(1, g.n):
                 tg = token_graph(g, k)
                 full = eig_sym(laplacian(tg.graph).astype(float)).values
-                value, mu = token_alpha(tg)
-                assert mu is None
+                value, mu, proved = token_alpha(tg)
+                assert mu is None and proved is None
                 assert abs(value - algebraic_connectivity(tg.graph)[0]) <= 1e-9 * max(1.0, float(full[-1]))
 
     def test_handover_reads_the_same_bits(self, handover):
         for g, k in [(GNP12, 3), (path_graph(7), 2), (path_graph(7), 3)]:
             tg = token_graph(g, k)
-            assert token_alpha(tg) == (fiedler_value(token_spectrum(tg, _base(g))), None)
+            assert token_alpha(tg) == (fiedler_value(token_spectrum(tg, _base(g))), None, None)
 
     @pytest.mark.parametrize("route", ["dense", "handover"])
     def test_corrupted_lift_raises(self, request, monkeypatch, route):
@@ -301,3 +317,124 @@ class TestMemoryCharge:
         finally:
             tracemalloc.stop()
         assert peak < self.N ** 2
+
+
+def _accept(g: Graph, tol: float = 1e-7) -> tuple[float, float]:
+    """alpha-token's interval for alpha(F_k): alpha(G) +- tol * max(1, alpha(G))."""
+    a = fiedler_value(_base(g).values)
+    return a - tol * max(1.0, a), a + tol * max(1.0, a)
+
+
+def _exact_rayleigh(tg: TokenGraph) -> Fraction:
+    """The exact Rayleigh quotient of the lifted Fiedler vector, made orthogonal to 1 in
+    integers; an upper bound on lambda_2(L(F_k)) that involves no rounding."""
+    x = [Fraction(float(c)) for c in lift(tg.base.n, tg.k) @ _base(tg.base).vectors[:, 1]]
+    den = max(c.denominator for c in x)
+    ints = [int(c * den) for c in x]
+    total = sum(ints)
+    ints = [len(ints) * c - total for c in ints]
+    num = sum((ints[u] - ints[v]) ** 2 for u, v in tg.graph.edge_array.tolist())
+    return Fraction(num, sum(c * c for c in ints))
+
+
+class TestProvedAlpha:
+    """token_alpha with a check's interval: lo < lambda_2(L(F_k)) <= upper, proved, or the values-only route."""
+
+    def test_closes_on_the_corpus(self, corpus):
+        for g in corpus:
+            accept = _accept(g)
+            for k in range(1, g.n):
+                tg = token_graph(g, k)
+                full = np.linalg.eigvalsh(laplacian(tg.graph).astype(float))
+                value, mu, proved = token_alpha(tg, accept)
+                assert mu is None and proved is not None, (g.edges, k)
+                lower, upper = proved
+                assert lower == accept[0] and upper <= accept[1]
+                assert lower <= full[1] <= upper, (g.edges, k)
+                assert abs(value - full[1]) <= 1e-9 * max(1.0, float(full[-1])), (g.edges, k)
+
+    def test_lower_end_above_lambda_2_falls_back(self):
+        for g, k in [(GNP12, 3), (path_graph(7), 3), (complete_graph(6), 2)]:
+            tg = token_graph(g, k)
+            full = np.linalg.eigvalsh(laplacian(tg.graph).astype(float))
+            lo = full[1] + 1e-6 * max(1.0, float(full[-1]))
+            assert not spectra._exceeds(tg.graph, lo)
+            assert token_alpha(tg, (lo, full[1] + 1.0)) == (fiedler_value(token_spectrum(tg, _base(g))), None, None)
+
+    def test_upper_end_below_alpha_falls_back(self):
+        # hi = alpha(G), below upper = alpha(G) + err
+        tg = token_graph(GNP12, 3)
+        lo, _ = _accept(GNP12)
+        assert token_alpha(tg, (lo, fiedler_value(_base(GNP12).values)))[2] is None
+
+    def test_rump_shift_is_needed(self, monkeypatch):
+        # lo above lambda_2 by a few ulps, which a float Cholesky without the shift c still factors
+        found = 0
+        for g, k in [(path_graph(10), 3), (path_graph(11), 4), (GNP12, 3)]:
+            tg = token_graph(g, k)
+            rq = _exact_rayleigh(tg)
+            for j in range(1, 40):
+                lo = float(rq) + j * np.spacing(float(rq))
+                assert Fraction(lo) > rq  # so lambda_2 < lo: no proof may close
+                with monkeypatch.context() as m:
+                    m.setattr(spectra, "UNIT_ROUNDOFF", 0.0)  # c = 0
+                    if not spectra._exceeds(tg.graph, lo):
+                        continue
+                    assert token_alpha(tg, (lo, lo + 1.0))[2] is not None  # a wrong proof
+                found += 1
+                assert not spectra._exceeds(tg.graph, lo)
+                assert token_alpha(tg, (lo, lo + 1.0))[2] is None
+        assert found
+
+    def test_dropped_token_edge_raises(self):
+        for k in (2, 3):
+            tg = token_graph(GNP12, k)
+            with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
+                token_alpha(_corrupted(tg, tg.graph.edge_array[1:]), _accept(GNP12))
+
+    def test_disconnected_graph_reads_zero(self):
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        for k in range(1, g.n):
+            value, _, proved = token_alpha(token_graph(g, k), _accept(g))
+            assert value == 0.0 and proved is not None and proved[0] < 0
+
+    def test_certificates_carry_the_bounds(self):
+        certs = [check_alpha_token_equality(GNP12, 3),
+                 check_kite_head_family("cycle", 2, 2, h=4, k=2),
+                 check_bipartite_extension(2, 3, "plus_x", k=2, x_edges=[(0, 1)]),
+                 check_cut_clique(1, [complete_graph(2), complete_graph(2)], k=2)]
+        for cert in certs:
+            w = cert.witnesses
+            assert cert.passed and w["alpha_token_lower"] < w["alpha_token"] <= w["alpha_token_upper"]
+        # pendant-bound feeds three values into one inequality, and takes no interval
+        assert not any(key.startswith("alpha_token_") and key.endswith(("lower", "upper"))
+                       for key in check_pendant_bound(GNP12, 3).witnesses)
+
+    def test_tol_zero_keeps_the_values_only_certificate(self):
+        cert = check_alpha_token_equality(GNP12, 3, tol=0.0)
+        assert "alpha_token_lower" not in cert.witnesses
+        tg = token_graph(GNP12, 3)
+        assert cert.witnesses["alpha_token"] == fiedler_value(token_spectrum(tg, _base(GNP12)))
+
+    def test_sweep_cells_import_no_scipy(self):
+        code = ("import sys; from token_spectra.verify import check_alpha_token_equality;"
+                "from token_spectra.graphs import path_graph;"
+                "assert 'alpha_token_lower' in check_alpha_token_equality(path_graph(8), 3).witnesses;"
+                "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+        path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("rate, proved", [(25, False), (spectra.PROOF_BYTES_PER_N2, True)])
+    def test_memory_between_the_two_rates(self, monkeypatch, rate, proved):
+        # path:14 with k = 4, N = 1001, on the dense route: the proof is tried only where it fits;
+        # between the values-only rate and the proof's, token_spectrum answers alone
+        assert spectra.VALUES_BYTES_PER_N2 < 25 < spectra.PROOF_BYTES_PER_N2
+        g, k, n = path_graph(14), 4, 1001
+        monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", n + 1)
+        monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", rate * n ** 2)
+        value, _, bounds = token_alpha(token_graph(g, k), _accept(g))
+        assert (bounds is not None) == proved
+        if not proved:
+            assert value == fiedler_value(token_spectrum(token_graph(g, k), _base(g)))

@@ -107,6 +107,7 @@ class TestTokenGraph:
 
     def test_memory_estimate_refuses_before_allocating(self, monkeypatch):
         # complete:12 with k = 3 makes 66 * C(11, 2) = 3630 candidate rows
+        tokens._colex_subsets.cache_clear()  # the subset table is memoized; it must be built here
         started = []
         monkeypatch.setattr(tokens, "combinations", lambda *a: started.append(a))
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", 3629 * tokens.TOKEN_BYTES_PER_ROW)
