@@ -466,7 +466,7 @@ def _sweep_row(task: dict) -> dict:
 @main.command()
 @click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--csv", "csv_path", help="write rows as CSV to this path (default stdout)")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=None, help="override the spec seed")
 @click.option("--cap", type=int, default=None)
 @click.option("--pretty", is_flag=True)
@@ -482,11 +482,12 @@ def sweep(spec_file, csv_path, jobs, seed, cap, pretty):
         # a spec value of the wrong type or shape, or one no instance can be built from
         raise click.UsageError(f"bad sweep spec: {exc}") from exc
 
-    if jobs > 1:
+    workers = min(jobs, len(tasks))  # the pool starts every worker at its first submit
+    if workers > 1:
         # multiprocessing.Pool.map's default chunk size: about four chunks per worker,
         # so each worker pickles a few batches instead of one round trip per cell
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, tasks, chunksize=max(1, -(-len(tasks) // (4 * jobs)))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_sweep_row, tasks, chunksize=-(-len(tasks) // (4 * workers))))
     else:
         rows = [_sweep_row(t) for t in tasks]
 

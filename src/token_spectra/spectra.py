@@ -43,7 +43,7 @@ DENSE_BYTES_PER_N2 = 44
 # Peak bytes per N^2 of token_spectrum, measured the same way on 5-token graphs of
 # paths, N = 2002 and 4368: 16.2 and 16.1. It holds the float Laplacian and
 # eigvalsh's copy of it; the int64 matrix it was made from is freed before.
-# token_alpha's dense paths pay it past _proved_alpha; containment takes lifted_residual_bound
+# token_alpha pays it where its other routes do not answer; containment takes lifted_residual_bound
 # instead, a bound from Kahan's theorem on the distance of L(G)'s eigenvalues to
 # spec(L(F_k)), with scale max(1, Delta + 1), and is charged at the rates below.
 VALUES_BYTES_PER_N2 = 18
@@ -215,25 +215,20 @@ def token_alpha(tg: TokenGraph, accept: tuple[float, float] | None = None
                 ) -> tuple[float, float | None, tuple[float, float] | None]:
     """Algebraic connectivity of tg's token graph, as (alpha, mu, proved).
 
-    accept = (lo, hi) is the interval that the caller's check accepts for
-    alpha. Then below SPARSE_MIN_ORDER token vertices, and where the sparse
-    route hands over, _proved_alpha first tries to prove
-    lo < lambda_2(L(F_k)) <= upper <= hi, and proved = (lo, upper) if it does.
-    Otherwise alpha is fiedler_value of token_spectrum: the eigenvalues of
-    L(F_k) from one values-only solve, certified by the eigenpairs of L(G)
-    lifted through B, and proved is None. mu is the sparse route's (see
-    _sparse_token_alpha), None on the dense route.
+    From base = eig_sym(L(G)), solved once, the routes are tried in turn.
+    From SPARSE_MIN_ORDER token vertices on, _sparse_token_alpha, which
+    gives mu or hands over (None). accept = (lo, hi) is the interval that
+    the caller's check accepts for alpha; given it, _proved_alpha tries to
+    prove lo < lambda_2(L(F_k)) <= upper <= hi, and proved = (lo, upper) if
+    it does. Otherwise alpha is fiedler_value of token_spectrum: the
+    eigenvalues of L(F_k) from one values-only solve, certified by the
+    eigenpairs of L(G) lifted through B. mu and proved are None except on
+    the route that sets them.
     """
-    if tg.graph.n < SPARSE_MIN_ORDER:
-        return _dense_token_alpha(tg, eig_sym(laplacian(tg.base).astype(float)), accept)
-    return _sparse_token_alpha(tg, accept)
-
-
-def _dense_token_alpha(tg: TokenGraph, base: Spectrum, accept: tuple[float, float] | None
-                       ) -> tuple[float, None, tuple[float, float] | None]:
-    """token_alpha's dense route, from base = eig_sym(L(G)): the proof first, when accept is given."""
-    proved = None if accept is None else _proved_alpha(tg, base, *accept)
-    return proved or (fiedler_value(token_spectrum(tg, base)), None, None)
+    base = eig_sym(laplacian(tg.base).astype(float))
+    return ((tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, base))
+            or (accept is not None and _proved_alpha(tg, base, *accept))
+            or (fiedler_value(token_spectrum(tg, base)), None, None))
 
 
 def _proved_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float
@@ -396,9 +391,9 @@ def lifted_residual_bound(tg: TokenGraph, base: Spectrum) -> tuple[float, float]
     return float(2 * (np.sqrt(rr.sum()) + commutator / (2 * root)) / root), scale
 
 
-def _sparse_token_alpha(tg: TokenGraph, accept: tuple[float, float] | None = None
-                        ) -> tuple[float, float | None, tuple[float, float] | None]:
-    """alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue of L(F_k) on range(B)^perp.
+def _sparse_token_alpha(tg: TokenGraph, base: Spectrum) -> tuple[float, float, None] | None:
+    """(alpha(F_k), mu, None) with alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue
+    of L(F_k) on range(B)^perp, from base = eig_sym(L(G)); None where it hands over.
 
     B is the lift of G's vertices to k-subsets. L(F_k) B = B L(G) with B of
     full column rank, so range(B) carries the spectrum of L(G) and its
@@ -413,11 +408,10 @@ def _sparse_token_alpha(tg: TokenGraph, accept: tuple[float, float] | None = Non
     one. A block whose residuals are too large gives way to the next of
     SPARSE_BLOCKS. A block whose residuals pass but whose Ritz values form
     one group shows that mu has at least that multiplicity; no block size is
-    known to close it, so the dense route decides, as it does when no block
-    is accepted or the next is too large for LOBPCG at this order. Then mu
-    is None, and alpha is read from values only, from token_spectrum,
-    certified by the eigenpairs of L(G) lifted through B; CapExceededError
-    is raised when that solve does not fit in memory.
+    known to close it, so this route returns None and token_alpha's next
+    route decides, as it does when no block is accepted or the next is too
+    large for LOBPCG at this order. CapExceededError is raised, before any
+    allocation of order N, when this route does not fit in memory.
 
     Unlike the dense route, this one does not certify that mu is the least
     eigenvalue off range(B): LOBPCG could settle on a higher cluster, which
@@ -433,7 +427,6 @@ def _sparse_token_alpha(tg: TokenGraph, accept: tuple[float, float] | None = Non
     require_memory(SPARSE_BYTES_PER_NONZERO * (2 * g.m + order)
                    + SPARSE_BYTES_PER_ROW_COLUMN * order * (SPARSE_BLOCKS[-1] + n),
                    f"the sparse route at N = {order}")
-    base = eig_sym(laplacian(tg.base).astype(float))
     a_base = fiedler_value(base.values)
     lap = sparse_laplacian(g)
     degree = lap.diagonal()
@@ -462,7 +455,7 @@ def _sparse_token_alpha(tg: TokenGraph, accept: tuple[float, float] | None = Non
             mu = float(vals[0])
             value = min(a_base, mu)
             return (0.0 if abs(value) <= bound else value), mu, None
-    return _dense_token_alpha(tg, base, accept)
+    return None
 
 
 def theta(r: int, k: int) -> float:

@@ -378,22 +378,6 @@ def check_kite_alpha_theta_iff(spec: KiteSpec, tol: float = DEFAULT_ALPHA_TOL) -
     return _finish("kite-iff", g, verdict, witnesses, {"tol": tol}, t0)
 
 
-def build_kite_symmetrizer(spec: KiteSpec) -> np.ndarray:
-    """Integer symmetrizer (s-1) * S for a kite.
-
-    S is the identity on head vertices and on path 1, and averages each
-    level's remaining tail vertices: entries 1/(s-1) on U_j x U_j where
-    U_j holds the level-j vertices of paths 2..s. Returned scaled by
-    (s-1) so all entries are integers.
-    """
-    m = np.zeros((spec.n, spec.n), dtype=np.int64)
-    fixed = [*range(spec.head.n), *(spec.label(1, j) for j in range(1, spec.r + 1))]
-    m[fixed, fixed] = spec.s - 1
-    for level in spec.levels():
-        m[np.ix_(level, level)] = 1
-    return m
-
-
 def _symmetrize(basis: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """S @ basis for the kite symmetrizer S, in O(N d): the identity off the
     levels (rows of levels), and on each level the mean of its rows."""
@@ -428,12 +412,14 @@ def check_symmetrizer_commutation(
     uj_edges: Sequence[tuple[int, int]] | None = None,
     tol: float = DEFAULT_ALPHA_TOL,
 ) -> Certificate:
-    """The kite Laplacian commutes with its symmetrizer, exactly over the integers.
+    """The kite Laplacian commutes with its symmetrizer S, exactly.
 
-    Also verifies the consequences: the symmetrizer maps every eigenspace
-    into itself with some nonzero image whose tail coordinates agree per
-    level, and every distinct eigenvalue of the kite persists in the graph
-    perturbed by edges inside the U_j levels (within CONTAIN_TOL).
+    S and L are symmetric, so (S L)^T = L S, and S L = L S iff S L, formed
+    by _symmetrize, is symmetric. Also verifies the consequences: S maps
+    every eigenspace into itself with some nonzero image whose tail
+    coordinates agree per level, and every distinct eigenvalue of the kite
+    persists in the graph perturbed by edges inside the U_j levels (within
+    CONTAIN_TOL).
     """
     t0 = time.perf_counter()
     g = build_kite(spec)
@@ -442,15 +428,16 @@ def check_symmetrizer_commutation(
     else:
         edges = _validate_level_edges(spec, uj_edges, min_path=2)
     lap = laplacian(g).astype(float)
-    sym = build_kite_symmetrizer(spec).astype(float)
-    # every partial sum of these products is an integer of magnitude at most
-    # 2 * max degree * (s - 1), far below 2**53, so the float products are exact
-    commutes = bool(np.array_equal(lap @ sym, sym @ lap))
-    del sym  # only the Laplacian stays alive through eigh
+    levels = np.array(spec.levels())
+    # each entry of S L is an integer or fl(integer / (s - 1)): equal exact values give
+    # equal floats, and unequal ones differ by at least 1 / (s - 1), far above rounding
+    img = _symmetrize(lap, levels)
+    commutes = bool(np.array_equal(img, img.T))
+    del img  # only the Laplacian stays alive through eigh
 
     spec_g = eig_sym(lap)
     del lap
-    stable, some_nonzero_image = _symmetrizer_on_eigenspaces(spec_g, np.array(spec.levels()), tol)
+    stable, some_nonzero_image = _symmetrizer_on_eigenspaces(spec_g, levels, tol)
     distinct = spec_g.distinct_values()
     del spec_g  # freed before the perturbed graph's eigensolve
 

@@ -7,8 +7,9 @@ and the binomial lift built on it, the per-edge Laplacian and
 per-eigenvalue grouping loops the spectra module replaced, the
 Faddeev-LeVerrier characteristic polynomial the exact module replaced,
 the exact containment check on the whole token Laplacian, which the
-layered route replaced, and the integer-polynomial operations and Sturm
-root count that only the tests call)."""
+layered route replaced, the integer-polynomial operations and Sturm
+root count that only the tests call, and the dense kite symmetrizer that
+the commutation check replaced)."""
 
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from token_spectra.exact import IntPoly, char_poly, poly_divides
 from token_spectra.graphs import (
     Graph,
     GraphError,
+    KiteSpec,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -563,3 +565,19 @@ def full_route_containment(g: Graph, k: int) -> dict:
     return {"check_id": "containment", "graph": {"n": g.n, "edges_hash": g.fingerprint()},
             "verdict": "pass" if divides else "fail", "witnesses": witnesses,
             "tolerances": {"mode": "exact"}}
+
+
+def build_kite_symmetrizer(spec: KiteSpec) -> np.ndarray:
+    """Integer symmetrizer (s-1) * S for a kite.
+
+    S is the identity on head vertices and on path 1, and averages each
+    level's remaining tail vertices: entries 1/(s-1) on U_j x U_j where
+    U_j holds the level-j vertices of paths 2..s. Returned scaled by
+    (s-1) so all entries are integers.
+    """
+    m = np.zeros((spec.n, spec.n), dtype=np.int64)
+    fixed = [*range(spec.head.n), *(spec.label(1, j) for j in range(1, spec.r + 1))]
+    m[fixed, fixed] = spec.s - 1
+    for level in spec.levels():
+        m[np.ix_(level, level)] = 1
+    return m

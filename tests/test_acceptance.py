@@ -34,7 +34,6 @@ from token_spectra.spectra import (
 )
 from token_spectra.tokens import token_graph
 from token_spectra.verify import (
-    build_kite_symmetrizer,
     check_cut_clique,
     check_edge_add_alpha_iff,
     check_interlacing,
@@ -46,6 +45,7 @@ from helpers import (
     CONNECTED_CLASS_COUNTS,
     SubsetCodec,
     binomial_matrix,
+    build_kite_symmetrizer,
     connected_class_representatives,
     poly_pow,
     x_minus,

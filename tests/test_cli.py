@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from token_spectra import exact, spectra, tokens, verify
+from token_spectra import cli, exact, spectra, tokens, verify
 from token_spectra.cli import CHECKS, EXIT_CANCEL, main
 from token_spectra.graphs import (
     KiteSpec,
@@ -592,6 +592,51 @@ class TestSweep:
 
         assert len(rows_no_runtime(parallel.output)) == 1 + 2 * count
         assert rows_no_runtime(serial) == rows_no_runtime(parallel.output)
+
+    @pytest.mark.parametrize("overrides, jobs, started", [
+        ({}, "500", [12]),
+        ({}, "5", [5]),
+        ({"checks": ["alpha-token"], "family": {"name": "tree_random", "n": [4, 6], "count": 1}}, "500", []),
+        ({"family": {"name": "tree_random", "n": [4, 6], "count": 0}}, "500", []),
+    ])
+    def test_jobs_start_no_more_workers_than_cells(self, runner, tmp_path, monkeypatch, overrides, jobs,
+                                                   started):
+        # a process pool starts every worker at its first submit, so the pool is sized to the cells;
+        # one cell or none runs serially. The fake pool maps in this process, so no process starts.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                assert chunksize >= 1
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        spec = self._write_spec(tmp_path, **overrides)
+        serial = runner.invoke(main, ["sweep", spec, "--csv", "-", "--jobs", "1"])
+        pooled = runner.invoke(main, ["sweep", spec, "--csv", "-", "--jobs", jobs])
+        assert serial.exit_code == pooled.exit_code == 0 and sizes == started
+
+        def rows_no_runtime(text):
+            return [r[:-1] for r in csv.reader(io.StringIO(text.split("\n{", 1)[0]))]
+
+        assert rows_no_runtime(pooled.output) == rows_no_runtime(serial.output)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, runner, tmp_path, monkeypatch, jobs):
+        ran = []
+        monkeypatch.setattr(cli, "_sweep_row", ran.append)
+        res = runner.invoke(main, ["sweep", self._write_spec(tmp_path), "--csv", "-", "--jobs", jobs])
+        assert res.exit_code == 2 and ran == [] and res.stdout == ""
+        assert "Traceback" not in res.output
 
     def test_precondition_rows_for_inapplicable_checks(self, runner, tmp_path):
         # pendant bound needs k <= (n+1)/2; small trees with k = 3 are skipped as data

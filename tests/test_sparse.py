@@ -1,8 +1,10 @@
 """The sparse route to alpha(F_k(G)) against the dense oracle.
 
-The private _sparse_token_alpha is called directly, whatever the order, so
-no option is needed to reach it; token_alpha's threshold is tested on its
-own.
+The private _sparse_token_alpha is called directly with the base graph's
+spectrum, whatever the order, so no option is needed to reach it. Where it
+hands over (returns None), token_alpha answers: those tests patch
+SPARSE_MIN_ORDER to 0, so that every token graph goes through the sparse
+route first. token_alpha's threshold is tested on its own.
 """
 
 import os
@@ -55,9 +57,20 @@ def _spy_block_sizes(monkeypatch, short=frozenset()) -> list:
     return sizes
 
 
+def _base(tg):
+    """eig_sym(L(G)) for tg's base graph G, as token_alpha passes it to the routes."""
+    return eig_sym(laplacian(tg.base).astype(float))
+
+
 def _dense(tg) -> float:
     """alpha(F_k) by the dense route: one values-only solve, certified by G's lifted eigenpairs."""
-    return fiedler_value(token_spectrum(tg, eig_sym(laplacian(tg.base).astype(float))))
+    return fiedler_value(token_spectrum(tg, _base(tg)))
+
+
+@pytest.fixture
+def sparse_first(monkeypatch):
+    """Every token graph takes the sparse route in token_alpha, which answers where it hands over."""
+    monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 0)
 
 
 def _agrees(tg, value: float) -> bool:
@@ -67,15 +80,17 @@ def _agrees(tg, value: float) -> bool:
 
 
 class TestAgainstDense:
-    def test_every_corpus_instance(self):
+    def test_every_corpus_instance(self, sparse_first):
         # token graphs of at most 2000 vertices; GNP12 is covered below
         sparse = 0
         for g in [*family_corpus(8), *random_corpus(12, n_range=(6, 10), seed=5)]:
             for k in range(1, g.n):
                 tg = token_graph(g, k)
-                value, mu, _ = _sparse_token_alpha(tg)
+                value, mu, _ = token_alpha(tg)
                 assert _agrees(tg, value), (g, k)
-                if mu is not None:
+                if mu is None:
+                    assert _sparse_token_alpha(tg, _base(tg)) is None
+                else:
                     sparse += 1
                     assert value == min(algebraic_connectivity(g)[0], mu) or value == 0.0
         # 53 instances have room for a block of 4, and 46 of them took the sparse route when
@@ -86,7 +101,8 @@ class TestAgainstDense:
     def test_both_sides_of_j(self):
         # F_k and F_{n-k} are isomorphic by complementing every subset
         for k in (3, 4, 5):
-            low, high = (_sparse_token_alpha(token_graph(GNP12, j)) for j in (k, 12 - k))
+            tgs = [token_graph(GNP12, j) for j in (k, 12 - k)]
+            low, high = (_sparse_token_alpha(tg, _base(tg)) for tg in tgs)
             assert low[1] is not None and high[1] is not None
             assert abs(low[0] - high[0]) <= 1e-9 and abs(low[1] - high[1]) <= 1e-8
             assert _agrees(token_graph(GNP12, 12 - k), high[0])
@@ -94,65 +110,68 @@ class TestAgainstDense:
     def test_gnp_at_n_1001(self):
         g = random_corpus(1, n_range=(14, 14), seed=2)[0]
         tg = token_graph(g, 4)
-        value, mu, _ = _sparse_token_alpha(tg)
+        value, mu, _ = _sparse_token_alpha(tg, _base(tg))
         assert mu is not None and _agrees(tg, value)
 
     def test_disconnected_base_gives_zero(self):
         g = Graph(10, [*cycle_graph(5).edges, *((u + 5, v + 5) for u, v in cycle_graph(5).edges)])
         for k in (2, 3, 7):
-            value, mu, _ = _sparse_token_alpha(token_graph(g, k))
+            tg = token_graph(g, k)
+            value, mu, _ = _sparse_token_alpha(tg, _base(tg))
             assert value == 0.0 and mu is not None
 
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 2), (7, 3), (8, 3), (9, 4)])
-    def test_complete_graph_falls_back(self, n, k):
+    def test_complete_graph_falls_back(self, sparse_first, n, k):
         # mu = 2(n - 1) has multiplicity C(n, 2) - n, beyond every block that fits at this order
         tg = token_graph(complete_graph(n), k)
-        value, mu, _ = _sparse_token_alpha(tg)
-        assert mu is None
+        value, mu, _ = token_alpha(tg)
+        assert mu is None and _sparse_token_alpha(tg, _base(tg)) is None
         assert value == _dense(tg)
         assert abs(value - n) <= 1e-9 * n
 
-    def test_one_group_hands_over_to_dense(self, monkeypatch):
+    def test_one_group_hands_over_to_dense(self, monkeypatch, sparse_first):
         # star on 9 vertices, k = 4: mu = 2 has a multiplicity above 4, so the first block
         # converges to one group and no larger block is tried
         sizes = _spy_block_sizes(monkeypatch)
         tg = token_graph(star_graph(8), 4)
-        value, mu, _ = _sparse_token_alpha(tg)
+        value, mu, _ = token_alpha(tg)
         assert sizes == [4] and mu is None
         assert value == _dense(tg)
+        assert _sparse_token_alpha(tg, _base(tg)) is None
 
     def test_unconverged_block_grows(self, monkeypatch):
         # the block of 4 is cut short, so its residuals fail and a block of 8 decides
         sizes = _spy_block_sizes(monkeypatch, short={4})
         tg = token_graph(GNP12, 5)
-        value, mu, _ = _sparse_token_alpha(tg)
+        value, mu, _ = _sparse_token_alpha(tg, _base(tg))
         assert sizes == [4, 8] and mu is not None and _agrees(tg, value)
 
-    def test_no_convergence_falls_back_to_dense(self, monkeypatch):
+    def test_no_convergence_falls_back_to_dense(self, monkeypatch, sparse_first):
         monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)
         tg = token_graph(GNP12, 5)
-        value, mu, _ = _sparse_token_alpha(tg)
-        assert mu is None
+        value, mu, _ = token_alpha(tg)
+        assert mu is None and _sparse_token_alpha(tg, _base(tg)) is None
         assert value == _dense(tg)
 
-    def test_fallback_that_does_not_fit_raises(self, monkeypatch):
+    def test_fallback_that_does_not_fit_raises(self, monkeypatch, sparse_first):
         tg = token_graph(GNP12, 4)  # N = 495
         dense_need = spectra.VALUES_BYTES_PER_N2 * tg.graph.n ** 2
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", dense_need - 1)
-        assert _sparse_token_alpha(tg)[1] is not None
+        assert token_alpha(tg)[1] is not None
         monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)
+        assert _sparse_token_alpha(tg, _base(tg)) is None
         with pytest.raises(CapExceededError, match="dense Laplacian route at N = 495"):
-            _sparse_token_alpha(tg)
+            token_alpha(tg)
 
     def test_memory_estimate_refuses_before_allocating(self, monkeypatch):
         tg = token_graph(GNP12, 4)
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", 10**6)
         with pytest.raises(CapExceededError, match="sparse route at N = 495"):
-            _sparse_token_alpha(tg)
+            _sparse_token_alpha(tg, _base(tg))
 
     def test_same_result_on_repeat(self):
         tg = token_graph(GNP12, 4)
-        assert _sparse_token_alpha(tg) == _sparse_token_alpha(tg)
+        assert _sparse_token_alpha(tg, _base(tg)) == _sparse_token_alpha(tg, _base(tg))
 
 
 class TestSparseLaplacian:
@@ -173,7 +192,7 @@ class TestTokenAlpha:
     def test_sparse_from_threshold(self, monkeypatch):
         tg = token_graph(GNP12, 4)
         monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", tg.graph.n)
-        assert token_alpha(tg) == _sparse_token_alpha(tg)
+        assert token_alpha(tg) == _sparse_token_alpha(tg, _base(tg))
         assert token_alpha(tg)[1] is not None
 
     def test_certificates_name_mu_only_from_the_sparse_route(self, monkeypatch):

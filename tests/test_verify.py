@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -24,7 +25,6 @@ from token_spectra.verify import (
     PASS,
     PRECONDITION_UNMET,
     _symmetrizer_on_eigenspaces,
-    build_kite_symmetrizer,
     check_alpha_token_equality,
     check_bipartite_extension,
     check_cut_clique,
@@ -40,7 +40,7 @@ from token_spectra.verify import (
     check_theta_table,
 )
 
-from helpers import random_corpus
+from helpers import build_kite_symmetrizer, random_corpus
 
 
 class TestCertificate:
@@ -241,6 +241,38 @@ class TestSymmetrizer:
         spec = KiteSpec(head=complete_graph(1), root=0, s=2, r=2)
         cert = check_symmetrizer_commutation(spec)
         assert cert.passed and cert.witnesses["commutes_exactly"]
+
+    @pytest.mark.parametrize("head, root, s, r", [(cycle_graph(4), 0, 3, 3), (path_graph(3), 1, 4, 2),
+                                                  (complete_graph(1), 0, 3, 1)])
+    def test_edge_across_tail_paths_does_not_commute(self, monkeypatch, head, root, s, r):
+        # an edge joining paths 1 and 2 at level 1 meets one vertex of U_1 but not the others,
+        # whose rows S averages with its row
+        spec = KiteSpec(head=head, root=root, s=s, r=r)
+        kite = add_edges(build_kite(spec), [(spec.label(1, 1), spec.label(2, 1))])
+        monkeypatch.setattr(verify, "build_kite", lambda sp: kite)
+        cert = check_symmetrizer_commutation(spec)
+        assert cert.witnesses["commutes_exactly"] is False
+        assert cert.verdict == FAIL
+
+    def test_commutation_matches_the_dense_products(self, monkeypatch):
+        # kites and copies with one edge added across tail paths or from the head into a tail;
+        # the integer products L (s-1)S and (s-1)S L of the dense oracle are exact
+        outcomes = []
+        for head in (path_graph(3), cycle_graph(4), star_graph(3), complete_graph(4), path_graph(5)):
+            for root, s, r in itertools.product(range(head.n), (2, 3, 4), (1, 2, 3, 5)):
+                spec = KiteSpec(head=head, root=root, s=s, r=r)
+                kite = build_kite(spec)
+                extras = [(spec.label(1, 1), spec.label(2, 1)), ((root + 1) % head.n, spec.label(2, r))]
+                if s >= 3 and r >= 2:
+                    extras.append((spec.label(2, 1), spec.label(s, r)))
+                S2 = build_kite_symmetrizer(spec)
+                for g in [kite, *(add_edges(kite, [e]) for e in extras)]:
+                    L = laplacian(g)
+                    monkeypatch.setattr(verify, "build_kite", lambda sp, g=g: g)
+                    got = check_symmetrizer_commutation(spec).witnesses["commutes_exactly"]
+                    assert got == np.array_equal(L @ S2, S2 @ L), (spec, g.edges)
+                    outcomes.append(got)
+        assert (outcomes.count(True), outcomes.count(False)) == (400, 440)
 
     @staticmethod
     def _on_eigenspaces_loop(spec_g, S, levels, tol):
