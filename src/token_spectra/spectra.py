@@ -2,7 +2,7 @@
 route to the algebraic connectivity of large token graphs, a bound, from
 a base graph's eigenpairs lifted to its token graph, on how far the base
 graph's eigenvalues lie from the token graph's, which decides float
-containment, and with one Cholesky, where a check's interval holds alpha.
+containment, and a proof, by one Cholesky, that alpha(F_k) = alpha(G).
 
 The dense eigensolver is LAPACK's symmetric solver reached through
 numpy; this module adds the contracts the verification layer depends on:
@@ -14,6 +14,13 @@ groups are slices into its values and its read-only eigenvector columns.
 Grouping matters because several checks quantify over the *whole*
 eigenspace of the algebraic connectivity: a single computed eigenvector is
 not enough when that eigenvalue is degenerate.
+
+The proof needs a number above the true alpha(G). eig_sym returns pairs
+(w_i, q_i) of L(G) with residuals at most rho = DEFAULT_RESID_TOL * scale,
+scale = max(1, max |w|), and LAPACK keeps Q orthonormal to eta = O(n u).
+By Courant-Fischer on span(q_0, q_1), alpha(G) <= (w_1 + 1.5 rho + eta
+scale) / (1 - eta), and fiedler_value reads 0 only for |w_1| <= rho. So
+alpha + 10 rho exceeds alpha(G) while eta < 3e-9, far above O(n u).
 """
 
 from __future__ import annotations
@@ -47,11 +54,19 @@ DENSE_BYTES_PER_N2 = 44
 # instead, a bound from Kahan's theorem on the distance of L(G)'s eigenvalues to
 # spec(L(F_k)), with scale max(1, Delta + 1), and is charged at the rates below.
 VALUES_BYTES_PER_N2 = 18
-# Peak bytes per N^2 of _proved_alpha with its Cholesky, which holds the float matrix,
-# numpy's copy of it for LAPACK and the factor: ru_maxrss less the RSS before it, in a
-# fresh process, on 4- and 5-token graphs of paths, cycles, K_13 and tests/data/gnp12.el
-# and gnp18.el, N = 715..8568: 30.5 at N = 715, 28.2 at N = 1001, 24.4 at N = 8568.
-PROOF_BYTES_PER_N2 = 32
+# Peak bytes per N^2 of _proved_alpha: ru_maxrss less the RSS before it, in a fresh process, on
+# 4- and 5-token graphs of paths, cycles, K_13, tests/data/gnp12.el and gnp18.el. In place, one
+# N x N array: 11.8 at N = 715, 9.1 at 3060, 8.4 at 8568; with numpy's copy and factor, 30.5 at 715.
+PROOF_BYTES_PER_N2 = 12
+NUMPY_PROOF_BYTES_PER_N2 = 32
+# token_alpha tries the proof before the sparse route below this order. Best of 3, 1 BLAS thread,
+# G(n, C(n,2)//2 + 1), proof / LOBPCG: 24 / 42 ms at N = 1001, 49 / 55 at 1365, 89 / 60 at 1820.
+PROOF_FIRST_MAX_ORDER = 1500
+# dpotrf factors in place from this order on, numpy's cholesky below, so a sweep cell imports no
+# scipy (0.3 s). Best of 7, dpotrf / numpy: 0.35 / 0.44 ms at N = 200, 0.92 / 1.72 at 300.
+INPLACE_MIN_ORDER = 300
+# scipy's OpenBLAS 0.3.30 dpotrf segfaulted with 2 threads at N = 16000 and 20000, not at 15000
+DPOTRF_THREADED_MAX_ORDER = 15000
 UNIT_ROUNDOFF = 2.0 ** -53
 # Peak bytes of lifted_residual_bound per token edge and per entry of the N x n lift:
 # ru_maxrss less the RSS before it, in a fresh process, on 12 token graphs of paths,
@@ -66,12 +81,11 @@ RITZ_BYTES_PER_ROW_COLUMN = 40
 # more on the tiny token graphs of sweeps (N = 15..45), timed between their other checks
 APPLY_FLAT_ENTRIES = 16384
 
-# token graphs of at least this order take the sparse route in token_alpha.
-# Against the dense route's eigvalsh, best of 3 with 1 BLAS thread: on
-# G(n, C(n,2)//2 + 1) graphs sparse was as fast at N = 495 and 2.6x faster at
-# N = 924 (39 against 99 ms); on paths dense was 1.5x faster at N = 792 and
-# sparse 1.2x faster at N = 924. Below this order the dense route takes at
-# most about 0.1 s and certifies alpha, which the sparse route does not.
+# token graphs of at least this order take the sparse route in token_alpha, after
+# the proof below PROOF_FIRST_MAX_ORDER where an interval is given. Set against
+# token_spectrum's eigvalsh, best of 3 with 1 BLAS thread: on G(n, C(n,2)//2 + 1)
+# graphs sparse was as fast at N = 495 and 2.6x faster at N = 924 (39 against
+# 99 ms); on paths dense was 1.5x faster at N = 792 and sparse 1.2x faster at N = 924.
 SPARSE_MIN_ORDER = 1000
 # LOBPCG block sizes, tried in turn while a block's residuals stay above the
 # bound; the least eigenvalue off range(B) is simple on most graphs
@@ -211,86 +225,113 @@ def sparse_laplacian(g: Graph):
     return csr_array((data, (np.concatenate((u, v, diag)), np.concatenate((v, u, diag)))), shape=(g.n, g.n))
 
 
-def token_alpha(tg: TokenGraph, accept: tuple[float, float] | None = None
-                ) -> tuple[float, float | None, tuple[float, float] | None]:
-    """Algebraic connectivity of tg's token graph, as (alpha, mu, proved).
+def token_alpha(tg: TokenGraph, accept: tuple[float, float] | None = None, base: Spectrum | None = None
+                ) -> tuple[float, float | None, dict | None]:
+    """Algebraic connectivity of tg's token graph, as (alpha, mu, proved), from base = eig_sym(L(G)).
 
-    From base = eig_sym(L(G)), solved once, the routes are tried in turn.
-    From SPARSE_MIN_ORDER token vertices on, _sparse_token_alpha, which
-    gives mu or hands over (None). accept = (lo, hi) is the interval that
-    the caller's check accepts for alpha; given it, _proved_alpha tries to
-    prove lo < lambda_2(L(F_k)) <= upper <= hi, and proved = (lo, upper) if
-    it does. Otherwise alpha is fiedler_value of token_spectrum: the
-    eigenvalues of L(F_k) from one values-only solve, certified by the
-    eigenpairs of L(G) lifted through B. mu and proved are None except on
-    the route that sets them.
+    From SPARSE_MIN_ORDER token vertices on, _sparse_token_alpha gives mu or
+    hands over (None). Given the interval accept = (lo, hi) that the caller's
+    check accepts, _proved_alpha runs before it below PROOF_FIRST_MAX_ORDER,
+    after it from there on, and proved names what it proved. Otherwise alpha
+    is fiedler_value of token_spectrum, one values-only solve certified by
+    the lifted eigenpairs of L(G). mu and proved are None off their routes.
     """
-    base = eig_sym(laplacian(tg.base).astype(float))
-    return ((tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, base))
-            or (accept is not None and _proved_alpha(tg, base, *accept))
-            or (fiedler_value(token_spectrum(tg, base)), None, None))
+    base = base or eig_sym(laplacian(tg.base).astype(float))
+    routes = (lambda: accept is not None and _proved_alpha(tg, base, *accept),
+              lambda: tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, base))
+    first, second = routes if tg.graph.n < PROOF_FIRST_MAX_ORDER else routes[::-1]
+    return first() or second() or (fiedler_value(token_spectrum(tg, base)), None, None)
 
 
-def _proved_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float
-                  ) -> tuple[float, None, tuple[float, float]] | None:
-    """(alpha, None, (lo, upper)) once lo < lambda_2(L(F_k)) <= upper <= hi is proved, else None.
+def _proved_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float) -> tuple[float, None, dict] | None:
+    """(alpha(G), None, proved) once one Cholesky pins lambda_2(L(F_k)) down, else None.
 
-    Upper end: by lifted_residual_bound, the eigenvalues 0 and base.values[1]
-    of L(G) lie within err of two distinct eigenvalues of L(F_k), so
-    lambda_2 <= upper = base.values[1] + err, rounded up. Lower end: for
-    lo < 0 it holds, as L(F_k) is positive semidefinite; for lo >= 0 it
-    takes _exceeds, and PROOF_BYTES_PER_N2 per N^2 of memory, or None.
-    alpha is the Rayleigh quotient of the lifted Fiedler vector B v,
-    v = base.vectors[:, 1], from the token edges; exactly 0 within
-    DEFAULT_RESID_TOL * scale of it, with lifted_residual_bound's scale.
+    L(F_k) B = B L(G), B = lift(n, k), is checked exactly from the token
+    edges, else NumericalError. So lambda_2(L(F_k)) = min(alpha(G), mu), mu
+    the least eigenvalue off range(B). upper = alpha + 10 rho exceeds the
+    true alpha(G) (module docstring). If mu > upper is proved, lambda_2 =
+    alpha(G) and proved = {alpha_complement_lower: upper}. Otherwise (F_2(C_4)
+    has mu = alpha), if upper <= hi, mu > lo (free for lo < 0) gives lo <
+    lambda_2 <= upper, and proved adds alpha_token_lower and _upper. None
+    where neither closes or the proof does not fit in memory.
     """
     g = tg.graph
-    try:  # a proof that does not fit in memory leaves alpha to token_spectrum
-        require_memory(PROOF_BYTES_PER_N2 * g.n * g.n if lo >= 0 else 0, f"the proof at N = {g.n}")
-        err, scale = lifted_residual_bound(tg, base)
+    try:  # a proof that does not fit in memory leaves alpha to the next route
+        rate = PROOF_BYTES_PER_N2 if g.n >= INPLACE_MIN_ORDER else NUMPY_PROOF_BYTES_PER_N2
+        require_memory(rate * g.n * g.n, f"the proof at N = {g.n}")
     except CapExceededError:
         return None
-    upper = float(np.nextafter(base.values[1] + err, np.inf))
-    if not (upper <= hi and (lo < 0 or _exceeds(g, lo))):
-        return None
-    x = lift(tg.base.n, tg.k) @ base.vectors[:, 1]
-    z = x[g.edge_array[:, 0]] - x[g.edge_array[:, 1]]
-    alpha = float(z @ z / (x @ x))
-    return (0.0 if alpha <= DEFAULT_RESID_TOL * scale else alpha), None, (lo, upper)
+    b = lift(tg.base.n, tg.k)
+    lb, degree = laplacian_apply(g, b)
+    resid = np.abs(lb - b @ laplacian(tg.base)).max()
+    if resid:  # every entry is a small integer, so the identity holds exactly or not at all
+        raise NumericalError(f"lifted residual {resid:.3g} of L(F_k) B = B L(G) exceeds bound 0")
+    alpha = fiedler_value(base.values)
+    upper = float(np.nextafter(alpha + 10 * DEFAULT_RESID_TOL * max(1.0, float(np.abs(base.values).max())), np.inf))
+    if _complement_exceeds(tg, b, degree, upper):
+        return alpha, None, {"alpha_complement_lower": upper}
+    if lo < upper <= hi and (lo < 0 or _complement_exceeds(tg, b, degree, lo)):
+        return alpha, None, {"alpha_complement_lower": lo, "alpha_token_lower": lo, "alpha_token_upper": upper}
+    return None
 
 
-def _exceeds(g: Graph, lo: float) -> bool:
-    """Is every eigenvalue of L(g) on the complement of the constant vector 1 above lo >= 0?
+def _complement_exceeds(tg: TokenGraph, b: np.ndarray, degree: np.ndarray, sigma: float) -> bool:
+    """Does every eigenvalue mu of L = L(F_k) off range(b) exceed sigma >= 0? True only when proved.
 
-    True only when proved. A = L + t J, with J = 1 1^T and t a power of two
-    with t N > lo + 1, agrees with L on 1^perp and has the eigenvalue t N on
-    1; its entries t - 1, t and degree + t are exact. M = fl(A - s I), with
-    s = fl(lo + c), rounds only its diagonal, each entry by at most u times
-    its value (u the unit roundoff), which is at most Delta + t. If
-    floating-point Cholesky of M succeeds, M + dM = G^T G is positive
-    definite with ||dM|| <= gamma / (1 - gamma) tr(M), gamma = gamma_{N+1},
-    for any order of summation (S. M. Rump, Verification of positive
-    definiteness, BIT 46 (2006) 433-452, after Demmel; Higham, Accuracy
-    and Stability of Numerical Algorithms, Thm 10.3). tr(M) <= 2|E| + N t.
-    So lambda_min(A) > s - c' with c' = gamma / (1 - gamma) (2|E| + N t)
-    + u (Delta + t), and c covers c', the rounding of s, and that of c
-    itself; Rump's underflow terms lie below that last margin.
+    b is the checked lift, degree F_k's degrees. b b^T = (|S & T|) commutes
+    with L, vanishes off range(b), and is at least C(n-2, k-1), the least
+    eigenvalue of b^T b, on it. With s a power of two, s C(n-2, k-1) >
+    sigma + 1, A = L + s b b^T is exact, and A - sigma I is positive definite
+    iff mu > sigma. M = fl(A - s' I), s' = fl(sigma + c), rounds only its
+    diagonal, by at most u (Delta + s k) an entry. If floating-point Cholesky
+    of M succeeds, M + dM is positive definite with ||dM|| <= gamma / (1 -
+    gamma) tr(M), gamma = gamma_{N+1}, tr(M) <= 2|E| + N s k (S. M. Rump,
+    Verification of positive definiteness, BIT 46 (2006) 433-452; Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3). c covers that,
+    u (Delta + s k), and the rounding of s' and of c. A is the one N x N array.
     """
+    g, k = tg.graph, tg.k
     n = g.n
-    t = math.ldexp(1.0, math.frexp((lo + 2.0) / n)[1])
-    degree = np.bincount(g.edge_array.ravel(), minlength=n)
+    s = math.ldexp(1.0, math.frexp((sigma + 1.0) / math.comb(tg.base.n - 2, k - 1))[1])
     gamma = (n + 1) * UNIT_ROUNDOFF / (1 - (n + 1) * UNIT_ROUNDOFF)
-    c = (gamma / (1 - gamma) * (2 * g.m + n * t)
-         + UNIT_ROUNDOFF * (float(degree.max()) + t + 2 * lo)) * (1 + 2.0 ** -40)
-    a = np.full((n, n), t)
+    c = (gamma / (1 - gamma) * (2 * g.m + n * s * k)
+         + UNIT_ROUNDOFF * (float(degree.max()) + s * k + 2 * sigma)) * (1 + 2.0 ** -40)
+    a = np.matmul(b, b.T, out=np.empty((n, n)))
+    a *= s
     u, v = g.edge_array.T
-    a[u, v] = a[v, u] = t - 1.0
-    a[np.diag_indices(n)] = (degree + t) - (lo + c)
+    a[u, v] -= 1.0
+    a[v, u] -= 1.0
+    a[np.diag_indices(n)] = (degree + s * k) - (sigma + c)
+    if n >= INPLACE_MIN_ORDER:
+        return _dpotrf_in_place(a) == 0
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _dpotrf_in_place(a: np.ndarray) -> int:
+    """LAPACK's info from scipy's dpotrf on the C-ordered symmetric a, factored in place; above
+    DPOTRF_THREADED_MAX_ORDER with 1 thread, set in scipy's bundled OpenBLAS, or CapExceededError."""
+    import ctypes
+    from pathlib import Path
+
+    import scipy
+    from scipy.linalg.lapack import dpotrf
+
+    if a.shape[0] <= DPOTRF_THREADED_MAX_ORDER:
+        return dpotrf(a.T, lower=0, overwrite_a=1, clean=0)[1]
+    libs = [ctypes.CDLL(str(path)) for path in (Path(scipy.__file__).parent.parent / "scipy.libs").glob("*openblas*")]
+    blas = next((lib for lib in libs if hasattr(lib, "scipy_openblas_set_num_threads")), None)
+    if blas is None:
+        raise CapExceededError(f"the proof at N = {a.shape[0]} needs 1 thread in scipy's OpenBLAS, which was not found")
+    threads = blas.scipy_openblas_get_num_threads()
+    blas.scipy_openblas_set_num_threads(1)
+    try:
+        return dpotrf(a.T, lower=0, overwrite_a=1, clean=0)[1]
+    finally:
+        blas.scipy_openblas_set_num_threads(threads)
 
 
 def token_spectrum(tg: TokenGraph, base: Spectrum) -> np.ndarray:

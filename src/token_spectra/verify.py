@@ -41,6 +41,7 @@ from .spectra import (
     algebraic_connectivity,
     eig_sym,
     eigenspace_has_equal_pair,
+    fiedler_value,
     laplacian,
     lifted_residual_bound,
     principal_submatrix,
@@ -107,26 +108,31 @@ def _pair_witness(u: int, v: int) -> dict:
     return {"u": u, "v": v, "u_one_based": u + 1, "v_one_based": v + 1}
 
 
-def _accepts(target: float, tol: float) -> tuple[float, float]:
-    """The interval target +- tol * max(1, |target|) that a check accepts for alpha(F_k)."""
+def _token_alpha(g: Graph, k: int, cap: int, tol: float, target: float | None = None) -> tuple:
+    """(alpha(G), *token_alpha(F_k(G), target +- tol * max(1, |target|), base)), base the one
+    eigensolve of L(G); target is alpha(G) unless given."""
+    tg = token_graph(g, k, cap=cap)
+    base = eig_sym(laplacian(g).astype(float))
+    a = fiedler_value(base.values)
+    target = a if target is None else target
     half = tol * max(1.0, abs(target))
-    return target - half, target + half
+    return (a, *token_alpha(tg, (target - half, target + half), base))
 
 
-def _add_complements(witnesses: dict, complements: dict, proved: tuple[float, float] | None = None) -> None:
+def _add_complements(witnesses: dict, complements: dict, proved: dict | None = None) -> None:
     """Add each mu of token_alpha's sparse route under its name, and the bounds it proved.
 
     The dense route gives mu = None. The sparse route does not certify that
     mu is the least eigenvalue off range(B), so a certificate with a mu says
-    so under alpha_complement_least. Where token_alpha proved
-    lower < alpha(F_k) <= upper, they are alpha_token_lower and alpha_token_upper.
+    so under alpha_complement_least. Where token_alpha proved mu > sigma,
+    alpha_complement_lower is sigma, and on the fallback sigma = lo also
+    alpha_token_lower < alpha(F_k) <= alpha_token_upper.
     """
     found = {name: mu for name, mu in complements.items() if mu is not None}
     witnesses.update(found)
     if found:
         witnesses["alpha_complement_least"] = "not certified"
-    if proved is not None:
-        witnesses["alpha_token_lower"], witnesses["alpha_token_upper"] = proved
+    witnesses.update(proved or {})
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +186,7 @@ def check_alpha_token_equality(
 ) -> Certificate:
     """Algebraic connectivity of g equals that of its k-token graph."""
     t0 = time.perf_counter()
-    a_base, _ = algebraic_connectivity(g)
-    a_token, mu, proved = token_alpha(token_graph(g, k, cap=cap), _accepts(a_base, tol))
+    a_base, a_token, mu, proved = _token_alpha(g, k, cap, tol)
     ok = abs(a_token - a_base) <= tol * max(1.0, abs(a_base))
     witnesses = {
         "k": k,
@@ -543,8 +548,7 @@ def check_kite_head_family(
             raise GraphError(f"head edge ({u}, {v}) leaves the head")
         extra.append((u, v))
     gp = add_edges(g, extra) if extra else g
-    a_gp, _ = algebraic_connectivity(gp)
-    a_token, mu, proved = token_alpha(token_graph(gp, k, cap=cap), _accepts(a_gp, tol))
+    a_gp, a_token, mu, proved = _token_alpha(gp, k, cap, tol)
     alpha_ok = abs(a_token - a_gp) <= tol * max(1.0, abs(a_gp))
     witnesses.update(
         {
@@ -618,8 +622,7 @@ def check_bipartite_extension(
     t0 = time.perf_counter()
     g = build_bipartite_extension(n1, n2, mode, x_edges)
     expected = float(n1 if mode == "plus_x" else n2)
-    a, _ = algebraic_connectivity(g)
-    a_token, mu, proved = token_alpha(token_graph(g, k, cap=cap), _accepts(expected, tol))
+    a, a_token, mu, proved = _token_alpha(g, k, cap, tol, expected)
     ok = _close(a, expected, tol) and _close(a_token, expected, tol)
     witnesses = {
         "mode": mode,
@@ -652,10 +655,11 @@ def check_cut_clique(
         if not (min(u, v) < r <= max(u, v)):
             raise GraphError(f"({u}, {v}) is not a clique-component join edge")
     full_join = not removed_join_edges
-    if not full_join:
+    if full_join:
+        a, a_token, mu, proved = _token_alpha(g, k, cap, tol, float(r))
+    else:
         g = remove_edges(g, removed_join_edges)
-
-    a, _ = algebraic_connectivity(g)
+        a, _ = algebraic_connectivity(g)
     bound_ok = a <= r + tol * max(1.0, float(r))
     witnesses = {
         "r": r,
@@ -669,7 +673,6 @@ def check_cut_clique(
         witnesses["gap"] = float(r) - a
         verdict = PASS if bound_ok else FAIL
         return _finish("cut-clique", g, verdict, witnesses, {"tol": tol}, t0)
-    a_token, mu, proved = token_alpha(token_graph(g, k, cap=cap), _accepts(float(r), tol))
     witnesses["alpha_token"] = a_token
     _add_complements(witnesses, {"alpha_complement": mu}, proved)
     ok = bound_ok and _close(a, float(r), tol) and _close(a_token, float(r), tol)

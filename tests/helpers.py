@@ -40,7 +40,7 @@ from token_spectra.spectra import DEFAULT_GROUP_TOL, NumericalError, laplacian
 from token_spectra.tokens import CapExceededError, token_graph
 
 # known counts of connected graphs up to isomorphism, indexed by n
-CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
 def connected_class_representatives(n: int) -> list[Graph]:
@@ -48,20 +48,32 @@ def connected_class_representatives(n: int) -> list[Graph]:
 
     Canonical form of a labeled graph is the minimum edge-set bitmask over
     all vertex permutations; the remapping runs vectorized over every mask
-    at once, which keeps n = 6 (32768 masks x 720 permutations) fast.
+    at once, 7 bits at a time, which keeps n = 6 (32768 masks x 720
+    permutations) fast. From n = 7 on, the masks are those of each class on
+    n - 1 vertices with a new vertex joined to a nonempty subset: every
+    connected graph has a vertex, a leaf of a spanning tree, whose removal
+    leaves it connected.
     """
     edge_list = list(combinations(range(n), 2))
     m = len(edge_list)
     eidx = {e: i for i, e in enumerate(edge_list)}
-    masks = np.arange(1 << m, dtype=np.int64)
+    if n <= 6:
+        masks = np.arange(1 << m, dtype=np.int64)
+    else:
+        smaller = [sum(1 << eidx[e] for e in g.edges) for g in connected_class_representatives(n - 1)]
+        joins = [sum(1 << eidx[(v, n - 1)] for v in range(n - 1) if (s >> v) & 1) for s in range(1, 1 << (n - 1))]
+        masks = np.add.outer(np.array(smaller, dtype=np.int64), np.array(joins, dtype=np.int64)).ravel()
     canon = masks.copy()
+    # a permutation maps each 7-bit chunk of a mask through a 128-entry table
+    bits = (np.arange(128)[:, None] >> np.arange(7)) & 1
     for perm in permutations(range(n)):
-        table = [eidx[tuple(sorted((perm[u], perm[v])))] for u, v in edge_list]
+        table = np.array([eidx[tuple(sorted((perm[u], perm[v])))] for u, v in edge_list], dtype=np.int64)
         remapped = np.zeros_like(masks)
-        for b in range(m):
-            remapped |= ((masks >> b) & np.int64(1)) << np.int64(table[b])
+        for c in range(0, m, 7):
+            chunk = table[c:c + 7]
+            remapped |= (bits[:, :len(chunk)] @ (np.int64(1) << chunk))[(masks >> c) & 127]
         np.minimum(canon, remapped, out=canon)
-    reps = masks[masks == canon]
+    reps = np.unique(canon)
     out = []
     for mask in reps.tolist():
         edges = tuple(edge_list[b] for b in range(m) if (mask >> b) & 1)

@@ -277,7 +277,8 @@ class TestVerify:
     def test_math_failure_exit_1(self, runner, monkeypatch):
         # alpha(F_2(P_5)) read 0.5 too high: a fail that no rounding decides
         real = verify.token_alpha
-        monkeypatch.setattr(verify, "token_alpha", lambda tg, accept=None: (real(tg, accept)[0] + 0.5, None, None))
+        monkeypatch.setattr(verify, "token_alpha",
+                            lambda tg, accept=None, base=None: (real(tg, accept, base)[0] + 0.5, None, None))
         res = runner.invoke(main, ["verify", "alpha-token", "--graph", "path:5", "-k", "2"])
         assert res.exit_code == 1
         assert json.loads(res.output)["verdict"] == "fail"
@@ -651,7 +652,11 @@ class TestSweep:
         summary = json.loads(res.output)
         assert summary["precondition_unmet"] == 3 and summary["fail"] == 0
 
-    def test_failure_exit_code(self, runner, tmp_path):
+    def test_failure_exit_code(self, runner, tmp_path, monkeypatch):
+        # alpha(F_k) read 0.5 too high: at tol = 0 alpha-token is now proved equal, so no rounding fails it
+        real = verify.token_alpha
+        monkeypatch.setattr(verify, "token_alpha",
+                            lambda tg, accept=None, base=None: (real(tg, accept, base)[0] + 0.5, None, None))
         spec = self._write_spec(tmp_path, tolerances={"tol": 0.0}, checks=["alpha-token"])
         res = runner.invoke(main, ["sweep", spec, "--csv", str(tmp_path / "f.csv")])
         assert res.exit_code == 1

@@ -202,6 +202,7 @@ class TestTokenAlpha:
         pendant = check_pendant_bound(g, 4)
         assert not any(key.startswith("alpha_complement") for key in pendant.witnesses)
         monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 100)
+        monkeypatch.setattr(spectra, "PROOF_FIRST_MAX_ORDER", 100)  # the proof follows the sparse route
         sparse = check_alpha_token_equality(g, 4)
         assert sparse.verdict == dense.verdict == "pass"
         assert sparse.witnesses["alpha_complement"] > sparse.witnesses["alpha_token"]

@@ -9,8 +9,8 @@ token_alpha's dense paths read from it. Float containment reads no
 spectrum of L(F_k) at all: spectra.lifted_residual_bound bounds, by Kahan's
 theorem, how far each eigenvalue of L(G) lies from its own eigenvalue of
 L(F_k), and the tests below check that bound, its guards, and its verdicts.
-Given the interval a check accepts, token_alpha proves lo < lambda_2 <= upper
-from that bound and one Cholesky (spectra._proved_alpha) before it solves.
+Given the interval a check accepts, token_alpha proves lambda_2(L(F_k)) =
+alpha(G) by one Cholesky off range(B) (spectra._proved_alpha) before it solves.
 """
 
 import os
@@ -18,13 +18,15 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from token_spectra import spectra, tokens, verify
-from token_spectra.graphs import Graph, complete_graph, parse_edge_list, path_graph
+from token_spectra.exact import char_poly
+from token_spectra.graphs import Graph, complete_graph, cycle_graph, parse_edge_list, path_graph
 from token_spectra.spectra import (
     NumericalError,
     Spectrum,
@@ -47,7 +49,7 @@ from token_spectra.verify import (
     check_spectral_containment,
 )
 
-from helpers import connected_class_representatives, family_corpus
+from helpers import connected_class_representatives, count_roots_in_interval, family_corpus
 
 GNP12 = parse_edge_list((Path(__file__).parent / "data" / "gnp12.el").read_text())
 
@@ -325,65 +327,137 @@ def _accept(g: Graph, tol: float = 1e-7) -> tuple[float, float]:
     return a - tol * max(1.0, a), a + tol * max(1.0, a)
 
 
-def _exact_rayleigh(tg: TokenGraph) -> Fraction:
-    """The exact Rayleigh quotient of the lifted Fiedler vector, made orthogonal to 1 in
-    integers; an upper bound on lambda_2(L(F_k)) that involves no rounding."""
-    x = [Fraction(float(c)) for c in lift(tg.base.n, tg.k) @ _base(tg.base).vectors[:, 1]]
+def _complement(tg: TokenGraph) -> tuple[float, np.ndarray | None]:
+    """(mu, its unit eigenvector): the least eigenvalue of L(F_k) off range(B), by a dense
+    eigh on an orthonormal basis of range(B)^perp; (inf, None) where that is {0}."""
+    b = lift(tg.base.n, tg.k)
+    q = np.linalg.svd(b)[0][:, tg.base.n:]
+    if q.shape[1] == 0:
+        return float("inf"), None
+    w, v = np.linalg.eigh(q.T @ laplacian(tg.graph).astype(float) @ q)
+    return float(w[0]), q @ v[:, 0]
+
+
+def _exact_complement_rayleigh(tg: TokenGraph) -> Fraction:
+    """The exact Rayleigh quotient of mu's eigenvector, projected off range(B) in integers;
+    an upper bound on mu that involves no rounding."""
+    n, k = tg.base.n, tg.k
+    x = [Fraction(float(c)) for c in _complement(tg)[1]]
     den = max(c.denominator for c in x)
     ints = [int(c * den) for c in x]
-    total = sum(ints)
-    ints = [len(ints) * c - total for c in ints]
-    num = sum((ints[u] - ints[v]) ** 2 for u, v in tg.graph.edge_array.tolist())
-    return Fraction(num, sum(c * c for c in ints))
+    # B^T B = a I + c J, so (B^T B)^-1 = (I - c / (a + n c) J) / a; y = (a + n c) a x - B w is exact
+    a, c = comb(n - 2, k - 1), comb(n - 2, k - 2) if k >= 2 else 0
+    members = tokens._colex_subsets(n, k).tolist()
+    bt = [0] * n
+    for row, value in zip(members, ints):
+        for j in row:
+            bt[j] += value
+    w = [(a + n * c) * t - c * sum(bt) for t in bt]
+    y = [(a + n * c) * a * value - sum(w[j] for j in row) for row, value in zip(members, ints)]
+    num = sum((y[u] - y[v]) ** 2 for u, v in tg.graph.edge_array.tolist())
+    return Fraction(num, sum(v * v for v in y))
+
+
+def _proof_inputs(tg: TokenGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The lift and the token degrees, as _proved_alpha hands them to _complement_exceeds."""
+    b = lift(tg.base.n, tg.k)
+    return b, laplacian_apply(tg.graph, b)[1]
+
+
+C4 = cycle_graph(4)
 
 
 class TestProvedAlpha:
-    """token_alpha with a check's interval: lo < lambda_2(L(F_k)) <= upper, proved, or the values-only route."""
+    """token_alpha with a check's interval: mu > sigma > alpha(G) proved, so lambda_2(L(F_k)) =
+    alpha(G); on failure sigma = lo; else the next route."""
 
-    def test_closes_on_the_corpus(self, corpus):
-        for g in corpus:
-            accept = _accept(g)
+    @pytest.fixture(scope="class")
+    def every_small_graph(self):
+        return [g for n in range(2, 8) for g in connected_class_representatives(n)]
+
+    def test_closes_on_the_corpus(self, every_small_graph):
+        self._closes(every_small_graph)  # numpy's cholesky: every order is below INPLACE_MIN_ORDER
+
+    def test_closes_in_place_on_the_corpus(self, monkeypatch, every_small_graph):
+        monkeypatch.setattr(spectra, "INPLACE_MIN_ORDER", 0)  # scipy's dpotrf on every order
+        self._closes([g for g in every_small_graph if g.n <= 6])
+
+    @staticmethod
+    def _closes(graphs):
+        """The proof closes on every connected graph given, at every k, with dense eigh's mu above sigma."""
+        fallbacks = 0
+        for g in graphs:
+            base = _base(g)
+            alpha = fiedler_value(base.values)
+            sigma = float(np.nextafter(alpha + 1e-8 * max(1.0, float(base.values[-1])), np.inf))
+            # sigma is above the exact alpha(G): the Sturm count of charpoly(L(G)) on (0, sigma] is not 0
+            assert count_roots_in_interval(char_poly(laplacian(g)), 0, sigma) >= 1, g.edges
             for k in range(1, g.n):
                 tg = token_graph(g, k)
+                value, mu, proved = token_alpha(tg, _accept(g), base)
+                if "alpha_token_lower" in proved:  # F_2(C_4) alone, where mu = alpha
+                    assert (g.n, g.m, k) == (4, 4, 2) and np.bincount(g.edge_array.ravel()).tolist() == [2] * 4
+                    fallbacks += 1
+                    continue
+                assert mu is None and value == alpha and proved == {"alpha_complement_lower": sigma}, (g.edges, k)
+                assert _complement(tg)[0] > sigma, (g.edges, k)
                 full = np.linalg.eigvalsh(laplacian(tg.graph).astype(float))
-                value, mu, proved = token_alpha(tg, accept)
-                assert mu is None and proved is not None, (g.edges, k)
-                lower, upper = proved
-                assert lower == accept[0] and upper <= accept[1]
-                assert lower <= full[1] <= upper, (g.edges, k)
-                assert abs(value - full[1]) <= 1e-9 * max(1.0, float(full[-1])), (g.edges, k)
+                assert abs(full[1] - value) <= 1e-9 * max(1.0, float(full[-1])), (g.edges, k)
+        assert fallbacks == 1
+
+    def test_c4_falls_back_to_lo(self):
+        # F_2(C_4) has mu = alpha = 2, so mu > alpha cannot be proved, and mu > lo is
+        tg = token_graph(C4, 2)
+        assert _complement(tg)[0] == pytest.approx(2.0, abs=1e-12)
+        lo, hi = _accept(C4)
+        value, mu, proved = token_alpha(tg, (lo, hi))
+        assert value == fiedler_value(_base(C4).values) and mu is None
+        assert proved["alpha_complement_lower"] == proved["alpha_token_lower"] == lo
+        assert 2.0 < proved["alpha_token_upper"] <= hi
+
+    def test_no_complement_at_k_1_and_n_minus_1(self):
+        for g in (GNP12, path_graph(7), C4):
+            for k in (1, g.n - 1):
+                tg = token_graph(g, k)
+                assert _complement(tg) == (float("inf"), None)
+                value, _, proved = token_alpha(tg, _accept(g))
+                assert value == fiedler_value(_base(g).values) and set(proved) == {"alpha_complement_lower"}
+
+    def test_sigma_above_mu_gives_no_proof(self):
+        for g, k in [(GNP12, 3), (path_graph(7), 3), (complete_graph(6), 2), (C4, 2)]:
+            tg = token_graph(g, k)
+            mu = _complement(tg)[0]
+            b, degree = _proof_inputs(tg)
+            assert not spectra._complement_exceeds(tg, b, degree, mu + 1e-6 * max(1.0, mu))
+            assert spectra._complement_exceeds(tg, b, degree, mu - 1e-6 * max(1.0, mu))
 
     def test_lower_end_above_lambda_2_falls_back(self):
-        for g, k in [(GNP12, 3), (path_graph(7), 3), (complete_graph(6), 2)]:
-            tg = token_graph(g, k)
-            full = np.linalg.eigvalsh(laplacian(tg.graph).astype(float))
-            lo = full[1] + 1e-6 * max(1.0, float(full[-1]))
-            assert not spectra._exceeds(tg.graph, lo)
-            assert token_alpha(tg, (lo, full[1] + 1.0)) == (fiedler_value(token_spectrum(tg, _base(g))), None, None)
+        # on F_2(C_4), lambda_2 = mu = 2: with lo above it, neither sigma closes
+        tg = token_graph(C4, 2)
+        assert token_alpha(tg, (2.0 + 1e-6, 3.0)) == (fiedler_value(token_spectrum(tg, _base(C4))), None, None)
 
     def test_upper_end_below_alpha_falls_back(self):
-        # hi = alpha(G), below upper = alpha(G) + err
-        tg = token_graph(GNP12, 3)
-        lo, _ = _accept(GNP12)
-        assert token_alpha(tg, (lo, fiedler_value(_base(GNP12).values)))[2] is None
+        # hi = alpha(G) lies below sigma, so the fallback sigma = lo would not place alpha(F_k) in [lo, hi]
+        tg = token_graph(C4, 2)
+        lo, _ = _accept(C4)
+        assert token_alpha(tg, (lo, 2.0))[2] is None
 
     def test_rump_shift_is_needed(self, monkeypatch):
-        # lo above lambda_2 by a few ulps, which a float Cholesky without the shift c still factors
+        # sigma above mu by a few ulps, which a float Cholesky without the shift c still factors
         found = 0
         for g, k in [(path_graph(10), 3), (path_graph(11), 4), (GNP12, 3)]:
             tg = token_graph(g, k)
-            rq = _exact_rayleigh(tg)
+            b, degree = _proof_inputs(tg)
+            rq = _exact_complement_rayleigh(tg)
             for j in range(1, 40):
-                lo = float(rq) + j * np.spacing(float(rq))
-                assert Fraction(lo) > rq  # so lambda_2 < lo: no proof may close
+                sigma = float(rq) + j * np.spacing(float(rq))
+                assert Fraction(sigma) > rq  # so mu < sigma: no proof may close
                 with monkeypatch.context() as m:
                     m.setattr(spectra, "UNIT_ROUNDOFF", 0.0)  # c = 0
-                    if not spectra._exceeds(tg.graph, lo):
+                    if not spectra._complement_exceeds(tg, b, degree, sigma):
                         continue
-                    assert token_alpha(tg, (lo, lo + 1.0))[2] is not None  # a wrong proof
                 found += 1
-                assert not spectra._exceeds(tg.graph, lo)
-                assert token_alpha(tg, (lo, lo + 1.0))[2] is None
+                assert not spectra._complement_exceeds(tg, b, degree, sigma)
         assert found
 
     def test_dropped_token_edge_raises(self):
@@ -392,11 +466,78 @@ class TestProvedAlpha:
             with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
                 token_alpha(_corrupted(tg, tg.graph.edge_array[1:]), _accept(GNP12))
 
+    @pytest.mark.parametrize("corrupt", ["reversed rows", "swapped columns"])
+    def test_corrupted_lift_raises(self, monkeypatch, corrupt):
+        real = tokens.lift
+        change = {"reversed rows": lambda b: b[::-1], "swapped columns": lambda b: b[:, [1, 0, *range(2, b.shape[1])]]}
+        monkeypatch.setattr(spectra, "lift", lambda n, k: change[corrupt](real(n, k)))
+        for k in (2, 3):
+            with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
+                token_alpha(token_graph(GNP12, k), _accept(GNP12))
+
+    def test_failed_factorization_leaves_alpha_to_the_next_route(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        def fails(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+        monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 2000)
+        for g, k in [(GNP12, 3), (path_graph(14), 4)]:  # N = 220 on numpy's cholesky, 1001 on dpotrf
+            tg = token_graph(g, k)
+            assert token_alpha(tg, _accept(g)) == (fiedler_value(token_spectrum(tg, _base(g))), None, None)
+        monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 0)  # the sparse route is next
+        tg = token_graph(GNP12, 4)
+        assert token_alpha(tg, _accept(GNP12)) == spectra._sparse_token_alpha(tg, _base(GNP12))
+
+    def test_one_token_matrix(self):
+        # A and its factor share one N x N array: no copy for LAPACK, no second factor
+        g, k, n = path_graph(14), 4, 1001
+        tg, base = token_graph(g, k), _base(g)
+        import scipy.linalg.lapack  # noqa: F401, imported before tracing
+        tracemalloc.start()
+        try:
+            proved = spectra._proved_alpha(tg, base, *_accept(g))[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(proved) == {"alpha_complement_lower"}
+        assert 8 * n ** 2 < peak < 9 * n ** 2
+
+    def test_dpotrf_runs_with_one_thread_above_15000(self, monkeypatch):
+        # 16001 x 16001 and 15000 x 15000 views of one float: nothing of that order is allocated or factored
+        import ctypes
+
+        import scipy
+        import scipy.linalg.lapack
+
+        libs = (Path(scipy.__file__).parent.parent / "scipy.libs").glob("*openblas*")
+        blas = next(lib for lib in map(ctypes.CDLL, map(str, libs)) if hasattr(lib, "scipy_openblas_get_num_threads"))
+        before, seen = blas.scipy_openblas_get_num_threads(), []
+
+        def spy(a, **kwargs):
+            seen.append((a.shape[0], blas.scipy_openblas_get_num_threads()))
+            return a, 0
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", spy)
+        huge, large = (np.lib.stride_tricks.as_strided(np.ones(1), (n, n), (0, 0)) for n in (16001, 15000))
+        assert spectra._dpotrf_in_place(huge) == 0 and spectra._dpotrf_in_place(large) == 0
+        assert seen == [(16001, 1), (15000, before)]
+        assert blas.scipy_openblas_get_num_threads() == before
+        # where scipy's OpenBLAS is not found, the order above 15000 is refused: exit 3
+        monkeypatch.setattr(scipy, "__file__", str(Path("/nonexistent") / "scipy" / "__init__.py"))
+        with pytest.raises(CapExceededError, match="N = 16001"):
+            spectra._dpotrf_in_place(huge)
+        assert spectra._dpotrf_in_place(large) == 0
+
     def test_disconnected_graph_reads_zero(self):
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
         for k in range(1, g.n):
             value, _, proved = token_alpha(token_graph(g, k), _accept(g))
-            assert value == 0.0 and proved is not None and proved[0] < 0
+            assert value == 0.0 and proved is not None
+            # F_k may have more components than G, so mu = 0, and lo < 0 holds unproved
+            assert proved.get("alpha_token_lower", -1.0) < 0 or proved["alpha_complement_lower"] > 0
 
     def test_certificates_carry_the_bounds(self):
         certs = [check_alpha_token_equality(GNP12, 3),
@@ -405,36 +546,44 @@ class TestProvedAlpha:
                  check_cut_clique(1, [complete_graph(2), complete_graph(2)], k=2)]
         for cert in certs:
             w = cert.witnesses
-            assert cert.passed and w["alpha_token_lower"] < w["alpha_token"] <= w["alpha_token_upper"]
+            assert cert.passed and w["alpha_complement_lower"] > w["alpha_token"], cert.check
+            assert "alpha_token_lower" not in w and "alpha_complement_least" not in w
+        assert certs[0].witnesses["difference"] == 0.0
         # pendant-bound feeds three values into one inequality, and takes no interval
-        assert not any(key.startswith("alpha_token_") and key.endswith(("lower", "upper"))
-                       for key in check_pendant_bound(GNP12, 3).witnesses)
+        assert not any(key.endswith(("lower", "upper")) for key in check_pendant_bound(GNP12, 3).witnesses)
 
     def test_tol_zero_keeps_the_values_only_certificate(self):
+        # on F_2(C_4), mu = alpha, and at tol = 0 no interval is left for the fallback
+        cert = check_alpha_token_equality(C4, 2, tol=0.0)
+        assert "alpha_complement_lower" not in cert.witnesses
+        assert cert.witnesses["alpha_token"] == fiedler_value(token_spectrum(token_graph(C4, 2), _base(C4)))
+
+    def test_tol_zero_is_proved_outright(self):
         cert = check_alpha_token_equality(GNP12, 3, tol=0.0)
-        assert "alpha_token_lower" not in cert.witnesses
-        tg = token_graph(GNP12, 3)
-        assert cert.witnesses["alpha_token"] == fiedler_value(token_spectrum(tg, _base(GNP12)))
+        assert cert.passed and cert.witnesses["difference"] == 0.0
+        assert cert.witnesses["alpha_complement_lower"] > cert.witnesses["alpha_token"]
 
     def test_sweep_cells_import_no_scipy(self):
         code = ("import sys; from token_spectra.verify import check_alpha_token_equality;"
                 "from token_spectra.graphs import path_graph;"
-                "assert 'alpha_token_lower' in check_alpha_token_equality(path_graph(8), 3).witnesses;"
+                "assert 'alpha_complement_lower' in check_alpha_token_equality(path_graph(8), 3).witnesses;"
                 "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
         path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
 
-    @pytest.mark.parametrize("rate, proved", [(25, False), (spectra.PROOF_BYTES_PER_N2, True)])
-    def test_memory_between_the_two_rates(self, monkeypatch, rate, proved):
-        # path:14 with k = 4, N = 1001, on the dense route: the proof is tried only where it fits;
-        # between the values-only rate and the proof's, token_spectrum answers alone
-        assert spectra.VALUES_BYTES_PER_N2 < 25 < spectra.PROOF_BYTES_PER_N2
+    @pytest.mark.parametrize("rate", [spectra.PROOF_BYTES_PER_N2 - 1, spectra.PROOF_BYTES_PER_N2])
+    def test_memory_at_the_proofs_rate(self, monkeypatch, rate):
+        # path:14 with k = 4, N = 1001: the proof is the cheapest dense route, so below its
+        # rate alpha exits 3 (CapExceededError), and at it alpha is proved
+        assert spectra.PROOF_BYTES_PER_N2 < spectra.VALUES_BYTES_PER_N2
         g, k, n = path_graph(14), 4, 1001
         monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", n + 1)
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", rate * n ** 2)
-        value, _, bounds = token_alpha(token_graph(g, k), _accept(g))
-        assert (bounds is not None) == proved
-        if not proved:
-            assert value == fiedler_value(token_spectrum(token_graph(g, k), _base(g)))
+        tg = token_graph(g, k)
+        if rate < spectra.PROOF_BYTES_PER_N2:
+            with pytest.raises(CapExceededError, match=f"dense Laplacian route at N = {n}"):
+                token_alpha(tg, _accept(g))
+        else:
+            assert set(token_alpha(tg, _accept(g))[2]) == {"alpha_complement_lower"}
