@@ -43,6 +43,7 @@ before.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb, isqrt
 from typing import Sequence
@@ -325,6 +326,9 @@ def char_polys(mats: Sequence) -> list[IntPoly]:
     return out
 
 
+# memoized, as read-only arrays, as tokens memoizes its tables: a sweep takes the layers
+# of many graphs of a few (n, h), and layer_matrix still certifies each use
+@lru_cache(maxsize=32)
 def _standard_polytabloids(n: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The standard polytabloids of shape (n - h, h), as signed sums of h-subsets.
 
@@ -353,7 +357,10 @@ def _standard_polytabloids(n: int, h: int) -> tuple[np.ndarray, np.ndarray, np.n
     lower = choose[terms, np.arange(h)]  # and one place down
     # less element i, the elements before it keep their places and those after move down one
     down = np.cumsum(place - lower, axis=2) - place + lower.sum(axis=2, keepdims=True)
-    return b.sum(axis=1), place.sum(axis=2), down, 1 - 2 * (swap.sum(axis=1) % 2)
+    out = b.sum(axis=1), place.sum(axis=2), down, 1 - 2 * (swap.sum(axis=1) % 2)
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 def _back_substitute(upper: np.ndarray, rhs: np.ndarray, level: np.ndarray) -> np.ndarray:

@@ -50,6 +50,8 @@ DENSE_BYTES_PER_N2 = 44
 # Peak bytes per N^2 of token_spectrum, measured the same way on 5-token graphs of
 # paths, N = 2002 and 4368: 16.2 and 16.1. It holds the float Laplacian and
 # eigvalsh's copy of it; the int64 matrix it was made from is freed before.
+# laplacian_values, the solve of checks that read no eigenvector, holds the same: interlacing's
+# two solves on paths read 16.3 and 16.2 at N = 3000 and 4000 (24.0, one block more, at 2000).
 # token_alpha pays it where its other routes do not answer; containment takes lifted_residual_bound
 # instead, a bound from Kahan's theorem on the distance of L(G)'s eigenvalues to
 # spec(L(F_k)), with scale max(1, Delta + 1), and is charged at the rates below.
@@ -192,6 +194,20 @@ def eig_sym(
     cuts = (np.flatnonzero(np.diff(w) > group_tol * scale) + 1).tolist()
     groups = tuple(slice(s, e) for s, e in zip([0, *cuts], [*cuts, n]))
     return Spectrum(values=w, vectors=q, groups=groups)
+
+
+def eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric float matrix m from LAPACK's values-only solver,
+    for callers that read no eigenvector; NumericalError where it does not converge."""
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+
+
+def laplacian_values(g: Graph) -> np.ndarray:
+    """Ascending Laplacian eigenvalues of g from eigenvalues, charged VALUES_BYTES_PER_N2."""
+    return eigenvalues(laplacian(g, VALUES_BYTES_PER_N2).astype(float))  # the int64 matrix is freed first
 
 
 def fiedler_value(values: np.ndarray) -> float:
@@ -346,10 +362,7 @@ def token_spectrum(tg: TokenGraph, base: Spectrum) -> np.ndarray:
     its multiplicity, lies within a small multiple of that bound of spec(L(F_k)).
     """
     lap = laplacian(tg.graph, VALUES_BYTES_PER_N2).astype(float)  # the int64 matrix is freed before eigvalsh
-    try:
-        values = np.linalg.eigvalsh(lap)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+    values = eigenvalues(lap)
     x = lift(tg.base.n, tg.k) @ base.vectors
     resid = np.linalg.norm(lap @ x - x * base.values, axis=0) / np.linalg.norm(x, axis=0)
     bound = DEFAULT_RESID_TOL * max(1.0, float(np.abs(values).max()))

@@ -37,12 +37,15 @@ from .graphs import (
 )
 from .spectra import (
     PAIR_TOL,
+    VALUES_BYTES_PER_N2,
     Spectrum,
     algebraic_connectivity,
     eig_sym,
     eigenspace_has_equal_pair,
+    eigenvalues,
     fiedler_value,
     laplacian,
+    laplacian_values,
     lifted_residual_bound,
     principal_submatrix,
     theta,
@@ -108,11 +111,12 @@ def _pair_witness(u: int, v: int) -> dict:
     return {"u": u, "v": v, "u_one_based": u + 1, "v_one_based": v + 1}
 
 
-def _token_alpha(g: Graph, k: int, cap: int, tol: float, target: float | None = None) -> tuple:
+def _token_alpha(g: Graph, k: int, cap: int, tol: float, target: float | None = None,
+                 base: Spectrum | None = None) -> tuple:
     """(alpha(G), *token_alpha(F_k(G), target +- tol * max(1, |target|), base)), base the one
-    eigensolve of L(G); target is alpha(G) unless given."""
+    eigensolve of L(G), made here unless given; target is alpha(G) unless given."""
     tg = token_graph(g, k, cap=cap)
-    base = eig_sym(laplacian(g).astype(float))
+    base = base or eig_sym(laplacian(g).astype(float))
     a = fiedler_value(base.values)
     target = a if target is None else target
     half = tol * max(1.0, abs(target))
@@ -218,7 +222,7 @@ def check_edge_add_alpha_iff(
         raise GraphError(f"edge ({u}, {v}) already present")
     t0 = time.perf_counter()
     a0, basis = algebraic_connectivity(g)
-    a1, _ = algebraic_connectivity(add_edges(g, [(u, v)]))
+    a1 = fiedler_value(laplacian_values(add_edges(g, [(u, v)])))
     lhs = abs(a1 - a0) <= tol * max(1.0, abs(a0))
     rhs, wit = eigenspace_has_equal_pair(basis, (u, v))
     witnesses = {
@@ -242,8 +246,8 @@ def check_interlacing(g: Graph, u: int, v: int, tol: float = DEFAULT_ALPHA_TOL) 
     if g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) already present")
     t0 = time.perf_counter()
-    w0 = eig_sym(laplacian(g).astype(float)).values  # the int64 matrices are freed before eigh
-    w1 = eig_sym(laplacian(add_edges(g, [(u, v)])).astype(float)).values
+    w0 = laplacian_values(g)
+    w1 = laplacian_values(add_edges(g, [(u, v)]))
     bound = tol * max(1.0, float(w1[-1]))
     violations = []
     for i in range(g.n):
@@ -268,15 +272,23 @@ def check_pendant_bound(
 
     The pendant is attached to vertex 0 so the instance is reproducible.
     Requires 2 <= k <= n/2 where n counts the pendant-augmented graph.
+    Each token alpha is passed the interval around alpha of its own base
+    graph, G or G + pendant, each solved once. At k = 2, F_1(G) is G, so
+    alpha_token_km1 is alpha(G).
     """
     n_aug = g.n + 1
     if not (2 <= k <= n_aug / 2):
         raise GraphError(f"need 2 <= k <= {n_aug / 2} (augmented order / 2), got k={k}")
     t0 = time.perf_counter()
+    token_order(n_aug, k, cap)  # the largest of the three token graphs, refused before any solve
     h = Graph(n_aug, g.edges + ((0, g.n),))
-    a_h, mu_h, _ = token_alpha(token_graph(h, k, cap=cap))
-    a_km1, mu_km1, _ = token_alpha(token_graph(g, k - 1, cap=cap))
-    a_k, mu_k, _ = token_alpha(token_graph(g, k, cap=cap))
+    base = eig_sym(laplacian(g).astype(float))
+    _, a_h, mu_h, _ = _token_alpha(h, k, cap, tol)
+    if k == 2:
+        a_km1, mu_km1 = fiedler_value(base.values), None
+    else:
+        _, a_km1, mu_km1, _ = _token_alpha(g, k - 1, cap, tol, base=base)
+    _, a_k, mu_k, _ = _token_alpha(g, k, cap, tol, base=base)
     bound = min(a_km1 + 1.0, a_k + 1.0)
     ok = a_h <= bound + tol * max(1.0, bound)
     witnesses = {
@@ -329,7 +341,7 @@ def check_tail_edges_preserve_alpha(
     t0 = time.perf_counter()
     g = build_kite(spec)
     edges = _validate_level_edges(spec, added_edges, min_path=1)
-    a0, _ = algebraic_connectivity(g)
+    a0 = fiedler_value(laplacian_values(g))
     th = theta(spec.r, spec.r)
     witnesses = {
         "alpha": a0,
@@ -340,7 +352,7 @@ def check_tail_edges_preserve_alpha(
         return _finish(
             "tail-edges", g, PRECONDITION_UNMET, witnesses, {"tol": tol}, t0
         )
-    a1, _ = algebraic_connectivity(add_edges(g, edges))
+    a1 = fiedler_value(laplacian_values(add_edges(g, edges)))
     witnesses["alpha_after"] = a1
     ok = abs(a1 - a0) <= tol * max(1.0, abs(a0))
     return _finish("tail-edges", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
@@ -355,8 +367,7 @@ def _head_submatrix_min_eig(head: Graph, root: int) -> float | None:
     if head.n == 1:
         return None
     keep = [i for i in range(head.n) if i != root]
-    sub = principal_submatrix(laplacian(head), keep)
-    return float(eig_sym(sub).values[0])
+    return float(eigenvalues(principal_submatrix(laplacian(head), keep).astype(float))[0])
 
 
 def check_kite_alpha_theta_iff(spec: KiteSpec, tol: float = DEFAULT_ALPHA_TOL) -> Certificate:
@@ -367,7 +378,7 @@ def check_kite_alpha_theta_iff(spec: KiteSpec, tol: float = DEFAULT_ALPHA_TOL) -
     """
     t0 = time.perf_counter()
     g = build_kite(spec)
-    a, _ = algebraic_connectivity(g)
+    a = fiedler_value(laplacian_values(g))
     th = theta(spec.r, spec.r)
     lam = _head_submatrix_min_eig(spec.head, spec.root)
     lhs = _close(a, th, tol)
@@ -446,11 +457,10 @@ def check_symmetrizer_commutation(
     distinct = spec_g.distinct_values()
     del spec_g  # freed before the perturbed graph's eigensolve
 
-    gp = add_edges(g, edges)
-    spec_gp = eig_sym(laplacian(gp).astype(float))
+    perturbed = laplacian_values(add_edges(g, edges))
     # the nearest perturbed eigenvalue to each distinct one is a neighbour of its insertion point
-    ends = np.clip(np.searchsorted(spec_gp.values, distinct) - [[1], [0]], 0, g.n - 1)
-    nearest = np.abs(np.array(distinct) - spec_gp.values[ends]).min(axis=0)
+    ends = np.clip(np.searchsorted(perturbed, distinct) - [[1], [0]], 0, g.n - 1)
+    nearest = np.abs(np.array(distinct) - perturbed[ends]).min(axis=0)
     missing = [val for val, d in zip(distinct, nearest) if d > CONTAIN_TOL]
 
     witnesses = {
@@ -458,7 +468,7 @@ def check_symmetrizer_commutation(
         "eigenspaces_stable": stable,
         "nonzero_symmetrized_image": some_nonzero_image,
         "distinct_eigenvalues": distinct,
-        "perturbed_spectrum": [float(x) for x in spec_gp.values],
+        "perturbed_spectrum": [float(x) for x in perturbed],
         "missing_eigenvalues": missing,
         "added_edges": [_pair_witness(u, v) for u, v in edges],
     }
@@ -502,7 +512,7 @@ def check_kite_head_family(
         root = 0
         spec = KiteSpec(head=head, root=root, s=s, r=r)
         lam = _head_submatrix_min_eig(head, root)
-        path_spec = eig_sym(laplacian(path_graph(h)).astype(float)).values
+        path_spec = laplacian_values(path_graph(h))
         identity_exact = cycle_path_identity_check(h)
         bridge_ok = identity_exact and abs(lam - float(path_spec[1])) <= BRIDGE_TOL
         hypothesis = h <= 2 * r + 1
@@ -579,14 +589,14 @@ def check_cut_vertex_split(g: Graph, cut_vertex: int, tol: float = DEFAULT_ALPHA
     comps = [c for c in sub_all.components() if c != (cut_vertex,)]
     if len(comps) < 2:
         raise GraphError(f"vertex {cut_vertex} is not a cut vertex")
-    lap = laplacian(g).astype(float)
+    lap = laplacian(g, VALUES_BYTES_PER_N2).astype(float)
     subs = [principal_submatrix(lap, comp) for comp in comps]
     del lap  # each eigensolve holds only the submatrices not yet solved
     lam1s = []
     while subs:
-        lam1s.append(float(eig_sym(subs.pop()).values[0]))
+        lam1s.append(float(eigenvalues(subs.pop())[0]))
     lam1s.sort()
-    a, _ = algebraic_connectivity(g)
+    a = fiedler_value(laplacian_values(g))
     witnesses = {
         "cut_vertex": {"index": cut_vertex, "one_based": cut_vertex + 1},
         "alpha": a,
@@ -659,7 +669,7 @@ def check_cut_clique(
         a, a_token, mu, proved = _token_alpha(g, k, cap, tol, float(r))
     else:
         g = remove_edges(g, removed_join_edges)
-        a, _ = algebraic_connectivity(g)
+        a = fiedler_value(laplacian_values(g))
     bound_ok = a <= r + tol * max(1.0, float(r))
     witnesses = {
         "r": r,
@@ -693,7 +703,7 @@ def check_theta_table(r: int, tol: float = 1e-9) -> Certificate:
         raise GraphError(f"need r >= 1, got {r}")
     t0 = time.perf_counter()
     sub = principal_submatrix(laplacian(path_graph(r + 1)), range(1, r + 1))
-    eigs = eig_sym(sub.astype(float)).values
+    eigs = eigenvalues(sub.astype(float))
     closed = [theta(r, k) for k in range(r, 0, -1)]
     err = max(abs(float(e) - c) for e, c in zip(eigs, closed))
     witnesses = {

@@ -175,16 +175,20 @@ class TestSpectrum:
         assert [grp["mult"] for grp in doc["groups"]][0] == 2
 
     def test_eigensolver_gets_a_float_matrix(self, runner, monkeypatch):
-        # an int64 Laplacian handed to eig_sym stays alive through eigh, next to its float copy
+        # an int64 Laplacian handed to a solver stays alive through it, next to its float copy;
+        # spectrum solves with eig_sym, interlacing with the values-only eigenvalues
         seen = []
 
-        def spy(m, *args, **kwargs):
-            seen.append(m.dtype)
-            return eig_sym(m, *args, **kwargs)
+        def spying(solver):
+            def spy(m, *args, **kwargs):
+                seen.append(m.dtype)
+                return solver(m, *args, **kwargs)
+            return spy
 
-        eig_sym = spectra.eig_sym
-        monkeypatch.setattr(spectra, "eig_sym", spy)
-        monkeypatch.setattr(verify, "eig_sym", spy)
+        for name in ("eig_sym", "eigenvalues"):
+            spy = spying(getattr(spectra, name))
+            monkeypatch.setattr(spectra, name, spy)
+            monkeypatch.setattr(verify, name, spy)
         assert runner.invoke(main, ["spectrum", "path:5"]).exit_code == 0
         assert runner.invoke(main, ["verify", "interlacing", "--graph", "path:5", "-u", "0", "-v", "4"]).exit_code == 0
         assert seen == [np.float64] * 3
@@ -442,8 +446,8 @@ class TestExactRefusals:
 
 class TestMemoryGuard:
     """With physical memory taken as 1 MB, the dense route with eigenvectors
-    refuses N >= 151 (44 bytes per N^2), the values-only route of alpha-token
-    N >= 236 (18 bytes per N^2), token_graph refuses 8929 candidate rows or more, and
+    refuses N >= 151 (44 bytes per N^2), the values-only routes of alpha-token
+    and interlacing N >= 236 (18 bytes per N^2), token_graph refuses 8929 candidate rows or more, and
     the exact route refuses any token graph: its token-edge scatter alone is
     estimated at 1.5 MB."""
 
@@ -473,6 +477,15 @@ class TestMemoryGuard:
         assert runner.invoke(main, ["construct", "token", "--graph", "complete:11", "-k", "3"]).exit_code == 0
         # 7098 candidate rows at 112 bytes each, under 1 MB
         assert runner.invoke(main, ["construct", "token", "--graph", "complete:14", "-k", "3"]).exit_code == 0
+
+    def test_interlacing_is_charged_the_values_only_rate(self, runner):
+        argv = ["verify", "interlacing", "--graph", "path:{n}", "-u", "0", "-v", "{last}"]
+        ok = runner.invoke(main, [a.format(n=235, last=234) for a in argv])
+        assert ok.exit_code == 0 and json.loads(ok.stdout)["verdict"] == "pass"
+        res = runner.invoke(main, [a.format(n=236, last=235) for a in argv])
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr == ("error: the dense Laplacian route at N = 236 needs about 0.000934 GiB, "
+                              "physical memory is 0.000931 GiB\n")
 
     def test_sweep_gives_one_cap_exceeded_row(self, runner, tmp_path):
         spec = tmp_path / "spec.json"

@@ -509,6 +509,18 @@ class TestLayers:
                 assert cert.passed
                 assert (cert.witnesses["quotient_degree"], cert.witnesses["quotient"]) == (0, ["1"])
 
+    def test_polytabloids_are_memoized_read_only(self):
+        first = exact._standard_polytabloids(7, 3)
+        assert exact._standard_polytabloids(7, 3) is first
+        for array in first:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        # a layer built from the memoized arrays equals one built on a fresh call
+        exact._standard_polytabloids.cache_clear()
+        edges = token_graph(complete_graph(7), 3).graph.edge_array
+        fresh = exact.layer_matrix(7, 3, edges)
+        assert np.array_equal(exact.layer_matrix(7, 3, edges), fresh)
+
 
 def _corrupt_one_entry(monkeypatch, delta):
     real = exact._back_substitute
@@ -570,6 +582,7 @@ class TestLayerCertificate:
 
         def repeated(n, h):
             level, rank, down, sign = real(n, h)
+            rank, down = rank.copy(), down.copy()  # real's arrays are memoized and read-only
             rank[-1], down[-1] = rank[0], down[0]
             return level, rank, down, sign
 

@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from token_spectra.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    parse_edge_list,
     path_graph,
     star_graph,
 )
@@ -22,8 +24,10 @@ from token_spectra.spectra import (
     algebraic_connectivity,
     eig_sym,
     eigenspace_has_equal_pair,
+    eigenvalues,
     fiedler_value,
     laplacian,
+    laplacian_values,
     principal_submatrix,
     theta,
 )
@@ -221,6 +225,27 @@ class TestEigSym:
     def test_empty_matrix(self):
         spec = eig_sym(np.empty((0, 0)))
         assert spec.values.size == 0 and spec.vectors.shape == (0, 0) and spec.groups == ()
+
+
+class TestEigenvalues:
+    """eigenvalues, the solve of checks that read no eigenvector, against eig_sym."""
+
+    def test_matches_eig_sym(self):
+        gnp12 = parse_edge_list((Path(__file__).parent / "data" / "gnp12.el").read_text())
+        for g in [*family_corpus(7), gnp12]:
+            lap = laplacian(g).astype(float)
+            full = eig_sym(lap).values
+            values = eigenvalues(lap)
+            assert np.abs(values - full).max() <= 1e-12 * max(1.0, float(full[-1])), g.edges
+            assert np.array_equal(laplacian_values(g), values)
+
+    def test_no_convergence_is_a_numerical_error(self, monkeypatch):
+        def fails(a):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        with pytest.raises(NumericalError, match="eigensolver did not converge: forced"):
+            eigenvalues(np.eye(3))
 
 
 class TestAlgebraicConnectivity:

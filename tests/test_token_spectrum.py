@@ -549,7 +549,7 @@ class TestProvedAlpha:
             assert cert.passed and w["alpha_complement_lower"] > w["alpha_token"], cert.check
             assert "alpha_token_lower" not in w and "alpha_complement_least" not in w
         assert certs[0].witnesses["difference"] == 0.0
-        # pendant-bound feeds three values into one inequality, and takes no interval
+        # pendant-bound proves its three values, each in its base's interval, but keeps only the values
         assert not any(key.endswith(("lower", "upper")) for key in check_pendant_bound(GNP12, 3).witnesses)
 
     def test_tol_zero_keeps_the_values_only_certificate(self):
@@ -587,3 +587,80 @@ class TestProvedAlpha:
                 token_alpha(tg, _accept(g))
         else:
             assert set(token_alpha(tg, _accept(g))[2]) == {"alpha_complement_lower"}
+
+
+def _with_pendant(g: Graph) -> Graph:
+    return Graph(g.n + 1, g.edges + ((0, g.n),))
+
+
+class TestPendantBound:
+    """pendant-bound passes each of its token alphas the interval around alpha of its own
+    base graph, G or G + pendant, each solved once; the values-only route is the oracle."""
+
+    CASES = [(g, k) for g in family_corpus(7) for k in range(2, (g.n + 1) // 2 + 1)]
+    KEYS = ("alpha_token_augmented", "alpha_token_km1", "alpha_token_k")
+
+    @staticmethod
+    def _oracle(g: Graph, k: int) -> tuple[float, float, float]:
+        # three values-only solves, as pendant-bound made before it passed intervals
+        return tuple(token_alpha(token_graph(x, j))[0] for x, j in ((_with_pendant(g), k), (g, k - 1), (g, k)))
+
+    def _assert_matches(self, cert, g, k):
+        oracle = self._oracle(g, k)
+        bound = min(oracle[1:]) + 1.0
+        assert cert.passed == (oracle[0] <= bound + 1e-7 * max(1.0, bound)), (g.edges, k)
+        for key, want in zip(self.KEYS, oracle):
+            assert abs(cert.witnesses[key] - want) <= 1e-9 * max(1.0, abs(want)), (g.edges, k, key)
+
+    def test_matches_the_values_only_oracle(self, monkeypatch):
+        proofs = []
+        real = spectra._proved_alpha
+
+        def spy(*args):
+            proofs.append(real(*args))
+            return proofs[-1]
+
+        monkeypatch.setattr(spectra, "_proved_alpha", spy)
+        for g, k in self.CASES:
+            cert = check_pendant_bound(g, k)
+            self._assert_matches(cert, g, k)
+            # the certificate keeps its keys: what was proved is not reported
+            assert set(cert.witnesses) == {*self.KEYS, "k", "bound", "pendant_attached_to"}
+        assert len(proofs) == sum(3 if k > 2 else 2 for _, k in self.CASES)
+        assert all(proved is not None for proved in proofs)
+
+    def test_k2_reads_alpha_of_g(self):
+        for g, k in self.CASES:
+            if k == 2:
+                assert check_pendant_bound(g, 2).witnesses["alpha_token_km1"] == fiedler_value(_base(g).values)
+
+    def test_one_solve_of_each_base(self, monkeypatch):
+        orders, eigh = [], np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            orders.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        for k in (2, 3):
+            orders.clear()
+            assert check_pendant_bound(GNP12, k).passed
+            assert sorted(orders) == [GNP12.n, GNP12.n + 1]
+
+    def test_without_the_proof_the_values_only_route_decides(self, monkeypatch):
+        verdicts = {(g.edges, k): check_pendant_bound(g, k).verdict for g, k in self.CASES}
+        solved = []
+        real = spectra.token_spectrum
+
+        def spy(*args):
+            solved.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spectra, "_complement_exceeds", lambda *args: False)
+        monkeypatch.setattr(spectra, "token_spectrum", spy)
+        for g, k in self.CASES:
+            solved.clear()
+            cert = check_pendant_bound(g, k)
+            assert len(solved) == (3 if k > 2 else 2)
+            assert cert.verdict == verdicts[(g.edges, k)]
+            self._assert_matches(cert, g, k)
