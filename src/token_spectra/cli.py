@@ -244,7 +244,7 @@ def _cut_clique(opts: dict, need):
 # the verify module after import see every call.
 CHECKS = {
     "alpha-token": ("check_alpha_token_equality", ("graph", "k"), ("tol", "cap"), {}),
-    "containment": ("check_spectral_containment", ("graph", "k"), ("tol", "cap"), {"mode": "float"}),
+    "containment": ("check_spectral_containment", ("graph", "k"), ("cap",), {"mode": "float"}),
     "containment-exact": ("check_spectral_containment", ("graph", "k"), ("cap",), {"mode": "exact"}),
     "pendant-bound": ("check_pendant_bound", ("graph", "k"), ("tol", "cap"), {}),
     "edge-add-iff": ("check_edge_add_alpha_iff", ("graph", "u", "v"), ("tol",), {}),

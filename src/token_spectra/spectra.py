@@ -1,8 +1,8 @@
 """Dense Laplacian spectra with explicit eigenspace grouping, a sparse
-route to the algebraic connectivity of large token graphs, a bound, from
-a base graph's eigenpairs lifted to its token graph, on how far the base
-graph's eigenvalues lie from the token graph's, which decides float
-containment, and a proof, by one Cholesky, that alpha(F_k) = alpha(G).
+route to the algebraic connectivity of large token graphs, an exact check
+of the identity L(F_k) B = B L(G) from the token edges, which float
+containment and every token route rely on, and a proof, by one Cholesky,
+that alpha(F_k) = alpha(G).
 
 The dense eigensolver is LAPACK's symmetric solver reached through
 numpy; this module adds the contracts the verification layer depends on:
@@ -52,9 +52,8 @@ DENSE_BYTES_PER_N2 = 44
 # eigvalsh's copy of it; the int64 matrix it was made from is freed before.
 # laplacian_values, the solve of checks that read no eigenvector, holds the same: interlacing's
 # two solves on paths read 16.3 and 16.2 at N = 3000 and 4000 (24.0, one block more, at 2000).
-# token_alpha pays it where its other routes do not answer; containment takes lifted_residual_bound
-# instead, a bound from Kahan's theorem on the distance of L(G)'s eigenvalues to
-# spec(L(F_k)), with scale max(1, Delta + 1), and is charged at the rates below.
+# So do theta-table's and the kite head's submatrix solves: 16.1 to 16.3 on paths, cycles and
+# K_3000, N = 2000..4000. token_alpha pays it where its other routes do not answer.
 VALUES_BYTES_PER_N2 = 18
 # Peak bytes per N^2 of _proved_alpha: ru_maxrss less the RSS before it, in a fresh process, on
 # 4- and 5-token graphs of paths, cycles, K_13, tests/data/gnp12.el and gnp18.el. In place, one
@@ -70,14 +69,14 @@ INPLACE_MIN_ORDER = 300
 # scipy's OpenBLAS 0.3.30 dpotrf segfaulted with 2 threads at N = 16000 and 20000, not at 15000
 DPOTRF_THREADED_MAX_ORDER = 15000
 UNIT_ROUNDOFF = 2.0 ** -53
-# Peak bytes of lifted_residual_bound per token edge and per entry of the N x n lift:
-# ru_maxrss less the RSS before it, in a fresh process, on 12 token graphs of paths,
-# cycles, stars, complete graphs and tests/data/gnp18.el, N = 220..74613. A least-squares
-# fit gives 38 per edge and 22 per entry; complete graphs alone, where laplacian_apply
-# scatters one column at a time, put 37 to 38 on each edge, and paths, cycles and stars
-# 23 to 25 on each entry. These rates cover every case by 1.13 to 1.64.
-RITZ_BYTES_PER_EDGE = 40
-RITZ_BYTES_PER_ROW_COLUMN = 40
+# Peak bytes of checked_lift per token edge and per entry of the N x n lift: ru_maxrss
+# less the RSS before it, in a fresh process, on 12 token graphs of paths, cycles, stars,
+# complete graphs and tests/data/gnp18.el, N = 220..74613 (below resolution at N = 220).
+# A least-squares fit gives 42 per edge and 21 per entry; paths, cycles and stars put 26
+# to 33 on each entry, complete graphs 44 and 53 on each edge. These rates cover every
+# case by 1.14 to 1.77.
+LIFT_BYTES_PER_EDGE = 40
+LIFT_BYTES_PER_ROW_COLUMN = 40
 # laplacian_apply scatters every column in one bincount up to this many (edge, column)
 # pairs, and column by column above it; one bincount per column cost about 40 us
 # more on the tiny token graphs of sweeps (N = 15..45), timed between their other checks
@@ -249,21 +248,21 @@ def token_alpha(tg: TokenGraph, accept: tuple[float, float] | None = None, base:
     hands over (None). Given the interval accept = (lo, hi) that the caller's
     check accepts, _proved_alpha runs before it below PROOF_FIRST_MAX_ORDER,
     after it from there on, and proved names what it proved. Otherwise alpha
-    is fiedler_value of token_spectrum, one values-only solve certified by
-    the lifted eigenpairs of L(G). mu and proved are None off their routes.
+    is fiedler_value of token_spectrum, one values-only solve. mu and proved
+    are None off their routes.
     """
     base = base or eig_sym(laplacian(tg.base).astype(float))
     routes = (lambda: accept is not None and _proved_alpha(tg, base, *accept),
               lambda: tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, base))
     first, second = routes if tg.graph.n < PROOF_FIRST_MAX_ORDER else routes[::-1]
-    return first() or second() or (fiedler_value(token_spectrum(tg, base)), None, None)
+    return first() or second() or (fiedler_value(token_spectrum(tg)), None, None)
 
 
 def _proved_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float) -> tuple[float, None, dict] | None:
     """(alpha(G), None, proved) once one Cholesky pins lambda_2(L(F_k)) down, else None.
 
-    L(F_k) B = B L(G), B = lift(n, k), is checked exactly from the token
-    edges, else NumericalError. So lambda_2(L(F_k)) = min(alpha(G), mu), mu
+    L(F_k) B = B L(G) is checked exactly (checked_lift), else
+    NumericalError. So lambda_2(L(F_k)) = min(alpha(G), mu), mu
     the least eigenvalue off range(B). upper = alpha + 10 rho exceeds the
     true alpha(G) (module docstring). If mu > upper is proved, lambda_2 =
     alpha(G) and proved = {alpha_complement_lower: upper}. Otherwise (F_2(C_4)
@@ -275,13 +274,9 @@ def _proved_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float) -> tuple
     try:  # a proof that does not fit in memory leaves alpha to the next route
         rate = PROOF_BYTES_PER_N2 if g.n >= INPLACE_MIN_ORDER else NUMPY_PROOF_BYTES_PER_N2
         require_memory(rate * g.n * g.n, f"the proof at N = {g.n}")
+        b, degree = checked_lift(tg)
     except CapExceededError:
         return None
-    b = lift(tg.base.n, tg.k)
-    lb, degree = laplacian_apply(g, b)
-    resid = np.abs(lb - b @ laplacian(tg.base)).max()
-    if resid:  # every entry is a small integer, so the identity holds exactly or not at all
-        raise NumericalError(f"lifted residual {resid:.3g} of L(F_k) B = B L(G) exceeds bound 0")
     alpha = fiedler_value(base.values)
     upper = float(np.nextafter(alpha + 10 * DEFAULT_RESID_TOL * max(1.0, float(np.abs(base.values).max())), np.inf))
     if _complement_exceeds(tg, b, degree, upper):
@@ -350,25 +345,11 @@ def _dpotrf_in_place(a: np.ndarray) -> int:
         blas.scipy_openblas_set_num_threads(threads)
 
 
-def token_spectrum(tg: TokenGraph, base: Spectrum) -> np.ndarray:
-    """Ascending eigenvalues of L(F_k) from one values-only solve, certified by base = eig_sym(L(G)).
-
-    Each eigenvector v of L(G) lifts to x = B v, B = lift(n, k), an
-    eigenvector of L(F_k) for v's eigenvalue lambda since L(F_k) B = B L(G).
-    NumericalError unless every lifted pair has ||L(F_k) x - lambda x|| / ||x||
-    <= DEFAULT_RESID_TOL * max(1, max |values|). B^T B = c I + c' J keeps the
-    lifts of a connected G orthogonal, so by the residual theorem (Parlett,
-    The Symmetric Eigenvalue Problem, ch. 11) each eigenvalue of L(G), with
-    its multiplicity, lies within a small multiple of that bound of spec(L(F_k)).
-    """
-    lap = laplacian(tg.graph, VALUES_BYTES_PER_N2).astype(float)  # the int64 matrix is freed before eigvalsh
-    values = eigenvalues(lap)
-    x = lift(tg.base.n, tg.k) @ base.vectors
-    resid = np.linalg.norm(lap @ x - x * base.values, axis=0) / np.linalg.norm(x, axis=0)
-    bound = DEFAULT_RESID_TOL * max(1.0, float(np.abs(values).max()))
-    if resid.max() > bound:
-        raise NumericalError(f"lifted residual {resid.max():.3g} exceeds bound {bound:.3g}")
-    return values
+def token_spectrum(tg: TokenGraph) -> np.ndarray:
+    """Ascending eigenvalues of L(F_k) from one values-only solve, once checked_lift has shown
+    L(F_k) B = B L(G), so that tg.graph is the k-token graph of tg.base."""
+    checked_lift(tg)
+    return eigenvalues(laplacian(tg.graph, VALUES_BYTES_PER_N2).astype(float))  # the int64 matrix is freed first
 
 
 def laplacian_apply(g: Graph, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,52 +378,25 @@ def laplacian_apply(g: Graph, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[:, :-1], out[:, -1]
 
 
-def lifted_residual_bound(tg: TokenGraph, base: Spectrum) -> tuple[float, float]:
-    """(err, scale): each eigenvalue of base = eig_sym(L(G)), with its multiplicity,
-    lies within err of its own eigenvalue of L(F_k).
+def checked_lift(tg: TokenGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(B, the degrees of F_k), B = lift(n, k), once L(F_k) B = B L(G) is checked exactly.
 
-    X = B V, B = lift(n, k) and V = base.vectors, would span an invariant
-    subspace of L(F_k), since L(F_k) B = B L(G). L(F_k) is applied to X from
-    the token graph's edges only (laplacian_apply), so no C(n, k) x C(n, k)
-    matrix is formed or solved. With Lambda = diag(base.values):
-
-    - Each lifted pair is checked on its own: R = L(F_k) X - X Lambda, and
-      NumericalError unless ||R e_i|| <= DEFAULT_RESID_TOL * scale * ||X e_i||
-      for every column. scale = max(1, Delta + 1), Delta the largest degree
-      of F_k, is at most max(1, lambda_max(F_k)) (Grone-Merris).
-    - With M = X^T X, mu = lambda_min(M) and P = M^(1/2), U = X P^-1 is
-      orthonormal (the lifts of a disconnected G's kernel basis are not
-      orthogonal), and E = L(F_k) U - U Lambda = (U [P, Lambda] + R) P^-1.
-      [P, Lambda] solves P Z + Z P = [M, Lambda], so ||[P, Lambda]||_F <=
-      ||[M, Lambda]||_F / (2 sqrt(mu)), and ||E||_2 <= e = (||R||_F +
-      ||[M, Lambda]||_F / (2 sqrt(mu))) / sqrt(mu). [M, Lambda] vanishes
-      but for rounding: M couples only lifts of kernel vectors.
-    - H = U^T L(F_k) U is within ||U^T E|| <= e of Lambda, so by Weyl its
-      ascending eigenvalues are within e of base.values; by Kahan's theorem
-      (Parlett, The Symmetric Eigenvalue Problem, ch. 11) they lie within
-      ||L(F_k) U - U H|| <= e of n distinct eigenvalues of L(F_k). So
-      err = 2 e. An M with condition number above 1e9 raises NumericalError;
-      the lift's is 1 + n (k - 1) / (n - k).
+    L(F_k) B comes from the token edges (laplacian_apply), in O(|E(F_k)| n)
+    with no N x N matrix. Every entry of both sides is a small integer, exact
+    in float64, so the identity holds exactly or not at all: NumericalError
+    where it does not. CapExceededError, before the lift is allocated, where
+    the check does not fit in memory.
     """
     g, n = tg.graph, tg.base.n
-    require_memory(RITZ_BYTES_PER_EDGE * g.m + RITZ_BYTES_PER_ROW_COLUMN * g.n * n,
-                   f"the lifted certificate at N = {g.n}")
-    x = lift(n, tg.k) @ base.vectors
-    lam = base.values
-    lx, degree = laplacian_apply(g, x)
-    r = lx - x * lam
-    scale = max(1.0, float(degree.max()) + 1.0)
-    bound = DEFAULT_RESID_TOL * scale
-    rr, gram = np.einsum("ij,ij->j", r, r), x.T @ x
-    if not (rr <= bound * bound * gram.diagonal()).all():  # also when NaN got in
-        resid = np.sqrt(rr / gram.diagonal()).max()
-        raise NumericalError(f"lifted residual {resid:.3g} exceeds bound {bound:.3g}")
-    d = np.linalg.eigvalsh(gram)
-    if not d[0] > DEFAULT_RESID_TOL * d[-1]:
-        raise NumericalError(f"lifted eigenvectors are dependent: Gram eigenvalues {d[0]:.3g} to {d[-1]:.3g}")
-    root = np.sqrt(d[0])
-    commutator = np.linalg.norm(gram * np.subtract.outer(lam, lam))
-    return float(2 * (np.sqrt(rr.sum()) + commutator / (2 * root)) / root), scale
+    require_memory(LIFT_BYTES_PER_EDGE * g.m + LIFT_BYTES_PER_ROW_COLUMN * g.n * n,
+                   f"the lift check at N = {g.n}")
+    b = lift(n, tg.k)
+    lb, degree = laplacian_apply(g, b)
+    lb -= b @ laplacian(tg.base)
+    resid = np.abs(lb, out=lb).max()
+    if resid:  # also when NaN got in
+        raise NumericalError(f"lifted residual {resid:.3g} of L(F_k) B = B L(G) exceeds bound 0")
+    return b, degree
 
 
 def _sparse_token_alpha(tg: TokenGraph, base: Spectrum) -> tuple[float, float, None] | None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from math import sqrt
+from math import comb, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,15 +38,16 @@ from .graphs import (
 from .spectra import (
     PAIR_TOL,
     VALUES_BYTES_PER_N2,
+    NumericalError,
     Spectrum,
     algebraic_connectivity,
+    checked_lift,
     eig_sym,
     eigenspace_has_equal_pair,
     eigenvalues,
     fiedler_value,
     laplacian,
     laplacian_values,
-    lifted_residual_bound,
     principal_submatrix,
     theta,
     token_alpha,
@@ -54,7 +55,6 @@ from .spectra import (
 from .tokens import DEFAULT_CAP, token_graph, token_order
 
 DEFAULT_ALPHA_TOL = 1e-7
-DEFAULT_FLOAT_CONTAIN_TOL = 1e-6
 CONTAIN_TOL = 1e-3  # how far a kite eigenvalue may move under U_j level edges
 BRIDGE_TOL = 1e-9  # kite-head: submatrix eigenvalue against its closed form
 
@@ -147,20 +147,18 @@ def check_spectral_containment(
     g: Graph,
     k: int,
     mode: str = "exact",
-    tol: float = DEFAULT_FLOAT_CONTAIN_TOL,
     cap: int = DEFAULT_CAP,
 ) -> Certificate:
     """Every Laplacian eigenvalue of g appears in the spectrum of its k-token graph.
 
     Exact mode decides divisibility of characteristic polynomials over the
-    integers. Float mode never solves L(F_k): spectra.lifted_residual_bound
-    lifts the eigenpairs of L(G) through B and bounds, by Kahan's theorem,
-    the distance err from each eigenvalue of L(G) to its own eigenvalue of
-    L(F_k), with scale = max(1, Delta + 1), Delta the largest degree of F_k.
-    Every eigenvalue counts as matched iff err <= tol * scale, which puts
-    it within tol * scale of spec(F_k), with multiplicity; otherwise all are
-    unmatched. NumericalError when a lifted eigenpair's residual exceeds
-    its bound.
+    integers. Float mode solves nothing: spectra.checked_lift checks
+    L(F_k) B = B L(G) exactly from the token edges, and B^T B = C(n-2, k-1) I
+    + C(n-2, k-2) J, whose least eigenvalue C(n-2, k-1) is at least 1, is
+    checked exactly here. So B maps each eigenspace of L(G) one-to-one into
+    the eigenspace of L(F_k) for the same eigenvalue: spec(G) lies in
+    spec(F_k) with multiplicity, and no tolerance enters. NumericalError
+    where either identity fails, so unmatched is always empty.
     """
     if mode not in ("exact", "float"):
         raise GraphError(f"unknown mode {mode!r}")
@@ -177,12 +175,12 @@ def check_spectral_containment(
         verdict = PASS if divides else FAIL
         return _finish("containment", g, verdict, witnesses, {"mode": "exact"}, t0)
 
-    base = eig_sym(laplacian(g).astype(float))
-    err, scale = lifted_residual_bound(token_graph(g, k, cap=cap), base)
-    unmatched = [] if err <= tol * scale else base.values.tolist()
-    witnesses["unmatched"] = unmatched
-    verdict = PASS if not unmatched else FAIL
-    return _finish("containment", g, verdict, witnesses, {"tol": tol}, t0)
+    b, _ = checked_lift(token_graph(g, k, cap=cap))
+    gram = comb(g.n - 2, k - 1) * np.eye(g.n) + (comb(g.n - 2, k - 2) if k > 1 else 0)
+    if not np.array_equal(b.T @ b, gram):  # integer entries, exact in float64
+        raise NumericalError("the lift is dependent: B^T B is not C(n-2, k-1) I + C(n-2, k-2) J")
+    witnesses["unmatched"] = []
+    return _finish("containment", g, PASS, witnesses, {}, t0)
 
 
 def check_alpha_token_equality(
@@ -367,7 +365,7 @@ def _head_submatrix_min_eig(head: Graph, root: int) -> float | None:
     if head.n == 1:
         return None
     keep = [i for i in range(head.n) if i != root]
-    return float(eigenvalues(principal_submatrix(laplacian(head), keep).astype(float))[0])
+    return float(eigenvalues(principal_submatrix(laplacian(head, VALUES_BYTES_PER_N2), keep).astype(float))[0])
 
 
 def check_kite_alpha_theta_iff(spec: KiteSpec, tol: float = DEFAULT_ALPHA_TOL) -> Certificate:
@@ -702,8 +700,8 @@ def check_theta_table(r: int, tol: float = 1e-9) -> Certificate:
     if r < 1:
         raise GraphError(f"need r >= 1, got {r}")
     t0 = time.perf_counter()
-    sub = principal_submatrix(laplacian(path_graph(r + 1)), range(1, r + 1))
-    eigs = eigenvalues(sub.astype(float))
+    sub = principal_submatrix(laplacian(path_graph(r + 1), VALUES_BYTES_PER_N2), range(1, r + 1)).astype(float)
+    eigs = eigenvalues(sub)  # the int64 blocks are freed first
     closed = [theta(r, k) for k in range(r, 0, -1)]
     err = max(abs(float(e) - c) for e, c in zip(eigs, closed))
     witnesses = {

@@ -300,11 +300,10 @@ class TestVerify:
         )
         assert res.exit_code == 3
 
-    def test_tol_reaches_containment(self, runner, y_file):
-        argv = ["verify", "containment", "--graph", y_file, "-k", "2"]
-        assert json.loads(runner.invoke(main, argv).output)["tolerances"] == {"tol": 1e-6}
-        res = runner.invoke(main, argv + ["--tol", "1e-3"])
-        assert json.loads(res.output)["tolerances"] == {"tol": 1e-3}
+    def test_float_containment_has_no_tolerance(self, runner, y_file):
+        res = runner.invoke(main, ["verify", "containment", "--graph", y_file, "-k", "2"])
+        cert = json.loads(res.output)
+        assert res.exit_code == 0 and cert["verdict"] == "pass" and cert["tolerances"] == {}
 
     @pytest.mark.parametrize("argv", [
         ["kite-head", "--variant", "bipartite", "--h1", "2", "--h2", "3", "-s", "3", "-r", "3"],
@@ -320,6 +319,7 @@ class TestVerify:
         ["alpha-token", "--graph", "Y", "-k", "2", "--exact"],
         ["alpha-token", "--graph", "Y", "-k", "2", "--add", "9,9"],
         ["containment", "--graph", "Y", "-k", "2", "--exact", "--tol", "1e-3"],
+        ["containment", "--graph", "Y", "-k", "2", "--tol", "1e-3"],
         ["edge-add-iff", "--graph", "Y", "-u", "0", "-v", "1", "-k", "2"],
         ["interlacing", "--graph", "Y", "-u", "0", "-v", "1", "--cap", "100"],
         ["theta-table", "-r", "3", "--graph", "Y"],
@@ -446,8 +446,9 @@ class TestExactRefusals:
 
 class TestMemoryGuard:
     """With physical memory taken as 1 MB, the dense route with eigenvectors
-    refuses N >= 151 (44 bytes per N^2), the values-only routes of alpha-token
-    and interlacing N >= 236 (18 bytes per N^2), token_graph refuses 8929 candidate rows or more, and
+    refuses N >= 151 (44 bytes per N^2), the values-only routes of alpha-token,
+    interlacing, theta-table and kite-iff N >= 236 (18 bytes per N^2), token_graph
+    refuses 8929 candidate rows or more, and
     the exact route refuses any token graph: its token-edge scatter alone is
     estimated at 1.5 MB."""
 
@@ -483,6 +484,19 @@ class TestMemoryGuard:
         ok = runner.invoke(main, [a.format(n=235, last=234) for a in argv])
         assert ok.exit_code == 0 and json.loads(ok.stdout)["verdict"] == "pass"
         res = runner.invoke(main, [a.format(n=236, last=235) for a in argv])
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr == ("error: the dense Laplacian route at N = 236 needs about 0.000934 GiB, "
+                              "physical memory is 0.000931 GiB\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["theta-table", "-r", "{r}"],  # the path on r + 1 vertices, less its first
+        ["kite-iff", "--head", "path:{h}", "-s", "2", "-r", "1"],  # the kite has h + 2 vertices
+    ])
+    def test_theta_table_and_kite_head_are_charged_the_values_only_rate(self, runner, argv):
+        # orders up to 235 fit at 18 bytes per N^2; at 44, the head path:233 would not
+        ok = runner.invoke(main, ["verify", *(a.format(r=234, h=233) for a in argv)])
+        assert ok.exit_code == 0 and json.loads(ok.stdout)["verdict"] == "pass"
+        res = runner.invoke(main, ["verify", *(a.format(r=235, h=234) for a in argv)])
         assert res.exit_code == 3 and res.stdout == ""
         assert res.stderr == ("error: the dense Laplacian route at N = 236 needs about 0.000934 GiB, "
                               "physical memory is 0.000931 GiB\n")

@@ -64,7 +64,7 @@ def _base(tg):
 
 def _dense(tg) -> float:
     """alpha(F_k) by the dense route: one values-only solve, certified by G's lifted eigenpairs."""
-    return fiedler_value(token_spectrum(tg, _base(tg)))
+    return fiedler_value(token_spectrum(tg))
 
 
 @pytest.fixture

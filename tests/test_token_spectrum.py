@@ -1,16 +1,17 @@
 """The values-only route of alpha(F_k), the proof that alpha(F_k) lies in a
-check's interval, and the lifted certificate of float containment, against
+check's interval, and the exact lift check of float containment, against
 the full eigensolver and the exact route.
 
-spectra.token_spectrum reads only eigenvalues of L(F_k) and certifies them
-by lifting every eigenpair of L(G) through the membership matrix B; these
-tests cross-check its values and its guard, and the alpha that
-token_alpha's dense paths read from it. Float containment reads no
-spectrum of L(F_k) at all: spectra.lifted_residual_bound bounds, by Kahan's
-theorem, how far each eigenvalue of L(G) lies from its own eigenvalue of
-L(F_k), and the tests below check that bound, its guards, and its verdicts.
-Given the interval a check accepts, token_alpha proves lambda_2(L(F_k)) =
-alpha(G) by one Cholesky off range(B) (spectra._proved_alpha) before it solves.
+spectra.checked_lift checks L(F_k) B = B L(G) exactly from the token edges,
+B the membership matrix of k-subsets; float containment adds that B^T B =
+C(n-2, k-1) I + C(n-2, k-2) J, so B has full column rank, and solves
+nothing. The tests below check both identities, their guards and the
+verdicts they give, against dense eigensolves of L(F_k).
+spectra.token_spectrum reads only eigenvalues of L(F_k), after the same
+check; these tests cross-check its values and the alpha that token_alpha's
+dense paths read from it. Given the interval a check accepts, token_alpha
+proves lambda_2(L(F_k)) = alpha(G) by one Cholesky off range(B)
+(spectra._proved_alpha) before it solves.
 """
 
 import os
@@ -31,11 +32,11 @@ from token_spectra.spectra import (
     NumericalError,
     Spectrum,
     algebraic_connectivity,
+    checked_lift,
     eig_sym,
     fiedler_value,
     laplacian,
     laplacian_apply,
-    lifted_residual_bound,
     token_alpha,
     token_spectrum,
 )
@@ -68,7 +69,7 @@ def test_values_match_the_full_eigensolver(corpus):
         for k in range(1, g.n):
             tg = token_graph(g, k)
             full = eig_sym(laplacian(tg.graph).astype(float)).values
-            values = token_spectrum(tg, _base(g))
+            values = token_spectrum(tg)
             bound = 1e-9 * max(1.0, float(full[-1]))
             assert np.abs(values - full).max() <= bound, (g.edges, k)
 
@@ -88,19 +89,6 @@ def test_corrupted_lift_raises(monkeypatch, k):
     monkeypatch.setattr(spectra, "lift", lambda n, k: real(n, k)[::-1])
     with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
         check_spectral_containment(GNP12, k, mode="float")
-
-
-def test_every_lifted_eigenpair_is_checked():
-    # one eigenvector of L(G) moved off its eigenspace by 1e-3 along the first vertex
-    g = path_graph(6)
-    tg = token_graph(g, 2)
-    base = _base(g)
-    assert token_spectrum(tg, base) is not None
-    for i in range(g.n):
-        vectors = base.vectors.copy()
-        vectors[0, i] += 1e-3
-        with pytest.raises(NumericalError, match="lifted residual"):
-            token_spectrum(tg, Spectrum(base.values, vectors, base.groups))
 
 
 def _within_distinct(points, values, bound) -> bool:
@@ -123,7 +111,8 @@ def _corrupted(tg: TokenGraph, edges: np.ndarray) -> TokenGraph:
 
 
 class TestLiftedCertificate:
-    """lifted_residual_bound: L(G)'s eigenpairs lifted to F_k, and the bound they give."""
+    """checked_lift: L(F_k) B = B L(G) from the token edges, exactly; with containment's
+    check of B^T B, spec(L(G)) lies in spec(L(F_k)) with multiplicity."""
 
     @pytest.mark.parametrize("flat_entries", [spectra.APPLY_FLAT_ENTRIES, 0])  # 0: column by column
     def test_laplacian_apply_matches_the_matrix(self, monkeypatch, flat_entries):
@@ -138,27 +127,25 @@ class TestLiftedCertificate:
 
     def test_eigenvalues_lie_near_distinct_eigenvalues(self, corpus):
         for g in corpus:
-            base = _base(g)
+            values = np.linalg.eigvalsh(laplacian(g).astype(float))
             for k in range(1, g.n):
                 tg = token_graph(g, k)
-                full = eig_sym(laplacian(tg.graph).astype(float)).values
-                err, scale = lifted_residual_bound(tg, base)
-                assert scale <= max(1.0, float(full[-1])) + 1e-9
-                assert 0 < err <= 1e-9 * scale, (g.edges, k)
-                assert _within_distinct(base.values, full, err), (g.edges, k)
+                b, degree = checked_lift(tg)
+                assert np.array_equal(b, lift(g.n, k))
+                assert np.array_equal(degree, laplacian(tg.graph).diagonal())
+                full = np.linalg.eigvalsh(laplacian(tg.graph).astype(float))
+                assert _within_distinct(values, full, 1e-9 * max(1.0, float(full[-1]))), (g.edges, k)
 
     def test_disconnected_graph_matches_zero_at_full_multiplicity(self):
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-        base = _base(g)
-        assert (np.abs(base.values) <= 1e-12).sum() == 2  # the two components
+        values = np.linalg.eigvalsh(laplacian(g).astype(float))
+        assert (np.abs(values) <= 1e-12).sum() == 2  # the two components
         for k in range(1, g.n):
             cert = check_spectral_containment(g, k, mode="float")
             assert cert.passed and cert.witnesses["unmatched"] == []
             assert check_spectral_containment(g, k, mode="exact").passed
-            tg = token_graph(g, k)
-            err, scale = lifted_residual_bound(tg, base)
-            assert err <= 1e-9 * scale
-            assert _within_distinct(base.values, eig_sym(laplacian(tg.graph).astype(float)).values, err)
+            full = np.linalg.eigvalsh(laplacian(token_graph(g, k).graph).astype(float))
+            assert _within_distinct(values, full, 1e-9 * max(1.0, float(full[-1])))
 
     @pytest.mark.parametrize("change", ["dropped", "redirected"])
     def test_corrupted_token_graph_raises(self, change):
@@ -171,22 +158,17 @@ class TestLiftedCertificate:
                 (u, v), taken = edges[0], set(map(tuple, edges.tolist()))
                 edges[0, 1] = next(w for w in range(u + 1, tg.graph.n) if w != v and (u, w) not in taken)
             with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
-                lifted_residual_bound(_corrupted(tg, edges), _base(GNP12))
+                checked_lift(_corrupted(tg, edges))
 
     def test_dependent_lift_raises(self, monkeypatch):
-        # two equal columns of B make the lifted eigenvectors dependent; residuals stay exact
+        # two equal columns of B: on the edgeless graph L(F_k) B = B L(G) = 0 still holds,
+        # so only the check of B^T B sees it
         real = tokens.lift
         monkeypatch.setattr(spectra, "lift", lambda n, k: real(n, k)[:, [0, 0, *range(2, n)]])
         g = Graph(4, [])
+        checked_lift(token_graph(g, 2))
         with pytest.raises(NumericalError, match="dependent"):
-            lifted_residual_bound(token_graph(g, 2), _base(g))
-
-    def test_unmatched_is_decided_by_the_bound(self):
-        # every eigenvalue is matched iff err <= tol * scale
-        err, scale = lifted_residual_bound(token_graph(GNP12, 3), _base(GNP12))
-        below = check_spectral_containment(GNP12, 3, mode="float", tol=err / scale / 2)
-        assert below.failed and below.witnesses["unmatched"] == _base(GNP12).values.tolist()
-        assert check_spectral_containment(GNP12, 3, mode="float", tol=1.01 * err / scale).passed
+            check_spectral_containment(g, 2, mode="float")
 
     def test_corrupted_token_graph_fails_containment(self, monkeypatch):
         real = verify.token_graph
@@ -205,7 +187,7 @@ class TestLiftedCertificate:
             monkeypatch.setattr(np.linalg, name, spy)
         for k in (2, 4, 6):
             assert check_spectral_containment(GNP12, k, mode="float").passed
-        assert orders and max(orders) == GNP12.n
+        assert orders == []  # not even L(G) is solved
 
 
 class TestTokenAlpha:
@@ -234,7 +216,7 @@ class TestTokenAlpha:
     def test_handover_reads_the_same_bits(self, handover):
         for g, k in [(GNP12, 3), (path_graph(7), 2), (path_graph(7), 3)]:
             tg = token_graph(g, k)
-            assert token_alpha(tg) == (fiedler_value(token_spectrum(tg, _base(g))), None, None)
+            assert token_alpha(tg) == (fiedler_value(token_spectrum(tg)), None, None)
 
     @pytest.mark.parametrize("route", ["dense", "handover"])
     def test_corrupted_lift_raises(self, request, monkeypatch, route):
@@ -260,13 +242,14 @@ class TestTokenAlpha:
         monkeypatch.setattr(np.linalg, "eigh", spy)
         tg = token_graph(GNP12, 4)
         assert token_alpha(tg)[0] > 0
-        assert orders == [GNP12.n]  # only L(G), whose eigenpairs certify the values of L(F_k)
+        assert orders == [GNP12.n]  # only L(G), which token_alpha solves for its other routes
 
 
 class TestMemoryCharge:
     """token_spectrum, the values-only route of token_alpha's dense paths, is charged
-    VALUES_BYTES_PER_N2, not the eigenvector route's rate; float containment is charged
-    per token edge and per entry of the N x n lift, and forms no N x N array."""
+    VALUES_BYTES_PER_N2, not the eigenvector route's rate; checked_lift, all of float
+    containment's work, is charged per token edge and per entry of the N x n lift, and
+    float containment forms no N x N array."""
 
     G, K, N = path_graph(14), 4, 1001
 
@@ -274,7 +257,7 @@ class TestMemoryCharge:
     def values_only(self, monkeypatch):
         """token_spectrum's alpha, and token_alpha's dense branch, each from building F_k on."""
         monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", self.N + 1)
-        return [lambda: fiedler_value(token_spectrum(token_graph(self.G, self.K), _base(self.G))),
+        return [lambda: fiedler_value(token_spectrum(token_graph(self.G, self.K))),
                 lambda: token_alpha(token_graph(self.G, self.K))[0]]
 
     def test_runs_between_the_two_rates(self, monkeypatch, values_only):
@@ -296,14 +279,14 @@ class TestMemoryCharge:
             assert peak < self.N ** 2  # the int64 Laplacian alone would take 8 N^2
 
     def test_certificate_refuses_below_its_estimate_before_allocating(self, monkeypatch):
-        tg, base = token_graph(self.G, self.K), _base(self.G)
-        need = (spectra.RITZ_BYTES_PER_EDGE * tg.graph.m
-                + spectra.RITZ_BYTES_PER_ROW_COLUMN * self.N * self.G.n)
+        tg = token_graph(self.G, self.K)
+        need = (spectra.LIFT_BYTES_PER_EDGE * tg.graph.m
+                + spectra.LIFT_BYTES_PER_ROW_COLUMN * self.N * self.G.n)
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", need - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(CapExceededError, match=f"lifted certificate at N = {self.N}"):
-                lifted_residual_bound(tg, base)
+            with pytest.raises(CapExceededError, match=f"lift check at N = {self.N}"):
+                checked_lift(tg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -434,7 +417,7 @@ class TestProvedAlpha:
     def test_lower_end_above_lambda_2_falls_back(self):
         # on F_2(C_4), lambda_2 = mu = 2: with lo above it, neither sigma closes
         tg = token_graph(C4, 2)
-        assert token_alpha(tg, (2.0 + 1e-6, 3.0)) == (fiedler_value(token_spectrum(tg, _base(C4))), None, None)
+        assert token_alpha(tg, (2.0 + 1e-6, 3.0)) == (fiedler_value(token_spectrum(tg)), None, None)
 
     def test_upper_end_below_alpha_falls_back(self):
         # hi = alpha(G) lies below sigma, so the fallback sigma = lo would not place alpha(F_k) in [lo, hi]
@@ -486,7 +469,7 @@ class TestProvedAlpha:
         monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 2000)
         for g, k in [(GNP12, 3), (path_graph(14), 4)]:  # N = 220 on numpy's cholesky, 1001 on dpotrf
             tg = token_graph(g, k)
-            assert token_alpha(tg, _accept(g)) == (fiedler_value(token_spectrum(tg, _base(g))), None, None)
+            assert token_alpha(tg, _accept(g)) == (fiedler_value(token_spectrum(tg)), None, None)
         monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 0)  # the sparse route is next
         tg = token_graph(GNP12, 4)
         assert token_alpha(tg, _accept(GNP12)) == spectra._sparse_token_alpha(tg, _base(GNP12))
@@ -556,7 +539,7 @@ class TestProvedAlpha:
         # on F_2(C_4), mu = alpha, and at tol = 0 no interval is left for the fallback
         cert = check_alpha_token_equality(C4, 2, tol=0.0)
         assert "alpha_complement_lower" not in cert.witnesses
-        assert cert.witnesses["alpha_token"] == fiedler_value(token_spectrum(token_graph(C4, 2), _base(C4)))
+        assert cert.witnesses["alpha_token"] == fiedler_value(token_spectrum(token_graph(C4, 2)))
 
     def test_tol_zero_is_proved_outright(self):
         cert = check_alpha_token_equality(GNP12, 3, tol=0.0)
