@@ -89,6 +89,13 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return u, v
 
 
+def _tolerance(ctx, param, value: float | None, hint: str | None = None) -> float | None:
+    """A tolerance, None where unset; exit 2 where it is negative, NaN or infinite, which no check can read."""
+    if value is not None and not 0 <= value < float("inf"):
+        raise click.BadParameter(f"{value!r} is not a finite number >= 0", ctx, param, hint)
+    return value
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         click.echo(text, nl=False)
@@ -190,8 +197,8 @@ def construct(ctx, family, **opts):
 @main.command()
 @click.argument("graph_spec")
 @click.option("--exact", "exact_flag", is_flag=True, help="include the exact characteristic polynomial")
-@click.option("--tol", type=float, default=spectra.DEFAULT_RESID_TOL, show_default=True)
-@click.option("--group-tol", type=float, default=spectra.DEFAULT_GROUP_TOL, show_default=True)
+@click.option("--tol", type=float, default=spectra.DEFAULT_RESID_TOL, show_default=True, callback=_tolerance)
+@click.option("--group-tol", type=float, default=spectra.DEFAULT_GROUP_TOL, show_default=True, callback=_tolerance)
 @click.option("--pretty", is_flag=True)
 @click.option("-o", "--output", help="output file (default stdout)")
 def spectrum(graph_spec, exact_flag, tol, group_tol, pretty, output):
@@ -329,7 +336,7 @@ def _run_check(check_id: str, args: tuple, opts: dict, kwargs: dict) -> verify.C
 @click.option("--mode", type=click.Choice(["plus_x", "star_y"]))
 @click.option("--edge", multiple=True, help="side-X edge 'u,v' (repeatable)")
 @click.option("--vertex", type=int, help="cut vertex")
-@click.option("--tol", type=float, help="comparison tolerance  [default: the check's own]")
+@click.option("--tol", type=float, help="comparison tolerance  [default: the check's own]", callback=_tolerance)
 @click.option("--cap", type=int, default=None)
 @click.option("--pretty", is_flag=True)
 @click.pass_context
@@ -417,7 +424,9 @@ def _sweep_tasks(spec: dict, rng: random.Random, opts: dict) -> list[dict]:
         if CHECKS[check][1] not in _SWEEP_INSTANCES:
             raise click.UsageError(f"check {check!r} is not sweepable")
     k_range = spec.get("k_range", [2, 2])
-    ks = range(int(k_range[0]), int(k_range[1]) + 1)
+    if not (isinstance(k_range, list) and len(k_range) == 2 and all(type(k) is int for k in k_range)):
+        raise click.UsageError(f"bad sweep spec: k_range {k_range!r} is not two integers")
+    ks = range(k_range[0], k_range[1] + 1)
     instances = _sweep_instances(spec, rng)
     family = spec["family"]["name"]
     for check in checks:
@@ -477,7 +486,8 @@ def sweep(spec_file, csv_path, jobs, seed, cap, pretty):
         rng = random.Random(seed if seed is not None else int(spec.get("seed", 0)))
         cap = cap if cap is not None else int(spec.get("cap", _default_cap()))
         tol = spec.get("tolerances", {}).get("tol")
-        tasks = _sweep_tasks(spec, rng, {"tol": None if tol is None else float(tol), "cap": cap})
+        tol = _tolerance(None, None, None if tol is None else float(tol), "tolerances.tol in the sweep spec")
+        tasks = _sweep_tasks(spec, rng, {"tol": tol, "cap": cap})
     except (ValueError, TypeError, LookupError, AttributeError, ZeroDivisionError) as exc:
         # a spec value of the wrong type or shape, or one no instance can be built from
         raise click.UsageError(f"bad sweep spec: {exc}") from exc

@@ -1,8 +1,8 @@
 """Dense Laplacian spectra with explicit eigenspace grouping, a sparse
 route to the algebraic connectivity of large token graphs, an exact check
-of the identity L(F_k) B = B L(G) from the token edges, which float
-containment and every token route rely on, and a proof, by one Cholesky,
-that alpha(F_k) = alpha(G).
+of the identity L(F_k) B = B L(G) with the dense or the CSR Laplacian of
+F_k, which float containment and every token route rely on and the routes
+then use, and a proof, by one Cholesky, that alpha(F_k) = alpha(G).
 
 The dense eigensolver is LAPACK's symmetric solver reached through
 numpy; this module adds the contracts the verification layer depends on:
@@ -63,24 +63,22 @@ NUMPY_PROOF_BYTES_PER_N2 = 32
 # token_alpha tries the proof before the sparse route below this order. Best of 3, 1 BLAS thread,
 # G(n, C(n,2)//2 + 1), proof / LOBPCG: 24 / 42 ms at N = 1001, 49 / 55 at 1365, 89 / 60 at 1820.
 PROOF_FIRST_MAX_ORDER = 1500
-# dpotrf factors in place from this order on, numpy's cholesky below, so a sweep cell imports no
-# scipy (0.3 s). Best of 7, dpotrf / numpy: 0.35 / 0.44 ms at N = 200, 0.92 / 1.72 at 300.
-INPLACE_MIN_ORDER = 300
+# From this order on, checked_lift applies the CSR Laplacian and the proof factors in place with
+# dpotrf; below it, numpy alone, so a sweep cell imports no scipy (0.3 s). 1 BLAS thread, dpotrf /
+# numpy's cholesky, best of 7: 0.35 / 0.44 ms at N = 200, 0.92 / 1.72 at 300; checked_lift, CSR /
+# dense, median over 5 G(n, 1/2): 0.11 / 0.03 ms at N = 15, 0.16 / 0.09 at 165, 0.22 / 0.60 at 286.
+SCIPY_MIN_ORDER = 300
 # scipy's OpenBLAS 0.3.30 dpotrf segfaulted with 2 threads at N = 16000 and 20000, not at 15000
 DPOTRF_THREADED_MAX_ORDER = 15000
 UNIT_ROUNDOFF = 2.0 ** -53
-# Peak bytes of checked_lift per token edge and per entry of the N x n lift: ru_maxrss
-# less the RSS before it, in a fresh process, on 12 token graphs of paths, cycles, stars,
-# complete graphs and tests/data/gnp18.el, N = 220..74613 (below resolution at N = 220).
-# A least-squares fit gives 42 per edge and 21 per entry; paths, cycles and stars put 26
-# to 33 on each entry, complete graphs 44 and 53 on each edge. These rates cover every
-# case by 1.14 to 1.77.
-LIFT_BYTES_PER_EDGE = 40
+# Peak bytes of checked_lift per token edge and per entry of the N x n lift: ru_maxrss less the RSS
+# before it, in a fresh process with scipy.sparse imported, on 12 token graphs of paths, cycles,
+# stars, complete graphs and tests/data/gnp18.el, N = 495..74613, and 3 more complete graphs. A fit
+# gives 68 and 21; the CSR build puts 73 to 79 on each edge of complete graphs. These rates cover
+# every case above 2 MiB by 1.09 to 1.68 (below, the first CSR product pages in 0.5 MiB of scipy).
+# The dense Laplacian below SCIPY_MIN_ORDER is charged by laplacian, at VALUES_BYTES_PER_N2.
+LIFT_BYTES_PER_EDGE = 88
 LIFT_BYTES_PER_ROW_COLUMN = 40
-# laplacian_apply scatters every column in one bincount up to this many (edge, column)
-# pairs, and column by column above it; one bincount per column cost about 40 us
-# more on the tiny token graphs of sweeps (N = 15..45), timed between their other checks
-APPLY_FLAT_ENTRIES = 16384
 
 # token graphs of at least this order take the sparse route in token_alpha, after
 # the proof below PROOF_FIRST_MAX_ORDER where an interval is given. Set against
@@ -261,22 +259,23 @@ def token_alpha(tg: TokenGraph, accept: tuple[float, float] | None = None, base:
 def _proved_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float) -> tuple[float, None, dict] | None:
     """(alpha(G), None, proved) once one Cholesky pins lambda_2(L(F_k)) down, else None.
 
-    L(F_k) B = B L(G) is checked exactly (checked_lift), else
-    NumericalError. So lambda_2(L(F_k)) = min(alpha(G), mu), mu
-    the least eigenvalue off range(B). upper = alpha + 10 rho exceeds the
-    true alpha(G) (module docstring). If mu > upper is proved, lambda_2 =
-    alpha(G) and proved = {alpha_complement_lower: upper}. Otherwise (F_2(C_4)
-    has mu = alpha), if upper <= hi, mu > lo (free for lo < 0) gives lo <
-    lambda_2 <= upper, and proved adds alpha_token_lower and _upper. None
-    where neither closes or the proof does not fit in memory.
+    L(F_k) B = B L(G) is checked exactly (checked_lift), else NumericalError,
+    and F_k's degrees are read off the L(F_k) it checked. So lambda_2(L(F_k))
+    = min(alpha(G), mu), mu the least eigenvalue off range(B). upper = alpha
+    + 10 rho exceeds the true alpha(G) (module docstring). If mu > upper is
+    proved, lambda_2 = alpha(G) and proved = {alpha_complement_lower: upper}.
+    Otherwise (F_2(C_4) has mu = alpha), if upper <= hi, mu > lo (free for lo
+    < 0) gives lo < lambda_2 <= upper, and proved adds alpha_token_lower and
+    _upper. None where neither closes or the proof does not fit in memory.
     """
     g = tg.graph
     try:  # a proof that does not fit in memory leaves alpha to the next route
-        rate = PROOF_BYTES_PER_N2 if g.n >= INPLACE_MIN_ORDER else NUMPY_PROOF_BYTES_PER_N2
+        rate = PROOF_BYTES_PER_N2 if g.n >= SCIPY_MIN_ORDER else NUMPY_PROOF_BYTES_PER_N2
         require_memory(rate * g.n * g.n, f"the proof at N = {g.n}")
-        b, degree = checked_lift(tg)
+        b, lap = checked_lift(tg)
     except CapExceededError:
         return None
+    degree = lap.diagonal()
     alpha = fiedler_value(base.values)
     upper = float(np.nextafter(alpha + 10 * DEFAULT_RESID_TOL * max(1.0, float(np.abs(base.values).max())), np.inf))
     if _complement_exceeds(tg, b, degree, upper):
@@ -313,7 +312,7 @@ def _complement_exceeds(tg: TokenGraph, b: np.ndarray, degree: np.ndarray, sigma
     a[u, v] -= 1.0
     a[v, u] -= 1.0
     a[np.diag_indices(n)] = (degree + s * k) - (sigma + c)
-    if n >= INPLACE_MIN_ORDER:
+    if n >= SCIPY_MIN_ORDER:
         return _dpotrf_in_place(a) == 0
     try:
         np.linalg.cholesky(a)
@@ -352,61 +351,38 @@ def token_spectrum(tg: TokenGraph) -> np.ndarray:
     return eigenvalues(laplacian(tg.graph, VALUES_BYTES_PER_N2).astype(float))  # the int64 matrix is freed first
 
 
-def laplacian_apply(g: Graph, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L(g) y, the degrees of g) from g's edge array, with no order x order matrix.
+def checked_lift(tg: TokenGraph):
+    """(B, L(F_k)), B = lift(n, k), once L(F_k) B = B L(G) is checked exactly with that L(F_k).
 
-    L = D^T D with D the signed edge-vertex incidence matrix: z = y[u] - y[v]
-    over the edges (u, v) is added at u and subtracted at v, by one bincount
-    per end over all columns at once while there are at most
-    APPLY_FLAT_ENTRIES (edge, column) pairs, and one column at a time beyond
-    that. A last column of z, 1 on every edge, counts the degrees in the same
-    bincounts, as the sum of its two ends.
-    """
-    u, v = g.edge_array.T
-    cols = y.shape[1] + 1
-    width = cols if g.m * cols <= APPLY_FLAT_ENTRIES else 1
-    at = np.arange(width)
-    iu, iv = (u[:, None] * width + at).ravel(), (v[:, None] * width + at).ravel()
-    out = np.empty((g.n, cols))
-    for c in range(0, cols, width):
-        block = y[:, c:c + width]
-        z = np.ones((g.m, width))
-        np.subtract(block[u], block[v], out=z[:, :block.shape[1]])
-        at_u, at_v = (np.bincount(i, z.ravel(), g.n * width).reshape(g.n, width) for i in (iu, iv))
-        out[:, c:c + width] = at_u - at_v
-    out[:, -1] = at_u[:, -1] + at_v[:, -1]  # the last block ends with the column of ones
-    return out[:, :-1], out[:, -1]
-
-
-def checked_lift(tg: TokenGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(B, the degrees of F_k), B = lift(n, k), once L(F_k) B = B L(G) is checked exactly.
-
-    L(F_k) B comes from the token edges (laplacian_apply), in O(|E(F_k)| n)
-    with no N x N matrix. Every entry of both sides is a small integer, exact
-    in float64, so the identity holds exactly or not at all: NumericalError
-    where it does not. CapExceededError, before the lift is allocated, where
-    the check does not fit in memory.
+    L(F_k) is the dense int64 laplacian below SCIPY_MIN_ORDER and
+    sparse_laplacian from there on, where L(F_k) B takes O(|E(F_k)| n) with
+    no N x N matrix; callers use the operator checked. Every entry of both
+    sides is a small integer, exact in float64, so the identity holds exactly
+    or not at all: NumericalError where it does not. CapExceededError, before
+    the lift is allocated, where the check does not fit in memory.
     """
     g, n = tg.graph, tg.base.n
     require_memory(LIFT_BYTES_PER_EDGE * g.m + LIFT_BYTES_PER_ROW_COLUMN * g.n * n,
                    f"the lift check at N = {g.n}")
+    lap = laplacian(g, VALUES_BYTES_PER_N2) if g.n < SCIPY_MIN_ORDER else sparse_laplacian(g)
     b = lift(n, tg.k)
-    lb, degree = laplacian_apply(g, b)
+    lb = lap @ b
     lb -= b @ laplacian(tg.base)
     resid = np.abs(lb, out=lb).max()
     if resid:  # also when NaN got in
         raise NumericalError(f"lifted residual {resid:.3g} of L(F_k) B = B L(G) exceeds bound 0")
-    return b, degree
+    return b, lap
 
 
 def _sparse_token_alpha(tg: TokenGraph, base: Spectrum) -> tuple[float, float, None] | None:
     """(alpha(F_k), mu, None) with alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue
     of L(F_k) on range(B)^perp, from base = eig_sym(L(G)); None where it hands over.
 
-    B is the lift of G's vertices to k-subsets. L(F_k) B = B L(G) with B of
-    full column rank, so range(B) carries the spectrum of L(G) and its
-    orthogonal complement the rest. LOBPCG, constrained to that complement
-    by Y = B, finds mu from a fixed-seed block with a Jacobi preconditioner.
+    B is the lift of G's vertices to k-subsets, and checked_lift shows L(F_k)
+    B = B L(G) exactly, else NumericalError. With B of full column rank,
+    range(B) carries the spectrum of L(G) and its orthogonal complement the
+    rest. LOBPCG, on the checked L(F_k) and constrained to that complement by
+    Y = B, finds mu from a fixed-seed block with a Jacobi preconditioner.
 
     A block is accepted when every Ritz residual is at most
     DEFAULT_RESID_TOL * max(1, Delta + 1), Delta the largest degree of
@@ -436,9 +412,8 @@ def _sparse_token_alpha(tg: TokenGraph, base: Spectrum) -> tuple[float, float, N
                    + SPARSE_BYTES_PER_ROW_COLUMN * order * (SPARSE_BLOCKS[-1] + n),
                    f"the sparse route at N = {order}")
     a_base = fiedler_value(base.values)
-    lap = sparse_laplacian(g)
+    y, lap = checked_lift(tg)
     degree = lap.diagonal()
-    y = lift(n, tg.k)
     jacobi = diags_array(1.0 / np.maximum(degree, 1.0))
     scale = max(1.0, float(degree.max()) + 1.0)  # Grone-Merris: Delta + 1 <= lambda_max
     bound = DEFAULT_RESID_TOL * scale

@@ -193,6 +193,13 @@ class TestSpectrum:
         assert runner.invoke(main, ["verify", "interlacing", "--graph", "path:5", "-u", "0", "-v", "4"]).exit_code == 0
         assert seen == [np.float64] * 3
 
+    @pytest.mark.parametrize("argv", [["--tol", "-1"], ["--tol", "nan"], ["--group-tol", "-1"],
+                                      ["--group-tol", "inf"]])
+    def test_malformed_tolerance_exits_2(self, runner, argv):
+        res = runner.invoke(main, ["spectrum", "cycle:4", *argv])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert "is not a finite number >= 0" in res.stderr
+
     def test_parse_failure_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.el"
         bad.write_text("3 1\n1 1\n")
@@ -247,6 +254,34 @@ class TestVerify:
         assert res.exit_code == 1
         assert res.stdout == "" and res.stderr.startswith("error: lifted residual ")
         assert res.stderr.count("\n") == 1 and "Traceback" not in res.output
+
+    def test_corrupted_lift_in_sparse_alpha_token_prints_one_error_line(self, runner, monkeypatch):
+        # N = 3060 >= PROOF_FIRST_MAX_ORDER, so the sparse route runs first and checks the identity
+        # itself: the proof is never reached
+        real, proofs = tokens.lift, []
+        monkeypatch.setattr(spectra, "lift", lambda n, k: real(n, k)[::-1])
+        monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: proofs.append(args))
+        res = runner.invoke(main, ["verify", "alpha-token", "--graph", str(DATA / "gnp18.el"), "-k", "4"])
+        assert res.exit_code == 1 and proofs == []
+        assert res.stdout == "" and res.stderr.startswith("error: lifted residual ")
+        assert res.stderr.count("\n") == 1 and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf", "-inf"])
+    def test_malformed_tol_exits_2_before_the_check(self, runner, monkeypatch, tol):
+        ran = []
+        monkeypatch.setattr(verify, "check_alpha_token_equality", lambda *a, **kw: ran.append(a))
+        res = runner.invoke(main, ["verify", "alpha-token", "--graph", "cycle:5", "-k", "2", "--tol", tol])
+        assert res.exit_code == 2 and ran == [] and res.stdout == ""
+        assert "is not a finite number >= 0" in res.stderr
+
+    def test_symmetrizer_takes_level_edges(self, runner):
+        # head cycle:4, s = 3, r = 3: path i holds labels 4 + 3 (i - 1) .. 6 + 3 (i - 1), so 7 and 10 are
+        # level 1 of paths 2 and 3, and 4 is level 1 of path 1
+        kite = ["verify", "symmetrizer", "--head", "cycle:4", "-s", "3", "-r", "3"]
+        res = runner.invoke(main, [*kite, "--add", "7,10"])
+        assert res.exit_code == 0 and json.loads(res.output)["verdict"] == "pass"
+        res = runner.invoke(main, [*kite, "--add", "4,7"])
+        assert res.exit_code == 2 and "allowed paths start at 2" in res.stderr
 
     def test_edge_add_iff(self, runner, y_file):
         res = runner.invoke(main, ["verify", "edge-add-iff", "--graph", y_file, "-u", "0", "-v", "1"])
@@ -523,6 +558,16 @@ MALFORMED_SPECS = [
     ("graph_on_theta.json", {"family": {"name": "theta_table", "r": [1, 3]}, "checks": ["alpha-token"]}),
     ("theta_on_graph.json", {"family": {"name": "path", "n": [3, 5]}, "checks": ["theta-table"]}),
     ("unsweepable.json", {"family": {"name": "path", "n": [3, 5]}, "checks": ["alpha-token", "symmetrizer"]}),
+    # a tolerance no check can read, and a k_range that is not two integers
+    ("tol_negative.json", {"family": {"name": "path", "n": 5}, "checks": ["alpha-token"], "tolerances": {"tol": -1}}),
+    ("tol_nan.json", {"family": {"name": "path", "n": 5}, "checks": ["alpha-token"],
+                      "tolerances": {"tol": float("nan")}}),
+    ("tol_inf.json", {"family": {"name": "path", "n": 5}, "checks": ["alpha-token"],
+                      "tolerances": {"tol": float("inf")}}),
+    ("k_range_string.json", {"family": {"name": "path", "n": 5}, "checks": ["alpha-token"], "k_range": "23"}),
+    ("k_range_float.json", {"family": {"name": "path", "n": 5}, "checks": ["alpha-token"], "k_range": [2.5, 3]}),
+    ("k_range_strings.json", {"family": {"name": "path", "n": 5}, "checks": ["alpha-token"], "k_range": ["2", "3"]}),
+    ("k_range_three.json", {"family": {"name": "path", "n": 5}, "checks": ["alpha-token"], "k_range": [2, 3, 4]}),
 ]
 
 
@@ -743,6 +788,25 @@ class TestSweep:
         assert [(r["instance"], r["verdict"]) for r in rows] == [(f"star:{n}", "error") for n in (3, 4, 5)]
         assert all(r["detail"].startswith("lifted residual ") for r in rows)
         assert json.loads(res.stdout)["error"] == 3
+
+    def test_complete_bipartite_family(self, runner, tmp_path):
+        # each pair n1 <= n2 once; (3, 2) repeats (2, 3)
+        spec = self._write_spec(tmp_path, family={"name": "complete_bipartite", "n1": [1, 3], "n2": [2, 3]},
+                                checks=["alpha-token"], k_range=[1, 1])
+        res = runner.invoke(main, ["sweep", spec, "--csv", str(tmp_path / "rows.csv")])
+        assert res.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "rows.csv").read_text())))
+        assert [r["instance"] for r in rows] == [f"complete_bipartite:{a},{b}"
+                                                 for a, b in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]]
+        assert {r["verdict"] for r in rows} == {"pass"}
+
+    def test_no_non_edge_gives_a_precondition_row(self, runner, tmp_path):
+        spec = self._write_spec(tmp_path, family={"name": "complete", "n": 3}, checks=["edge-add-iff"])
+        res = runner.invoke(main, ["sweep", spec, "--csv", str(tmp_path / "rows.csv")])
+        assert res.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "rows.csv").read_text())))
+        assert [(r["instance"], r["verdict"], r["detail"]) for r in rows] == [
+            ("complete:3", "precondition_unmet", "no non-edge available")]
 
     def test_bad_spec_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

@@ -2,8 +2,9 @@
 check's interval, and the exact lift check of float containment, against
 the full eigensolver and the exact route.
 
-spectra.checked_lift checks L(F_k) B = B L(G) exactly from the token edges,
-B the membership matrix of k-subsets; float containment adds that B^T B =
+spectra.checked_lift checks L(F_k) B = B L(G) exactly, with the dense or the
+CSR Laplacian of F_k, B the membership matrix of k-subsets, and hands that
+Laplacian on; float containment adds that B^T B =
 C(n-2, k-1) I + C(n-2, k-2) J, so B has full column rank, and solves
 nothing. The tests below check both identities, their guards and the
 verdicts they give, against dense eigensolves of L(F_k).
@@ -36,7 +37,6 @@ from token_spectra.spectra import (
     eig_sym,
     fiedler_value,
     laplacian,
-    laplacian_apply,
     token_alpha,
     token_spectrum,
 )
@@ -111,28 +111,29 @@ def _corrupted(tg: TokenGraph, edges: np.ndarray) -> TokenGraph:
 
 
 class TestLiftedCertificate:
-    """checked_lift: L(F_k) B = B L(G) from the token edges, exactly; with containment's
-    check of B^T B, spec(L(G)) lies in spec(L(F_k)) with multiplicity."""
+    """checked_lift: L(F_k) B = B L(G) with the dense or the CSR Laplacian, exactly; with
+    containment's check of B^T B, spec(L(G)) lies in spec(L(F_k)) with multiplicity."""
 
-    @pytest.mark.parametrize("flat_entries", [spectra.APPLY_FLAT_ENTRIES, 0])  # 0: column by column
-    def test_laplacian_apply_matches_the_matrix(self, monkeypatch, flat_entries):
-        monkeypatch.setattr(spectra, "APPLY_FLAT_ENTRIES", flat_entries)
-        for g, k in [(GNP12, 3), (path_graph(6), 2), (Graph(5, [(0, 1), (1, 2), (3, 4)]), 2)]:
+    @pytest.mark.parametrize("scipy_from", [spectra.SCIPY_MIN_ORDER, 0])  # 0: CSR at every order
+    def test_dense_below_scipy_min_order_csr_from_it(self, monkeypatch, scipy_from):
+        monkeypatch.setattr(spectra, "SCIPY_MIN_ORDER", scipy_from)
+        # GNP12 with k = 3 and 4: N = 220 and 495, either side of SCIPY_MIN_ORDER
+        for g, k in [(GNP12, 3), (GNP12, 4), (path_graph(6), 2), (Graph(5, [(0, 1), (1, 2), (3, 4)]), 2)]:
             tg = token_graph(g, k)
-            y = np.random.default_rng(0).standard_normal((tg.graph.n, 5))
-            want = laplacian(tg.graph) @ y
-            applied, degree = laplacian_apply(tg.graph, y)
-            assert np.abs(applied - want).max() <= 1e-12 * np.abs(want).max()
-            assert np.array_equal(degree, laplacian(tg.graph).diagonal())
+            b, lap = checked_lift(tg)
+            assert np.array_equal(b, lift(g.n, k))
+            dense = tg.graph.n < scipy_from
+            assert isinstance(lap, np.ndarray) == dense and (dense or lap.format == "csr")
+            assert np.array_equal(lap if dense else lap.toarray(), laplacian(tg.graph))
 
     def test_eigenvalues_lie_near_distinct_eigenvalues(self, corpus):
         for g in corpus:
             values = np.linalg.eigvalsh(laplacian(g).astype(float))
             for k in range(1, g.n):
                 tg = token_graph(g, k)
-                b, degree = checked_lift(tg)
+                b, lap = checked_lift(tg)
                 assert np.array_equal(b, lift(g.n, k))
-                assert np.array_equal(degree, laplacian(tg.graph).diagonal())
+                assert np.array_equal(lap, laplacian(tg.graph))
                 full = np.linalg.eigvalsh(laplacian(tg.graph).astype(float))
                 assert _within_distinct(values, full, 1e-9 * max(1.0, float(full[-1]))), (g.edges, k)
 
@@ -157,8 +158,24 @@ class TestLiftedCertificate:
             else:  # the first edge's far end moved to a vertex it is not adjacent to
                 (u, v), taken = edges[0], set(map(tuple, edges.tolist()))
                 edges[0, 1] = next(w for w in range(u + 1, tg.graph.n) if w != v and (u, w) not in taken)
-            with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
-                checked_lift(_corrupted(tg, edges))
+            # the sparse route runs LOBPCG on the operator that checked_lift checked
+            for route in (checked_lift, lambda bad: spectra._sparse_token_alpha(bad, _base(GNP12))):
+                with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
+                    route(_corrupted(tg, edges))
+
+    def test_nan_in_the_lift_raises(self, monkeypatch):
+        # a NaN residual passes every comparison with a bound, so the check asks for an exact 0
+        real = tokens.lift
+
+        def nan_lift(n, k):
+            b = real(n, k)
+            b[0, 0] = np.nan
+            return b
+
+        monkeypatch.setattr(spectra, "lift", nan_lift)
+        for k in (3, 4):  # N = 220 and 495: the dense and the CSR Laplacian
+            with pytest.raises(NumericalError, match="lifted residual nan"):
+                checked_lift(token_graph(GNP12, k))
 
     def test_dependent_lift_raises(self, monkeypatch):
         # two equal columns of B: on the edgeless graph L(F_k) B = B L(G) = 0 still holds,
@@ -344,7 +361,7 @@ def _exact_complement_rayleigh(tg: TokenGraph) -> Fraction:
 def _proof_inputs(tg: TokenGraph) -> tuple[np.ndarray, np.ndarray]:
     """The lift and the token degrees, as _proved_alpha hands them to _complement_exceeds."""
     b = lift(tg.base.n, tg.k)
-    return b, laplacian_apply(tg.graph, b)[1]
+    return b, laplacian(tg.graph).diagonal()
 
 
 C4 = cycle_graph(4)
@@ -359,10 +376,10 @@ class TestProvedAlpha:
         return [g for n in range(2, 8) for g in connected_class_representatives(n)]
 
     def test_closes_on_the_corpus(self, every_small_graph):
-        self._closes(every_small_graph)  # numpy's cholesky: every order is below INPLACE_MIN_ORDER
+        self._closes(every_small_graph)  # numpy's cholesky: every order is below SCIPY_MIN_ORDER
 
     def test_closes_in_place_on_the_corpus(self, monkeypatch, every_small_graph):
-        monkeypatch.setattr(spectra, "INPLACE_MIN_ORDER", 0)  # scipy's dpotrf on every order
+        monkeypatch.setattr(spectra, "SCIPY_MIN_ORDER", 0)  # scipy's dpotrf on every order
         self._closes([g for g in every_small_graph if g.n <= 6])
 
     @staticmethod
@@ -547,9 +564,13 @@ class TestProvedAlpha:
         assert cert.witnesses["alpha_complement_lower"] > cert.witnesses["alpha_token"]
 
     def test_sweep_cells_import_no_scipy(self):
-        code = ("import sys; from token_spectra.verify import check_alpha_token_equality;"
+        # alpha-token, float containment and pendant-bound below SCIPY_MIN_ORDER: the pendant-bound
+        # cell proves alpha on F_3 of path:12, N = 220, and float containment checks F_3 of path:10
+        code = ("import sys; from token_spectra.verify import check_alpha_token_equality as alpha,"
+                " check_spectral_containment as contain, check_pendant_bound as pendant;"
                 "from token_spectra.graphs import path_graph;"
-                "assert 'alpha_complement_lower' in check_alpha_token_equality(path_graph(8), 3).witnesses;"
+                "assert 'alpha_complement_lower' in alpha(path_graph(8), 3).witnesses;"
+                "assert contain(path_graph(10), 3, mode='float').passed and pendant(path_graph(11), 3).passed;"
                 "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
         path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

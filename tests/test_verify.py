@@ -391,6 +391,14 @@ class TestInterlacingCheck:
         assert abs(cert.witnesses["spectrum_before"][-1] - 4.0) < 1e-9
         assert abs(cert.witnesses["spectrum_after"][-1] - 4.0) < 1e-9
 
+    def test_both_kinds_of_violation_are_listed(self, monkeypatch):
+        # spectra that no edge addition gives: w0[1] > w1[1] and w1[2] > w0[3]
+        solves = iter([np.array([0.0, 2.0, 3.0, 4.0]), np.array([0.0, 1.0, 5.0, 6.0])])
+        monkeypatch.setattr(verify, "laplacian_values", lambda g: next(solves))
+        cert = check_interlacing(path_graph(4), 0, 3)
+        assert cert.verdict == FAIL
+        assert [(v["i"], v["kind"]) for v in cert.witnesses["violations"]] == [(1, "lower"), (2, "upper")]
+
 
 class TestBipartiteExtension:
     def test_plus_x_one_edge(self):
