@@ -571,6 +571,32 @@ MALFORMED_SPECS = [
 ]
 
 
+# specs with a fault that is found late or next to another, and the message each keeps: the
+# order in which a spec is read decides which fault is named
+SPEC_ERRORS = [
+    ("unknown_family", {"family": {"name": "nope"}, "checks": ["alpha-token"]}, "unknown sweep family 'nope'"),
+    ("unhashable_family", {"family": {"name": ["nope"]}, "checks": ["alpha-token"]},
+     "unknown sweep family ['nope']"),
+    ("no_family", {"checks": ["alpha-token"]}, "sweep spec needs a family object with a name"),
+    ("count_text", {"family": {"name": "random_connected", "count": "x"}, "checks": ["alpha-token"]},
+     "bad sweep spec: invalid literal for int() with base 10: 'x'"),
+    ("count_before_p", {"family": {"name": "random_connected", "count": "x", "p": "zz"},
+                        "checks": ["alpha-token"]},
+     "bad sweep spec: invalid literal for int() with base 10: 'x'"),
+    ("n_before_apply", {"family": {"name": "path"}, "checks": ["theta-table"]}, "family 'path' needs 'n'"),
+    ("check_before_family", {"family": {"name": "nope"}, "checks": ["bogus"]}, "unknown check 'bogus'"),
+    # refused although no graph is drawn
+    ("p_text_with_no_draw", {"family": {"name": "random_connected", "n": 5, "count": 0, "p": "zz"},
+                             "checks": ["alpha-token"]},
+     "bad sweep spec: could not convert string to float: 'zz'"),
+    ("n_short", {"family": {"name": "path", "n": [3]}, "checks": ["alpha-token"]},
+     "bad sweep spec: list index out of range"),
+    ("n_reversed_with_draws", {"family": {"name": "tree_random", "n": [5, 3], "count": 2},
+                               "checks": ["alpha-token"]},
+     "bad sweep spec: integer modulo by zero"),
+]
+
+
 class TestSweep:
     def _write_spec(self, tmp_path, **overrides):
         spec = {
@@ -825,6 +851,14 @@ class TestSweep:
         assert res.exit_code == 2
         assert ran == [] and res.stdout == ""
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("name, spec, message", SPEC_ERRORS, ids=[name for name, _, _ in SPEC_ERRORS])
+    def test_spec_errors_keep_their_order(self, runner, tmp_path, name, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        res = runner.invoke(main, ["sweep", str(path), "--csv", "-"])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr.splitlines()[-1] == f"Error: {message}"
 
     @pytest.mark.parametrize("pinned, spec", [
         ("sweep_seven.csv", {
