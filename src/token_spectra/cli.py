@@ -16,7 +16,8 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
 
 import click
 from click.core import ParameterSource
@@ -97,10 +98,10 @@ def _tolerance(ctx, param, value: float | None, hint: str | None = None) -> floa
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output is None or output == "-":
+    if not output or output == "-":
         click.echo(text, nl=False)
     else:
-        with open(output, "w", encoding="ascii") as fh:
+        with open(output, "w", encoding="utf-8", newline="") as fh:  # newline="": CSV rows end in \r\n
             fh.write(text)
 
 
@@ -179,7 +180,7 @@ def construct(ctx, family, **opts):
                 raise click.UsageError("bipartite needs n1 n2 and --mode")
             g = graphs.build_bipartite_extension(*opts["params"], need("mode"), _pairs(opts["edge"]))
         elif family == "token":
-            base, k, cap = _parse_graph_spec(need("graph")), need("k"), opts["cap"]
+            base, k, cap = need("graph"), need("k"), opts["cap"]
         else:
             raise click.UsageError(f"unknown family {family!r}")
         opts.reject_unread("output")
@@ -244,11 +245,10 @@ def _cut_clique(opts: dict, need):
 
 # check id -> (name of its verify.check_* function, the instance it takes,
 #              the options it receives when they are set, its fixed keywords).
-# The instance is a tuple of option names, which verify reads from its
-# options and sweep supplies for ("graph", "k"), ("graph", "u", "v") and
-# ("r",); or a builder over the verify options, returning (args, kwargs).
-# Functions are looked up by name at call time, so that wrappers put on
-# the verify module after import see every call.
+# The instance is a tuple of option names, read in order as the positional
+# arguments, or a builder over the options, returning (args, kwargs); see
+# _check_call. Functions are looked up by name at call time, so that wrappers
+# put on the verify module after import see every call.
 CHECKS = {
     "alpha-token": ("check_alpha_token_equality", ("graph", "k"), ("tol", "cap"), {}),
     "containment": ("check_spectral_containment", ("graph", "k"), ("cap",), {"mode": "float"}),
@@ -271,7 +271,6 @@ CHECKS = {
                       lambda o, need: ((need("n1"), need("n2"), need("mode")), {"x_edges": _pairs(o["edge"])}),
                       ("tol", "cap", "k"), {}),
 }
-_SWEEP_INSTANCES = (("graph", "k"), ("graph", "u", "v"), ("r",))
 
 
 class _ReadRecorder(dict):
@@ -287,10 +286,10 @@ class _ReadRecorder(dict):
         return super().__getitem__(key)
 
     def need(self, key):
-        """The option's value; UsageError when it is not set."""
+        """The option's value, with the graph parsed from its spec; UsageError when it is not set."""
         if self[key] in (None, ()):
             raise click.UsageError(f"{self.what} needs {'-' if len(key) == 1 else '--'}{key}")
-        return self[key]
+        return _parse_graph_spec(self[key]) if key == "graph" else self[key]
 
     def reject_unread(self, *also: str) -> None:
         """UsageError naming every option given on the command line that was not read, nor in also."""
@@ -301,10 +300,12 @@ class _ReadRecorder(dict):
             raise click.UsageError(f"{self.what} does not take {flags}")
 
 
-def _run_check(check_id: str, args: tuple, opts: dict, kwargs: dict) -> verify.Certificate:
-    name, _, keywords, fixed = CHECKS[check_id]
+def _check_call(check_id: str, opts: dict, need):
+    """check_id's call, with no arguments left: its instance read from opts by need(key), then the keywords set."""
+    name, instance, keywords, fixed = CHECKS[check_id]
+    args, kwargs = instance(opts, need) if callable(instance) else (tuple(need(key) for key in instance), {})
     kwargs = {**kwargs, **{key: opts[key] for key in keywords if opts[key] is not None}, **fixed}
-    return getattr(verify, name)(*args, **kwargs)
+    return lambda: getattr(verify, name)(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +348,10 @@ def verify_cmd(ctx, check_id, **opts):
     if check_id == "containment" and opts["exact"]:  # --exact is read by containment only
         check_id = "containment-exact"
     opts.what = f"check {check_id!r}"
-    _, instance, keywords, _ = CHECKS[check_id]
     try:
-        if callable(instance):
-            args, kwargs = instance(opts, opts.need)
-        else:
-            args = tuple(_parse_graph_spec(opts.need(key)) if key == "graph" else opts.need(key) for key in instance)
-            kwargs = {}
-        opts.reject_unread(*keywords, "pretty")
-        cert = _run_check(check_id, args, opts, kwargs)
+        call = _check_call(check_id, opts, opts.need)
+        opts.reject_unread("pretty")
+        cert = call()
     except GraphError as exc:
         raise click.UsageError(str(exc)) from exc
     click.echo(_json_dump(cert.to_json_dict(), opts["pretty"]), nl=False)
@@ -367,97 +363,94 @@ def verify_cmd(ctx, check_id, **opts):
 # sweep
 
 
-def _sweep_instances(spec: dict, rng: random.Random) -> list[tuple[str, Graph | int]]:
-    fam = spec.get("family")
-    if not isinstance(fam, dict) or "name" not in fam:
-        raise click.UsageError("sweep spec needs a family object with a name")
-    name = fam["name"]
-    out: list[tuple[str, Graph | int]] = []
-
-    def span(key, default=None):
-        val = fam.get(key, default)
-        if val is None:
-            raise click.UsageError(f"family {name!r} needs {key!r}")
-        if isinstance(val, list):
-            lo, hi = int(val[0]), int(val[1])
-            return range(lo, hi + 1)
-        return range(int(val), int(val) + 1)
-
-    if name in ("path", "cycle", "complete", "star"):
-        for n in span("n"):
-            out.append((f"{name}:{n}", graphs.build_standard(name, [n])))
-    elif name == "complete_bipartite":
-        for n1 in span("n1"):
-            for n2 in span("n2"):
-                if n1 <= n2:
-                    out.append((f"complete_bipartite:{n1},{n2}",
-                                graphs.complete_bipartite_graph(n1, n2)))
-    elif name == "tree_random":
-        count = int(fam.get("count", 10))
-        ns = list(span("n"))
-        for i in range(count):
-            n = ns[i % len(ns)]
-            out.append((f"tree_random:{n}#{i}", graphs.random_tree(n, rng)))
-    elif name == "random_connected":
-        count = int(fam.get("count", 10))
-        p = float(fam.get("p", 0.5))
-        ns = list(span("n"))
-        for i in range(count):
-            n = ns[i % len(ns)]
-            out.append((f"random_connected:{n}#{i}", graphs.random_connected_gnp(n, p, rng)))
-    elif name == "theta_table":
-        for r in span("r"):
-            out.append((f"theta_table:{r}", r))
-    else:
-        raise click.UsageError(f"unknown sweep family {name!r}")
-    return out
+def _number(val, what: str, kind=int):
+    """val as kind, an integer or a real number in [0, 1]; kind() reads it first, so what it cannot read fails there."""
+    x = kind(val)
+    if type(val) not in (int, kind) or kind is float and not 0 <= x <= 1:
+        raise ValueError(f"{what} {val!r} is not {'an integer' if kind is int else 'a real number in [0, 1]'}")
+    return x
 
 
-def _sweep_tasks(spec: dict, rng: random.Random, opts: dict) -> list[dict]:
-    """Every cell of the sweep, after checking each requested check against the table."""
+def _span(fam: dict, key: str) -> range:
+    """The family's bound key, an integer n or a list [lo, hi], as the range n..n or lo..hi."""
+    val = fam.get(key)
+    if val is None:
+        raise click.UsageError(f"family {fam['name']!r} needs {key!r}")
+    bounds = val if isinstance(val, list) else [val, val]
+    lo, hi = int(bounds[0]), int(bounds[1])  # what int() cannot read fails here, as in _number
+    if len(bounds) != 2 or any(type(b) is not int for b in bounds):
+        raise ValueError(f"{key} {val!r} is not an integer or two integers")
+    return range(lo, hi + 1)
+
+
+def _drawn(fam: dict, draw) -> list:
+    """The family's count graphs draw()(n), n cycling through its span of n; count is read before draw()."""
+    count, draw = _number(fam.get("count", 10), "count"), draw()
+    ns = list(_span(fam, "n"))
+    return [(f"{fam['name']}:{ns[i % len(ns)]}#{i}", draw(ns[i % len(ns)])) for i in range(count)]
+
+
+# sweep family -> (the option its instances give, a builder over the family object and the rng
+# returning [(instance id, value)]); parameters are read, and graphs drawn, in list order
+SWEEP_FAMILIES = {
+    **dict.fromkeys(("path", "cycle", "complete", "star"), ("graph", lambda fam, rng: [
+        (f"{fam['name']}:{n}", graphs.build_standard(fam["name"], [n])) for n in _span(fam, "n")])),
+    "complete_bipartite": ("graph", lambda fam, rng: [
+        (f"complete_bipartite:{n1},{n2}", graphs.complete_bipartite_graph(n1, n2))
+        for n1 in _span(fam, "n1") for n2 in _span(fam, "n2") if n1 <= n2]),
+    "tree_random": ("graph", lambda fam, rng: _drawn(fam, lambda: partial(graphs.random_tree, rng=rng))),
+    "random_connected": ("graph", lambda fam, rng: _drawn(fam, lambda: partial(
+        graphs.random_connected_gnp, p=_number(fam.get("p", 0.5), "p", float), rng=rng))),
+    "theta_table": ("r", lambda fam, rng: [(f"theta_table:{r}", r) for r in _span(fam, "r")]),
+}
+
+
+def _sweep_tasks(spec: dict, rng: random.Random, opts: dict) -> list[tuple[dict, dict | None]]:
+    """Every cell as (row key, the check's options), after checking the checks against the tables: a family
+    gives graph or r, the sweep adds k, u and v, and a check is sweepable where its instance is a tuple of these."""
     checks = spec.get("checks")
     if not isinstance(checks, list) or not checks or not all(isinstance(c, str) for c in checks):
         raise click.UsageError("sweep spec needs a non-empty checks list")
     for check in checks:
         if check not in CHECKS:
             raise click.UsageError(f"unknown check {check!r}")
-        if CHECKS[check][1] not in _SWEEP_INSTANCES:
+        if not isinstance(CHECKS[check][1], tuple) or not {"graph", "r", "k", "u", "v"}.issuperset(CHECKS[check][1]):
             raise click.UsageError(f"check {check!r} is not sweepable")
     k_range = spec.get("k_range", [2, 2])
     if not (isinstance(k_range, list) and len(k_range) == 2 and all(type(k) is int for k in k_range)):
         raise click.UsageError(f"bad sweep spec: k_range {k_range!r} is not two integers")
-    ks = range(k_range[0], k_range[1] + 1)
-    instances = _sweep_instances(spec, rng)
-    family = spec["family"]["name"]
+    fam = spec.get("family")
+    if not isinstance(fam, dict) or "name" not in fam:
+        raise click.UsageError("sweep spec needs a family object with a name")
+    if not isinstance(fam["name"], str) or fam["name"] not in SWEEP_FAMILIES:
+        raise click.UsageError(f"unknown sweep family {fam['name']!r}")
+    gives, build = SWEEP_FAMILIES[fam["name"]]
+    instances = build(fam, rng)
     for check in checks:
-        if (CHECKS[check][1] == ("r",)) != (family == "theta_table"):
-            raise click.UsageError(f"check {check!r} does not apply to family {family!r}")
+        if CHECKS[check][1][0] != gives:
+            raise click.UsageError(f"check {check!r} does not apply to family {fam['name']!r}")
 
     tasks = []
-    for inst_id, inst in instances:
-        for check in checks:
-            instance = CHECKS[check][1]
-            key = {"instance": inst_id, "check": check, "k": ""}
-            if instance == ("r",):
-                tasks.append({"key": key, "check": check, "args": (inst,), "opts": opts})
-            elif instance == ("graph", "u", "v"):
-                non_edges = [e for e in combinations(range(inst.n), 2) if not inst.has_edge(*e)]
-                pair = rng.choice(non_edges) if non_edges else None
-                tasks.append({"key": key, "check": check, "opts": opts,
-                              "args": None if pair is None else (inst, *pair)})
-            else:
-                tasks.extend({"key": {**key, "k": k}, "check": check, "args": (inst, k), "opts": opts}
-                             for k in ks if 1 <= k <= max(1, inst.n - 1))
+    for (inst_id, value), check in product(instances, checks):
+        keys, cells = CHECKS[check][1], [{**opts, gives: value}]
+        if "k" in keys:  # one cell per k the graph has room for
+            cells = [{**cells[0], "k": k} for k in range(k_range[0], k_range[1] + 1) if 1 <= k <= max(1, value.n - 1)]
+        if "u" in keys:  # one random non-edge, drawn only where there is one; None where there is not
+            non_edges = [e for e in combinations(range(value.n), 2) if not value.has_edge(*e)]
+            cells = [{**cells[0], **dict(zip("uv", rng.choice(non_edges)))} if non_edges else None]
+        tasks += [({"instance": inst_id, "check": check, "k": cell["k"] if "k" in keys else ""}, cell)
+                  for cell in cells]
     return tasks
 
 
-def _sweep_row(task: dict) -> dict:
+def _sweep_row(task: tuple[dict, dict | None]) -> dict:
     """Run one (instance, check) cell; returns the CSV row as a dict."""
-    unmet = {**task["key"], "verdict": verify.PRECONDITION_UNMET, "runtime_ms": 0}
-    if task["args"] is None:
+    key, opts = task
+    unmet = {**key, "verdict": verify.PRECONDITION_UNMET, "runtime_ms": 0}
+    if opts is None:
         return {**unmet, "detail": "no non-edge available"}
     try:
-        cert = _run_check(task["check"], task["args"], task["opts"], {})
+        cert = _check_call(key["check"], opts, opts.__getitem__)()
     except CapExceededError as exc:
         return {**unmet, "verdict": "cap_exceeded", "detail": str(exc)}
     except GraphError as exc:
@@ -468,7 +461,7 @@ def _sweep_row(task: dict) -> dict:
         return {**unmet, "verdict": "error", "detail": str(exc)}
     detail = {kk: vv for kk, vv in cert.witnesses.items()
               if isinstance(vv, (int, float, str, bool))}
-    return {**task["key"], "verdict": cert.verdict,
+    return {**key, "verdict": cert.verdict,
             "detail": json.dumps(detail, sort_keys=True), "runtime_ms": cert.runtime_ms}
 
 
@@ -483,8 +476,8 @@ def sweep(spec_file, csv_path, jobs, seed, cap, pretty):
     """Run a batch of checks over a family of instances; summary JSON on stdout."""
     spec = _load_sweep_spec(spec_file)
     try:
-        rng = random.Random(seed if seed is not None else int(spec.get("seed", 0)))
-        cap = cap if cap is not None else int(spec.get("cap", _default_cap()))
+        rng = random.Random(seed if seed is not None else _number(spec.get("seed", 0), "seed"))
+        cap = cap if cap is not None else _number(spec.get("cap", _default_cap()), "cap")
         tol = spec.get("tolerances", {}).get("tol")
         tol = _tolerance(None, None, None if tol is None else float(tol), "tolerances.tol in the sweep spec")
         tasks = _sweep_tasks(spec, rng, {"tol": tol, "cap": cap})
@@ -504,13 +497,8 @@ def sweep(spec_file, csv_path, jobs, seed, cap, pretty):
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=["instance", "check", "k", "verdict", "detail", "runtime_ms"])
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    if csv_path and csv_path != "-":
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        click.echo(buf.getvalue(), nl=False)
+    writer.writerows(rows)
+    _emit(buf.getvalue(), csv_path)
 
     zero = {"pass": 0, "fail": 0, "precondition_unmet": 0, "cap_exceeded": 0}
     counts = dict(zero)

@@ -48,8 +48,8 @@ class NumericalError(RuntimeError):
 # The peak is inside eigh, with the float matrix, its eigenvectors and LAPACK's work.
 DENSE_BYTES_PER_N2 = 44
 # Peak bytes per N^2 of token_spectrum, measured the same way on 5-token graphs of
-# paths, N = 2002 and 4368: 16.2 and 16.1. It holds the float Laplacian and
-# eigvalsh's copy of it; the int64 matrix it was made from is freed before.
+# paths, N = 2002 and 4368: 16.1 and 16.1. It holds the float Laplacian and
+# eigvalsh's copy of it; the CSR or int64 matrix it was made from is freed before.
 # laplacian_values, the solve of checks that read no eigenvector, holds the same: interlacing's
 # two solves on paths read 16.3 and 16.2 at N = 3000 and 4000 (24.0, one block more, at 2000).
 # So do theta-table's and the kite head's submatrix solves: 16.1 to 16.3 on paths, cycles and
@@ -345,10 +345,12 @@ def _dpotrf_in_place(a: np.ndarray) -> int:
 
 
 def token_spectrum(tg: TokenGraph) -> np.ndarray:
-    """Ascending eigenvalues of L(F_k) from one values-only solve, once checked_lift has shown
-    L(F_k) B = B L(G), so that tg.graph is the k-token graph of tg.base."""
-    checked_lift(tg)
-    return eigenvalues(laplacian(tg.graph, VALUES_BYTES_PER_N2).astype(float))  # the int64 matrix is freed first
+    """Ascending eigenvalues of L(F_k) from one values-only solve of the Laplacian with which
+    checked_lift has shown L(F_k) B = B L(G), so that tg.graph is the k-token graph of tg.base."""
+    require_memory(VALUES_BYTES_PER_N2 * tg.graph.n ** 2, f"the dense Laplacian route at N = {tg.graph.n}")
+    lap = checked_lift(tg)[1]
+    lap = lap.astype(float) if isinstance(lap, np.ndarray) else lap.toarray()  # frees the int64 or CSR matrix
+    return eigenvalues(lap)
 
 
 def checked_lift(tg: TokenGraph):

@@ -436,6 +436,56 @@ class TestVerifyMatchesDirectCalls:
         assert _no_runtime(json.loads(res.output)) == _no_runtime(direct(y_tree).to_json_dict())
 
 
+# a sweepable check -> the family its cells come from
+SWEEP_CASES = {
+    **dict.fromkeys(["alpha-token", "containment", "containment-exact", "pendant-bound", "edge-add-iff",
+                     "interlacing"], {"name": "random_connected", "n": [4, 6], "p": 0.6, "count": 4}),
+    "theta-table": {"name": "theta_table", "r": [1, 5]},
+}
+
+
+class TestSweepMatchesVerify:
+    """Each sweep row is the certificate verify prints for that cell's options. The cells'
+    instances are recorded as the sweep calls each check, and written to edge-list files."""
+
+    def test_every_sweepable_check_is_covered(self, runner, tmp_path):
+        for check in set(CHECKS) - set(SWEEP_CASES):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"family": {"name": "path", "n": 4}, "checks": [check]}))
+            res = runner.invoke(main, ["sweep", str(path), "--csv", "-"])
+            assert res.exit_code == 2 and f"check {check!r} is not sweepable" in res.stderr
+
+    @pytest.mark.parametrize("check", sorted(SWEEP_CASES))
+    def test_row_equals_verify(self, runner, tmp_path, monkeypatch, check):
+        calls = []
+        name = CHECKS[check][0]
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"family": SWEEP_CASES[check], "checks": [check], "k_range": [1, 3], "seed": 3}))
+        res = runner.invoke(main, ["sweep", str(path), "--csv", str(tmp_path / "rows.csv")])
+        assert res.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "rows.csv").read_text())))
+        rows = [r for r in rows if r["detail"] != "no non-edge available"]
+        assert len(rows) == len(calls) >= 4
+        monkeypatch.setattr(verify, name, real)
+        for row, args in zip(rows, calls):
+            argv = ["verify", *(["containment", "--exact"] if check == "containment-exact" else [check])]
+            for key, val in zip(CHECKS[check][1], args):
+                if key == "graph":
+                    (tmp_path / "g.el").write_text(format_edge_list(val))
+                    argv += ["--graph", str(tmp_path / "g.el")]
+                else:
+                    argv += [f"-{key}", str(val)]
+            out = runner.invoke(main, argv)
+            if out.exit_code == 2:  # the instance does not meet the check's preconditions
+                assert row["verdict"] == "precondition_unmet" and out.stderr.endswith(f"Error: {row['detail']}\n")
+                continue
+            cert = json.loads(out.stdout)
+            witnesses = {k: v for k, v in cert["witnesses"].items() if isinstance(v, (int, float, str, bool))}
+            assert (row["verdict"], json.loads(row["detail"])) == (cert["verdict"], witnesses), argv
+
+
 class TestCancel:
     @pytest.mark.parametrize("exc", [KeyboardInterrupt])
     @pytest.mark.parametrize("extra", [[], ["--exact"]])
@@ -568,6 +618,19 @@ MALFORMED_SPECS = [
     ("k_range_float.json", {"family": {"name": "path", "n": 5}, "checks": ["alpha-token"], "k_range": [2.5, 3]}),
     ("k_range_strings.json", {"family": {"name": "path", "n": 5}, "checks": ["alpha-token"], "k_range": ["2", "3"]}),
     ("k_range_three.json", {"family": {"name": "path", "n": 5}, "checks": ["alpha-token"], "k_range": [2, 3, 4]}),
+    # values int() or float() would truncate or coerce: a bound, count, seed or cap is an integer
+    # and no bool, a span one integer or a list of two, p a real number in [0, 1]
+    ("n_float.json", {"family": {"name": "path", "n": [3.9, 4]}, "checks": ["alpha-token"]}),
+    ("n_three.json", {"family": {"name": "path", "n": [3, 5, 7]}, "checks": ["alpha-token"]}),
+    ("n_bool.json", {"family": {"name": "path", "n": True}, "checks": ["alpha-token"]}),
+    ("r_float.json", {"family": {"name": "theta_table", "r": [1.5, 2.9]}, "checks": ["theta-table"]}),
+    ("count_float.json", {"family": {"name": "tree_random", "n": 4, "count": 2.5}, "checks": ["alpha-token"]}),
+    ("p_text.json", {"family": {"name": "random_connected", "n": 5, "count": 1, "p": "0.5"},
+                     "checks": ["alpha-token"]}),
+    ("p_above_one.json", {"family": {"name": "random_connected", "n": 5, "count": 1, "p": 3},
+                          "checks": ["alpha-token"]}),
+    ("seed_float.json", {"family": {"name": "path", "n": 3}, "checks": ["alpha-token"], "seed": 1.5}),
+    ("cap_text.json", {"family": {"name": "path", "n": 3}, "checks": ["alpha-token"], "cap": "100"}),
 ]
 
 
@@ -595,6 +658,10 @@ SPEC_ERRORS = [
                                "checks": ["alpha-token"]},
      "bad sweep spec: integer modulo by zero"),
 ]
+
+# G(n, 0.95) graphs, 4 of the 8 complete: none of those may draw a non-edge, or every later draw moves
+DENSE_SWEEP = {"family": {"name": "random_connected", "n": [3, 6], "p": 0.95, "count": 8}, "k_range": [2, 2],
+               "seed": 2, "checks": ["alpha-token", "edge-add-iff", "interlacing"]}
 
 
 class TestSweep:
@@ -834,6 +901,32 @@ class TestSweep:
         assert [(r["instance"], r["verdict"], r["detail"]) for r in rows] == [
             ("complete:3", "precondition_unmet", "no non-edge available")]
 
+    def test_non_edges_drawn_only_where_there_are_some(self, runner, tmp_path, monkeypatch):
+        pairs, real = [], verify.check_edge_add_alpha_iff
+        monkeypatch.setattr(verify, "check_edge_add_alpha_iff",
+                            lambda g, u, v, **kwargs: pairs.append((g.n, u, v)) or real(g, u, v, **kwargs))
+        spec = self._write_spec(tmp_path, **DENSE_SWEEP)
+        assert runner.invoke(main, ["sweep", spec, "--csv", str(tmp_path / "rows.csv")]).exit_code == 0
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "rows.csv").read_text())))
+        assert [r["instance"] for r in rows if r["detail"] == "no non-edge available"] == [
+            f"random_connected:{n}" for n in ("4#1", "3#4", "4#5", "6#7") for _ in range(2)]
+        assert pairs == [(3, 0, 1), (5, 1, 4), (6, 4, 5), (5, 0, 2)]  # as drawn when only non-edges draw
+
+    def test_toml_spec_matches_json(self, runner, tmp_path):
+        toml = tmp_path / "sweep.toml"
+        toml.write_text('checks = ["alpha-token", "edge-add-iff"]\nk_range = [2, 3]\nseed = 7\n\n'
+                        '[family]\nname = "tree_random"\nn = [4, 8]\ncount = 10\n\n[tolerances]\ntol = 1e-7\n')
+        spec = self._write_spec(tmp_path, family={"name": "tree_random", "n": [4, 8], "count": 10},
+                                k_range=[2, 3], checks=["alpha-token", "edge-add-iff"], tolerances={"tol": 1e-7},
+                                seed=7)
+        outputs = []
+        for path in (str(toml), spec):
+            res = runner.invoke(main, ["sweep", path, "--csv", str(tmp_path / "rows.csv")])
+            assert res.exit_code == 0
+            rows = [r[:-1] for r in csv.reader(io.StringIO((tmp_path / "rows.csv").read_text()))]
+            outputs.append((rows, res.stdout))
+        assert outputs[0] == outputs[1] and len(outputs[0][0]) == 1 + 30
+
     def test_bad_spec_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -868,6 +961,7 @@ class TestSweep:
                        "edge-add-iff", "interlacing"],
         }),
         ("sweep_theta.csv", {"family": {"name": "theta_table", "r": [1, 6]}, "checks": ["theta-table"]}),
+        ("sweep_dense.csv", DENSE_SWEEP),
     ])
     def test_rows_match_pinned(self, runner, tmp_path, pinned, spec):
         path = tmp_path / "spec.json"

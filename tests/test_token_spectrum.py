@@ -74,6 +74,21 @@ def test_values_match_the_full_eigensolver(corpus):
             assert np.abs(values - full).max() <= bound, (g.edges, k)
 
 
+def test_values_are_a_solve_of_the_checked_laplacian(monkeypatch):
+    # the Laplacian of F_k is built once, by checked_lift: dense below SCIPY_MIN_ORDER and densified
+    # from the CSR matrix from there on; either way eigvalsh sees the bits of laplacian(F_k) as floats
+    built, real = [], spectra.laplacian
+    monkeypatch.setattr(spectra, "laplacian", lambda g, *args: built.append(g) or real(g, *args))
+    cases = [(g, k) for g in family_corpus(7) for k in range(1, g.n)] + [(GNP12, 4), (path_graph(12), 5)]
+    for g, k in cases:
+        tg = token_graph(g, k)
+        built.clear()
+        values = token_spectrum(tg)
+        assert sum(h is tg.graph for h in built) == (tg.graph.n < spectra.SCIPY_MIN_ORDER), (g.edges, k)
+        assert np.array_equal(values, np.linalg.eigvalsh(real(tg.graph).astype(float))), (g.edges, k)
+    assert [token_graph(g, k).graph.n for g, k in cases[-2:]] == [495, 792]
+
+
 def test_float_and_exact_verdicts_agree(corpus):
     for g in corpus:
         for k in range(1, g.n):
