@@ -448,7 +448,7 @@ class TestSweepMatchesVerify:
     """Each sweep row is the certificate verify prints for that cell's options. The cells'
     instances are recorded as the sweep calls each check, and written to edge-list files."""
 
-    def test_every_sweepable_check_is_covered(self, runner, tmp_path):
+    def test_other_checks_are_not_sweepable(self, runner, tmp_path):
         for check in set(CHECKS) - set(SWEEP_CASES):
             path = tmp_path / "spec.json"
             path.write_text(json.dumps({"family": {"name": "path", "n": 4}, "checks": [check]}))
