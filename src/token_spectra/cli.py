@@ -387,6 +387,8 @@ def _drawn(fam: dict, draw) -> list:
     """The family's count graphs draw()(n), n cycling through its span of n; count is read before draw()."""
     count, draw = _number(fam.get("count", 10), "count"), draw()
     ns = list(_span(fam, "n"))
+    if count and not ns:
+        raise ValueError(f"family {fam['name']!r} has no n in {fam['n']!r} to draw {count} graphs from")
     return [(f"{fam['name']}:{ns[i % len(ns)]}#{i}", draw(ns[i % len(ns)])) for i in range(count)]
 
 
@@ -478,7 +480,12 @@ def sweep(spec_file, csv_path, jobs, seed, cap, pretty):
     try:
         rng = random.Random(seed if seed is not None else _number(spec.get("seed", 0), "seed"))
         cap = cap if cap is not None else _number(spec.get("cap", _default_cap()), "cap")
-        tol = spec.get("tolerances", {}).get("tol")
+        tols = spec.get("tolerances", {})
+        if not isinstance(tols, dict):
+            raise ValueError(f"tolerances {tols!r} is not an object")
+        tol = tols.get("tol")
+        if tol is not None and type(tol) not in (int, float):
+            raise ValueError(f"tol {tol!r} is not a number")
         tol = _tolerance(None, None, None if tol is None else float(tol), "tolerances.tol in the sweep spec")
         tasks = _sweep_tasks(spec, rng, {"tol": tol, "cap": cap})
     except (ValueError, TypeError, LookupError, AttributeError, ZeroDivisionError) as exc:
@@ -517,13 +524,8 @@ def _load_sweep_spec(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         if path.endswith(".toml"):
-            try:
-                import tomllib  # Python >= 3.11
-            except ImportError:
-                try:
-                    import tomli as tomllib
-                except ImportError as exc:
-                    raise click.UsageError("TOML sweep specs need Python 3.11+ or tomli") from exc
+            import tomllib  # imported here, so that a JSON spec does not pay for it
+
             spec = tomllib.loads(text)
         else:
             spec = json.loads(text)

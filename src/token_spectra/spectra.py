@@ -60,9 +60,6 @@ VALUES_BYTES_PER_N2 = 18
 # N x N array: 11.8 at N = 715, 9.1 at 3060, 8.4 at 8568; with numpy's copy and factor, 30.5 at 715.
 PROOF_BYTES_PER_N2 = 12
 NUMPY_PROOF_BYTES_PER_N2 = 32
-# token_alpha tries the proof before the sparse route below this order. Best of 3, 1 BLAS thread,
-# G(n, C(n,2)//2 + 1), proof / LOBPCG: 24 / 42 ms at N = 1001, 49 / 55 at 1365, 89 / 60 at 1820.
-PROOF_FIRST_MAX_ORDER = 1500
 # From this order on, checked_lift applies the CSR Laplacian and the proof factors in place with
 # dpotrf; below it, numpy alone, so a sweep cell imports no scipy (0.3 s). 1 BLAS thread, dpotrf /
 # numpy's cholesky, best of 7: 0.35 / 0.44 ms at N = 200, 0.92 / 1.72 at 300; checked_lift, CSR /
@@ -80,12 +77,10 @@ UNIT_ROUNDOFF = 2.0 ** -53
 LIFT_BYTES_PER_EDGE = 88
 LIFT_BYTES_PER_ROW_COLUMN = 40
 
-# token graphs of at least this order take the sparse route in token_alpha, after
-# the proof below PROOF_FIRST_MAX_ORDER where an interval is given. Set against
-# token_spectrum's eigvalsh, best of 3 with 1 BLAS thread: on G(n, C(n,2)//2 + 1)
-# graphs sparse was as fast at N = 495 and 2.6x faster at N = 924 (39 against
-# 99 ms); on paths dense was 1.5x faster at N = 792 and sparse 1.2x faster at N = 924.
-SPARSE_MIN_ORDER = 1000
+# token_alpha tries the sparse route before the proof from this order on, and never below it.
+# Best of 3, 1 BLAS thread, G(n, C(n,2)//2 + 1), proof / LOBPCG: 24 / 42 ms at N = 1001,
+# 49 / 55 at 1365, 89 / 60 at 1820.
+SPARSE_MIN_ORDER = 1500
 # LOBPCG block sizes, tried in turn while a block's residuals stay above the
 # bound; the least eigenvalue off range(B) is simple on most graphs
 SPARSE_BLOCKS = (4, 8, 16, 32)
@@ -238,35 +233,32 @@ def sparse_laplacian(g: Graph):
     return csr_array((data, (np.concatenate((u, v, diag)), np.concatenate((v, u, diag)))), shape=(g.n, g.n))
 
 
-def token_alpha(tg: TokenGraph, accept: tuple[float, float] | None = None, base: Spectrum | None = None
-                ) -> tuple[float, float | None, dict | None]:
-    """Algebraic connectivity of tg's token graph, as (alpha, mu, proved), from base = eig_sym(L(G)).
+def token_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float) -> tuple[float, dict]:
+    """Algebraic connectivity of tg's token graph, as (alpha, fields), from base = eig_sym(L(G)) and
+    the interval [lo, hi] that the caller's check accepts; fields are the witnesses the route adds.
 
-    From SPARSE_MIN_ORDER token vertices on, _sparse_token_alpha gives mu or
-    hands over (None). Given the interval accept = (lo, hi) that the caller's
-    check accepts, _proved_alpha runs before it below PROOF_FIRST_MAX_ORDER,
-    after it from there on, and proved names what it proved. Otherwise alpha
-    is fiedler_value of token_spectrum, one values-only solve. mu and proved
-    are None off their routes.
+    Below SPARSE_MIN_ORDER token vertices, _proved_alpha runs, then the
+    values-only solve (fiedler_value of token_spectrum); from there on,
+    _sparse_token_alpha runs before both. Each of the first two answers or
+    hands over (None). The proof adds its bounds, LOBPCG its mu, and the
+    values-only solve nothing.
     """
-    base = base or eig_sym(laplacian(tg.base).astype(float))
-    routes = (lambda: accept is not None and _proved_alpha(tg, base, *accept),
-              lambda: tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, base))
-    first, second = routes if tg.graph.n < PROOF_FIRST_MAX_ORDER else routes[::-1]
-    return first() or second() or (fiedler_value(token_spectrum(tg)), None, None)
+    answer = tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, base)
+    return answer or _proved_alpha(tg, base, lo, hi) or (fiedler_value(token_spectrum(tg)), {})
 
 
-def _proved_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float) -> tuple[float, None, dict] | None:
-    """(alpha(G), None, proved) once one Cholesky pins lambda_2(L(F_k)) down, else None.
+def _proved_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float) -> tuple[float, dict] | None:
+    """(alpha(G), fields) once one Cholesky pins lambda_2(L(F_k)) down, else None.
 
     L(F_k) B = B L(G) is checked exactly (checked_lift), else NumericalError,
     and F_k's degrees are read off the L(F_k) it checked. So lambda_2(L(F_k))
     = min(alpha(G), mu), mu the least eigenvalue off range(B). upper = alpha
     + 10 rho exceeds the true alpha(G) (module docstring). If mu > upper is
-    proved, lambda_2 = alpha(G) and proved = {alpha_complement_lower: upper}.
+    proved, lambda_2 = alpha(G) and fields = {alpha_complement_lower: upper}.
     Otherwise (F_2(C_4) has mu = alpha), if upper <= hi, mu > lo (free for lo
-    < 0) gives lo < lambda_2 <= upper, and proved adds alpha_token_lower and
-    _upper. None where neither closes or the proof does not fit in memory.
+    < 0) gives lo < lambda_2 <= upper, and fields = {alpha_complement_lower:
+    lo, alpha_token_lower: lo, alpha_token_upper: upper}. None where neither
+    closes or the proof does not fit in memory.
     """
     g = tg.graph
     try:  # a proof that does not fit in memory leaves alpha to the next route
@@ -279,9 +271,9 @@ def _proved_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float) -> tuple
     alpha = fiedler_value(base.values)
     upper = float(np.nextafter(alpha + 10 * DEFAULT_RESID_TOL * max(1.0, float(np.abs(base.values).max())), np.inf))
     if _complement_exceeds(tg, b, degree, upper):
-        return alpha, None, {"alpha_complement_lower": upper}
+        return alpha, {"alpha_complement_lower": upper}
     if lo < upper <= hi and (lo < 0 or _complement_exceeds(tg, b, degree, lo)):
-        return alpha, None, {"alpha_complement_lower": lo, "alpha_token_lower": lo, "alpha_token_upper": upper}
+        return alpha, {"alpha_complement_lower": lo, "alpha_token_lower": lo, "alpha_token_upper": upper}
     return None
 
 
@@ -376,9 +368,9 @@ def checked_lift(tg: TokenGraph):
     return b, lap
 
 
-def _sparse_token_alpha(tg: TokenGraph, base: Spectrum) -> tuple[float, float, None] | None:
-    """(alpha(F_k), mu, None) with alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue
-    of L(F_k) on range(B)^perp, from base = eig_sym(L(G)); None where it hands over.
+def _sparse_token_alpha(tg: TokenGraph, base: Spectrum) -> tuple[float, dict] | None:
+    """(alpha(F_k), fields) with alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue of
+    L(F_k) on range(B)^perp, from base = eig_sym(L(G)); None where it hands over.
 
     B is the lift of G's vertices to k-subsets, and checked_lift shows L(F_k)
     B = B L(G) exactly, else NumericalError. With B of full column rank,
@@ -399,9 +391,10 @@ def _sparse_token_alpha(tg: TokenGraph, base: Spectrum) -> tuple[float, float, N
     large for LOBPCG at this order. CapExceededError is raised, before any
     allocation of order N, when this route does not fit in memory.
 
-    Unlike the dense route, this one does not certify that mu is the least
+    Unlike the proof, this route does not certify that mu is the least
     eigenvalue off range(B): LOBPCG could settle on a higher cluster, which
-    would make min(alpha(G), mu) read alpha(G). Certificates say so.
+    would make min(alpha(G), mu) read alpha(G). So fields =
+    {alpha_complement: mu, alpha_complement_least: "not certified"}.
     """
     import warnings
 
@@ -439,7 +432,8 @@ def _sparse_token_alpha(tg: TokenGraph, base: Spectrum) -> tuple[float, float, N
                 break
             mu = float(vals[0])
             value = min(a_base, mu)
-            return (0.0 if abs(value) <= bound else value), mu, None
+            fields = {"alpha_complement": mu, "alpha_complement_least": "not certified"}
+            return (0.0 if abs(value) <= bound else value), fields
     return None
 
 

@@ -112,31 +112,15 @@ def _pair_witness(u: int, v: int) -> dict:
 
 
 def _token_alpha(g: Graph, k: int, cap: int, tol: float, target: float | None = None,
-                 base: Spectrum | None = None) -> tuple:
-    """(alpha(G), *token_alpha(F_k(G), target +- tol * max(1, |target|), base)), base the one
+                 base: Spectrum | None = None) -> tuple[float, float, dict]:
+    """(alpha(G), *token_alpha(F_k(G), base, target +- tol * max(1, |target|))), base the one
     eigensolve of L(G), made here unless given; target is alpha(G) unless given."""
     tg = token_graph(g, k, cap=cap)
     base = base or eig_sym(laplacian(g).astype(float))
     a = fiedler_value(base.values)
     target = a if target is None else target
     half = tol * max(1.0, abs(target))
-    return (a, *token_alpha(tg, (target - half, target + half), base))
-
-
-def _add_complements(witnesses: dict, complements: dict, proved: dict | None = None) -> None:
-    """Add each mu of token_alpha's sparse route under its name, and the bounds it proved.
-
-    The dense route gives mu = None. The sparse route does not certify that
-    mu is the least eigenvalue off range(B), so a certificate with a mu says
-    so under alpha_complement_least. Where token_alpha proved mu > sigma,
-    alpha_complement_lower is sigma, and on the fallback sigma = lo also
-    alpha_token_lower < alpha(F_k) <= alpha_token_upper.
-    """
-    found = {name: mu for name, mu in complements.items() if mu is not None}
-    witnesses.update(found)
-    if found:
-        witnesses["alpha_complement_least"] = "not certified"
-    witnesses.update(proved or {})
+    return (a, *token_alpha(tg, base, target - half, target + half))
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +172,15 @@ def check_alpha_token_equality(
 ) -> Certificate:
     """Algebraic connectivity of g equals that of its k-token graph."""
     t0 = time.perf_counter()
-    a_base, a_token, mu, proved = _token_alpha(g, k, cap, tol)
+    a_base, a_token, fields = _token_alpha(g, k, cap, tol)
     ok = abs(a_token - a_base) <= tol * max(1.0, abs(a_base))
     witnesses = {
         "k": k,
         "alpha_base": a_base,
         "alpha_token": a_token,
         "difference": a_token - a_base,
+        **fields,
     }
-    _add_complements(witnesses, {"alpha_complement": mu}, proved)
     return _finish("alpha-token", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
 
 
@@ -281,12 +265,12 @@ def check_pendant_bound(
     token_order(n_aug, k, cap)  # the largest of the three token graphs, refused before any solve
     h = Graph(n_aug, g.edges + ((0, g.n),))
     base = eig_sym(laplacian(g).astype(float))
-    _, a_h, mu_h, _ = _token_alpha(h, k, cap, tol)
+    _, a_h, fields_h = _token_alpha(h, k, cap, tol)
     if k == 2:
-        a_km1, mu_km1 = fiedler_value(base.values), None
+        a_km1, fields_km1 = fiedler_value(base.values), {}
     else:
-        _, a_km1, mu_km1, _ = _token_alpha(g, k - 1, cap, tol, base=base)
-    _, a_k, mu_k, _ = _token_alpha(g, k, cap, tol, base=base)
+        _, a_km1, fields_km1 = _token_alpha(g, k - 1, cap, tol, base=base)
+    _, a_k, fields_k = _token_alpha(g, k, cap, tol, base=base)
     bound = min(a_km1 + 1.0, a_k + 1.0)
     ok = a_h <= bound + tol * max(1.0, bound)
     witnesses = {
@@ -297,8 +281,12 @@ def check_pendant_bound(
         "bound": bound,
         "pendant_attached_to": _pair_witness(0, g.n),
     }
-    _add_complements(witnesses, {"alpha_complement_augmented": mu_h, "alpha_complement_km1": mu_km1,
-                                 "alpha_complement_k": mu_k})
+    # each mu of the sparse route, under its token graph's name; what the proof proved is not kept
+    mus = {f"alpha_complement_{name}": fields["alpha_complement"] for name, fields in
+           (("augmented", fields_h), ("km1", fields_km1), ("k", fields_k)) if "alpha_complement" in fields}
+    witnesses.update(mus)
+    if mus:
+        witnesses["alpha_complement_least"] = "not certified"
     return _finish("pendant-bound", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
 
 
@@ -556,7 +544,7 @@ def check_kite_head_family(
             raise GraphError(f"head edge ({u}, {v}) leaves the head")
         extra.append((u, v))
     gp = add_edges(g, extra) if extra else g
-    a_gp, a_token, mu, proved = _token_alpha(gp, k, cap, tol)
+    a_gp, a_token, fields = _token_alpha(gp, k, cap, tol)
     alpha_ok = abs(a_token - a_gp) <= tol * max(1.0, abs(a_gp))
     witnesses.update(
         {
@@ -564,9 +552,9 @@ def check_kite_head_family(
             "alpha_token": a_token,
             "k": k,
             "added_edges": [_pair_witness(u, v) for u, v in extra],
+            **fields,
         }
     )
-    _add_complements(witnesses, {"alpha_complement": mu}, proved)
     verdict = PASS if (bridge_ok and alpha_ok) else FAIL
     witnesses["bridge_ok"] = bridge_ok
     return _finish("kite-head", g, verdict, witnesses, {"tol": tol, "num_tol": BRIDGE_TOL}, t0)
@@ -630,7 +618,7 @@ def check_bipartite_extension(
     t0 = time.perf_counter()
     g = build_bipartite_extension(n1, n2, mode, x_edges)
     expected = float(n1 if mode == "plus_x" else n2)
-    a, a_token, mu, proved = _token_alpha(g, k, cap, tol, expected)
+    a, a_token, fields = _token_alpha(g, k, cap, tol, expected)
     ok = _close(a, expected, tol) and _close(a_token, expected, tol)
     witnesses = {
         "mode": mode,
@@ -638,8 +626,8 @@ def check_bipartite_extension(
         "expected": expected,
         "alpha": a,
         "alpha_token": a_token,
+        **fields,
     }
-    _add_complements(witnesses, {"alpha_complement": mu}, proved)
     return _finish("bipartite-ext", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
 
 
@@ -664,7 +652,7 @@ def check_cut_clique(
             raise GraphError(f"({u}, {v}) is not a clique-component join edge")
     full_join = not removed_join_edges
     if full_join:
-        a, a_token, mu, proved = _token_alpha(g, k, cap, tol, float(r))
+        a, a_token, fields = _token_alpha(g, k, cap, tol, float(r))
     else:
         g = remove_edges(g, removed_join_edges)
         a = fiedler_value(laplacian_values(g))
@@ -681,8 +669,7 @@ def check_cut_clique(
         witnesses["gap"] = float(r) - a
         verdict = PASS if bound_ok else FAIL
         return _finish("cut-clique", g, verdict, witnesses, {"tol": tol}, t0)
-    witnesses["alpha_token"] = a_token
-    _add_complements(witnesses, {"alpha_complement": mu}, proved)
+    witnesses.update(alpha_token=a_token, **fields)
     ok = bound_ok and _close(a, float(r), tol) and _close(a_token, float(r), tol)
     return _finish("cut-clique", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
 

@@ -256,7 +256,7 @@ class TestVerify:
         assert res.stderr.count("\n") == 1 and "Traceback" not in res.output
 
     def test_corrupted_lift_in_sparse_alpha_token_prints_one_error_line(self, runner, monkeypatch):
-        # N = 3060 >= PROOF_FIRST_MAX_ORDER, so the sparse route runs first and checks the identity
+        # N = 3060 >= SPARSE_MIN_ORDER, so the sparse route runs first and checks the identity
         # itself: the proof is never reached
         real, proofs = tokens.lift, []
         monkeypatch.setattr(spectra, "lift", lambda n, k: real(n, k)[::-1])
@@ -317,7 +317,7 @@ class TestVerify:
         # alpha(F_2(P_5)) read 0.5 too high: a fail that no rounding decides
         real = verify.token_alpha
         monkeypatch.setattr(verify, "token_alpha",
-                            lambda tg, accept=None, base=None: (real(tg, accept, base)[0] + 0.5, None, None))
+                            lambda tg, base, lo, hi: (real(tg, base, lo, hi)[0] + 0.5, {}))
         res = runner.invoke(main, ["verify", "alpha-token", "--graph", "path:5", "-k", "2"])
         assert res.exit_code == 1
         assert json.loads(res.output)["verdict"] == "fail"
@@ -631,6 +631,11 @@ MALFORMED_SPECS = [
                           "checks": ["alpha-token"]}),
     ("seed_float.json", {"family": {"name": "path", "n": 3}, "checks": ["alpha-token"], "seed": 1.5}),
     ("cap_text.json", {"family": {"name": "path", "n": 3}, "checks": ["alpha-token"], "cap": "100"}),
+    # a tolerance that float() would coerce, and tolerances that are not an object
+    ("tol_bool.json", {"family": {"name": "path", "n": 4}, "checks": ["alpha-token"], "tolerances": {"tol": True}}),
+    ("tol_text.json", {"family": {"name": "path", "n": 4}, "checks": ["alpha-token"],
+                       "tolerances": {"tol": "1e-7"}}),
+    ("tolerances_list.json", {"family": {"name": "path", "n": 4}, "checks": ["alpha-token"], "tolerances": [1]}),
 ]
 
 
@@ -656,7 +661,13 @@ SPEC_ERRORS = [
      "bad sweep spec: list index out of range"),
     ("n_reversed_with_draws", {"family": {"name": "tree_random", "n": [5, 3], "count": 2},
                                "checks": ["alpha-token"]},
-     "bad sweep spec: integer modulo by zero"),
+     "bad sweep spec: family 'tree_random' has no n in [5, 3] to draw 2 graphs from"),
+    ("tol_bool", {"family": {"name": "path", "n": 4}, "checks": ["alpha-token"], "tolerances": {"tol": True}},
+     "bad sweep spec: tol True is not a number"),
+    ("tol_text", {"family": {"name": "path", "n": 4}, "checks": ["alpha-token"], "tolerances": {"tol": "1e-7"}},
+     "bad sweep spec: tol '1e-7' is not a number"),
+    ("tolerances_list", {"family": {"name": "path", "n": 4}, "checks": ["alpha-token"], "tolerances": [1]},
+     "bad sweep spec: tolerances [1] is not an object"),
 ]
 
 # G(n, 0.95) graphs, 4 of the 8 complete: none of those may draw a non-edge, or every later draw moves
@@ -821,7 +832,7 @@ class TestSweep:
         # alpha(F_k) read 0.5 too high: at tol = 0 alpha-token is now proved equal, so no rounding fails it
         real = verify.token_alpha
         monkeypatch.setattr(verify, "token_alpha",
-                            lambda tg, accept=None, base=None: (real(tg, accept, base)[0] + 0.5, None, None))
+                            lambda tg, base, lo, hi: (real(tg, base, lo, hi)[0] + 0.5, {}))
         spec = self._write_spec(tmp_path, tolerances={"tol": 0.0}, checks=["alpha-token"])
         res = runner.invoke(main, ["sweep", spec, "--csv", str(tmp_path / "f.csv")])
         assert res.exit_code == 1
@@ -931,6 +942,23 @@ class TestSweep:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert runner.invoke(main, ["sweep", str(bad)]).exit_code == 2
+
+    @pytest.mark.parametrize("tol", [2, 0, 1e-7])
+    def test_numeric_tol_is_read_as_given(self, runner, tmp_path, monkeypatch, tol):
+        # integers and floats, above 1 too, reach the check as floats
+        tols, real = [], verify.check_alpha_token_equality
+        monkeypatch.setattr(verify, "check_alpha_token_equality",
+                            lambda *a, **kw: tols.append(kw.get("tol")) or real(*a, **kw))
+        spec = self._write_spec(tmp_path, family={"name": "path", "n": 4}, checks=["alpha-token"],
+                                tolerances={"tol": tol})
+        res = runner.invoke(main, ["sweep", spec, "--csv", str(tmp_path / "rows.csv")])
+        assert res.exit_code == 0 and json.loads(res.stdout)["pass"] == 1
+        assert tols == [tol] and type(tols[0]) is float
+
+    def test_empty_n_range_with_no_draws_is_valid(self, runner, tmp_path):
+        spec = self._write_spec(tmp_path, family={"name": "tree_random", "n": [5, 3], "count": 0})
+        res = runner.invoke(main, ["sweep", spec, "--csv", str(tmp_path / "rows.csv")])
+        assert res.exit_code == 0 and json.loads(res.stdout)["total"] == 0
 
     @pytest.mark.parametrize("name, text", MALFORMED_SPECS, ids=[name for name, _ in MALFORMED_SPECS])
     def test_malformed_spec_exits_2_before_any_cell(self, runner, tmp_path, monkeypatch, name, text):

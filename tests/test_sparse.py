@@ -4,7 +4,10 @@ The private _sparse_token_alpha is called directly with the base graph's
 spectrum, whatever the order, so no option is needed to reach it. Where it
 hands over (returns None), token_alpha answers: those tests patch
 SPARSE_MIN_ORDER to 0, so that every token graph goes through the sparse
-route first. token_alpha's threshold is tested on its own.
+route first, and patch the proof to hand over too, so that the values-only
+solve decides, as it does wherever neither route closes. token_alpha's
+threshold, and the witness keys each route puts in a certificate, are
+tested on their own.
 """
 
 import os
@@ -35,7 +38,13 @@ from token_spectra.spectra import (
     token_spectrum,
 )
 from token_spectra.tokens import CapExceededError, token_graph
-from token_spectra.verify import check_alpha_token_equality, check_pendant_bound
+from token_spectra.verify import (
+    check_alpha_token_equality,
+    check_bipartite_extension,
+    check_cut_clique,
+    check_kite_head_family,
+    check_pendant_bound,
+)
 
 from helpers import family_corpus, random_corpus
 
@@ -67,10 +76,24 @@ def _dense(tg) -> float:
     return fiedler_value(token_spectrum(tg))
 
 
+def _token_alpha(tg, tol: float = 1e-7):
+    """token_alpha with alpha-token's interval, alpha(G) +- tol * max(1, alpha(G))."""
+    base = _base(tg)
+    a = fiedler_value(base.values)
+    return token_alpha(tg, base, a - tol * max(1.0, a), a + tol * max(1.0, a))
+
+
+def _mu(answer) -> float | None:
+    """The sparse route's mu in a route's answer (alpha, fields); None where another route answered."""
+    return answer[1].get("alpha_complement")
+
+
 @pytest.fixture
 def sparse_first(monkeypatch):
-    """Every token graph takes the sparse route in token_alpha, which answers where it hands over."""
+    """Every token graph takes the sparse route in token_alpha; where it hands over, so does the
+    proof, and the values-only solve answers."""
     monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 0)
+    monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: None)
 
 
 def _agrees(tg, value: float) -> bool:
@@ -86,7 +109,8 @@ class TestAgainstDense:
         for g in [*family_corpus(8), *random_corpus(12, n_range=(6, 10), seed=5)]:
             for k in range(1, g.n):
                 tg = token_graph(g, k)
-                value, mu, _ = token_alpha(tg)
+                value, fields = _token_alpha(tg)
+                mu = fields.get("alpha_complement")
                 assert _agrees(tg, value), (g, k)
                 if mu is None:
                     assert _sparse_token_alpha(tg, _base(tg)) is None
@@ -103,29 +127,29 @@ class TestAgainstDense:
         for k in (3, 4, 5):
             tgs = [token_graph(GNP12, j) for j in (k, 12 - k)]
             low, high = (_sparse_token_alpha(tg, _base(tg)) for tg in tgs)
-            assert low[1] is not None and high[1] is not None
-            assert abs(low[0] - high[0]) <= 1e-9 and abs(low[1] - high[1]) <= 1e-8
+            assert _mu(low) is not None and _mu(high) is not None
+            assert abs(low[0] - high[0]) <= 1e-9 and abs(_mu(low) - _mu(high)) <= 1e-8
             assert _agrees(token_graph(GNP12, 12 - k), high[0])
 
     def test_gnp_at_n_1001(self):
         g = random_corpus(1, n_range=(14, 14), seed=2)[0]
         tg = token_graph(g, 4)
-        value, mu, _ = _sparse_token_alpha(tg, _base(tg))
-        assert mu is not None and _agrees(tg, value)
+        value, fields = _sparse_token_alpha(tg, _base(tg))
+        assert fields["alpha_complement"] is not None and _agrees(tg, value)
 
     def test_disconnected_base_gives_zero(self):
         g = Graph(10, [*cycle_graph(5).edges, *((u + 5, v + 5) for u, v in cycle_graph(5).edges)])
         for k in (2, 3, 7):
             tg = token_graph(g, k)
-            value, mu, _ = _sparse_token_alpha(tg, _base(tg))
-            assert value == 0.0 and mu is not None
+            value, fields = _sparse_token_alpha(tg, _base(tg))
+            assert value == 0.0 and fields["alpha_complement"] is not None
 
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 2), (7, 3), (8, 3), (9, 4)])
     def test_complete_graph_falls_back(self, sparse_first, n, k):
         # mu = 2(n - 1) has multiplicity C(n, 2) - n, beyond every block that fits at this order
         tg = token_graph(complete_graph(n), k)
-        value, mu, _ = token_alpha(tg)
-        assert mu is None and _sparse_token_alpha(tg, _base(tg)) is None
+        value, fields = _token_alpha(tg)
+        assert fields == {} and _sparse_token_alpha(tg, _base(tg)) is None
         assert value == _dense(tg)
         assert abs(value - n) <= 1e-9 * n
 
@@ -134,8 +158,8 @@ class TestAgainstDense:
         # converges to one group and no larger block is tried
         sizes = _spy_block_sizes(monkeypatch)
         tg = token_graph(star_graph(8), 4)
-        value, mu, _ = token_alpha(tg)
-        assert sizes == [4] and mu is None
+        value, fields = _token_alpha(tg)
+        assert sizes == [4] and fields == {}
         assert value == _dense(tg)
         assert _sparse_token_alpha(tg, _base(tg)) is None
 
@@ -143,25 +167,25 @@ class TestAgainstDense:
         # the block of 4 is cut short, so its residuals fail and a block of 8 decides
         sizes = _spy_block_sizes(monkeypatch, short={4})
         tg = token_graph(GNP12, 5)
-        value, mu, _ = _sparse_token_alpha(tg, _base(tg))
-        assert sizes == [4, 8] and mu is not None and _agrees(tg, value)
+        value, fields = _sparse_token_alpha(tg, _base(tg))
+        assert sizes == [4, 8] and fields["alpha_complement"] is not None and _agrees(tg, value)
 
     def test_no_convergence_falls_back_to_dense(self, monkeypatch, sparse_first):
         monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)
         tg = token_graph(GNP12, 5)
-        value, mu, _ = token_alpha(tg)
-        assert mu is None and _sparse_token_alpha(tg, _base(tg)) is None
+        value, fields = _token_alpha(tg)
+        assert fields == {} and _sparse_token_alpha(tg, _base(tg)) is None
         assert value == _dense(tg)
 
     def test_fallback_that_does_not_fit_raises(self, monkeypatch, sparse_first):
         tg = token_graph(GNP12, 4)  # N = 495
         dense_need = spectra.VALUES_BYTES_PER_N2 * tg.graph.n ** 2
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", dense_need - 1)
-        assert token_alpha(tg)[1] is not None
+        assert _mu(_token_alpha(tg)) is not None
         monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)
         assert _sparse_token_alpha(tg, _base(tg)) is None
         with pytest.raises(CapExceededError, match="dense Laplacian route at N = 495"):
-            token_alpha(tg)
+            _token_alpha(tg)
 
     def test_memory_estimate_refuses_before_allocating(self, monkeypatch):
         tg = token_graph(GNP12, 4)
@@ -183,17 +207,37 @@ class TestSparseLaplacian:
 
 
 class TestTokenAlpha:
-    def test_dense_below_threshold_is_bitwise(self):
+    def test_dense_below_threshold_is_bitwise(self, monkeypatch):
+        # with the proof handing over, the values-only solve answers, and adds no fields
+        monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: None)
         for g, k in [(GNP12, 4), (path_graph(9), 3), (cycle_graph(8), 4)]:
             tg = token_graph(g, k)
             assert tg.graph.n < spectra.SPARSE_MIN_ORDER
-            assert token_alpha(tg) == (_dense(tg), None, None)
+            assert _token_alpha(tg) == (_dense(tg), {})
 
     def test_sparse_from_threshold(self, monkeypatch):
         tg = token_graph(GNP12, 4)
         monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", tg.graph.n)
-        assert token_alpha(tg) == _sparse_token_alpha(tg, _base(tg))
-        assert token_alpha(tg)[1] is not None
+        assert _token_alpha(tg) == _sparse_token_alpha(tg, _base(tg))
+        assert _mu(_token_alpha(tg)) is not None
+
+    def test_sparse_route_runs_first_from_the_threshold_only(self, monkeypatch):
+        # below SPARSE_MIN_ORDER the proof, then the values-only solve; from it on, LOBPCG before both
+        calls, sparse, proof = [], spectra._sparse_token_alpha, spectra._proved_alpha
+        monkeypatch.setattr(spectra, "_sparse_token_alpha", lambda *args: calls.append("sparse") or sparse(*args))
+        monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: calls.append("proof") or proof(*args))
+        for g, k in [(GNP12, 4), (path_graph(14), 4), (path_graph(15), 4)]:  # N = 495, 1001 and 1365
+            calls.clear()
+            tg = token_graph(g, k)
+            assert tg.graph.n < spectra.SPARSE_MIN_ORDER
+            assert "alpha_complement_lower" in _token_alpha(tg)[1] and calls == ["proof"]
+        # complete:14 with k = 5, N = 2002: mu is degenerate, so LOBPCG hands over to the proof
+        tg = token_graph(complete_graph(14), 5)
+        calls.clear()
+        assert tg.graph.n >= spectra.SPARSE_MIN_ORDER
+        assert "alpha_complement_lower" in _token_alpha(tg)[1] and calls == ["sparse", "proof"]
+        calls.clear()
+        assert _mu(_token_alpha(token_graph(path_graph(16), 4))) is not None and calls == ["sparse"]  # N = 1820
 
     def test_certificates_name_mu_only_from_the_sparse_route(self, monkeypatch):
         g = random_corpus(1, n_range=(10, 10), seed=4)[0]
@@ -201,8 +245,7 @@ class TestTokenAlpha:
         assert "alpha_complement" not in dense.witnesses
         pendant = check_pendant_bound(g, 4)
         assert not any(key.startswith("alpha_complement") for key in pendant.witnesses)
-        monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 100)
-        monkeypatch.setattr(spectra, "PROOF_FIRST_MAX_ORDER", 100)  # the proof follows the sparse route
+        monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 100)  # the proof follows the sparse route
         sparse = check_alpha_token_equality(g, 4)
         assert sparse.verdict == dense.verdict == "pass"
         assert sparse.witnesses["alpha_complement"] > sparse.witnesses["alpha_token"]
@@ -213,6 +256,69 @@ class TestTokenAlpha:
                         "alpha_complement_least"}
         # the sparse route does not certify that mu is least, and the certificate says so
         assert sparse.witnesses["alpha_complement_least"] == "not certified"
+
+
+# the witness keys of each token check, in the order certificates list them, when the proof, LOBPCG
+# or the values-only solve answers for every alpha(F_k) of the check
+KITE = ["h", "head_submatrix_min_eig", "path_lambda2", "identity_exact", "theta_r", "alpha_perturbed",
+        "alpha_token", "k", "added_edges"]
+CUT = ["r", "k", "n", "alpha", "full_join", "bound_alpha_le_r", "alpha_token"]
+PENDANT = ["k", "alpha_token_augmented", "alpha_token_km1", "alpha_token_k", "bound", "pendant_attached_to"]
+ROUTE_KEYS = {
+    "alpha-token": (["k", "alpha_base", "alpha_token", "difference"], []),
+    "kite-head": (KITE, ["bridge_ok"]),
+    "bipartite-ext": (["mode", "k", "expected", "alpha", "alpha_token"], []),
+    "cut-clique": (CUT, []),
+}
+ROUTE_FIELDS = {"proof": ["alpha_complement_lower"], "sparse": ["alpha_complement", "alpha_complement_least"],
+                "values": []}
+ROUTE_CHECKS = {
+    "alpha-token": lambda: check_alpha_token_equality(GNP12, 3),
+    "kite-head": lambda: check_kite_head_family("cycle", 2, 2, h=4, k=2),
+    "bipartite-ext": lambda: check_bipartite_extension(3, 5, "plus_x", k=3, x_edges=[(0, 1)]),
+    "cut-clique": lambda: check_cut_clique(2, [cycle_graph(4), path_graph(3)], k=2),
+    "pendant-bound": lambda: check_pendant_bound(GNP12, 3),
+}
+
+
+class TestRouteFields:
+    """Each route's fields land where the check puts them. The route is forced by letting every token
+    graph reach the sparse route and patching the other two routes to hand over."""
+
+    @pytest.mark.parametrize("route", ["proof", "sparse", "values"])
+    @pytest.mark.parametrize("check", list(ROUTE_CHECKS))
+    def test_keys_in_order(self, monkeypatch, check, route):
+        monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 0)
+        if route != "sparse":
+            monkeypatch.setattr(spectra, "_sparse_token_alpha", lambda *args: None)
+        elif check == "bipartite-ext":
+            # Y's symmetry makes mu degenerate on every bipartite extension, so LOBPCG never closes there;
+            # a route with the sparse route's fields stands in for it
+            monkeypatch.setattr(spectra, "_sparse_token_alpha", lambda tg, base: (
+                fiedler_value(base.values), {"alpha_complement": 9.0, "alpha_complement_least": "not certified"}))
+        if route != "proof":
+            monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: None)
+        cert = ROUTE_CHECKS[check]()
+        assert cert.passed
+        if check == "pendant-bound":  # the three mu of LOBPCG, and none of the proof's bounds
+            mus = ["alpha_complement_augmented", "alpha_complement_km1", "alpha_complement_k", "alpha_complement_least"]
+            assert list(cert.witnesses) == PENDANT + (mus if route == "sparse" else [])
+            return
+        head, tail = ROUTE_KEYS[check]
+        assert list(cert.witnesses) == head + ROUTE_FIELDS[route] + tail
+
+    def test_fallback_bounds_in_order(self):
+        # F_2(C_4) has mu = alpha, so the proof falls back to sigma = lo and adds the interval it proved
+        assert list(check_alpha_token_equality(cycle_graph(4), 2).witnesses)[4:] == [
+            "alpha_complement_lower", "alpha_token_lower", "alpha_token_upper"]
+
+    def test_pendant_bound_keeps_the_mu_of_each_sparse_answer(self):
+        # gnp18.el with k = 4: F_4 of g + pendant (N = 3876) and of g (3060) take the sparse route;
+        # F_3 of g (816) is proved, and the proof's bound is not kept
+        cert = check_pendant_bound(parse_edge_list((DATA / "gnp18.el").read_text()), 4)
+        assert cert.passed and list(cert.witnesses) == PENDANT + [
+            "alpha_complement_augmented", "alpha_complement_k", "alpha_complement_least"]
+        assert cert.witnesses["alpha_complement_least"] == "not certified"
 
 
 def test_package_import_leaves_scipy_out():

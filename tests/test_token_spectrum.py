@@ -10,9 +10,9 @@ nothing. The tests below check both identities, their guards and the
 verdicts they give, against dense eigensolves of L(F_k).
 spectra.token_spectrum reads only eigenvalues of L(F_k), after the same
 check; these tests cross-check its values and the alpha that token_alpha's
-dense paths read from it. Given the interval a check accepts, token_alpha
-proves lambda_2(L(F_k)) = alpha(G) by one Cholesky off range(B)
-(spectra._proved_alpha) before it solves.
+dense paths read from it. token_alpha first proves, within the interval a
+check accepts, lambda_2(L(F_k)) = alpha(G) by one Cholesky off range(B)
+(spectra._proved_alpha), and solves only where the proof does not close.
 """
 
 import os
@@ -62,6 +62,13 @@ def corpus():
 
 def _base(g) -> Spectrum:
     return eig_sym(laplacian(g).astype(float))
+
+
+def _token_alpha(tg: TokenGraph, tol: float = 1e-7) -> tuple[float, dict]:
+    """token_alpha with alpha-token's interval, alpha(G) +- tol * max(1, alpha(G)), from one solve of L(G)."""
+    base = _base(tg.base)
+    a = fiedler_value(base.values)
+    return token_alpha(tg, base, a - tol * max(1.0, a), a + tol * max(1.0, a))
 
 
 def test_values_match_the_full_eigensolver(corpus):
@@ -223,7 +230,12 @@ class TestLiftedCertificate:
 
 
 class TestTokenAlpha:
-    """token_alpha's two dense paths, below SPARSE_MIN_ORDER and on the sparse route's handover."""
+    """token_alpha's two dense paths, below SPARSE_MIN_ORDER and on the sparse route's handover,
+    with the proof handing over too, so that the values-only solve answers."""
+
+    @pytest.fixture(autouse=True)
+    def no_proof(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: None)
 
     @pytest.fixture
     def handover(self, monkeypatch):
@@ -241,14 +253,14 @@ class TestTokenAlpha:
             for k in range(1, g.n):
                 tg = token_graph(g, k)
                 full = eig_sym(laplacian(tg.graph).astype(float)).values
-                value, mu, proved = token_alpha(tg)
-                assert mu is None and proved is None
+                value, fields = _token_alpha(tg)
+                assert fields == {}
                 assert abs(value - algebraic_connectivity(tg.graph)[0]) <= 1e-9 * max(1.0, float(full[-1]))
 
     def test_handover_reads_the_same_bits(self, handover):
         for g, k in [(GNP12, 3), (path_graph(7), 2), (path_graph(7), 3)]:
             tg = token_graph(g, k)
-            assert token_alpha(tg) == (fiedler_value(token_spectrum(tg)), None, None)
+            assert _token_alpha(tg) == (fiedler_value(token_spectrum(tg)), {})
 
     @pytest.mark.parametrize("route", ["dense", "handover"])
     def test_corrupted_lift_raises(self, request, monkeypatch, route):
@@ -259,7 +271,7 @@ class TestTokenAlpha:
         for k in (2, 3):
             tg = token_graph(GNP12, k)
             with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
-                token_alpha(tg)
+                _token_alpha(tg)
 
     @pytest.mark.parametrize("route", ["dense", "handover"])
     def test_no_eigenvectors_of_the_token_laplacian(self, request, monkeypatch, route):
@@ -273,8 +285,8 @@ class TestTokenAlpha:
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
         tg = token_graph(GNP12, 4)
-        assert token_alpha(tg)[0] > 0
-        assert orders == [GNP12.n]  # only L(G), which token_alpha solves for its other routes
+        assert _token_alpha(tg)[0] > 0
+        assert orders == [GNP12.n]  # only L(G), which the caller solves for every route
 
 
 class TestMemoryCharge:
@@ -287,10 +299,12 @@ class TestMemoryCharge:
 
     @pytest.fixture
     def values_only(self, monkeypatch):
-        """token_spectrum's alpha, and token_alpha's dense branch, each from building F_k on."""
+        """token_spectrum's alpha, and token_alpha's dense branch with the proof handing over,
+        each from building F_k on."""
         monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", self.N + 1)
+        monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: None)
         return [lambda: fiedler_value(token_spectrum(token_graph(self.G, self.K))),
-                lambda: token_alpha(token_graph(self.G, self.K))[0]]
+                lambda: _token_alpha(token_graph(self.G, self.K))[0]]
 
     def test_runs_between_the_two_rates(self, monkeypatch, values_only):
         assert spectra.VALUES_BYTES_PER_N2 < 30 < spectra.DENSE_BYTES_PER_N2
@@ -409,12 +423,12 @@ class TestProvedAlpha:
             assert count_roots_in_interval(char_poly(laplacian(g)), 0, sigma) >= 1, g.edges
             for k in range(1, g.n):
                 tg = token_graph(g, k)
-                value, mu, proved = token_alpha(tg, _accept(g), base)
+                value, proved = token_alpha(tg, base, *_accept(g))
                 if "alpha_token_lower" in proved:  # F_2(C_4) alone, where mu = alpha
                     assert (g.n, g.m, k) == (4, 4, 2) and np.bincount(g.edge_array.ravel()).tolist() == [2] * 4
                     fallbacks += 1
                     continue
-                assert mu is None and value == alpha and proved == {"alpha_complement_lower": sigma}, (g.edges, k)
+                assert value == alpha and proved == {"alpha_complement_lower": sigma}, (g.edges, k)
                 assert _complement(tg)[0] > sigma, (g.edges, k)
                 full = np.linalg.eigvalsh(laplacian(tg.graph).astype(float))
                 assert abs(full[1] - value) <= 1e-9 * max(1.0, float(full[-1])), (g.edges, k)
@@ -425,8 +439,8 @@ class TestProvedAlpha:
         tg = token_graph(C4, 2)
         assert _complement(tg)[0] == pytest.approx(2.0, abs=1e-12)
         lo, hi = _accept(C4)
-        value, mu, proved = token_alpha(tg, (lo, hi))
-        assert value == fiedler_value(_base(C4).values) and mu is None
+        value, proved = token_alpha(tg, _base(C4), lo, hi)
+        assert value == fiedler_value(_base(C4).values) and "alpha_complement" not in proved
         assert proved["alpha_complement_lower"] == proved["alpha_token_lower"] == lo
         assert 2.0 < proved["alpha_token_upper"] <= hi
 
@@ -435,7 +449,7 @@ class TestProvedAlpha:
             for k in (1, g.n - 1):
                 tg = token_graph(g, k)
                 assert _complement(tg) == (float("inf"), None)
-                value, _, proved = token_alpha(tg, _accept(g))
+                value, proved = token_alpha(tg, _base(g), *_accept(g))
                 assert value == fiedler_value(_base(g).values) and set(proved) == {"alpha_complement_lower"}
 
     def test_sigma_above_mu_gives_no_proof(self):
@@ -449,13 +463,13 @@ class TestProvedAlpha:
     def test_lower_end_above_lambda_2_falls_back(self):
         # on F_2(C_4), lambda_2 = mu = 2: with lo above it, neither sigma closes
         tg = token_graph(C4, 2)
-        assert token_alpha(tg, (2.0 + 1e-6, 3.0)) == (fiedler_value(token_spectrum(tg)), None, None)
+        assert token_alpha(tg, _base(C4), 2.0 + 1e-6, 3.0) == (fiedler_value(token_spectrum(tg)), {})
 
     def test_upper_end_below_alpha_falls_back(self):
         # hi = alpha(G) lies below sigma, so the fallback sigma = lo would not place alpha(F_k) in [lo, hi]
         tg = token_graph(C4, 2)
         lo, _ = _accept(C4)
-        assert token_alpha(tg, (lo, 2.0))[2] is None
+        assert token_alpha(tg, _base(C4), lo, 2.0)[1] == {}
 
     def test_rump_shift_is_needed(self, monkeypatch):
         # sigma above mu by a few ulps, which a float Cholesky without the shift c still factors
@@ -479,7 +493,7 @@ class TestProvedAlpha:
         for k in (2, 3):
             tg = token_graph(GNP12, k)
             with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
-                token_alpha(_corrupted(tg, tg.graph.edge_array[1:]), _accept(GNP12))
+                token_alpha(_corrupted(tg, tg.graph.edge_array[1:]), _base(GNP12), *_accept(GNP12))
 
     @pytest.mark.parametrize("corrupt", ["reversed rows", "swapped columns"])
     def test_corrupted_lift_raises(self, monkeypatch, corrupt):
@@ -488,7 +502,7 @@ class TestProvedAlpha:
         monkeypatch.setattr(spectra, "lift", lambda n, k: change[corrupt](real(n, k)))
         for k in (2, 3):
             with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
-                token_alpha(token_graph(GNP12, k), _accept(GNP12))
+                token_alpha(token_graph(GNP12, k), _base(GNP12), *_accept(GNP12))
 
     def test_failed_factorization_leaves_alpha_to_the_next_route(self, monkeypatch):
         import scipy.linalg.lapack
@@ -498,13 +512,10 @@ class TestProvedAlpha:
 
         monkeypatch.setattr(np.linalg, "cholesky", fails)
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
-        monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 2000)
         for g, k in [(GNP12, 3), (path_graph(14), 4)]:  # N = 220 on numpy's cholesky, 1001 on dpotrf
             tg = token_graph(g, k)
-            assert token_alpha(tg, _accept(g)) == (fiedler_value(token_spectrum(tg)), None, None)
-        monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 0)  # the sparse route is next
-        tg = token_graph(GNP12, 4)
-        assert token_alpha(tg, _accept(GNP12)) == spectra._sparse_token_alpha(tg, _base(GNP12))
+            assert tg.graph.n < spectra.SPARSE_MIN_ORDER  # so the values-only solve is next
+            assert token_alpha(tg, _base(g), *_accept(g)) == (fiedler_value(token_spectrum(tg)), {})
 
     def test_one_token_matrix(self):
         # A and its factor share one N x N array: no copy for LAPACK, no second factor
@@ -513,7 +524,7 @@ class TestProvedAlpha:
         import scipy.linalg.lapack  # noqa: F401, imported before tracing
         tracemalloc.start()
         try:
-            proved = spectra._proved_alpha(tg, base, *_accept(g))[2]
+            proved = spectra._proved_alpha(tg, base, *_accept(g))[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -549,8 +560,8 @@ class TestProvedAlpha:
     def test_disconnected_graph_reads_zero(self):
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
         for k in range(1, g.n):
-            value, _, proved = token_alpha(token_graph(g, k), _accept(g))
-            assert value == 0.0 and proved is not None
+            value, proved = token_alpha(token_graph(g, k), _base(g), *_accept(g))
+            assert value == 0.0 and "alpha_complement_lower" in proved
             # F_k may have more components than G, so mu = 0, and lo < 0 holds unproved
             assert proved.get("alpha_token_lower", -1.0) < 0 or proved["alpha_complement_lower"] > 0
 
@@ -603,9 +614,9 @@ class TestProvedAlpha:
         tg = token_graph(g, k)
         if rate < spectra.PROOF_BYTES_PER_N2:
             with pytest.raises(CapExceededError, match=f"dense Laplacian route at N = {n}"):
-                token_alpha(tg, _accept(g))
+                token_alpha(tg, _base(g), *_accept(g))
         else:
-            assert set(token_alpha(tg, _accept(g))[2]) == {"alpha_complement_lower"}
+            assert set(token_alpha(tg, _base(g), *_accept(g))[1]) == {"alpha_complement_lower"}
 
 
 def _with_pendant(g: Graph) -> Graph:
@@ -622,7 +633,8 @@ class TestPendantBound:
     @staticmethod
     def _oracle(g: Graph, k: int) -> tuple[float, float, float]:
         # three values-only solves, as pendant-bound made before it passed intervals
-        return tuple(token_alpha(token_graph(x, j))[0] for x, j in ((_with_pendant(g), k), (g, k - 1), (g, k)))
+        return tuple(fiedler_value(token_spectrum(token_graph(x, j)))
+                     for x, j in ((_with_pendant(g), k), (g, k - 1), (g, k)))
 
     def _assert_matches(self, cert, g, k):
         oracle = self._oracle(g, k)

@@ -61,7 +61,7 @@ class TestCertificate:
         # alpha(F_2(P_5)) read 0.5 too high: a fail that no rounding decides
         real = verify.token_alpha
         monkeypatch.setattr(verify, "token_alpha",
-                            lambda tg, accept=None, base=None: (real(tg, accept, base)[0] + 0.5, None, None))
+                            lambda tg, base, lo, hi: (real(tg, base, lo, hi)[0] + 0.5, {}))
         cert = check_alpha_token_equality(path_graph(5), 2)
         assert cert.verdict == FAIL
         assert "difference" in cert.witnesses and "alpha_token" in cert.witnesses
