@@ -66,15 +66,16 @@ class Graph:
         if not 0 <= n < 2**31:  # so that the keys u * n + v below fit in int64
             raise GraphError(f"vertex count must be in [0, 2**31), got {n}")
         edges = _pair_array(self.edge_array)
-        pairs = np.sort(edges.astype(np.int64, copy=False), axis=1)
-        lo, hi = pairs[:, 0], pairs[:, 1]
+        u, v = edges.astype(np.int64, copy=False).T
+        pairs = np.empty((len(edges), 2), dtype=np.int64)
+        lo, hi = np.minimum(u, v, out=pairs[:, 0]), np.maximum(u, v, out=pairs[:, 1])
         bad = (lo == hi) | (lo < 0) | (hi >= n)
         if np.count_nonzero(bad):
             u, v = _first(edges, bad)
             raise GraphError(f"self-loop at vertex {u}" if u == v else f"edge ({u}, {v}) out of range for n={n}")
         key = lo * n + hi
         order = key.argsort(kind="stable")
-        key, pairs = key[order], pairs[order]
+        key, pairs = key[order], pairs.take(order, axis=0)
         dup = key[1:] == key[:-1]
         if np.count_nonzero(dup):
             raise GraphError(f"duplicate edge {_first(pairs, dup)}")

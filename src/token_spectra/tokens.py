@@ -9,7 +9,8 @@ Complementing every subset maps the k-token graph onto the (n-k)-token
 graph and reverses colex order, so the graph is built for j = min(k, n-k)
 in one vectorized pass over the C(n, j) x j subset table: each subset, each
 of its elements a and each base edge (a, b) with b > a outside it give one
-token edge, to the subset with a swapped for b, which has the larger rank.
+token edge, to the subset with a swapped for b, which has the larger rank,
+reached from the source's rank by arithmetic (_rank_moves), with no sort.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .graphs import Graph, GraphError, format_edge_list
 
 DEFAULT_CAP = 200_000
 
-# Peak bytes per candidate row, of which there are |E| * C(n-1, j-1): ru_maxrss
-# less the RSS before token_graph, on paths, cycles and complete graphs with 104k
-# to 1.8M rows and j = 2..10: 62 to 102.
-TOKEN_BYTES_PER_ROW = 112
+# Peak bytes per candidate row, of which there are |E| * C(n-1, j-1): ru_maxrss less the RSS
+# before token_graph, in fresh processes, on paths, cycles and complete graphs with 104k to 1.8M
+# rows and j = 2..10: 51 to 112, the top on paths with j = 2, 3, whose (n, j) tables outweigh the rows.
+TOKEN_BYTES_PER_ROW = 120
 # None where os.sysconf is missing (Windows): the estimates go unchecked there
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else None
 
@@ -58,8 +59,8 @@ class TokenGraph:
         return format_edge_list(self.graph, header=header)
 
 
-# choose_table and _colex_subsets are memoized, as read-only arrays: a sweep builds
-# many token graphs of a few (n, j), and their fixed numpy overhead dominated there
+# choose_table, _colex_subsets and _rank_moves are memoized, as read-only arrays: a
+# sweep builds many token graphs of a few (n, j), and their fixed numpy overhead dominated there
 @lru_cache(maxsize=32)
 def choose_table(n: int, j: int) -> np.ndarray:
     """choose[m, i] = C(m, i) for m <= n, i <= j, so the colex rank of a row s is choose[s, 1..j].sum().
@@ -79,12 +80,27 @@ def _colex_subsets(n: int, j: int) -> np.ndarray:
     """The C(n, j) x j table of j-subsets of range(n), each sorted, rows in colex order.
 
     Colex order is lexicographic order on the subsets written in descending
-    order, read backwards; so no sort is needed.
+    order, read backwards; so no sort is needed. Stored by column, as _token_edges reads it.
     """
     flat = chain.from_iterable(combinations(range(n - 1, -1, -1), j))
-    table = np.fromiter(flat, dtype=np.int64, count=comb(n, j) * j).reshape(-1, j)[::-1, ::-1]
+    table = np.asfortranarray(np.fromiter(flat, dtype=np.int64, count=comb(n, j) * j).reshape(-1, j)[::-1, ::-1])
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=32)
+def _rank_moves(n: int, j: int) -> np.ndarray:
+    """The 2j x C(n, j) table that ranks each move s_p -> b > s_p in a row r of _colex_subsets(n, j).
+
+    If b is not in the row and q of its elements lie below b, the moved row has rank
+    moves[p, r] + moves[j - 1 + q, r] + C(b, q): r - C(s_p, p + 1) + C(b, q), plus D[q - 1] - D[p] for
+    the elements in between, each one place lower, where D[t] sums C(s_i, i) - C(s_i, i + 1) over i <= t.
+    """
+    subsets, choose, place = _colex_subsets(n, j).T, choose_table(n, j), np.arange(j)[:, None]
+    prefix = np.cumsum(choose[subsets, place] - choose[subsets, place + 1], axis=0)
+    moves = np.concatenate((np.arange(subsets.shape[1]) - choose[subsets, place + 1] - prefix, prefix))
+    moves.flags.writeable = False
+    return moves
 
 
 def lift(n: int, k: int) -> np.ndarray:
@@ -111,37 +127,36 @@ def token_order(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
 
 def _token_edges(g: Graph, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Colex ranks (source, target), source < target, of the j-token graph's edges."""
-    n = g.n
-    subsets = _colex_subsets(n, j)
-    choose = choose_table(n, j)
-    # base edges are sorted pairs (a, b) with a < b, so the neighbours of a
-    # above a are head[first[a]:first[a + 1]]
-    tail, head = g.edge_array.T
-    first = np.searchsorted(tail, np.arange(n + 1))
-    a = subsets.ravel()
-    deg = first[a + 1] - first[a]
-    # one candidate row per (subset, position of a in it, neighbour b of a above a)
-    source, pos = np.divmod(np.repeat(np.arange(a.size), deg), j)
-    b = head[np.arange(deg.sum()) + np.repeat(first[a] - (np.cumsum(deg) - deg), deg)]
-    # b must lie outside the source subset; tested, and the rank summed, one
-    # column at a time, so that only the rows kept are ever gathered whole
-    free = np.ones(b.size, dtype=bool)
-    for column in subsets.T:
-        free &= column[source] != b
-    source, pos, b = source[free], pos[free], b[free]
-    rows = subsets[source]
-    rows[np.arange(b.size), pos] = b
-    rows.sort(axis=1)
-    target = choose[rows[:, 0], 1]
-    for i in range(1, j):
-        target += choose[rows[:, i], i + 1]
-    return source, target
+    subsets, moves, choose = _colex_subsets(g.n, j), _rank_moves(g.n, j), choose_table(g.n, j)
+    size = len(subsets)
+    # base edges are sorted pairs (a, b), a < b: the neighbours of a above a are head[first[a]:first[a + 1]]
+    head = g.edge_array[:, 1]
+    first = g.edge_array[:, 0].searchsorted(np.arange(g.n + 1))
+    a = subsets.T.ravel()  # entry p * size + r is s_p of row r
+    deg = (first[1:] - first[:-1])[a]
+    # one candidate move per (p, r, neighbour b of s_p above it), in order of p
+    move = np.arange(a.size).repeat(deg)
+    b = head[np.arange(move.size) + (first[a + 1] - deg.cumsum()).repeat(deg)]
+    del deg  # as column below: both go before the filter, where the peak is
+    source = move - move // size * size
+    # b must lie outside the row, and q = j less its elements above b, all past s_p: column t reads moves with p < t
+    free, q = np.ones(b.size, dtype=bool), np.full(b.size, j)
+    for t, end in zip(range(1, j), move.searchsorted(np.arange(size, a.size, size))):
+        column = subsets[:, t][source[:end]]
+        free[:end] &= column != b[:end]
+        q[:end] -= column > b[:end]
+        del column
+    keep = free.nonzero()[0]
+    source, move = source[keep], move[keep]
+    b, q = b[keep], q[keep]
+    return source, moves.take(move) + moves.take((j - 1 + q) * size + source) + choose.take(b * (j + 1) + q)
 
 
 def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     """Build the k-token graph of g.
 
-    Work and memory are O(j * |E| * C(n-1, j-1)), under 2j per token edge.
+    There are |E| * C(n-1, j-1) candidate rows, under 2 per token edge; each costs O(j) work
+    and O(1) memory, on top of the (n, j) tables, O(j * C(n, j)), which the rank reads.
     Raises CapExceededError past the vertex cap or the physical memory.
     """
     n = g.n
@@ -150,9 +165,8 @@ def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     require_memory(TOKEN_BYTES_PER_ROW * g.m * comb(n - 1, j - 1), f"the {k}-token graph of {n} vertices")
     edges = np.column_stack(_token_edges(g, j))
     if j < k:  # complementing reverses colex order; Graph orients each edge
-        edges = size - 1 - edges
+        np.subtract(size - 1, edges, out=edges)
     tg = Graph(size, edges)
-    expected = g.m * comb(g.n - 2, k - 1)
-    if tg.m != expected:
+    if tg.m != (expected := g.m * comb(g.n - 2, k - 1)):
         raise AssertionError(f"token edge count {tg.m} != |E|*C(n-2,k-1) = {expected}")
     return TokenGraph(base=g, k=k, graph=tg)

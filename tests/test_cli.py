@@ -533,7 +533,7 @@ class TestMemoryGuard:
     """With physical memory taken as 1 MB, the dense route with eigenvectors
     refuses N >= 151 (44 bytes per N^2), the values-only routes of alpha-token,
     interlacing, theta-table and kite-iff N >= 236 (18 bytes per N^2), token_graph
-    refuses 8929 candidate rows or more, and
+    refuses 8334 candidate rows or more, and
     the exact route refuses any token graph: its token-edge scatter alone is
     estimated at 1.5 MB."""
 
@@ -547,7 +547,7 @@ class TestMemoryGuard:
         (["spectrum", "path:200"],
          "error: the dense Laplacian route at N = 200 needs about 0.00164 GiB, physical memory is 0.000931 GiB\n"),
         (["construct", "token", "--graph", "complete:16", "-k", "3"],
-         "error: the 3-token graph of 16 vertices needs about 0.00131 GiB, physical memory is 0.000931 GiB\n"),
+         "error: the 3-token graph of 16 vertices needs about 0.00141 GiB, physical memory is 0.000931 GiB\n"),
         (["construct", "token", "--graph", "path:30", "-k", "8", "--cap", "100"],
          "error: token graph would have 5852925 vertices, cap is 100\n"),
         (["verify", "containment", "--graph", "path:6", "-k", "3", "--exact"],
@@ -561,7 +561,7 @@ class TestMemoryGuard:
     def test_below_the_estimate_runs(self, runner):
         assert runner.invoke(main, ["verify", "alpha-token", "--graph", "path:17", "-k", "2"]).exit_code == 0
         assert runner.invoke(main, ["construct", "token", "--graph", "complete:11", "-k", "3"]).exit_code == 0
-        # 7098 candidate rows at 112 bytes each, under 1 MB
+        # 7098 candidate rows at 120 bytes each, under 1 MB
         assert runner.invoke(main, ["construct", "token", "--graph", "complete:14", "-k", "3"]).exit_code == 0
 
     def test_interlacing_is_charged_the_values_only_rate(self, runner):

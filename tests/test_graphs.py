@@ -137,18 +137,28 @@ class TestGraphType:
     @given(st.integers(1, 8), st.data())
     @settings(max_examples=200, deadline=None)
     def test_canonical_array_matches_reference(self, n, data):
-        pairs = data.draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=10))
-        try:
-            expected = reference_canonical_edges(n, pairs)
-        except GraphError:
-            for given_edges in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
-                with pytest.raises(GraphError):
+        # shuffled, flipped, as a list or as an array: one read-only int64 array, or the reference's
+        # error on that same input, which names the first bad edge given or the least duplicate
+        pairs = data.draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=12))
+        order = data.draw(st.permutations(range(len(pairs))))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        moved = [(v, u) if flip else (u, v) for (u, v), flip in zip((pairs[i] for i in order), flips)]
+        forms = [pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2), moved, tuple(moved),
+                 np.array(moved, dtype=np.int64).reshape(-1, 2), np.array(moved, dtype=np.int32).reshape(-1, 2)]
+        arrays = []
+        for given_edges in forms:
+            try:
+                expected = reference_canonical_edges(n, [(int(u), int(v)) for u, v in given_edges])
+            except GraphError as exc:
+                with pytest.raises(GraphError, match=f"^{re.escape(str(exc))}$"):
                     Graph(n, given_edges)
-            return
-        for given_edges in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+                continue
             g = Graph(n, given_edges)
             assert g.edges == expected
             assert g.edge_array.tolist() == [list(e) for e in expected]
+            assert g.edge_array.dtype == np.int64 and not g.edge_array.flags.writeable
+            arrays.append(g.edge_array)
+        assert all(np.array_equal(arrays[0], other) for other in arrays)
 
     @given(st.integers(0, 9), st.data())
     @settings(max_examples=100, deadline=None)

@@ -472,9 +472,11 @@ class TestProvedAlpha:
         assert token_alpha(tg, _base(C4), lo, 2.0)[1] == {}
 
     def test_rump_shift_is_needed(self, monkeypatch):
-        # sigma above mu by a few ulps, which a float Cholesky without the shift c still factors
+        # sigma above mu by a few ulps, which a float Cholesky without the shift c still factors;
+        # path:11 with k = 4 gives such a sigma only when dpotrf runs threaded, path:12 with k = 3
+        # (numpy's Cholesky) and k = 4 (dpotrf) give one with 1 or 2 BLAS threads
         found = 0
-        for g, k in [(path_graph(10), 3), (path_graph(11), 4), (GNP12, 3)]:
+        for g, k in [(path_graph(10), 3), (path_graph(11), 4), (GNP12, 3), (path_graph(12), 3), (path_graph(12), 4)]:
             tg = token_graph(g, k)
             b, degree = _proof_inputs(tg)
             rq = _exact_complement_rayleigh(tg)

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from token_spectra import tokens
-from token_spectra.graphs import Graph, GraphError, add_edges, complete_graph, path_graph
+from token_spectra.graphs import (
+    Graph,
+    GraphError,
+    add_edges,
+    complete_graph,
+    parse_edge_list,
+    path_graph,
+    random_connected_gnp,
+)
 from token_spectra.spectra import algebraic_connectivity, laplacian
 from token_spectra.tokens import CapExceededError, token_graph
 
@@ -23,6 +32,23 @@ from helpers import (
     random_corpus,
     reference_token_edges,
 )
+
+DATA = Path(__file__).parent / "data"
+
+# fingerprint() of token_graph(G, k).graph, taken from the builder that wrote each
+# target subset out and sorted it; the arithmetic ranks must give the same bytes
+PINNED_TOKEN_FINGERPRINTS = {
+    ("gnp12.el", 2): "248182eb1ffc705a015e2be94de6c6e939e1453ea9ca7bcf28a80cb7a1330a8e",
+    ("gnp12.el", 3): "8f2389f29f81cec2b1c0385191048395479feb878f2a0df21750d7e47026ea69",
+    ("gnp12.el", 4): "09a3ca3734e428feaa588da2e032a31be8f45b2c99549c20f04c6ae6a2b85f42",
+    ("gnp12.el", 5): "1ceba86e8787099b8f9775cbf12853c7be38f5c9b8f258842181d5014fbdb628",
+    ("gnp12.el", 6): "863614e3af70f932ddbfd974079015207dc2b15c7eb7a40f7a30622807220364",
+    ("gnp12.el", 7): "563b606d609e8c33c1ac648378fd3669d2d37e80615a5fa2bdbd4934e411932a",
+    ("gnp12.el", 8): "c3674f67bf91e7580315077bb356f84c7efd7c2cb8ab5dd250ccd2b700612908",
+    ("gnp12.el", 9): "ffb8ccb9cc03a1470e50e0a43fd355007b764b6630aabe020b3fcd7514a5bb64",
+    ("gnp12.el", 10): "ad6adaff56664a6745a93bdf53715c12b022037de04acce0347e40627f7eb08a",
+    ("gnp18.el", 4): "df26df164806d335e83e2ba0abd2f83163ae8fa5703e59f2bdbd790c4e65d86d",
+}
 
 
 class TestSubsetCodec:
@@ -136,6 +162,34 @@ class TestTokenGraph:
         assert "edges" not in vars(tg.graph) and not tg.graph.edge_array.flags.writeable
         assert tg.graph.edges == reference_token_edges(path_graph(8), k)
 
+    @pytest.mark.parametrize("name,k", list(PINNED_TOKEN_FINGERPRINTS))
+    def test_fingerprints_pinned(self, name, k):
+        g = parse_edge_list((DATA / name).read_text())
+        assert token_graph(g, k).graph.fingerprint() == PINNED_TOKEN_FINGERPRINTS[name, k]
+
+    def test_rank_moves_are_memoized_read_only(self):
+        first = tokens._rank_moves(9, 4)
+        assert tokens._rank_moves(9, 4) is first and tokens._rank_moves(9, 3) is not first
+        assert first.shape == (8, comb(9, 4))
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = first[0, 0]
+        # a token graph built from the memoized table equals one built on a fresh call
+        g = random_connected_gnp(9, 0.5, random.Random(9))
+        memoized = token_graph(g, 4).graph
+        tokens._rank_moves.cache_clear()
+        assert token_graph(g, 4).graph == memoized
+
+    @pytest.mark.parametrize("n,j", [(2, 1), (5, 1), (6, 2), (7, 3), (8, 4), (9, 4)])
+    def test_rank_moves_rank_every_move(self, n, j):
+        # every move s_p -> b with b > s_p outside the row, against the codec's rank of the moved subset
+        codec, moves, choose = SubsetCodec(n, j), tokens._rank_moves(n, j), tokens.choose_table(n, j)
+        for r, row in enumerate(tokens._colex_subsets(n, j).tolist()):
+            assert codec.rank(tuple(row)) == r
+            for p, b in ((p, b) for p in range(j) for b in range(row[p] + 1, n) if b not in row):
+                q = sum(s < b for s in row)
+                moved = tuple(sorted(row[:p] + row[p + 1:] + [b]))
+                assert moves[p, r] + moves[j - 1 + q, r] + choose[b, q] == codec.rank(moved)
+
     def test_serialization_header(self, y_tree):
         text = token_graph(y_tree, 2).to_edge_list_text()
         assert text.splitlines()[0] == "# token base_n=5 k=2 codec=colex"
@@ -149,8 +203,10 @@ class TestMatchesReferenceLoop:
             lambda: family_corpus(8),
             lambda: random_corpus(10, n_range=(4, 8), seed=8),
             lambda: [g for n in range(2, 7) for g in connected_class_representatives(n)],
+            # j = min(k, n - k) reaches 5 on both sides of n/2
+            lambda: [random_connected_gnp(n, 0.5, random.Random(n)) for n in (9, 10, 11)],
         ],
-        ids=["families", "random", "connected-classes"],
+        ids=["families", "random", "connected-classes", "gnp-9-to-11"],
     )
     def test_edges_equal_per_edge_loop(self, corpus):
         for g in corpus():
