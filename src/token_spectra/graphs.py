@@ -372,12 +372,10 @@ def build_bipartite_extension(
 
 def format_edge_list(g: Graph, header: str | None = None) -> str:
     """Serialize as "n m" then one "u v" line per edge, LF-terminated."""
-    lines = []
-    if header is not None:
-        for h in header.splitlines():
-            lines.append(f"# {h}" if not h.startswith("#") else h)
+    lines = [h if h.startswith("#") else f"# {h}" for h in (header or "").splitlines()]
     lines.append(f"{g.n} {g.m}")
-    lines.extend(f"{u} {v}" for u, v in g.edge_array.tolist())
+    for start in range(0, g.m, 1 << 16):  # a chunk of edges at a time is held as Python strings
+        lines.append("\n".join(f"{u} {v}" for u, v in g.edge_array[start:start + (1 << 16)].tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -1,8 +1,8 @@
 """Dense Laplacian spectra with explicit eigenspace grouping, a sparse
 route to the algebraic connectivity of large token graphs, an exact check
 of the identity L(F_k) B = B L(G) with the dense or the CSR Laplacian of
-F_k, which float containment and every token route rely on and the routes
-then use, and a proof, by one Cholesky, that alpha(F_k) = alpha(G).
+F_k, which float containment relies on and token_alpha makes once for all
+its routes, and a proof, by one Cholesky, that alpha(F_k) = alpha(G).
 
 The dense eigensolver is LAPACK's symmetric solver reached through
 numpy; this module adds the contracts the verification layer depends on:
@@ -47,8 +47,8 @@ class NumericalError(RuntimeError):
 # algebraic_connectivity on 5-token graphs of paths, N = 2002..4368: 41.7 to 42.1.
 # The peak is inside eigh, with the float matrix, its eigenvectors and LAPACK's work.
 DENSE_BYTES_PER_N2 = 44
-# Peak bytes per N^2 of token_spectrum, measured the same way on 5-token graphs of
-# paths, N = 2002 and 4368: 16.1 and 16.1. It holds the float Laplacian and
+# Peak bytes per N^2 of token_alpha's values-only solve, measured the same way on 5-token graphs
+# of paths, N = 2002 and 4368: 16.1 and 16.1. It holds the float Laplacian and
 # eigvalsh's copy of it; the CSR or int64 matrix it was made from is freed before.
 # laplacian_values, the solve of checks that read no eigenvector, holds the same: interlacing's
 # two solves on paths read 16.3 and 16.2 at N = 3000 and 4000 (24.0, one block more, at 2000).
@@ -88,7 +88,7 @@ SPARSE_MAXITER = 500
 # Peak bytes of the sparse route, by tracemalloc on token graphs of G(16, 0.5)
 # and paths, N = 1001..18564: about 26 per Laplacian nonzero, and 113 per row
 # for each column of the LOBPCG block at every block size; the dense lift,
-# 8 per row for each base vertex, is counted at the block's rate.
+# 8 per row for each base vertex, is counted at the block's rate. Each block is charged as it is tried.
 SPARSE_BYTES_PER_NONZERO = 32
 SPARSE_BYTES_PER_ROW_COLUMN = 120
 
@@ -233,26 +233,35 @@ def sparse_laplacian(g: Graph):
     return csr_array((data, (np.concatenate((u, v, diag)), np.concatenate((v, u, diag)))), shape=(g.n, g.n))
 
 
-def token_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float) -> tuple[float, dict]:
-    """Algebraic connectivity of tg's token graph, as (alpha, fields), from base = eig_sym(L(G)) and
-    the interval [lo, hi] that the caller's check accepts; fields are the witnesses the route adds.
+def token_alpha(tg: TokenGraph, values: np.ndarray, lo: float, hi: float) -> tuple[float, dict]:
+    """Algebraic connectivity of tg's token graph, as (alpha, fields), from values = eig_sym(L(G)).values
+    and the interval [lo, hi] that the caller's check accepts; fields are the witnesses the route adds.
 
-    Below SPARSE_MIN_ORDER token vertices, _proved_alpha runs, then the
-    values-only solve (fiedler_value of token_spectrum); from there on,
-    _sparse_token_alpha runs before both. Each of the first two answers or
-    hands over (None). The proof adds its bounds, LOBPCG its mu, and the
-    values-only solve nothing.
+    checked_lift checks L(F_k) B = B L(G) once, and every route works with
+    that B and L(F_k). Below SPARSE_MIN_ORDER token vertices, _proved_alpha
+    runs, then the values-only solve; from there on, _sparse_token_alpha
+    runs before both. Each of the first two answers or hands over (None).
+    The proof adds its bounds, LOBPCG its mu, and the values-only solve
+    nothing; it frees B and the int64 or CSR L(F_k) before its solve.
     """
-    answer = tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, base)
-    return answer or _proved_alpha(tg, base, lo, hi) or (fiedler_value(token_spectrum(tg)), {})
+    b, lap = checked_lift(tg)
+    answer = tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, values, b, lap)
+    answer = answer or _proved_alpha(tg, values, b, lap, lo, hi)
+    if answer:
+        return answer
+    require_memory(VALUES_BYTES_PER_N2 * tg.graph.n ** 2, f"the dense Laplacian route at N = {tg.graph.n}")
+    del b
+    lap = lap.astype(float) if isinstance(lap, np.ndarray) else lap.toarray()  # frees the int64 or CSR matrix
+    return fiedler_value(eigenvalues(lap)), {}
 
 
-def _proved_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float) -> tuple[float, dict] | None:
+def _proved_alpha(tg: TokenGraph, values: np.ndarray, b: np.ndarray, lap, lo: float,
+                  hi: float) -> tuple[float, dict] | None:
     """(alpha(G), fields) once one Cholesky pins lambda_2(L(F_k)) down, else None.
 
-    L(F_k) B = B L(G) is checked exactly (checked_lift), else NumericalError,
-    and F_k's degrees are read off the L(F_k) it checked. So lambda_2(L(F_k))
-    = min(alpha(G), mu), mu the least eigenvalue off range(B). upper = alpha
+    b and lap are the B and L(F_k) of which checked_lift has shown L(F_k) B =
+    B L(G), and F_k's degrees are read off lap. So lambda_2(L(F_k)) =
+    min(alpha(G), mu), mu the least eigenvalue off range(B). upper = alpha
     + 10 rho exceeds the true alpha(G) (module docstring). If mu > upper is
     proved, lambda_2 = alpha(G) and fields = {alpha_complement_lower: upper}.
     Otherwise (F_2(C_4) has mu = alpha), if upper <= hi, mu > lo (free for lo
@@ -261,15 +270,14 @@ def _proved_alpha(tg: TokenGraph, base: Spectrum, lo: float, hi: float) -> tuple
     closes or the proof does not fit in memory.
     """
     g = tg.graph
+    rate = PROOF_BYTES_PER_N2 if g.n >= SCIPY_MIN_ORDER else NUMPY_PROOF_BYTES_PER_N2
     try:  # a proof that does not fit in memory leaves alpha to the next route
-        rate = PROOF_BYTES_PER_N2 if g.n >= SCIPY_MIN_ORDER else NUMPY_PROOF_BYTES_PER_N2
         require_memory(rate * g.n * g.n, f"the proof at N = {g.n}")
-        b, lap = checked_lift(tg)
     except CapExceededError:
         return None
     degree = lap.diagonal()
-    alpha = fiedler_value(base.values)
-    upper = float(np.nextafter(alpha + 10 * DEFAULT_RESID_TOL * max(1.0, float(np.abs(base.values).max())), np.inf))
+    alpha = fiedler_value(values)
+    upper = float(np.nextafter(alpha + 10 * DEFAULT_RESID_TOL * max(1.0, float(np.abs(values).max())), np.inf))
     if _complement_exceeds(tg, b, degree, upper):
         return alpha, {"alpha_complement_lower": upper}
     if lo < upper <= hi and (lo < 0 or _complement_exceeds(tg, b, degree, lo)):
@@ -336,21 +344,13 @@ def _dpotrf_in_place(a: np.ndarray) -> int:
         blas.scipy_openblas_set_num_threads(threads)
 
 
-def token_spectrum(tg: TokenGraph) -> np.ndarray:
-    """Ascending eigenvalues of L(F_k) from one values-only solve of the Laplacian with which
-    checked_lift has shown L(F_k) B = B L(G), so that tg.graph is the k-token graph of tg.base."""
-    require_memory(VALUES_BYTES_PER_N2 * tg.graph.n ** 2, f"the dense Laplacian route at N = {tg.graph.n}")
-    lap = checked_lift(tg)[1]
-    lap = lap.astype(float) if isinstance(lap, np.ndarray) else lap.toarray()  # frees the int64 or CSR matrix
-    return eigenvalues(lap)
-
-
 def checked_lift(tg: TokenGraph):
     """(B, L(F_k)), B = lift(n, k), once L(F_k) B = B L(G) is checked exactly with that L(F_k).
 
     L(F_k) is the dense int64 laplacian below SCIPY_MIN_ORDER and
     sparse_laplacian from there on, where L(F_k) B takes O(|E(F_k)| n) with
-    no N x N matrix; callers use the operator checked. Every entry of both
+    no N x N matrix; float containment and token_alpha, which hands both to its
+    routes, are its callers. Every entry of both
     sides is a small integer, exact in float64, so the identity holds exactly
     or not at all: NumericalError where it does not. CapExceededError, before
     the lift is allocated, where the check does not fit in memory.
@@ -368,14 +368,14 @@ def checked_lift(tg: TokenGraph):
     return b, lap
 
 
-def _sparse_token_alpha(tg: TokenGraph, base: Spectrum) -> tuple[float, dict] | None:
+def _sparse_token_alpha(tg: TokenGraph, values: np.ndarray, y: np.ndarray, lap) -> tuple[float, dict] | None:
     """(alpha(F_k), fields) with alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue of
-    L(F_k) on range(B)^perp, from base = eig_sym(L(G)); None where it hands over.
+    L(F_k) on range(B)^perp, from values = eig_sym(L(G)).values; None where it hands over.
 
-    B is the lift of G's vertices to k-subsets, and checked_lift shows L(F_k)
-    B = B L(G) exactly, else NumericalError. With B of full column rank,
-    range(B) carries the spectrum of L(G) and its orthogonal complement the
-    rest. LOBPCG, on the checked L(F_k) and constrained to that complement by
+    y and lap are the lift B of G's vertices to k-subsets and the L(F_k) of
+    which checked_lift has shown L(F_k) B = B L(G) exactly. With B of full
+    column rank, range(B) carries the spectrum of L(G) and its orthogonal
+    complement the rest. LOBPCG, on lap and constrained to that complement by
     Y = B, finds mu from a fixed-seed block with a Jacobi preconditioner.
 
     A block is accepted when every Ritz residual is at most
@@ -388,8 +388,8 @@ def _sparse_token_alpha(tg: TokenGraph, base: Spectrum) -> tuple[float, dict] | 
     one group shows that mu has at least that multiplicity; no block size is
     known to close it, so this route returns None and token_alpha's next
     route decides, as it does when no block is accepted or the next is too
-    large for LOBPCG at this order. CapExceededError is raised, before any
-    allocation of order N, when this route does not fit in memory.
+    large for LOBPCG at this order. CapExceededError is raised, before a
+    block is allocated, when that block does not fit in memory.
 
     Unlike the proof, this route does not certify that mu is the least
     eigenvalue off range(B): LOBPCG could settle on a higher cluster, which
@@ -403,11 +403,7 @@ def _sparse_token_alpha(tg: TokenGraph, base: Spectrum) -> tuple[float, dict] | 
 
     g, n = tg.graph, tg.base.n
     order = g.n
-    require_memory(SPARSE_BYTES_PER_NONZERO * (2 * g.m + order)
-                   + SPARSE_BYTES_PER_ROW_COLUMN * order * (SPARSE_BLOCKS[-1] + n),
-                   f"the sparse route at N = {order}")
-    a_base = fiedler_value(base.values)
-    y, lap = checked_lift(tg)
+    a_base = fiedler_value(values)
     degree = lap.diagonal()
     jacobi = diags_array(1.0 / np.maximum(degree, 1.0))
     scale = max(1.0, float(degree.max()) + 1.0)  # Grone-Merris: Delta + 1 <= lambda_max
@@ -418,6 +414,8 @@ def _sparse_token_alpha(tg: TokenGraph, base: Spectrum) -> tuple[float, dict] | 
         for size in SPARSE_BLOCKS:
             if order - n < 5 * size:  # lobpcg takes no constraints on smaller problems
                 break
+            require_memory(SPARSE_BYTES_PER_NONZERO * (2 * g.m + order)
+                           + SPARSE_BYTES_PER_ROW_COLUMN * order * (size + n), f"the sparse route at N = {order}")
             try:
                 vals, vecs = lobpcg(lap, rng.standard_normal((order, size)), M=jacobi, Y=y,
                                     tol=bound / 2, maxiter=SPARSE_MAXITER, largest=False)

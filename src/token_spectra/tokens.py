@@ -31,6 +31,9 @@ DEFAULT_CAP = 200_000
 # before token_graph, in fresh processes, on paths, cycles and complete graphs with 104k to 1.8M
 # rows and j = 2..10: 51 to 112, the top on paths with j = 2, 3, whose (n, j) tables outweigh the rows.
 TOKEN_BYTES_PER_ROW = 120
+# Peak bytes per entry of the C(n, j) x j tables (_colex_subsets, _rank_moves), measured the same way on
+# one base edge, which makes few rows, n = 14..1000, j = 2..11, 1.2 to 361 MiB: 49 to 61.4.
+TOKEN_BYTES_PER_TABLE_ENTRY = 64
 # None where os.sysconf is missing (Windows): the estimates go unchecked there
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else None
 
@@ -156,13 +159,14 @@ def token_graph(g: Graph, k: int, cap: int = DEFAULT_CAP) -> TokenGraph:
     """Build the k-token graph of g.
 
     There are |E| * C(n-1, j-1) candidate rows, under 2 per token edge; each costs O(j) work
-    and O(1) memory, on top of the (n, j) tables, O(j * C(n, j)), which the rank reads.
-    Raises CapExceededError past the vertex cap or the physical memory.
+    and O(1) memory, on top of the (n, j) tables, O(j * C(n, j)), which the rank reads. The
+    larger of the two is charged. Raises CapExceededError past the vertex cap or the physical memory.
     """
     n = g.n
     size = token_order(n, k, cap)
     j = min(k, n - k)
-    require_memory(TOKEN_BYTES_PER_ROW * g.m * comb(n - 1, j - 1), f"the {k}-token graph of {n} vertices")
+    require_memory(max(TOKEN_BYTES_PER_ROW * g.m * comb(n - 1, j - 1), TOKEN_BYTES_PER_TABLE_ENTRY * size * j),
+                   f"the {k}-token graph of {n} vertices")
     edges = np.column_stack(_token_edges(g, j))
     if j < k:  # complementing reverses colex order; Graph orients each edge
         np.subtract(size - 1, edges, out=edges)

@@ -112,15 +112,15 @@ def _pair_witness(u: int, v: int) -> dict:
 
 
 def _token_alpha(g: Graph, k: int, cap: int, tol: float, target: float | None = None,
-                 base: Spectrum | None = None) -> tuple[float, float, dict]:
-    """(alpha(G), *token_alpha(F_k(G), base, target +- tol * max(1, |target|))), base the one
-    eigensolve of L(G), made here unless given; target is alpha(G) unless given."""
+                 values: np.ndarray | None = None) -> tuple[float, float, dict]:
+    """(alpha(G), *token_alpha(F_k(G), values, target +- tol * max(1, |target|))), values the
+    eigenvalues of the one eigensolve of L(G), made here unless given; target is alpha(G) unless given."""
     tg = token_graph(g, k, cap=cap)
-    base = base or eig_sym(laplacian(g).astype(float))
-    a = fiedler_value(base.values)
+    values = eig_sym(laplacian(g).astype(float)).values if values is None else values
+    a = fiedler_value(values)
     target = a if target is None else target
     half = tol * max(1.0, abs(target))
-    return (a, *token_alpha(tg, base, target - half, target + half))
+    return (a, *token_alpha(tg, values, target - half, target + half))
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +264,13 @@ def check_pendant_bound(
     t0 = time.perf_counter()
     token_order(n_aug, k, cap)  # the largest of the three token graphs, refused before any solve
     h = Graph(n_aug, g.edges + ((0, g.n),))
-    base = eig_sym(laplacian(g).astype(float))
+    values = eig_sym(laplacian(g).astype(float)).values
     _, a_h, fields_h = _token_alpha(h, k, cap, tol)
     if k == 2:
-        a_km1, fields_km1 = fiedler_value(base.values), {}
+        a_km1, fields_km1 = fiedler_value(values), {}
     else:
-        _, a_km1, fields_km1 = _token_alpha(g, k - 1, cap, tol, base=base)
-    _, a_k, fields_k = _token_alpha(g, k, cap, tol, base=base)
+        _, a_km1, fields_km1 = _token_alpha(g, k - 1, cap, tol, values=values)
+    _, a_k, fields_k = _token_alpha(g, k, cap, tol, values=values)
     bound = min(a_km1 + 1.0, a_k + 1.0)
     ok = a_h <= bound + tol * max(1.0, bound)
     witnesses = {

@@ -256,8 +256,8 @@ class TestVerify:
         assert res.stderr.count("\n") == 1 and "Traceback" not in res.output
 
     def test_corrupted_lift_in_sparse_alpha_token_prints_one_error_line(self, runner, monkeypatch):
-        # N = 3060 >= SPARSE_MIN_ORDER, so the sparse route runs first and checks the identity
-        # itself: the proof is never reached
+        # N = 3060 >= SPARSE_MIN_ORDER: token_alpha checks the identity once, before the sparse
+        # route, so the proof is never reached
         real, proofs = tokens.lift, []
         monkeypatch.setattr(spectra, "lift", lambda n, k: real(n, k)[::-1])
         monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: proofs.append(args))
@@ -321,6 +321,21 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "alpha-token", "--graph", "path:5", "-k", "2"])
         assert res.exit_code == 1
         assert json.loads(res.output)["verdict"] == "fail"
+
+    def test_exact_containment_fail_exit_1(self, runner, y_file, y_tree, monkeypatch):
+        # q = p x + 1 with p monic of degree 5: p does not divide q, and the remainder is 1
+        p = exact.char_poly(spectra.laplacian(y_tree))
+        monkeypatch.setattr(verify, "token_char_polys", lambda g, k, cap: (
+            p, exact.IntPoly((1, *p.coeffs))))
+        res = runner.invoke(main, ["verify", "containment", "--graph", y_file, "-k", "2", "--exact"])
+        assert res.exit_code == 1
+        cert = json.loads(res.output)
+        assert cert["verdict"] == "fail" and cert["witnesses"]["remainder"] == ["1"]
+
+    def test_interlacing_on_a_present_edge_exit_2(self, runner):
+        res = runner.invoke(main, ["verify", "interlacing", "--graph", "path:5", "-u", "0", "-v", "1"])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert "edge (0, 1) already present" in res.stderr
 
     def test_unknown_check_exit_2(self, runner, y_file):
         assert runner.invoke(main, ["verify", "bogus", "--graph", y_file]).exit_code == 2

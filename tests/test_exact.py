@@ -193,6 +193,16 @@ class TestMatchesReference:
         assert len(_primes_for(LARGE_ENTRIES)) >= 5
         assert char_poly(LARGE_ENTRIES) == reference_char_poly(LARGE_ENTRIES)
 
+    def test_entries_near_2_to_the_40_bound_rows_in_python_integers(self):
+        # 3 * (2^40)^2 >= 2^63, so _coefficient_bound squares the rows in Python integers
+        big = 1 << 40
+        m = np.array([[big + 3, -big, 7], [-big, big - 5, -(big + 1)], [7, -(big + 1), big]], dtype=np.int64)
+        assert 3 * int(np.abs(m).max()) ** 2 >= 1 << 63
+        bound = math.prod(1 + math.isqrt(s) + (math.isqrt(s) ** 2 < s) for s in
+                          (sum(int(x) ** 2 for x in row) for row in m.tolist()))
+        assert exact._coefficient_bound(m) == bound
+        assert char_poly(m) == reference_char_poly(m)
+
     def test_rejects_entries_beyond_int64(self):
         with pytest.raises(ValueError):
             char_poly(np.array([[2.0 ** 70]]))
@@ -317,6 +327,18 @@ class TestPolyDivides:
         assert ok and quot == IntPoly((1, 1))
         ok2, rem = poly_divides(p, poly_add(q, IntPoly((1,))))
         assert not ok2 and rem == IntPoly((1,))
+
+
+    def test_exact_containment_fail_carries_the_remainder(self, monkeypatch, y_tree):
+        # q = p (x^2 + 2) + (3 - 5x + x^4): p is monic of degree 5, so that quartic is the one remainder
+        p = char_poly(laplacian(y_tree))
+        remainder = IntPoly((3, -5, 0, 0, 1))
+        monkeypatch.setattr(verify, "token_char_polys", lambda g, k, cap: (
+            p, poly_add(p * IntPoly((2, 0, 1)), remainder)))
+        cert = check_spectral_containment(y_tree, 2, mode="exact")
+        assert cert.verdict == "fail"
+        assert cert.witnesses["remainder"] == ["3", "-5", "0", "0", "1"]
+        assert "quotient" not in cert.witnesses and "quotient_degree" not in cert.witnesses
 
 
 class TestClosedFormJoinPolynomial:

@@ -1,18 +1,20 @@
 """The sparse route to alpha(F_k(G)) against the dense oracle.
 
 The private _sparse_token_alpha is called directly with the base graph's
-spectrum, whatever the order, so no option is needed to reach it. Where it
-hands over (returns None), token_alpha answers: those tests patch
-SPARSE_MIN_ORDER to 0, so that every token graph goes through the sparse
-route first, and patch the proof to hand over too, so that the values-only
-solve decides, as it does wherever neither route closes. token_alpha's
-threshold, and the witness keys each route puts in a certificate, are
+eigenvalues and the B and L(F_k) that checked_lift checked, whatever the
+order, so no option is needed to reach it. Where it hands over (returns
+None), token_alpha answers: those tests patch SPARSE_MIN_ORDER to 0, so
+that every token graph goes through the sparse route first, and patch the
+proof to hand over too, so that the values-only solve decides, as it does
+wherever neither route closes. token_alpha's threshold, its one lift check
+per decision, and the witness keys each route puts in a certificate, are
 tested on their own.
 """
 
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +32,12 @@ from token_spectra.graphs import (
 from token_spectra.spectra import (
     _sparse_token_alpha,
     algebraic_connectivity,
+    checked_lift,
     eig_sym,
     fiedler_value,
     laplacian,
     sparse_laplacian,
     token_alpha,
-    token_spectrum,
 )
 from token_spectra.tokens import CapExceededError, token_graph
 from token_spectra.verify import (
@@ -67,20 +69,28 @@ def _spy_block_sizes(monkeypatch, short=frozenset()) -> list:
 
 
 def _base(tg):
-    """eig_sym(L(G)) for tg's base graph G, as token_alpha passes it to the routes."""
-    return eig_sym(laplacian(tg.base).astype(float))
+    """eig_sym(L(G)).values for tg's base graph G, as token_alpha passes them to the routes."""
+    return eig_sym(laplacian(tg.base).astype(float)).values
+
+
+def _sparse(tg):
+    """_sparse_token_alpha on the B and L(F_k) that checked_lift checked, as token_alpha passes them."""
+    return _sparse_token_alpha(tg, _base(tg), *checked_lift(tg))
 
 
 def _dense(tg) -> float:
-    """alpha(F_k) by the dense route: one values-only solve, certified by G's lifted eigenpairs."""
-    return fiedler_value(token_spectrum(tg))
+    """alpha(F_k) by token_alpha's values-only solve, with the sparse route and the proof handing over."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectra, "_sparse_token_alpha", lambda *args: None)
+        m.setattr(spectra, "_proved_alpha", lambda *args: None)
+        return token_alpha(tg, _base(tg), -np.inf, np.inf)[0]
 
 
 def _token_alpha(tg, tol: float = 1e-7):
     """token_alpha with alpha-token's interval, alpha(G) +- tol * max(1, alpha(G))."""
-    base = _base(tg)
-    a = fiedler_value(base.values)
-    return token_alpha(tg, base, a - tol * max(1.0, a), a + tol * max(1.0, a))
+    values = _base(tg)
+    a = fiedler_value(values)
+    return token_alpha(tg, values, a - tol * max(1.0, a), a + tol * max(1.0, a))
 
 
 def _mu(answer) -> float | None:
@@ -113,7 +123,7 @@ class TestAgainstDense:
                 mu = fields.get("alpha_complement")
                 assert _agrees(tg, value), (g, k)
                 if mu is None:
-                    assert _sparse_token_alpha(tg, _base(tg)) is None
+                    assert _sparse(tg) is None
                 else:
                     sparse += 1
                     assert value == min(algebraic_connectivity(g)[0], mu) or value == 0.0
@@ -126,7 +136,7 @@ class TestAgainstDense:
         # F_k and F_{n-k} are isomorphic by complementing every subset
         for k in (3, 4, 5):
             tgs = [token_graph(GNP12, j) for j in (k, 12 - k)]
-            low, high = (_sparse_token_alpha(tg, _base(tg)) for tg in tgs)
+            low, high = (_sparse(tg) for tg in tgs)
             assert _mu(low) is not None and _mu(high) is not None
             assert abs(low[0] - high[0]) <= 1e-9 and abs(_mu(low) - _mu(high)) <= 1e-8
             assert _agrees(token_graph(GNP12, 12 - k), high[0])
@@ -134,14 +144,14 @@ class TestAgainstDense:
     def test_gnp_at_n_1001(self):
         g = random_corpus(1, n_range=(14, 14), seed=2)[0]
         tg = token_graph(g, 4)
-        value, fields = _sparse_token_alpha(tg, _base(tg))
+        value, fields = _sparse(tg)
         assert fields["alpha_complement"] is not None and _agrees(tg, value)
 
     def test_disconnected_base_gives_zero(self):
         g = Graph(10, [*cycle_graph(5).edges, *((u + 5, v + 5) for u, v in cycle_graph(5).edges)])
         for k in (2, 3, 7):
             tg = token_graph(g, k)
-            value, fields = _sparse_token_alpha(tg, _base(tg))
+            value, fields = _sparse(tg)
             assert value == 0.0 and fields["alpha_complement"] is not None
 
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 2), (7, 3), (8, 3), (9, 4)])
@@ -149,7 +159,7 @@ class TestAgainstDense:
         # mu = 2(n - 1) has multiplicity C(n, 2) - n, beyond every block that fits at this order
         tg = token_graph(complete_graph(n), k)
         value, fields = _token_alpha(tg)
-        assert fields == {} and _sparse_token_alpha(tg, _base(tg)) is None
+        assert fields == {} and _sparse(tg) is None
         assert value == _dense(tg)
         assert abs(value - n) <= 1e-9 * n
 
@@ -161,20 +171,20 @@ class TestAgainstDense:
         value, fields = _token_alpha(tg)
         assert sizes == [4] and fields == {}
         assert value == _dense(tg)
-        assert _sparse_token_alpha(tg, _base(tg)) is None
+        assert _sparse(tg) is None
 
     def test_unconverged_block_grows(self, monkeypatch):
         # the block of 4 is cut short, so its residuals fail and a block of 8 decides
         sizes = _spy_block_sizes(monkeypatch, short={4})
         tg = token_graph(GNP12, 5)
-        value, fields = _sparse_token_alpha(tg, _base(tg))
+        value, fields = _sparse(tg)
         assert sizes == [4, 8] and fields["alpha_complement"] is not None and _agrees(tg, value)
 
     def test_no_convergence_falls_back_to_dense(self, monkeypatch, sparse_first):
         monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)
         tg = token_graph(GNP12, 5)
         value, fields = _token_alpha(tg)
-        assert fields == {} and _sparse_token_alpha(tg, _base(tg)) is None
+        assert fields == {} and _sparse(tg) is None
         assert value == _dense(tg)
 
     def test_fallback_that_does_not_fit_raises(self, monkeypatch, sparse_first):
@@ -183,19 +193,22 @@ class TestAgainstDense:
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", dense_need - 1)
         assert _mu(_token_alpha(tg)) is not None
         monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)
-        assert _sparse_token_alpha(tg, _base(tg)) is None
+        assert _sparse(tg) is None
         with pytest.raises(CapExceededError, match="dense Laplacian route at N = 495"):
             _token_alpha(tg)
 
     def test_memory_estimate_refuses_before_allocating(self, monkeypatch):
         tg = token_graph(GNP12, 4)
+        values, (b, lap) = _base(tg), checked_lift(tg)
+        sizes = _spy_block_sizes(monkeypatch)
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", 10**6)
         with pytest.raises(CapExceededError, match="sparse route at N = 495"):
-            _sparse_token_alpha(tg, _base(tg))
+            _sparse_token_alpha(tg, values, b, lap)
+        assert sizes == []
 
     def test_same_result_on_repeat(self):
         tg = token_graph(GNP12, 4)
-        assert _sparse_token_alpha(tg, _base(tg)) == _sparse_token_alpha(tg, _base(tg))
+        assert _sparse(tg) == _sparse(tg)
 
 
 class TestSparseLaplacian:
@@ -218,7 +231,7 @@ class TestTokenAlpha:
     def test_sparse_from_threshold(self, monkeypatch):
         tg = token_graph(GNP12, 4)
         monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", tg.graph.n)
-        assert _token_alpha(tg) == _sparse_token_alpha(tg, _base(tg))
+        assert _token_alpha(tg) == _sparse(tg)
         assert _mu(_token_alpha(tg)) is not None
 
     def test_sparse_route_runs_first_from_the_threshold_only(self, monkeypatch):
@@ -238,6 +251,57 @@ class TestTokenAlpha:
         assert "alpha_complement_lower" in _token_alpha(tg)[1] and calls == ["sparse", "proof"]
         calls.clear()
         assert _mu(_token_alpha(token_graph(path_graph(16), 4))) is not None and calls == ["sparse"]  # N = 1820
+
+    @pytest.mark.parametrize("g, k, tol, routes, field", [
+        (path_graph(16), 4, 1e-7, ["sparse"], "alpha_complement"),  # N = 1820: LOBPCG answers
+        (star_graph(13), 5, 1e-7, ["sparse", "proof"], "alpha_complement_lower"),  # N = 2002: mu is degenerate
+        (cycle_graph(4), 2, 0.0, ["proof"], None),  # N = 6: at tol 0 the proof hands over to the values-only solve
+    ], ids=["sparse", "sparse-then-proof", "proof-then-values"])
+    def test_one_lift_per_decision(self, monkeypatch, g, k, tol, routes, field):
+        # token_alpha checks L(F_k) B = B L(G) once: one lift, one Laplacian of F_k, and every route
+        # receives those same objects
+        built, received = [], []
+        for name in ("lift", "laplacian", "sparse_laplacian"):
+            def build(*args, _name=name, _real=getattr(spectra, name)):
+                built.append((_name, args[0], out := _real(*args)))
+                return out
+            monkeypatch.setattr(spectra, name, build)
+        for name, route in (("sparse", "_sparse_token_alpha"), ("proof", "_proved_alpha")):
+            def spy(tg, values, b, lap, *rest, _name=name, _real=getattr(spectra, route)):
+                received.append((_name, b, lap))
+                return _real(tg, values, b, lap, *rest)
+            monkeypatch.setattr(spectra, route, spy)
+        cert = check_alpha_token_equality(g, k, tol=tol)
+        order = comb(g.n, k)
+        lifts = [out for name, _, out in built if name == "lift"]
+        laplacians = [(name, out) for name, h, out in built if name != "lift" and h.n == order]
+        made_by = "laplacian" if order < spectra.SCIPY_MIN_ORDER else "sparse_laplacian"
+        assert len(lifts) == 1 and [name for name, _ in laplacians] == [made_by]
+        assert [name for name, *_ in received] == routes
+        assert all(b is lifts[0] and lap is laplacians[0][1] for _, b, lap in received)
+        keys = {"alpha_complement", "alpha_complement_lower"} & set(cert.witnesses)
+        assert keys == ({field} if field else set())
+        assert cert.verdict == ("fail" if field is None else "pass")  # C_4 at tol 0 fails, as it always has
+
+    def test_lobpcg_is_charged_for_the_block_it_runs(self, monkeypatch):
+        # path:16 with k = 4, N = 1820: memory for the block of 4 but not for the block of 32 lets
+        # LOBPCG answer; a block of 8 that does not fit is refused before it is allocated
+        tg = token_graph(path_graph(16), 4)
+        n, order, m = 16, tg.graph.n, tg.graph.m
+
+        def need(size):
+            return spectra.SPARSE_BYTES_PER_NONZERO * (2 * m + order) + spectra.SPARSE_BYTES_PER_ROW_COLUMN * order * (size + n)
+
+        monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", need(4))
+        assert need(4) < need(8) <= need(spectra.SPARSE_BLOCKS[-1])
+        sizes = _spy_block_sizes(monkeypatch)
+        cert = check_alpha_token_equality(path_graph(16), 4)
+        assert cert.passed and "alpha_complement" in cert.witnesses and sizes == [4]
+        sizes.clear()
+        monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)  # the block of 4 stops short, so a block of 8 is next
+        with pytest.raises(CapExceededError, match=f"the sparse route at N = {order} needs about"):
+            check_alpha_token_equality(path_graph(16), 4)
+        assert sizes == [4]
 
     def test_certificates_name_mu_only_from_the_sparse_route(self, monkeypatch):
         g = random_corpus(1, n_range=(10, 10), seed=4)[0]
@@ -294,8 +358,8 @@ class TestRouteFields:
         elif check == "bipartite-ext":
             # Y's symmetry makes mu degenerate on every bipartite extension, so LOBPCG never closes there;
             # a route with the sparse route's fields stands in for it
-            monkeypatch.setattr(spectra, "_sparse_token_alpha", lambda tg, base: (
-                fiedler_value(base.values), {"alpha_complement": 9.0, "alpha_complement_least": "not certified"}))
+            monkeypatch.setattr(spectra, "_sparse_token_alpha", lambda tg, values, b, lap: (
+                fiedler_value(values), {"alpha_complement": 9.0, "alpha_complement_least": "not certified"}))
         if route != "proof":
             monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: None)
         cert = ROUTE_CHECKS[check]()

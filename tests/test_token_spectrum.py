@@ -8,11 +8,12 @@ Laplacian on; float containment adds that B^T B =
 C(n-2, k-1) I + C(n-2, k-2) J, so B has full column rank, and solves
 nothing. The tests below check both identities, their guards and the
 verdicts they give, against dense eigensolves of L(F_k).
-spectra.token_spectrum reads only eigenvalues of L(F_k), after the same
-check; these tests cross-check its values and the alpha that token_alpha's
-dense paths read from it. token_alpha first proves, within the interval a
-check accepts, lambda_2(L(F_k)) = alpha(G) by one Cholesky off range(B)
-(spectra._proved_alpha), and solves only where the proof does not close.
+token_alpha makes the same check once and hands B and L(F_k) to its
+routes. It first proves, within the interval a check accepts, lambda_2(L(F_k))
+= alpha(G) by one Cholesky off range(B) (spectra._proved_alpha), and solves
+only where the proof does not close: one values-only solve of L(F_k), whose
+eigenvalues these tests cross-check, read through token_alpha with its other
+routes handing over.
 """
 
 import os
@@ -31,14 +32,12 @@ from token_spectra.exact import char_poly
 from token_spectra.graphs import Graph, complete_graph, cycle_graph, parse_edge_list, path_graph
 from token_spectra.spectra import (
     NumericalError,
-    Spectrum,
     algebraic_connectivity,
     checked_lift,
     eig_sym,
     fiedler_value,
     laplacian,
     token_alpha,
-    token_spectrum,
 )
 from token_spectra.tokens import CapExceededError, TokenGraph, lift, token_graph
 from token_spectra.verify import (
@@ -60,15 +59,32 @@ def corpus():
     return [g for n in range(2, 7) for g in connected_class_representatives(n)] + family_corpus(7)
 
 
-def _base(g) -> Spectrum:
-    return eig_sym(laplacian(g).astype(float))
+def _base(g) -> np.ndarray:
+    """eig_sym(L(G)).values, as token_alpha takes them."""
+    return eig_sym(laplacian(g).astype(float)).values
 
 
 def _token_alpha(tg: TokenGraph, tol: float = 1e-7) -> tuple[float, dict]:
     """token_alpha with alpha-token's interval, alpha(G) +- tol * max(1, alpha(G)), from one solve of L(G)."""
-    base = _base(tg.base)
-    a = fiedler_value(base.values)
-    return token_alpha(tg, base, a - tol * max(1.0, a), a + tol * max(1.0, a))
+    values = _base(tg.base)
+    a = fiedler_value(values)
+    return token_alpha(tg, values, a - tol * max(1.0, a), a + tol * max(1.0, a))
+
+
+EIGENVALUES = spectra.eigenvalues
+
+
+def _token_values(tg: TokenGraph) -> np.ndarray:
+    """The eigenvalues of L(F_k) from token_alpha's values-only solve, with the sparse route and the
+    proof handing over; the alpha token_alpha returns is read from them."""
+    solved = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectra, "_sparse_token_alpha", lambda *args: None)
+        m.setattr(spectra, "_proved_alpha", lambda *args: None)
+        m.setattr(spectra, "eigenvalues", lambda a: solved.append(EIGENVALUES(a)) or solved[-1])
+        alpha, fields = token_alpha(tg, _base(tg.base), -np.inf, np.inf)
+    assert len(solved) == 1 and alpha == fiedler_value(solved[0]) and fields == {}
+    return solved[0]
 
 
 def test_values_match_the_full_eigensolver(corpus):
@@ -76,7 +92,7 @@ def test_values_match_the_full_eigensolver(corpus):
         for k in range(1, g.n):
             tg = token_graph(g, k)
             full = eig_sym(laplacian(tg.graph).astype(float)).values
-            values = token_spectrum(tg)
+            values = _token_values(tg)
             bound = 1e-9 * max(1.0, float(full[-1]))
             assert np.abs(values - full).max() <= bound, (g.edges, k)
 
@@ -90,7 +106,7 @@ def test_values_are_a_solve_of_the_checked_laplacian(monkeypatch):
     for g, k in cases:
         tg = token_graph(g, k)
         built.clear()
-        values = token_spectrum(tg)
+        values = _token_values(tg)
         assert sum(h is tg.graph for h in built) == (tg.graph.n < spectra.SCIPY_MIN_ORDER), (g.edges, k)
         assert np.array_equal(values, np.linalg.eigvalsh(real(tg.graph).astype(float))), (g.edges, k)
     assert [token_graph(g, k).graph.n for g, k in cases[-2:]] == [495, 792]
@@ -171,7 +187,8 @@ class TestLiftedCertificate:
             assert _within_distinct(values, full, 1e-9 * max(1.0, float(full[-1])))
 
     @pytest.mark.parametrize("change", ["dropped", "redirected"])
-    def test_corrupted_token_graph_raises(self, change):
+    def test_corrupted_token_graph_raises(self, monkeypatch, change):
+        monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", 0)  # the sparse route first, at every order
         for k in (2, 3):
             tg = token_graph(GNP12, k)
             edges = tg.graph.edge_array.copy()
@@ -180,8 +197,8 @@ class TestLiftedCertificate:
             else:  # the first edge's far end moved to a vertex it is not adjacent to
                 (u, v), taken = edges[0], set(map(tuple, edges.tolist()))
                 edges[0, 1] = next(w for w in range(u + 1, tg.graph.n) if w != v and (u, w) not in taken)
-            # the sparse route runs LOBPCG on the operator that checked_lift checked
-            for route in (checked_lift, lambda bad: spectra._sparse_token_alpha(bad, _base(GNP12))):
+            # token_alpha checks the identity before the sparse route runs LOBPCG on that operator
+            for route in (checked_lift, lambda bad: token_alpha(bad, _base(GNP12), *_accept(GNP12))):
                 with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
                     route(_corrupted(tg, edges))
 
@@ -260,7 +277,7 @@ class TestTokenAlpha:
     def test_handover_reads_the_same_bits(self, handover):
         for g, k in [(GNP12, 3), (path_graph(7), 2), (path_graph(7), 3)]:
             tg = token_graph(g, k)
-            assert _token_alpha(tg) == (fiedler_value(token_spectrum(tg)), {})
+            assert _token_alpha(tg) == (fiedler_value(_token_values(tg)), {})
 
     @pytest.mark.parametrize("route", ["dense", "handover"])
     def test_corrupted_lift_raises(self, request, monkeypatch, route):
@@ -290,7 +307,7 @@ class TestTokenAlpha:
 
 
 class TestMemoryCharge:
-    """token_spectrum, the values-only route of token_alpha's dense paths, is charged
+    """The values-only solve of token_alpha's dense paths is charged
     VALUES_BYTES_PER_N2, not the eigenvector route's rate; checked_lift, all of float
     containment's work, is charged per token edge and per entry of the N x n lift, and
     float containment forms no N x N array."""
@@ -299,11 +316,11 @@ class TestMemoryCharge:
 
     @pytest.fixture
     def values_only(self, monkeypatch):
-        """token_spectrum's alpha, and token_alpha's dense branch with the proof handing over,
+        """The values-only solve's alpha, and token_alpha's dense branch with the proof handing over,
         each from building F_k on."""
         monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", self.N + 1)
         monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: None)
-        return [lambda: fiedler_value(token_spectrum(token_graph(self.G, self.K))),
+        return [lambda: fiedler_value(_token_values(token_graph(self.G, self.K))),
                 lambda: _token_alpha(token_graph(self.G, self.K))[0]]
 
     def test_runs_between_the_two_rates(self, monkeypatch, values_only):
@@ -352,7 +369,7 @@ class TestMemoryCharge:
 
 def _accept(g: Graph, tol: float = 1e-7) -> tuple[float, float]:
     """alpha-token's interval for alpha(F_k): alpha(G) +- tol * max(1, alpha(G))."""
-    a = fiedler_value(_base(g).values)
+    a = fiedler_value(_base(g))
     return a - tol * max(1.0, a), a + tol * max(1.0, a)
 
 
@@ -416,14 +433,14 @@ class TestProvedAlpha:
         """The proof closes on every connected graph given, at every k, with dense eigh's mu above sigma."""
         fallbacks = 0
         for g in graphs:
-            base = _base(g)
-            alpha = fiedler_value(base.values)
-            sigma = float(np.nextafter(alpha + 1e-8 * max(1.0, float(base.values[-1])), np.inf))
+            values = _base(g)
+            alpha = fiedler_value(values)
+            sigma = float(np.nextafter(alpha + 1e-8 * max(1.0, float(values[-1])), np.inf))
             # sigma is above the exact alpha(G): the Sturm count of charpoly(L(G)) on (0, sigma] is not 0
             assert count_roots_in_interval(char_poly(laplacian(g)), 0, sigma) >= 1, g.edges
             for k in range(1, g.n):
                 tg = token_graph(g, k)
-                value, proved = token_alpha(tg, base, *_accept(g))
+                value, proved = token_alpha(tg, values, *_accept(g))
                 if "alpha_token_lower" in proved:  # F_2(C_4) alone, where mu = alpha
                     assert (g.n, g.m, k) == (4, 4, 2) and np.bincount(g.edge_array.ravel()).tolist() == [2] * 4
                     fallbacks += 1
@@ -440,7 +457,7 @@ class TestProvedAlpha:
         assert _complement(tg)[0] == pytest.approx(2.0, abs=1e-12)
         lo, hi = _accept(C4)
         value, proved = token_alpha(tg, _base(C4), lo, hi)
-        assert value == fiedler_value(_base(C4).values) and "alpha_complement" not in proved
+        assert value == fiedler_value(_base(C4)) and "alpha_complement" not in proved
         assert proved["alpha_complement_lower"] == proved["alpha_token_lower"] == lo
         assert 2.0 < proved["alpha_token_upper"] <= hi
 
@@ -450,7 +467,7 @@ class TestProvedAlpha:
                 tg = token_graph(g, k)
                 assert _complement(tg) == (float("inf"), None)
                 value, proved = token_alpha(tg, _base(g), *_accept(g))
-                assert value == fiedler_value(_base(g).values) and set(proved) == {"alpha_complement_lower"}
+                assert value == fiedler_value(_base(g)) and set(proved) == {"alpha_complement_lower"}
 
     def test_sigma_above_mu_gives_no_proof(self):
         for g, k in [(GNP12, 3), (path_graph(7), 3), (complete_graph(6), 2), (C4, 2)]:
@@ -463,7 +480,7 @@ class TestProvedAlpha:
     def test_lower_end_above_lambda_2_falls_back(self):
         # on F_2(C_4), lambda_2 = mu = 2: with lo above it, neither sigma closes
         tg = token_graph(C4, 2)
-        assert token_alpha(tg, _base(C4), 2.0 + 1e-6, 3.0) == (fiedler_value(token_spectrum(tg)), {})
+        assert token_alpha(tg, _base(C4), 2.0 + 1e-6, 3.0) == (fiedler_value(_token_values(tg)), {})
 
     def test_upper_end_below_alpha_falls_back(self):
         # hi = alpha(G) lies below sigma, so the fallback sigma = lo would not place alpha(F_k) in [lo, hi]
@@ -517,16 +534,17 @@ class TestProvedAlpha:
         for g, k in [(GNP12, 3), (path_graph(14), 4)]:  # N = 220 on numpy's cholesky, 1001 on dpotrf
             tg = token_graph(g, k)
             assert tg.graph.n < spectra.SPARSE_MIN_ORDER  # so the values-only solve is next
-            assert token_alpha(tg, _base(g), *_accept(g)) == (fiedler_value(token_spectrum(tg)), {})
+            assert token_alpha(tg, _base(g), *_accept(g)) == (fiedler_value(_token_values(tg)), {})
 
     def test_one_token_matrix(self):
         # A and its factor share one N x N array: no copy for LAPACK, no second factor
         g, k, n = path_graph(14), 4, 1001
-        tg, base = token_graph(g, k), _base(g)
+        tg, values = token_graph(g, k), _base(g)
+        b, lap = checked_lift(tg)  # token_alpha's, made before the proof
         import scipy.linalg.lapack  # noqa: F401, imported before tracing
         tracemalloc.start()
         try:
-            proved = spectra._proved_alpha(tg, base, *_accept(g))[1]
+            proved = spectra._proved_alpha(tg, values, b, lap, *_accept(g))[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -584,7 +602,7 @@ class TestProvedAlpha:
         # on F_2(C_4), mu = alpha, and at tol = 0 no interval is left for the fallback
         cert = check_alpha_token_equality(C4, 2, tol=0.0)
         assert "alpha_complement_lower" not in cert.witnesses
-        assert cert.witnesses["alpha_token"] == fiedler_value(token_spectrum(token_graph(C4, 2)))
+        assert cert.witnesses["alpha_token"] == fiedler_value(_token_values(token_graph(C4, 2)))
 
     def test_tol_zero_is_proved_outright(self):
         cert = check_alpha_token_equality(GNP12, 3, tol=0.0)
@@ -635,7 +653,7 @@ class TestPendantBound:
     @staticmethod
     def _oracle(g: Graph, k: int) -> tuple[float, float, float]:
         # three values-only solves, as pendant-bound made before it passed intervals
-        return tuple(fiedler_value(token_spectrum(token_graph(x, j)))
+        return tuple(fiedler_value(_token_values(token_graph(x, j)))
                      for x, j in ((_with_pendant(g), k), (g, k - 1), (g, k)))
 
     def _assert_matches(self, cert, g, k):
@@ -665,7 +683,7 @@ class TestPendantBound:
     def test_k2_reads_alpha_of_g(self):
         for g, k in self.CASES:
             if k == 2:
-                assert check_pendant_bound(g, 2).witnesses["alpha_token_km1"] == fiedler_value(_base(g).values)
+                assert check_pendant_bound(g, 2).witnesses["alpha_token_km1"] == fiedler_value(_base(g))
 
     def test_one_solve_of_each_base(self, monkeypatch):
         orders, eigh = [], np.linalg.eigh
@@ -683,14 +701,13 @@ class TestPendantBound:
     def test_without_the_proof_the_values_only_route_decides(self, monkeypatch):
         verdicts = {(g.edges, k): check_pendant_bound(g, k).verdict for g, k in self.CASES}
         solved = []
-        real = spectra.token_spectrum
 
         def spy(*args):
             solved.append(args)
-            return real(*args)
+            return EIGENVALUES(*args)
 
         monkeypatch.setattr(spectra, "_complement_exceeds", lambda *args: False)
-        monkeypatch.setattr(spectra, "token_spectrum", spy)
+        monkeypatch.setattr(spectra, "eigenvalues", spy)  # the values-only solve of token_alpha
         for g, k in self.CASES:
             solved.clear()
             cert = check_pendant_bound(g, k)

@@ -145,6 +145,18 @@ class TestTokenGraph:
             token_graph(complete_graph(12), 3)
         assert len(started) == 1
 
+    def test_tables_are_charged_before_they_are_built(self, monkeypatch):
+        # one edge on 22 vertices with k = 11: C(21, 10) candidate rows (42 MB) but C(22, 11) x 11
+        # table entries (the tables alone rose ru_maxrss by 361 MiB), so the tables set the charge
+        tokens._colex_subsets.cache_clear()
+        started = []
+        monkeypatch.setattr(tokens, "combinations", lambda *a: started.append(a))
+        monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", 200 * 2**20)
+        assert tokens.TOKEN_BYTES_PER_ROW * comb(21, 10) < 200 * 2**20
+        with pytest.raises(CapExceededError, match="11-token graph of 22 vertices needs about 0.463 GiB"):
+            token_graph(Graph(22, [(0, 1)]), 11, cap=10**6)
+        assert started == []
+
     @pytest.mark.parametrize("k", [0, 5])
     def test_k_out_of_range(self, y_tree, k):
         with pytest.raises(GraphError):

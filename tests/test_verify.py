@@ -391,6 +391,11 @@ class TestInterlacingCheck:
         assert abs(cert.witnesses["spectrum_before"][-1] - 4.0) < 1e-9
         assert abs(cert.witnesses["spectrum_after"][-1] - 4.0) < 1e-9
 
+    def test_edge_already_present_is_refused(self, y_tree):
+        u, v = y_tree.edges[0]
+        with pytest.raises(GraphError, match=f"edge \\({u}, {v}\\) already present"):
+            check_interlacing(y_tree, u, v)
+
     def test_both_kinds_of_violation_are_listed(self, monkeypatch):
         # spectra that no edge addition gives: w0[1] > w1[1] and w1[2] > w0[3]
         solves = iter([np.array([0.0, 2.0, 3.0, 4.0]), np.array([0.0, 1.0, 5.0, 6.0])])
