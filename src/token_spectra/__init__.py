@@ -39,7 +39,6 @@ from .spectra import (
 from .exact import (
     IntPoly,
     char_poly,
-    cycle_path_identity_check,
     poly_divides,
 )
 

@@ -50,8 +50,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, cycle_graph, path_graph
-from .spectra import laplacian, principal_submatrix
+from .graphs import Graph
+from .spectra import laplacian
 from .tokens import DEFAULT_CAP, choose_table, require_memory, token_graph, token_order
 
 
@@ -511,20 +511,4 @@ def poly_divides(p: IntPoly, q: IntPoly) -> tuple[bool, IntPoly]:
     if remainder.is_zero:
         return True, IntPoly(tuple(quot))
     return False, remainder
-
-
-def cycle_path_identity_check(h: int) -> bool:
-    """Exact identity x * charpoly(cycle minus one vertex) == charpoly(path).
-
-    Both sides are taken on h vertices: the left factor is the principal
-    submatrix of the cycle Laplacian with one vertex deleted, the right
-    side the full path Laplacian. Holds for every h >= 3; a False return
-    means an implementation bug, not a mathematical discovery.
-    """
-    if h < 3:
-        raise ValueError("need h >= 3")
-    sub = principal_submatrix(laplacian(cycle_graph(h)), range(1, h))
-    lhs = IntPoly((0, 1)) * char_poly(sub)
-    rhs = char_poly(laplacian(path_graph(h)))
-    return lhs == rhs
 

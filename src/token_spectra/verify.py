@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exact import cycle_path_identity_check, poly_divides, token_char_polys
+from .exact import poly_divides, token_char_polys
 from .graphs import (
     Graph,
     GraphError,
@@ -203,8 +203,9 @@ def check_edge_add_alpha_iff(
     if g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) already present")
     t0 = time.perf_counter()
+    gp = add_edges(g, [(u, v)])  # refuses a loop or an out-of-range pair before any solve
     a0, basis = algebraic_connectivity(g)
-    a1 = fiedler_value(laplacian_values(add_edges(g, [(u, v)])))
+    a1 = fiedler_value(laplacian_values(gp))
     lhs = abs(a1 - a0) <= tol * max(1.0, abs(a0))
     rhs, wit = eigenspace_has_equal_pair(basis, (u, v))
     witnesses = {
@@ -228,8 +229,9 @@ def check_interlacing(g: Graph, u: int, v: int, tol: float = DEFAULT_ALPHA_TOL) 
     if g.has_edge(u, v):
         raise GraphError(f"edge ({u}, {v}) already present")
     t0 = time.perf_counter()
+    gp = add_edges(g, [(u, v)])  # refuses a loop or an out-of-range pair before any solve
     w0 = laplacian_values(g)
-    w1 = laplacian_values(add_edges(g, [(u, v)]))
+    w1 = laplacian_values(gp)
     bound = tol * max(1.0, float(w1[-1]))
     violations = []
     for i in range(g.n):
@@ -481,14 +483,16 @@ def check_kite_head_family(
 ) -> Certificate:
     """Kites with cycle or complete-bipartite heads keep alpha on their token graphs.
 
-    cycle variant: head C_h rooted at 0, hypothesis h <= 2r + 1; the
-    closed-form bridge (cycle submatrix vs path spectrum) is verified
-    exactly. bipartite variant: head K_{h1,h2} rooted in side root_side;
-    the head submatrix eigenvalue must match (h - sqrt(h^2 - 4m)) / 2
-    where m is the size of the side opposite the root, and the hypothesis
-    asks that value to be >= theta_r. The perturbed kite (optional extra
-    head edges plus U_j level edges) must then satisfy
-    alpha(G+) == alpha(F_k(G+)).
+    Each variant gives a head, its root, a hypothesis and a reference value
+    for the bridge: the least eigenvalue of the head Laplacian with the root
+    deleted must lie within BRIDGE_TOL of the reference. cycle variant: head
+    C_h rooted at 0, hypothesis h <= 2r + 1, reference lambda_2(P_h), since
+    x * charpoly(L(C_h) less a vertex) == charpoly(L(P_h)). bipartite
+    variant: head K_{h1,h2} rooted in side root_side, reference
+    (h - sqrt(h^2 - 4m)) / 2 where m is the size of the side opposite the
+    root, and the hypothesis asks that value to be >= theta_r. Extra edges
+    are refused before any solve. The perturbed kite (optional extra head
+    edges plus U_j level edges) must then satisfy alpha(G+) == alpha(F_k(G+)).
     """
     t0 = time.perf_counter()
     if variant == "cycle":
@@ -496,18 +500,10 @@ def check_kite_head_family(
             raise GraphError("cycle variant needs h")
         head = cycle_graph(h)
         root = 0
-        spec = KiteSpec(head=head, root=root, s=s, r=r)
-        lam = _head_submatrix_min_eig(head, root)
-        path_spec = laplacian_values(path_graph(h))
-        identity_exact = cycle_path_identity_check(h)
-        bridge_ok = identity_exact and abs(lam - float(path_spec[1])) <= BRIDGE_TOL
-        hypothesis = h <= 2 * r + 1
-        witnesses = {
-            "h": h,
-            "head_submatrix_min_eig": lam,
-            "path_lambda2": float(path_spec[1]),
-            "identity_exact": identity_exact,
-        }
+        witnesses = {"h": h}
+
+        def bridge(th: float) -> tuple[str, float, bool]:
+            return "path_lambda2", float(laplacian_values(path_graph(h))[1]), h <= 2 * r + 1
     elif variant == "bipartite":
         if h1 is None or h2 is None:
             raise GraphError("bipartite variant needs h1 and h2")
@@ -515,35 +511,36 @@ def check_kite_head_family(
             raise GraphError("root_side must be 1 or 2")
         head = complete_bipartite_graph(h1, h2)
         root = 0 if root_side == 1 else h1
-        spec = KiteSpec(head=head, root=root, s=s, r=r)
-        lam = _head_submatrix_min_eig(head, root)
-        h_total = h1 + h2
-        opposite = h2 if root_side == 1 else h1
-        closed_form = (h_total - sqrt(h_total * h_total - 4 * opposite)) / 2.0
-        bridge_ok = abs(lam - closed_form) <= BRIDGE_TOL
-        th = theta(r, r)
-        hypothesis = closed_form >= th - tol * max(1.0, th)
         witnesses = {
             "h1": h1,
             "h2": h2,
             "root_side": root_side,
-            "head_submatrix_min_eig": lam,
-            "closed_form": closed_form,
         }
+
+        def bridge(th: float) -> tuple[str, float, bool]:
+            h_total = h1 + h2
+            opposite = h2 if root_side == 1 else h1
+            closed_form = (h_total - sqrt(h_total * h_total - 4 * opposite)) / 2.0
+            return "closed_form", closed_form, closed_form >= th - tol * max(1.0, th)
     else:
         raise GraphError(f"unknown variant {variant!r}")
 
+    spec = KiteSpec(head=head, root=root, s=s, r=r)
     g = build_kite(spec)
-    witnesses["theta_r"] = theta(r, r)
+    extra = _validate_level_edges(spec, tail_edges, min_path=2)
+    for u, v in head_edges:
+        if not (0 <= u < head.n and 0 <= v < head.n):
+            raise GraphError(f"head edge ({u}, {v}) leaves the head")
+        extra.append((u, v))
+    gp = add_edges(g, extra) if extra else g  # refuses an edge given twice or already present
+    th = theta(r, r)  # theta_r and each variant's bridge wait for the checks above: r >= 1, and no solve first
+    name, reference, hypothesis = bridge(th)
+    lam = _head_submatrix_min_eig(head, root)
+    bridge_ok = abs(lam - reference) <= BRIDGE_TOL
+    witnesses.update({"head_submatrix_min_eig": lam, name: reference, "theta_r": th})
     if not hypothesis:
         return _finish("kite-head", g, PRECONDITION_UNMET, witnesses, {"tol": tol}, t0)
 
-    extra = list(_validate_level_edges(spec, tail_edges, min_path=2))
-    for u, v in head_edges:
-        if u >= head.n or v >= head.n:
-            raise GraphError(f"head edge ({u}, {v}) leaves the head")
-        extra.append((u, v))
-    gp = add_edges(g, extra) if extra else g
     a_gp, a_token, fields = _token_alpha(gp, k, cap, tol)
     alpha_ok = abs(a_token - a_gp) <= tol * max(1.0, abs(a_gp))
     witnesses.update(

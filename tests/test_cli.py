@@ -337,6 +337,28 @@ class TestVerify:
         assert res.exit_code == 2 and res.stdout == ""
         assert "edge (0, 1) already present" in res.stderr
 
+    @pytest.mark.parametrize("order", ["3", "9"])  # the hypothesis h <= 2r + 1 holds at 3, not at 9
+    @pytest.mark.parametrize("edge, message", [
+        (["--add", "0,1"], "edge (0, 1) is not between tail vertices"),
+        (["--add-head", "0,-1"], "head edge (0, -1) leaves the head"),
+    ])
+    def test_kite_head_bad_edge_exit_2(self, runner, order, edge, message):
+        res = runner.invoke(main, ["verify", "kite-head", "--variant", "cycle", "--order", order,
+                                   "-s", "2", "-r", "1", *edge])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert message in res.stderr
+
+    @pytest.mark.parametrize("variant", [["--variant", "cycle", "--order", "5"],
+                                         ["--variant", "bipartite", "--h1", "2", "--h2", "3"]])
+    def test_kite_head_bridge_fail_exit_1(self, runner, monkeypatch, variant):
+        # the head submatrix eigenvalue read 1e-6 off its reference, past BRIDGE_TOL
+        real = verify._head_submatrix_min_eig
+        monkeypatch.setattr(verify, "_head_submatrix_min_eig", lambda head, root: real(head, root) + 1e-6)
+        res = runner.invoke(main, ["verify", "kite-head", *variant, "-s", "3", "-r", "3"])
+        assert res.exit_code == 1
+        cert = json.loads(res.output)
+        assert cert["verdict"] == "fail" and cert["witnesses"]["bridge_ok"] is False
+
     def test_unknown_check_exit_2(self, runner, y_file):
         assert runner.invoke(main, ["verify", "bogus", "--graph", y_file]).exit_code == 2
 

@@ -10,7 +10,6 @@ from token_spectra import exact, verify
 from token_spectra.exact import (
     IntPoly,
     char_poly,
-    cycle_path_identity_check,
     poly_divides,
     token_char_polys,
     token_layers,
@@ -21,6 +20,7 @@ from token_spectra.graphs import (
     build_bipartite_extension,
     build_cut_clique_join,
     complete_graph,
+    cycle_graph,
     path_graph,
     random_connected_gnp,
 )
@@ -368,12 +368,11 @@ class TestClosedFormJoinPolynomial:
 
 class TestCyclePathIdentity:
     def test_small_cases(self):
+        # x * charpoly(L(C_h) less one vertex) == charpoly(L(P_h)) for every h >= 3: the bridge
+        # of kite-head's cycle variant, which compares the submatrix with lambda_2(P_h)
         for h in range(3, 13):
-            assert cycle_path_identity_check(h)
-
-    def test_h2_rejected(self):
-        with pytest.raises(ValueError):
-            cycle_path_identity_check(2)
+            sub = principal_submatrix(laplacian(cycle_graph(h)), range(1, h))
+            assert IntPoly((0, 1)) * char_poly(sub) == char_poly(laplacian(path_graph(h)))
 
 
 class TestSpanningTreeCoefficient:

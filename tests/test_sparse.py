@@ -324,8 +324,8 @@ class TestTokenAlpha:
 
 # the witness keys of each token check, in the order certificates list them, when the proof, LOBPCG
 # or the values-only solve answers for every alpha(F_k) of the check
-KITE = ["h", "head_submatrix_min_eig", "path_lambda2", "identity_exact", "theta_r", "alpha_perturbed",
-        "alpha_token", "k", "added_edges"]
+KITE = ["h", "head_submatrix_min_eig", "path_lambda2", "theta_r", "alpha_perturbed", "alpha_token", "k",
+        "added_edges"]
 CUT = ["r", "k", "n", "alpha", "full_join", "bound_alpha_le_r", "alpha_token"]
 PENDANT = ["k", "alpha_token_augmented", "alpha_token_km1", "alpha_token_k", "bound", "pendant_attached_to"]
 ROUTE_KEYS = {

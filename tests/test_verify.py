@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from token_spectra import verify
+from token_spectra import spectra, verify
 from token_spectra.graphs import (
     Graph,
     GraphError,
@@ -138,7 +138,7 @@ class TestEdgeAddIff:
         assert abs(cert.witnesses["alpha_after"] - 0.2679) < 5e-5
 
     def test_existing_edge_rejected(self, y_tree):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="edge \\(0, 2\\) already present"):
             check_edge_add_alpha_iff(y_tree, 0, 2)
 
     def test_bidirectional_agreement_random(self):
@@ -426,7 +426,6 @@ class TestKiteHeadFamily:
     def test_cycle_head_five(self):
         cert = check_kite_head_family("cycle", s=3, r=3, h=5, k=2)
         assert cert.passed
-        assert cert.witnesses["identity_exact"]
         assert cert.witnesses["bridge_ok"]
 
     def test_cycle_head_too_large(self):
@@ -458,6 +457,66 @@ class TestKiteHeadFamily:
         # when the head value is small; root in the big side of a wide star
         cert = check_kite_head_family("bipartite", s=2, r=1, h1=1, h2=9, root_side=2, k=2)
         assert cert.verdict == PRECONDITION_UNMET
+
+    @pytest.mark.parametrize("kw, keys", [
+        (dict(variant="cycle", h=5), ["h", "head_submatrix_min_eig", "path_lambda2", "theta_r"]),
+        (dict(variant="bipartite", h1=2, h2=3),
+         ["h1", "h2", "root_side", "head_submatrix_min_eig", "closed_form", "theta_r"]),
+    ])
+    def test_bridge_witnesses_lead_in_order(self, kw, keys):
+        witnesses = check_kite_head_family(s=3, r=3, k=2, **kw).witnesses
+        assert list(witnesses)[:len(keys)] == keys
+        assert "identity_exact" not in witnesses
+
+    @pytest.mark.parametrize("kw", [dict(variant="cycle", h=5), dict(variant="bipartite", h1=2, h2=3)])
+    def test_bridge_off_its_reference_fails(self, kw, monkeypatch):
+        # the head submatrix eigenvalue read 1e-6 high, past BRIDGE_TOL; alpha still agrees
+        real = verify._head_submatrix_min_eig
+        monkeypatch.setattr(verify, "_head_submatrix_min_eig", lambda head, root: real(head, root) + 1e-6)
+        cert = check_kite_head_family(s=3, r=3, k=2, **kw)
+        assert cert.verdict == FAIL
+        assert cert.witnesses["bridge_ok"] is False
+        assert cert.witnesses["alpha_token"] == pytest.approx(cert.witnesses["alpha_perturbed"])
+
+    @pytest.mark.parametrize("order", [3, 9])  # with r = 1 the hypothesis h <= 3 holds at 3, fails at 9
+    @pytest.mark.parametrize("edges, message", [
+        (dict(tail_edges=[(0, 1)]), "edge \\(0, 1\\) is not between tail vertices"),
+        (dict(head_edges=[(0, -1)]), "head edge \\(0, -1\\) leaves the head"),
+        (dict(head_edges=[(0, 1)]), "duplicate edge \\(0, 1\\)"),  # already in C_h
+    ])
+    def test_bad_edges_are_refused_before_any_solve(self, order, edges, message, monkeypatch):
+        solves = []
+        for name in ("eigenvalues", "laplacian_values", "_token_alpha"):
+            monkeypatch.setattr(verify, name, lambda *a, name=name, **kw: solves.append(name))
+        with pytest.raises(GraphError, match=message):
+            check_kite_head_family("cycle", s=2, r=1, h=order, k=2, **edges)
+        assert solves == []
+
+
+class TestPairRefusedBeforeAnySolve:
+    @pytest.mark.parametrize("check", [check_edge_add_alpha_iff, check_interlacing])
+    @pytest.mark.parametrize("u, v, message", [
+        (2, 2, "self-loop at vertex 2"),
+        (0, 7, "edge \\(0, 7\\) out of range for n=5"),
+        (-1, 2, "out of range for n=5"),
+    ])
+    def test_loop_or_out_of_range_pair(self, check, u, v, message, monkeypatch):
+        solves = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                solves.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(spectra, "eigenvalues")
+        spy(np.linalg, "eigh")
+        with pytest.raises(GraphError, match=message):
+            check(path_graph(5), u, v)
+        assert solves == []
 
 
 class TestCutVertexSplit:
