@@ -1,4 +1,4 @@
-"""Dense Laplacian spectra with explicit eigenspace grouping, a sparse
+"""Dense Laplacian spectra with explicit eigenspace grouping, a sparse Lanczos
 route to the algebraic connectivity of large token graphs, an exact check
 of the identity L(F_k) B = B L(G) with the dense or the CSR Laplacian of
 F_k, which float containment relies on and token_alpha makes once for all
@@ -69,28 +69,26 @@ SCIPY_MIN_ORDER = 300
 DPOTRF_THREADED_MAX_ORDER = 15000
 UNIT_ROUNDOFF = 2.0 ** -53
 # Peak bytes of checked_lift per token edge and per entry of the N x n lift: ru_maxrss less the RSS
-# before it, in a fresh process with scipy.sparse imported, on 12 token graphs of paths, cycles,
-# stars, complete graphs and tests/data/gnp18.el, N = 495..74613, and 3 more complete graphs. A fit
-# gives 68 and 21; the CSR build puts 73 to 79 on each edge of complete graphs. These rates cover
-# every case above 2 MiB by 1.09 to 1.68 (below, the first CSR product pages in 0.5 MiB of scipy).
+# before it, in a fresh process with scipy.sparse imported and the token graph loaded from disk, on
+# 12 token graphs of paths, cycles, stars, complete graphs and tests/data/gnp18.el, N = 495..125970.
+# A fit gives 36 and 27; these rates cover every case above 2 MiB by 1.11 (complete graphs) to 1.60.
 # The dense Laplacian below SCIPY_MIN_ORDER is charged by laplacian, at VALUES_BYTES_PER_N2.
-LIFT_BYTES_PER_EDGE = 88
+LIFT_BYTES_PER_EDGE = 44
 LIFT_BYTES_PER_ROW_COLUMN = 40
 
 # token_alpha tries the sparse route before the proof from this order on, and never below it.
-# Best of 3, 1 BLAS thread, G(n, C(n,2)//2 + 1), proof / LOBPCG: 24 / 42 ms at N = 1001,
-# 49 / 55 at 1365, 89 / 60 at 1820.
+# Best of 3, 1 BLAS thread, G(n, C(n,2)//2 + 1), proof / Lanczos: 17 / 20 ms at N = 1001,
+# 43 / 21 at 1365, 68 / 25 at 1820 (LOBPCG, which the threshold was set against: 42, 55, 60).
 SPARSE_MIN_ORDER = 1500
-# LOBPCG block sizes, tried in turn while a block's residuals stay above the
-# bound; the least eigenvalue off range(B) is simple on most graphs
-SPARSE_BLOCKS = (4, 8, 16, 32)
+# Copies of mu the sparse route finds, one Lanczos solve each, before it hands over, and ARPACK's
+# restarts per solve
+SPARSE_BLOCKS = 4
 SPARSE_MAXITER = 500
-# Peak bytes of the sparse route, by tracemalloc on token graphs of G(16, 0.5)
-# and paths, N = 1001..18564: about 26 per Laplacian nonzero, and 113 per row
-# for each column of the LOBPCG block at every block size; the dense lift,
-# 8 per row for each base vertex, is counted at the block's rate. Each block is charged as it is tried.
-SPARSE_BYTES_PER_NONZERO = 32
-SPARSE_BYTES_PER_ROW_COLUMN = 120
+# Peak bytes per token vertex of one Lanczos solve, copies included: ru_maxrss less the RSS before
+# the sparse route, in a fresh process with B and L(F_k) loaded from disk, on 18 token graphs of
+# paths, cycles, trees, stars, complete graphs and gnp18.el, N = 1820..48620: 262 to 444 in every
+# case above 2 MiB, the top where a third or fourth solve runs; 522 at N = 2002 (1.0 MiB).
+SPARSE_BYTES_PER_ROW = 512
 
 
 def laplacian(g: Graph, bytes_per_n2: int = DENSE_BYTES_PER_N2) -> np.ndarray:
@@ -224,13 +222,20 @@ def algebraic_connectivity(g: Graph) -> tuple[float, np.ndarray]:
 
 
 def sparse_laplacian(g: Graph):
-    """Degree diagonal minus adjacency, as a scipy CSR float matrix."""
+    """Degree diagonal minus adjacency, as a scipy CSR float matrix, filled from the sorted edge
+    array: row v holds its lower neighbours (edges by v, then u), its diagonal, then its upper ones."""
     from scipy.sparse import csr_array
 
     u, v = g.edge_array.T
-    diag = np.arange(g.n)
-    data = np.concatenate((np.full(2 * g.m, -1.0), np.bincount(g.edge_array.ravel(), minlength=g.n)))
-    return csr_array((data, (np.concatenate((u, v, diag)), np.concatenate((v, u, diag)))), shape=(g.n, g.n))
+    upper, lower = np.bincount(u, minlength=g.n), np.bincount(v, minlength=g.n)
+    indptr = np.zeros(g.n + 1, dtype=np.int32 if 2 * g.m + g.n < 2**31 else np.int64)
+    np.cumsum(upper + lower + 1, out=indptr[1:])
+    indices, data = np.empty(indptr[-1], dtype=indptr.dtype), np.full(indptr[-1], -1.0)
+    diag = indptr[:-1] + lower
+    indices[diag], data[diag] = np.arange(g.n), upper + lower
+    indices[np.arange(g.m) + np.repeat(diag + 1 - (np.cumsum(upper) - upper), upper)] = v
+    indices[np.arange(g.m) + np.repeat(indptr[:-1] - (np.cumsum(lower) - lower), lower)] = u[np.argsort(v * g.n + u)]
+    return csr_array((data, indices, indptr), shape=(g.n, g.n))
 
 
 def token_alpha(tg: TokenGraph, values: np.ndarray, lo: float, hi: float) -> tuple[float, dict]:
@@ -241,7 +246,7 @@ def token_alpha(tg: TokenGraph, values: np.ndarray, lo: float, hi: float) -> tup
     that B and L(F_k). Below SPARSE_MIN_ORDER token vertices, _proved_alpha
     runs, then the values-only solve; from there on, _sparse_token_alpha
     runs before both. Each of the first two answers or hands over (None).
-    The proof adds its bounds, LOBPCG its mu, and the values-only solve
+    The proof adds its bounds, Lanczos its mu, and the values-only solve
     nothing; it frees B and the int64 or CSR L(F_k) before its solve.
     """
     b, lap = checked_lift(tg)
@@ -368,70 +373,62 @@ def checked_lift(tg: TokenGraph):
     return b, lap
 
 
-def _sparse_token_alpha(tg: TokenGraph, values: np.ndarray, y: np.ndarray, lap) -> tuple[float, dict] | None:
+def _sparse_token_alpha(tg: TokenGraph, values: np.ndarray, b: np.ndarray, lap) -> tuple[float, dict] | None:
     """(alpha(F_k), fields) with alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue of
     L(F_k) on range(B)^perp, from values = eig_sym(L(G)).values; None where it hands over.
 
-    y and lap are the lift B of G's vertices to k-subsets and the L(F_k) of
-    which checked_lift has shown L(F_k) B = B L(G) exactly. With B of full
-    column rank, range(B) carries the spectrum of L(G) and its orthogonal
-    complement the rest. LOBPCG, on lap and constrained to that complement by
-    Y = B, finds mu from a fixed-seed block with a Jacobi preconditioner.
+    b and lap are the B and L(F_k) of which checked_lift has shown L(F_k) B = B L(G), so
+    range(B) carries the spectrum of L(G) and its complement the rest. ARPACK's Lanczos
+    (eigsh, which="SA", fixed-seed start) finds the least eigenvalue of L(F_k) + c B
+    (B^T B)^-1 B^T + c U U^T, B^T B = C(n-2, k-1) I + C(n-2, k-2) J, c = 2 max(1, Delta
+    + 1) > 2 Delta >= lambda_max, Delta F_k's largest degree, U the copies of mu found so
+    far: range(B) and U sit above the whole spectrum. One Krylov vector does not see
+    multiplicity, so each solve finds one copy. Its value must lie below c, and its
+    residual against lap within DEFAULT_RESID_TOL * max(1, Delta + 1), never looser than
+    eig_sym's as Delta + 1 <= lambda_max. The route answers once a value lies more than
+    DEFAULT_GROUP_TOL * max(1, Delta + 1) above mu, the first, and hands over once it
+    holds SPARSE_BLOCKS copies in one group, where a check fails, where ARPACK stops at
+    SPARSE_MAXITER restarts, or where the order leaves too few vectors off range(B) for
+    its basis. Each solve is charged before it allocates (CapExceededError).
 
-    A block is accepted when every Ritz residual is at most
-    DEFAULT_RESID_TOL * max(1, Delta + 1), Delta the largest degree of
-    F_k (Delta + 1 <= lambda_max when there is an edge, so the bound is never
-    looser than eig_sym's), and the lowest group of Ritz values, split at
-    gaps above DEFAULT_GROUP_TOL * max(1, Delta + 1), closes below the last
-    one. A block whose residuals are too large gives way to the next of
-    SPARSE_BLOCKS. A block whose residuals pass but whose Ritz values form
-    one group shows that mu has at least that multiplicity; no block size is
-    known to close it, so this route returns None and token_alpha's next
-    route decides, as it does when no block is accepted or the next is too
-    large for LOBPCG at this order. CapExceededError is raised, before a
-    block is allocated, when that block does not fit in memory.
-
-    Unlike the proof, this route does not certify that mu is the least
-    eigenvalue off range(B): LOBPCG could settle on a higher cluster, which
-    would make min(alpha(G), mu) read alpha(G). So fields =
-    {alpha_complement: mu, alpha_complement_least: "not certified"}.
+    Unlike the proof, this route does not certify that mu is the least eigenvalue off
+    range(B): Lanczos could miss a lower one, which would make min(alpha(G), mu) read
+    alpha(G). So fields = {alpha_complement: mu, alpha_complement_least: "not certified"}.
     """
-    import warnings
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    from scipy.sparse import diags_array
-    from scipy.sparse.linalg import lobpcg
-
-    g, n = tg.graph, tg.base.n
-    order = g.n
-    a_base = fiedler_value(values)
-    degree = lap.diagonal()
-    jacobi = diags_array(1.0 / np.maximum(degree, 1.0))
-    scale = max(1.0, float(degree.max()) + 1.0)  # Grone-Merris: Delta + 1 <= lambda_max
-    bound = DEFAULT_RESID_TOL * scale
+    n, k, order = tg.base.n, tg.k, tg.graph.n
+    if order - n < 5 * SPARSE_BLOCKS:  # too few vectors off range(B) for ARPACK's Lanczos basis
+        return None
+    scale = max(1.0, float(lap.diagonal().max()) + 1.0)  # Grone-Merris: Delta + 1 <= lambda_max
+    bound, shift = DEFAULT_RESID_TOL * scale, 2.0 * scale
+    a, c = math.comb(n - 2, k - 1), math.comb(n - 2, k - 2)  # (B^T B)^-1 = (I - c / (a + n c) J) / a
+    copies = np.empty((order, SPARSE_BLOCKS), order="F")
     rng = np.random.default_rng(0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # lobpcg warns when it stops short; the residuals below decide
-        for size in SPARSE_BLOCKS:
-            if order - n < 5 * size:  # lobpcg takes no constraints on smaller problems
-                break
-            require_memory(SPARSE_BYTES_PER_NONZERO * (2 * g.m + order)
-                           + SPARSE_BYTES_PER_ROW_COLUMN * order * (size + n), f"the sparse route at N = {order}")
-            try:
-                vals, vecs = lobpcg(lap, rng.standard_normal((order, size)), M=jacobi, Y=y,
-                                    tol=bound / 2, maxiter=SPARSE_MAXITER, largest=False)
-            except np.linalg.LinAlgError:
-                break
-            rank = np.argsort(vals)
-            vals, vecs = vals[rank], vecs[:, rank]
-            resid = np.linalg.norm(lap @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
-            if resid.max() > bound:
-                continue
-            if not (np.diff(vals) > DEFAULT_GROUP_TOL * scale).any():
-                break
-            mu = float(vals[0])
-            value = min(a_base, mu)
+
+    def deflated(x):  # einsum, not BLAS: a threaded gemv in each step ran 2-3 times as slow on 2 threads
+        y = np.einsum("ij,i->j", b, x)
+        y -= c / (a + n * c) * y.sum()
+        found = copies[:, :held]
+        lifted = np.einsum("ij,j->i", b, y / a) + np.einsum("ij,j->i", found, np.einsum("ij,i->j", found, x))
+        return lap @ x + shift * lifted
+
+    for held in range(SPARSE_BLOCKS):
+        require_memory(SPARSE_BYTES_PER_ROW * order, f"the sparse route at N = {order}")
+        try:  # ARPACK stops at a residual of tol |value| <= tol 2 Delta, half the bound or less
+            vals, vecs = eigsh(LinearOperator((order, order), matvec=deflated, dtype=float), 1, which="SA",
+                               v0=rng.standard_normal(order), tol=DEFAULT_RESID_TOL / 4, maxiter=SPARSE_MAXITER)
+        except ArpackNoConvergence:
+            return None
+        value, vec = float(vals[0]), vecs[:, 0]
+        if not value < shift or np.linalg.norm(lap @ vec - value * vec) > bound:
+            return None
+        mu = value if held == 0 else mu
+        if value - mu > DEFAULT_GROUP_TOL * scale:
+            value = min(fiedler_value(values), mu)
             fields = {"alpha_complement": mu, "alpha_complement_least": "not certified"}
             return (0.0 if abs(value) <= bound else value), fields
+        copies[:, held] = vec
     return None
 
 

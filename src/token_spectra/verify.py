@@ -329,6 +329,7 @@ def check_tail_edges_preserve_alpha(
     t0 = time.perf_counter()
     g = build_kite(spec)
     edges = _validate_level_edges(spec, added_edges, min_path=1)
+    gp = add_edges(g, edges)  # refuses an edge given twice before any solve
     a0 = fiedler_value(laplacian_values(g))
     th = theta(spec.r, spec.r)
     witnesses = {
@@ -340,7 +341,7 @@ def check_tail_edges_preserve_alpha(
         return _finish(
             "tail-edges", g, PRECONDITION_UNMET, witnesses, {"tol": tol}, t0
         )
-    a1 = fiedler_value(laplacian_values(add_edges(g, edges)))
+    a1 = fiedler_value(laplacian_values(gp))
     witnesses["alpha_after"] = a1
     ok = abs(a1 - a0) <= tol * max(1.0, abs(a0))
     return _finish("tail-edges", g, PASS if ok else FAIL, witnesses, {"tol": tol}, t0)
@@ -431,6 +432,7 @@ def check_symmetrizer_commutation(
         edges = [e for level in spec.levels() for e in combinations(level, 2)]
     else:
         edges = _validate_level_edges(spec, uj_edges, min_path=2)
+    gp = add_edges(g, edges)  # refuses an edge given twice before any solve
     lap = laplacian(g).astype(float)
     levels = np.array(spec.levels())
     # each entry of S L is an integer or fl(integer / (s - 1)): equal exact values give
@@ -445,7 +447,7 @@ def check_symmetrizer_commutation(
     distinct = spec_g.distinct_values()
     del spec_g  # freed before the perturbed graph's eigensolve
 
-    perturbed = laplacian_values(add_edges(g, edges))
+    perturbed = laplacian_values(gp)
     # the nearest perturbed eigenvalue to each distinct one is a neighbour of its insertion point
     ends = np.clip(np.searchsorted(perturbed, distinct) - [[1], [0]], 0, g.n - 1)
     nearest = np.abs(np.array(distinct) - perturbed[ends]).min(axis=0)

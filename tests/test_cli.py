@@ -348,6 +348,20 @@ class TestVerify:
         assert res.exit_code == 2 and res.stdout == ""
         assert message in res.stderr
 
+    @pytest.mark.parametrize("argv, edge", [
+        (["tail-edges", "--head", "complete:1", "--root", "0", "-s", "3", "-r", "1", "--add", "1,2", "--add", "1,2"],
+         "(1, 2)"),
+        (["symmetrizer", "--head", "path:3", "-s", "3", "-r", "700", "--add", "703,1403", "--add", "703,1403"],
+         "(703, 1403)"),
+    ], ids=["tail-edges", "symmetrizer"])
+    def test_level_edge_given_twice_exit_2(self, runner, monkeypatch, argv, edge):
+        # refused before any solve: tail-edges exited 0 with precondition_unmet, listing the edge twice
+        for name in ("laplacian_values", "eig_sym"):
+            monkeypatch.setattr(verify, name, lambda m, name=name: pytest.fail(f"{name} ran before the refusal"))
+        res = runner.invoke(main, ["verify", *argv])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert f"duplicate edge {edge}" in res.stderr
+
     @pytest.mark.parametrize("variant", [["--variant", "cycle", "--order", "5"],
                                          ["--variant", "bipartite", "--h1", "2", "--h2", "3"]])
     def test_kite_head_bridge_fail_exit_1(self, runner, monkeypatch, variant):

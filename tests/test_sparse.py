@@ -12,6 +12,7 @@ tested on their own.
 """
 
 import os
+import random
 import subprocess
 import sys
 from math import comb
@@ -23,10 +24,12 @@ import pytest
 from token_spectra import spectra, tokens
 from token_spectra.graphs import (
     Graph,
+    build_bipartite_extension,
     complete_graph,
     cycle_graph,
     parse_edge_list,
     path_graph,
+    random_tree,
     star_graph,
 )
 from token_spectra.spectra import (
@@ -52,20 +55,24 @@ from helpers import family_corpus, random_corpus
 
 DATA = Path(__file__).parent / "data"
 GNP12 = parse_edge_list((DATA / "gnp12.el").read_text())
+GNP18 = parse_edge_list((DATA / "gnp18.el").read_text())
 
 
-def _spy_block_sizes(monkeypatch, short=frozenset()) -> list:
-    """Record the block size of every lobpcg call; blocks of a size in short get one iteration."""
+def _spy_solves(monkeypatch) -> list:
+    """Record every eigsh call of the sparse route as (least value, its vector, the Rayleigh
+    quotients of the operator, as it stands at the call, at the vectors of the earlier calls)."""
     import scipy.sparse.linalg
 
-    sizes, lobpcg = [], scipy.sparse.linalg.lobpcg
+    solves, eigsh = [], scipy.sparse.linalg.eigsh
 
-    def spy(a, x, **kw):
-        sizes.append(x.shape[1])
-        return lobpcg(a, x, **{**kw, "maxiter": 1} if x.shape[1] in short else kw)
+    def spy(op, k, **kw):
+        before = [vec @ op.matvec(vec) for _, vec, _ in solves]
+        vals, vecs = eigsh(op, k, **kw)
+        solves.append((float(vals[0]), vecs[:, 0], before))
+        return vals, vecs
 
-    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", spy)
-    return sizes
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    return solves
 
 
 def _base(tg):
@@ -127,9 +134,9 @@ class TestAgainstDense:
                 else:
                     sparse += 1
                     assert value == min(algebraic_connectivity(g)[0], mu) or value == 0.0
-        # 53 instances have room for a block of 4, and 46 of them took the sparse route when
+        # 53 instances leave ARPACK room off range(B), and 46 of them took the sparse route when
         # this was written; K_{3,4} and the star on 8 vertices fall back, as their mu has a
-        # multiplicity of at least 4 and the first block converges to one group
+        # multiplicity of at least 4, so four solves find four copies in one group
         assert sparse >= 44
 
     def test_both_sides_of_j(self):
@@ -164,23 +171,43 @@ class TestAgainstDense:
         assert abs(value - n) <= 1e-9 * n
 
     def test_one_group_hands_over_to_dense(self, monkeypatch, sparse_first):
-        # star on 9 vertices, k = 4: mu = 2 has a multiplicity above 4, so the first block
-        # converges to one group and no larger block is tried
-        sizes = _spy_block_sizes(monkeypatch)
+        # star on 9 vertices, k = 4: mu = 2 has a multiplicity above 4, so the route hands over
+        # once it holds four copies in one group, and runs no fifth solve
+        solves = _spy_solves(monkeypatch)
         tg = token_graph(star_graph(8), 4)
         value, fields = _token_alpha(tg)
-        assert sizes == [4] and fields == {}
+        assert len(solves) == spectra.SPARSE_BLOCKS == 4 and fields == {}
+        assert max(abs(value - 2.0) for value, _, _ in solves) <= 1e-9 * 9
         assert value == _dense(tg)
         assert _sparse(tg) is None
 
-    def test_unconverged_block_grows(self, monkeypatch):
-        # the block of 4 is cut short, so its residuals fail and a block of 8 decides
-        sizes = _spy_block_sizes(monkeypatch, short={4})
-        tg = token_graph(GNP12, 5)
+    def test_copies_grow_one_solve_at_a_time(self, monkeypatch):
+        # C_8 with k = 3: mu is double, so the second solve finds its second copy and the third
+        # closes above it; each solve's operator lifts every copy found before it above the shift
+        solves = _spy_solves(monkeypatch)
+        tg = token_graph(cycle_graph(8), 3)
         value, fields = _sparse(tg)
-        assert sizes == [4, 8] and fields["alpha_complement"] is not None and _agrees(tg, value)
+        mu = fields["alpha_complement"]
+        values = [value for value, _, _ in solves]
+        assert len(solves) == 3 and _agrees(tg, value)
+        assert values[0] == mu and abs(values[1] - mu) <= 1e-9 and values[2] - mu > 0.1
+        shift = 2 * (int(np.bincount(tg.graph.edge_array.ravel()).max()) + 1)
+        for j, (value, _, before) in enumerate(solves):
+            assert len(before) == j and value < shift
+            assert all(q >= shift for q in before)
+
+    def test_solves_per_answer(self, monkeypatch):
+        # a simple mu takes one solve and one more that closes above it; complete:14 with k = 5
+        # (N = 2002), whose mu = 26 is highly degenerate, takes four and hands over; F_2(P_7), with
+        # 14 vectors off range(B), leaves ARPACK too little room and hands over before any solve
+        solves = _spy_solves(monkeypatch)
+        assert _sparse(token_graph(path_graph(7), 2)) is None and solves == []
+        assert _mu(_sparse(token_graph(GNP12, 5))) is not None and len(solves) == 2
+        solves.clear()
+        assert _sparse(token_graph(complete_graph(14), 5)) is None and len(solves) == 4
 
     def test_no_convergence_falls_back_to_dense(self, monkeypatch, sparse_first):
+        # one restart is too few: ARPACK raises ArpackNoConvergence, and the route hands over
         monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)
         tg = token_graph(GNP12, 5)
         value, fields = _token_alpha(tg)
@@ -200,11 +227,11 @@ class TestAgainstDense:
     def test_memory_estimate_refuses_before_allocating(self, monkeypatch):
         tg = token_graph(GNP12, 4)
         values, (b, lap) = _base(tg), checked_lift(tg)
-        sizes = _spy_block_sizes(monkeypatch)
-        monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", 10**6)
+        solves = _spy_solves(monkeypatch)
+        monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", spectra.SPARSE_BYTES_PER_ROW * 495 - 1)
         with pytest.raises(CapExceededError, match="sparse route at N = 495"):
             _sparse_token_alpha(tg, values, b, lap)
-        assert sizes == []
+        assert solves == []
 
     def test_same_result_on_repeat(self):
         tg = token_graph(GNP12, 4)
@@ -217,6 +244,68 @@ class TestSparseLaplacian:
             L = sparse_laplacian(g)
             assert L.format == "csr"
             assert np.array_equal(L.toarray(), laplacian(g))
+
+    def test_same_arrays_as_scipys_coo_build(self):
+        # filled straight from the edge array, the CSR arrays are those scipy makes from COO
+        # triplets, entry for entry and in the same order within each row
+        from scipy.sparse import csr_array
+
+        def from_triplets(g):
+            u, v = g.edge_array.T
+            diag = np.arange(g.n)
+            data = np.concatenate((np.full(2 * g.m, -1.0), np.bincount(g.edge_array.ravel(), minlength=g.n)))
+            rows, cols = np.concatenate((u, v, diag)), np.concatenate((v, u, diag))
+            return csr_array((data, (rows, cols)), shape=(g.n, g.n))
+
+        bases = [*family_corpus(8), *random_corpus(12, n_range=(6, 10), seed=5), Graph(4, [(0, 1)]), Graph(1)]
+        graphs = [*bases, *(token_graph(g, k).graph for g in bases for k in range(1, g.n)),
+                  token_graph(GNP18, 9).graph]
+        for g in graphs:
+            got, want = sparse_laplacian(g), from_triplets(g)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (g.n, g.m, name)
+
+
+def _parity_instances():
+    """The instances on which Lanczos was compared with the LOBPCG ladder it replaced: (id, G, k)."""
+    dense = [(f"dense16-seed{seed}", parse_edge_list((DATA / f"dense16_seed{seed}.el").read_text()), 4)
+             for seed in (1, 2, 3)]
+    rng = random.Random(7)
+    trees = [(f"tree{n}", random_tree(n, rng), 5) for n in (14, 15, 16)]
+    return [*dense, *trees, ("cycle16", cycle_graph(16), 4), ("cycle15", cycle_graph(15), 6),
+            ("star14", star_graph(13), 5), ("complete14", complete_graph(14), 5),
+            ("bipartite-5-9", build_bipartite_extension(5, 9, "plus_x", [(0, 1), (2, 3)]), 7),
+            ("bipartite-4-12", build_bipartite_extension(4, 12, "plus_x", [(0, 1)]), 4),
+            ("bipartite-5-10-star", build_bipartite_extension(5, 10, "star_y"), 5),
+            ("gnp18-k5", GNP18, 5), ("gnp18-k9", GNP18, 9)]
+
+
+# mu from the LOBPCG ladder (blocks 4, 8, 16, 32) on each instance, None where it handed over
+LOBPCG_MU = {
+    "dense16-seed1": 7.561489087109318, "dense16-seed2": 5.710931557228022, "dense16-seed3": 6.407230528728862,
+    "tree14": 0.17900393637458606, "tree15": 0.20791736719655138, "tree16": 0.18878805235272544,
+    "cycle16": 0.28039058500854236, "cycle15": 0.3162292350099829, "star14": None, "complete14": None,
+    "bipartite-5-9": None, "bipartite-4-12": None, "bipartite-5-10-star": None,
+    "gnp18-k5": 8.045771581303574, "gnp18-k9": 8.045771581303573,
+}
+
+
+PARITY = _parity_instances()
+
+
+@pytest.mark.parametrize("name, g, k", PARITY, ids=[name for name, *_ in PARITY])
+def test_answers_where_lobpcg_answered(name, g, k):
+    # N = 1820..48620: the route answers where the LOBPCG ladder answered, with its mu within the
+    # residual bound, and hands over where the ladder handed over
+    tg = token_graph(g, k)
+    b, lap = checked_lift(tg)
+    answer = _sparse_token_alpha(tg, _base(tg), b, lap)
+    assert tg.graph.n >= spectra.SPARSE_MIN_ORDER
+    if LOBPCG_MU[name] is None:
+        assert answer is None
+    else:
+        bound = spectra.DEFAULT_RESID_TOL * (float(lap.diagonal().max()) + 1)
+        assert abs(_mu(answer) - LOBPCG_MU[name]) <= bound
 
 
 class TestTokenAlpha:
@@ -235,7 +324,7 @@ class TestTokenAlpha:
         assert _mu(_token_alpha(tg)) is not None
 
     def test_sparse_route_runs_first_from_the_threshold_only(self, monkeypatch):
-        # below SPARSE_MIN_ORDER the proof, then the values-only solve; from it on, LOBPCG before both
+        # below SPARSE_MIN_ORDER the proof, then the values-only solve; from it on, Lanczos before both
         calls, sparse, proof = [], spectra._sparse_token_alpha, spectra._proved_alpha
         monkeypatch.setattr(spectra, "_sparse_token_alpha", lambda *args: calls.append("sparse") or sparse(*args))
         monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: calls.append("proof") or proof(*args))
@@ -244,7 +333,7 @@ class TestTokenAlpha:
             tg = token_graph(g, k)
             assert tg.graph.n < spectra.SPARSE_MIN_ORDER
             assert "alpha_complement_lower" in _token_alpha(tg)[1] and calls == ["proof"]
-        # complete:14 with k = 5, N = 2002: mu is degenerate, so LOBPCG hands over to the proof
+        # complete:14 with k = 5, N = 2002: mu is degenerate, so Lanczos hands over to the proof
         tg = token_graph(complete_graph(14), 5)
         calls.clear()
         assert tg.graph.n >= spectra.SPARSE_MIN_ORDER
@@ -253,7 +342,7 @@ class TestTokenAlpha:
         assert _mu(_token_alpha(token_graph(path_graph(16), 4))) is not None and calls == ["sparse"]  # N = 1820
 
     @pytest.mark.parametrize("g, k, tol, routes, field", [
-        (path_graph(16), 4, 1e-7, ["sparse"], "alpha_complement"),  # N = 1820: LOBPCG answers
+        (path_graph(16), 4, 1e-7, ["sparse"], "alpha_complement"),  # N = 1820: Lanczos answers
         (star_graph(13), 5, 1e-7, ["sparse", "proof"], "alpha_complement_lower"),  # N = 2002: mu is degenerate
         (cycle_graph(4), 2, 0.0, ["proof"], None),  # N = 6: at tol 0 the proof hands over to the values-only solve
     ], ids=["sparse", "sparse-then-proof", "proof-then-values"])
@@ -283,25 +372,28 @@ class TestTokenAlpha:
         assert keys == ({field} if field else set())
         assert cert.verdict == ("fail" if field is None else "pass")  # C_4 at tol 0 fails, as it always has
 
-    def test_lobpcg_is_charged_for_the_block_it_runs(self, monkeypatch):
-        # path:16 with k = 4, N = 1820: memory for the block of 4 but not for the block of 32 lets
-        # LOBPCG answer; a block of 8 that does not fit is refused before it is allocated
+    def test_each_solve_is_charged_before_it_allocates(self, monkeypatch):
+        # path:16 with k = 4, N = 1820: each of the two solves is charged SPARSE_BYTES_PER_ROW per row
+        # before it runs, so memory one byte short refuses the first solve before it is allocated
         tg = token_graph(path_graph(16), 4)
-        n, order, m = 16, tg.graph.n, tg.graph.m
+        values, (b, lap) = _base(tg), checked_lift(tg)
+        need = spectra.SPARSE_BYTES_PER_ROW * tg.graph.n
+        charges, charge, solves = [], spectra.require_memory, _spy_solves(monkeypatch)
 
-        def need(size):
-            return spectra.SPARSE_BYTES_PER_NONZERO * (2 * m + order) + spectra.SPARSE_BYTES_PER_ROW_COLUMN * order * (size + n)
+        def spy(nbytes, what):  # each charge with the number of solves run before it
+            charges.append((nbytes, len(solves)))
+            charge(nbytes, what)
 
-        monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", need(4))
-        assert need(4) < need(8) <= need(spectra.SPARSE_BLOCKS[-1])
-        sizes = _spy_block_sizes(monkeypatch)
-        cert = check_alpha_token_equality(path_graph(16), 4)
-        assert cert.passed and "alpha_complement" in cert.witnesses and sizes == [4]
-        sizes.clear()
-        monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)  # the block of 4 stops short, so a block of 8 is next
-        with pytest.raises(CapExceededError, match=f"the sparse route at N = {order} needs about"):
-            check_alpha_token_equality(path_graph(16), 4)
-        assert sizes == [4]
+        monkeypatch.setattr(spectra, "require_memory", spy)
+        monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", need)
+        assert _mu(_sparse_token_alpha(tg, values, b, lap)) is not None
+        assert charges == [(need, 0), (need, 1)] and len(solves) == 2
+        charges.clear()
+        solves.clear()
+        monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", need - 1)
+        with pytest.raises(CapExceededError, match=f"the sparse route at N = {tg.graph.n} needs about"):
+            _sparse_token_alpha(tg, values, b, lap)
+        assert charges == [(need, 0)] and solves == []
 
     def test_certificates_name_mu_only_from_the_sparse_route(self, monkeypatch):
         g = random_corpus(1, n_range=(10, 10), seed=4)[0]
@@ -322,7 +414,7 @@ class TestTokenAlpha:
         assert sparse.witnesses["alpha_complement_least"] == "not certified"
 
 
-# the witness keys of each token check, in the order certificates list them, when the proof, LOBPCG
+# the witness keys of each token check, in the order certificates list them, when the proof, Lanczos
 # or the values-only solve answers for every alpha(F_k) of the check
 KITE = ["h", "head_submatrix_min_eig", "path_lambda2", "theta_r", "alpha_perturbed", "alpha_token", "k",
         "added_edges"]
@@ -356,7 +448,7 @@ class TestRouteFields:
         if route != "sparse":
             monkeypatch.setattr(spectra, "_sparse_token_alpha", lambda *args: None)
         elif check == "bipartite-ext":
-            # Y's symmetry makes mu degenerate on every bipartite extension, so LOBPCG never closes there;
+            # Y's symmetry makes mu degenerate on every bipartite extension, so Lanczos never closes there;
             # a route with the sparse route's fields stands in for it
             monkeypatch.setattr(spectra, "_sparse_token_alpha", lambda tg, values, b, lap: (
                 fiedler_value(values), {"alpha_complement": 9.0, "alpha_complement_least": "not certified"}))
@@ -364,7 +456,7 @@ class TestRouteFields:
             monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: None)
         cert = ROUTE_CHECKS[check]()
         assert cert.passed
-        if check == "pendant-bound":  # the three mu of LOBPCG, and none of the proof's bounds
+        if check == "pendant-bound":  # the three mu of Lanczos, and none of the proof's bounds
             mus = ["alpha_complement_augmented", "alpha_complement_km1", "alpha_complement_k", "alpha_complement_least"]
             assert list(cert.witnesses) == PENDANT + (mus if route == "sparse" else [])
             return

@@ -493,6 +493,25 @@ class TestKiteHeadFamily:
         assert solves == []
 
 
+class TestLevelEdgesRefusedBeforeAnySolve:
+    """tail-edges and symmetrizer build the perturbed kite before their first solve, so an --add
+    edge given twice is refused whatever the hypothesis, and no spectrum is computed."""
+
+    @pytest.mark.parametrize("head, check, edges", [
+        (complete_graph(1), check_tail_edges_preserve_alpha, [(1, 2), (1, 2)]),  # alpha = theta_1
+        (path_graph(3), check_tail_edges_preserve_alpha, [(3, 4), (3, 4)]),
+        (path_graph(3), check_symmetrizer_commutation, [(6, 9), (6, 9)]),
+    ], ids=["tail-edges-unmet", "tail-edges", "symmetrizer"])
+    def test_edge_given_twice(self, head, check, edges, monkeypatch):
+        solves = []
+        for name in ("laplacian_values", "eig_sym"):
+            monkeypatch.setattr(verify, name, lambda *a, name=name, **kw: solves.append(name))
+        spec = KiteSpec(head=head, root=0, s=3, r=3 if check is check_symmetrizer_commutation else 1)
+        with pytest.raises(GraphError, match=f"duplicate edge \\({edges[0][0]}, {edges[0][1]}\\)"):
+            check(spec, edges)
+        assert solves == []
+
+
 class TestPairRefusedBeforeAnySolve:
     @pytest.mark.parametrize("check", [check_edge_add_alpha_iff, check_interlacing])
     @pytest.mark.parametrize("u, v, message", [
