@@ -75,8 +75,10 @@ def _parse_components(specs: tuple[str, ...]) -> list[Graph]:
             body, _, times = item.rpartition("*")
             try:
                 mult = int(times)
-            except ValueError as exc:
-                raise click.UsageError(f"bad component multiplier in {item!r}") from exc
+            except ValueError:
+                mult = 0
+            if mult < 1:
+                raise click.UsageError(f"bad component multiplier in {item!r}, expected *N with N >= 1")
         g = _parse_graph_spec(body)
         out.extend([g] * mult)
     return out

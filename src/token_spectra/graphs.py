@@ -199,13 +199,13 @@ def add_edges(g: Graph, new_edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def remove_edges(g: Graph, old_edges: Iterable[tuple[int, int]]) -> Graph:
-    """Return g with the given edges removed; each must be present."""
-    old = np.sort(np.array(list(old_edges), dtype=np.int64).reshape(-1, 2), axis=1)
-    hits = (g.edge_array[:, None, :] == old[None, :, :]).all(axis=2)  # hits[i, j]: edge i is pair j
-    missing = ~hits.any(axis=0)
+    """Return g with the given edges removed; rejects loops, and edges absent or given twice."""
+    old = Graph(g.n, old_edges).edge_array
+    keys, old_keys = g.edge_array @ (g.n, 1), old @ (g.n, 1)  # both sorted and distinct
+    missing = ~np.isin(old_keys, keys, assume_unique=True)
     if missing.any():
         raise GraphError(f"edge {_first(old, missing)} not present")
-    return Graph(g.n, g.edge_array[~hits.any(axis=1)])
+    return Graph(g.n, g.edge_array[~np.isin(keys, old_keys, assume_unique=True)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Dense Laplacian spectra with explicit eigenspace grouping, a sparse Lanczos
-route to the algebraic connectivity of large token graphs, an exact check
-of the identity L(F_k) B = B L(G) with the dense or the CSR Laplacian of
-F_k, which float containment relies on and token_alpha makes once for all
-its routes, and a proof, by one Cholesky, that alpha(F_k) = alpha(G).
+route to the algebraic connectivity of large token graphs, an exact check of
+the lift B (L(F_k) B = B L(G), with the dense or the CSR Laplacian of F_k, and
+B^T B = a I + c J), which is float containment and which token_alpha makes once
+for all its routes, and a proof, by one Cholesky, that alpha(F_k) = alpha(G).
 
 The dense eigensolver is LAPACK's symmetric solver reached through
 numpy; this module adds the contracts the verification layer depends on:
@@ -242,7 +242,7 @@ def token_alpha(tg: TokenGraph, values: np.ndarray, lo: float, hi: float) -> tup
     """Algebraic connectivity of tg's token graph, as (alpha, fields), from values = eig_sym(L(G)).values
     and the interval [lo, hi] that the caller's check accepts; fields are the witnesses the route adds.
 
-    checked_lift checks L(F_k) B = B L(G) once, and every route works with
+    checked_lift checks B's two identities once, and every route works with
     that B and L(F_k). Below SPARSE_MIN_ORDER token vertices, _proved_alpha
     runs, then the values-only solve; from there on, _sparse_token_alpha
     runs before both. Each of the first two answers or hands over (None).
@@ -350,15 +350,15 @@ def _dpotrf_in_place(a: np.ndarray) -> int:
 
 
 def checked_lift(tg: TokenGraph):
-    """(B, L(F_k)), B = lift(n, k), once L(F_k) B = B L(G) is checked exactly with that L(F_k).
+    """(B, L(F_k)), B = lift(n, k), once L(F_k) B = B L(G), with that L(F_k), and then B^T B =
+    C(n-2, k-1) I + C(n-2, k-2) J are checked exactly.
 
-    L(F_k) is the dense int64 laplacian below SCIPY_MIN_ORDER and
-    sparse_laplacian from there on, where L(F_k) B takes O(|E(F_k)| n) with
-    no N x N matrix; float containment and token_alpha, which hands both to its
-    routes, are its callers. Every entry of both
-    sides is a small integer, exact in float64, so the identity holds exactly
-    or not at all: NumericalError where it does not. CapExceededError, before
-    the lift is allocated, where the check does not fit in memory.
+    B^T B's least eigenvalue C(n-2, k-1) is at least 1, so B maps each eigenspace of L(G)
+    one-to-one into that of L(F_k) for the same value: spec(L(G)) lies in spec(L(F_k)) with
+    multiplicity. L(F_k) is the dense int64 laplacian below SCIPY_MIN_ORDER and
+    sparse_laplacian from there on, where L(F_k) B takes O(|E(F_k)| n) with no N x N matrix.
+    Every entry is a small integer, exact in float64, so each identity holds exactly or not at
+    all: NumericalError where one does not; CapExceededError, before B, where it does not fit.
     """
     g, n = tg.graph, tg.base.n
     require_memory(LIFT_BYTES_PER_EDGE * g.m + LIFT_BYTES_PER_ROW_COLUMN * g.n * n,
@@ -370,6 +370,9 @@ def checked_lift(tg: TokenGraph):
     resid = np.abs(lb, out=lb).max()
     if resid:  # also when NaN got in
         raise NumericalError(f"lifted residual {resid:.3g} of L(F_k) B = B L(G) exceeds bound 0")
+    gram = math.comb(n - 2, tg.k - 1) * np.eye(n) + (math.comb(n - 2, tg.k - 2) if tg.k > 1 else 0)
+    if not np.array_equal(b.T @ b, gram):
+        raise NumericalError("the lift is dependent: B^T B is not C(n-2, k-1) I + C(n-2, k-2) J")
     return b, lap
 
 
@@ -377,19 +380,19 @@ def _sparse_token_alpha(tg: TokenGraph, values: np.ndarray, b: np.ndarray, lap) 
     """(alpha(F_k), fields) with alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue of
     L(F_k) on range(B)^perp, from values = eig_sym(L(G)).values; None where it hands over.
 
-    b and lap are the B and L(F_k) of which checked_lift has shown L(F_k) B = B L(G), so
-    range(B) carries the spectrum of L(G) and its complement the rest. ARPACK's Lanczos
-    (eigsh, which="SA", fixed-seed start) finds the least eigenvalue of L(F_k) + c B
-    (B^T B)^-1 B^T + c U U^T, B^T B = C(n-2, k-1) I + C(n-2, k-2) J, c = 2 max(1, Delta
-    + 1) > 2 Delta >= lambda_max, Delta F_k's largest degree, U the copies of mu found so
-    far: range(B) and U sit above the whole spectrum. One Krylov vector does not see
+    b and lap are the B and L(F_k) of which checked_lift has shown L(F_k) B = B L(G) and
+    B^T B = C(n-2, k-1) I + C(n-2, k-2) J, so range(B) carries the spectrum of L(G) and its
+    complement the rest. ARPACK's Lanczos (eigsh, which="SA", fixed-seed start) finds the
+    least eigenvalue of L(F_k) + c B (B^T B)^-1 B^T + c U U^T, c = 2 max(1, Delta + 1) >
+    2 Delta >= lambda_max, Delta F_k's largest degree, U the copies of mu found so far:
+    range(B) and U sit above the whole spectrum. One Krylov vector does not see
     multiplicity, so each solve finds one copy. Its value must lie below c, and its
     residual against lap within DEFAULT_RESID_TOL * max(1, Delta + 1), never looser than
     eig_sym's as Delta + 1 <= lambda_max. The route answers once a value lies more than
-    DEFAULT_GROUP_TOL * max(1, Delta + 1) above mu, the first, and hands over once it
-    holds SPARSE_BLOCKS copies in one group, where a check fails, where ARPACK stops at
-    SPARSE_MAXITER restarts, or where the order leaves too few vectors off range(B) for
-    its basis. Each solve is charged before it allocates (CapExceededError).
+    DEFAULT_GROUP_TOL * max(1, Delta + 1) above mu, the first, and hands over once one lies
+    more than that below mu, once it holds SPARSE_BLOCKS copies in one group, where a check
+    fails, where ARPACK stops at SPARSE_MAXITER restarts, or where the order leaves too few
+    vectors off range(B) for its basis. Each solve is charged before it allocates (CapExceededError).
 
     Unlike the proof, this route does not certify that mu is the least eigenvalue off
     range(B): Lanczos could miss a lower one, which would make min(alpha(G), mu) read
@@ -424,6 +427,8 @@ def _sparse_token_alpha(tg: TokenGraph, values: np.ndarray, b: np.ndarray, lap) 
         if not value < shift or np.linalg.norm(lap @ vec - value * vec) > bound:
             return None
         mu = value if held == 0 else mu
+        if mu - value > DEFAULT_GROUP_TOL * scale:  # the first solve missed a lower value
+            return None
         if value - mu > DEFAULT_GROUP_TOL * scale:
             value = min(fiedler_value(values), mu)
             fields = {"alpha_complement": mu, "alpha_complement_least": "not certified"}

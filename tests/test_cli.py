@@ -65,6 +65,16 @@ class TestConstruct:
         )
         assert a.output == b.output
 
+    @pytest.mark.parametrize("times", ["-3", "0"])
+    def test_cutclique_multiplier_below_1_exit_2(self, runner, times):
+        # the component was dropped: with *-3 this wrote the 6-vertex graph of the two path:2 alone
+        item = f"path:3*{times}"
+        res = runner.invoke(
+            main, ["construct", "cutclique", "-r", "2", "--comp", item, "--comp", "path:2", "--comp", "path:2"]
+        )
+        assert res.exit_code == 2 and res.stdout == ""
+        assert f"bad component multiplier in {item!r}, expected *N with N >= 1" in res.stderr
+
     def test_token_with_header(self, runner, y_file):
         res = runner.invoke(main, ["construct", "token", "--graph", y_file, "-k", "2"])
         assert res.exit_code == 0
@@ -361,6 +371,21 @@ class TestVerify:
         res = runner.invoke(main, ["verify", *argv])
         assert res.exit_code == 2 and res.stdout == ""
         assert f"duplicate edge {edge}" in res.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--comp", "cycle:4*-1"], "bad component multiplier in 'cycle:4*-1'"),
+        (["--comp", "cycle:4*0"], "bad component multiplier in 'cycle:4*0'"),
+        (["--remove", "0,5", "--remove", "0,5"], "duplicate edge (0, 5)"),
+        (["--remove", "0,5", "--remove", "5,0"], "duplicate edge (0, 5)"),
+    ], ids=["times-minus-1", "times-0", "remove-twice", "remove-reversed"])
+    def test_cut_clique_malformed_input_exit_2(self, runner, monkeypatch, argv, message):
+        # refused before any solve: *-1 passed on n = 8 without the cycle, and a join edge removed
+        # twice exited 0 with full_join false
+        for name in ("laplacian_values", "eig_sym", "_token_alpha"):
+            monkeypatch.setattr(verify, name, lambda *args, name=name: pytest.fail(f"{name} ran before the refusal"))
+        res = runner.invoke(main, ["verify", "cut-clique", "-r", "2", "--comp", "path:3", "--comp", "path:3", *argv])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert message in res.stderr
 
     @pytest.mark.parametrize("variant", [["--variant", "cycle", "--order", "5"],
                                          ["--variant", "bipartite", "--h1", "2", "--h2", "3"]])

@@ -261,8 +261,22 @@ class TestPerturbations:
 
     def test_remove_edges(self):
         assert remove_edges(cycle_graph(3), [(0, 2)]) == path_graph(3)
-        with pytest.raises(GraphError):
-            remove_edges(path_graph(3), [(0, 2)])
+        assert remove_edges(cycle_graph(4), [(3, 0), (1, 2)]) == Graph(4, [(0, 1), (2, 3)])
+        assert remove_edges(path_graph(3), []) == path_graph(3)
+        with pytest.raises(GraphError, match=r"edge \(0, 2\) not present"):
+            remove_edges(path_graph(3), [(2, 0)])
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 1), (0, 1)], r"duplicate edge \(0, 1\)"),
+        ([(0, 1), (1, 0)], r"duplicate edge \(0, 1\)"),
+        ([(1, 1)], "self-loop at vertex 1"),
+        ([(0, 4)], r"edge \(0, 4\) out of range for n=4"),
+    ], ids=["twice", "reversed", "loop", "out-of-range"])
+    def test_remove_edges_refuses_what_add_edges_refuses(self, pairs, message):
+        with pytest.raises(GraphError, match=message):
+            remove_edges(cycle_graph(4), pairs)
+        with pytest.raises(GraphError, match=message):
+            add_edges(Graph(4), pairs)
 
     def test_edge_union_identity(self):
         g = path_graph(4)

@@ -206,6 +206,30 @@ class TestAgainstDense:
         solves.clear()
         assert _sparse(token_graph(complete_graph(14), 5)) is None and len(solves) == 4
 
+    def test_a_solve_below_mu_hands_over(self, monkeypatch, sparse_first):
+        # path:9 with k = 3 (N = 84), with eigsh returning the second, the least, then the third
+        # eigenpair of L(F_k) off range(B): the second solve lies far below mu, so the first missed
+        # a lower value, and the route hands over instead of answering with the higher mu
+        import scipy.sparse.linalg
+
+        tg = token_graph(path_graph(9), 3)
+        b, lap = checked_lift(tg)
+        w, q = np.linalg.eigh(lap + 100.0 * b @ np.linalg.solve(b.T @ b, b.T))  # range(B) lifted by 100
+        assert np.allclose(w[:3], [0.25330, 0.40148, 0.57331], atol=1e-5)
+        assert abs(fiedler_value(_base(tg)) - 0.12061) <= 1e-5
+        solves = []
+
+        def eigsh(op, k, **kw):
+            i = [1, 0, 2][len(solves)]
+            solves.append(i)
+            return w[[i]], q[:, [i]]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        assert _sparse(tg) is None and solves == [1, 0]
+        solves.clear()
+        value, fields = _token_alpha(tg)
+        assert fields == {} and solves == [1, 0] and value == _dense(tg)
+
     def test_no_convergence_falls_back_to_dense(self, monkeypatch, sparse_first):
         # one restart is too few: ARPACK raises ArpackNoConvergence, and the route hands over
         monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)

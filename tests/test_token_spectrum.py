@@ -3,11 +3,11 @@ check's interval, and the exact lift check of float containment, against
 the full eigensolver and the exact route.
 
 spectra.checked_lift checks L(F_k) B = B L(G) exactly, with the dense or the
-CSR Laplacian of F_k, B the membership matrix of k-subsets, and hands that
-Laplacian on; float containment adds that B^T B =
-C(n-2, k-1) I + C(n-2, k-2) J, so B has full column rank, and solves
-nothing. The tests below check both identities, their guards and the
-verdicts they give, against dense eigensolves of L(F_k).
+CSR Laplacian of F_k, B the membership matrix of k-subsets, and then that
+B^T B = C(n-2, k-1) I + C(n-2, k-2) J, so B has full column rank, and hands
+that Laplacian on; float containment is that one call and solves nothing.
+The tests below check both identities, their guards and the verdicts they
+give, against dense eigensolves of L(F_k).
 token_alpha makes the same check once and hands B and L(F_k) to its
 routes. It first proves, within the interval a check accepts, lambda_2(L(F_k))
 = alpha(G) by one Cholesky off range(B) (spectra._proved_alpha), and solves
@@ -149,8 +149,8 @@ def _corrupted(tg: TokenGraph, edges: np.ndarray) -> TokenGraph:
 
 
 class TestLiftedCertificate:
-    """checked_lift: L(F_k) B = B L(G) with the dense or the CSR Laplacian, exactly; with
-    containment's check of B^T B, spec(L(G)) lies in spec(L(F_k)) with multiplicity."""
+    """checked_lift: L(F_k) B = B L(G) with the dense or the CSR Laplacian, then B^T B =
+    C(n-2, k-1) I + C(n-2, k-2) J, exactly, so spec(L(G)) lies in spec(L(F_k)) with multiplicity."""
 
     @pytest.mark.parametrize("scipy_from", [spectra.SCIPY_MIN_ORDER, 0])  # 0: CSR at every order
     def test_dense_below_scipy_min_order_csr_from_it(self, monkeypatch, scipy_from):
@@ -217,14 +217,16 @@ class TestLiftedCertificate:
                 checked_lift(token_graph(GNP12, k))
 
     def test_dependent_lift_raises(self, monkeypatch):
-        # two equal columns of B: on the edgeless graph L(F_k) B = B L(G) = 0 still holds,
-        # so only the check of B^T B sees it
+        # two equal columns of B: on the edgeless graph L(F_k) B = B L(G) = 0 still holds, so only
+        # checked_lift's check of B^T B sees it, and every caller raises its message
         real = tokens.lift
         monkeypatch.setattr(spectra, "lift", lambda n, k: real(n, k)[:, [0, 0, *range(2, n)]])
         g = Graph(4, [])
-        checked_lift(token_graph(g, 2))
-        with pytest.raises(NumericalError, match="dependent"):
-            check_spectral_containment(g, 2, mode="float")
+        tg = token_graph(g, 2)
+        for call in (lambda: checked_lift(tg), lambda: token_alpha(tg, _base(g), *_accept(g)),
+                     lambda: check_spectral_containment(g, 2, mode="float")):
+            with pytest.raises(NumericalError, match="the lift is dependent: B\\^T B is not"):
+                call()
 
     def test_corrupted_token_graph_fails_containment(self, monkeypatch):
         real = verify.token_graph
