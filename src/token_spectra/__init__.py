@@ -33,7 +33,6 @@ from .spectra import (
     eig_sym,
     eigenspace_has_equal_pair,
     laplacian,
-    principal_submatrix,
     theta,
 )
 from .exact import (

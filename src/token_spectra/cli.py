@@ -35,12 +35,15 @@ EXIT_CANCEL = 130
 
 def _default_cap() -> int:
     env = os.environ.get("TOKEN_SPECTRA_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise click.UsageError(f"bad TOKEN_SPECTRA_CAP={env!r}") from exc
-    return tokens.DEFAULT_CAP
+    if env is None:
+        return tokens.DEFAULT_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise click.UsageError(f"bad TOKEN_SPECTRA_CAP={env!r}, expected an integer >= 1")
+    return cap
 
 
 def _parse_graph_spec(spec: str) -> Graph:
@@ -99,6 +102,20 @@ def _tolerance(ctx, param, value: float | None, hint: str | None = None) -> floa
     return value
 
 
+def _writable(ctx, param, value: str | None) -> str | None:
+    """An output path, opened once before any work: one error line and exit 2 where it cannot be."""
+    if value and value != "-":
+        existed = os.path.lexists(value)
+        try:
+            open(value, "a").close()
+        except OSError as exc:
+            click.echo(f"error: cannot open {value!r} for writing: {exc.strerror}", err=True)
+            ctx.exit(EXIT_USAGE)
+        if not existed:
+            os.remove(value)
+    return value
+
+
 def _emit(text: str, output: str | None) -> None:
     if not output or output == "-":
         click.echo(text, nl=False)
@@ -152,8 +169,8 @@ def main() -> None:
 @click.option("--edge", multiple=True, help="extra side-X edge 'u,v' (repeatable)")
 @click.option("--graph", help="base graph for token construction")
 @click.option("-k", type=int, help="token count for token construction")
-@click.option("--cap", type=int, default=None, help="token vertex cap")
-@click.option("-o", "--output", help="output file (default stdout)")
+@click.option("--cap", type=click.IntRange(min=1), default=None, help="token vertex cap")
+@click.option("-o", "--output", help="output file (default stdout)", callback=_writable)
 @click.pass_context
 def construct(ctx, family, **opts):
     """Write a graph in edge-list format; exit 2 on an option FAMILY does not read.
@@ -203,7 +220,7 @@ def construct(ctx, family, **opts):
 @click.option("--tol", type=float, default=spectra.DEFAULT_RESID_TOL, show_default=True, callback=_tolerance)
 @click.option("--group-tol", type=float, default=spectra.DEFAULT_GROUP_TOL, show_default=True, callback=_tolerance)
 @click.option("--pretty", is_flag=True)
-@click.option("-o", "--output", help="output file (default stdout)")
+@click.option("-o", "--output", help="output file (default stdout)", callback=_writable)
 def spectrum(graph_spec, exact_flag, tol, group_tol, pretty, output):
     """Laplacian spectrum of a graph, as JSON."""
     g = _parse_graph_spec(graph_spec)
@@ -340,7 +357,7 @@ def _check_call(check_id: str, opts: dict, need):
 @click.option("--edge", multiple=True, help="side-X edge 'u,v' (repeatable)")
 @click.option("--vertex", type=int, help="cut vertex")
 @click.option("--tol", type=float, help="comparison tolerance  [default: the check's own]", callback=_tolerance)
-@click.option("--cap", type=int, default=None)
+@click.option("--cap", type=click.IntRange(min=1), default=None)
 @click.option("--pretty", is_flag=True)
 @click.pass_context
 def verify_cmd(ctx, check_id, **opts):
@@ -471,10 +488,10 @@ def _sweep_row(task: tuple[dict, dict | None]) -> dict:
 
 @main.command()
 @click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--csv", "csv_path", help="write rows as CSV to this path (default stdout)")
+@click.option("--csv", "csv_path", help="write rows as CSV to this path (default stdout)", callback=_writable)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=None, help="override the spec seed")
-@click.option("--cap", type=int, default=None)
+@click.option("--cap", type=click.IntRange(min=1), default=None)
 @click.option("--pretty", is_flag=True)
 def sweep(spec_file, csv_path, jobs, seed, cap, pretty):
     """Run a batch of checks over a family of instances; summary JSON on stdout."""
@@ -482,6 +499,8 @@ def sweep(spec_file, csv_path, jobs, seed, cap, pretty):
     try:
         rng = random.Random(seed if seed is not None else _number(spec.get("seed", 0), "seed"))
         cap = cap if cap is not None else _number(spec.get("cap", _default_cap()), "cap")
+        if cap < 1:
+            raise ValueError(f"cap {cap!r} is not an integer >= 1")
         tols = spec.get("tolerances", {})
         if not isinstance(tols, dict):
             raise ValueError(f"tolerances {tols!r} is not an object")

@@ -52,7 +52,7 @@ DENSE_BYTES_PER_N2 = 44
 # eigvalsh's copy of it; the CSR or int64 matrix it was made from is freed before.
 # laplacian_values, the solve of checks that read no eigenvector, holds the same: interlacing's
 # two solves on paths read 16.3 and 16.2 at N = 3000 and 4000 (24.0, one block more, at 2000).
-# So do theta-table's and the kite head's submatrix solves: 16.1 to 16.3 on paths, cycles and
+# So do submatrix_values' solves, theta-table's and the kite head's: 16.1 to 16.3 on paths, cycles and
 # K_3000, N = 2000..4000. token_alpha pays it where its other routes do not answer.
 VALUES_BYTES_PER_N2 = 18
 # Peak bytes per N^2 of _proved_alpha: ru_maxrss less the RSS before it, in a fresh process, on
@@ -104,17 +104,6 @@ def laplacian(g: Graph, bytes_per_n2: int = DENSE_BYTES_PER_N2) -> np.ndarray:
     L[v, u] = -1
     L[np.diag_indices(g.n)] = -L.sum(axis=1)
     return L
-
-
-def principal_submatrix(m: np.ndarray, keep: Iterable[int]) -> np.ndarray:
-    """Rows and columns restricted to keep, ordered by ascending index."""
-    m = np.asarray(m)
-    order = m.shape[0]
-    idx = sorted(set(keep))
-    for v in idx:
-        if not (0 <= v < order):
-            raise GraphError(f"index {v} out of range [0, {order})")
-    return m[np.ix_(idx, idx)]
 
 
 @dataclass(frozen=True)
@@ -198,6 +187,22 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
 def laplacian_values(g: Graph) -> np.ndarray:
     """Ascending Laplacian eigenvalues of g from eigenvalues, charged VALUES_BYTES_PER_N2."""
     return eigenvalues(laplacian(g, VALUES_BYTES_PER_N2).astype(float))  # the int64 matrix is freed first
+
+
+def submatrix_values(g: Graph, parts: Iterable[Iterable[int]]) -> list[np.ndarray]:
+    """Ascending eigenvalues of L(g) on each vertex set in parts, in parts' order: rows in ascending
+    vertex order, a repeated vertex counted once; GraphError for a vertex outside g, before any work.
+
+    One float L(g), charged VALUES_BYTES_PER_N2, gives every block and is freed before the first
+    solve by eigenvalues; each solve holds only the blocks not yet solved.
+    """
+    keeps = [sorted(set(part)) for part in parts]
+    if bad := [v for keep in keeps for v in keep if not 0 <= v < g.n]:
+        raise GraphError(f"index {bad[0]} out of range [0, {g.n})")
+    lap = laplacian(g, VALUES_BYTES_PER_N2).astype(float)  # the int64 matrix is freed first
+    blocks = [lap[np.ix_(keep, keep)] for keep in keeps]
+    del lap
+    return [eigenvalues(blocks.pop()) for _ in keeps][::-1]
 
 
 def fiedler_value(values: np.ndarray) -> float:

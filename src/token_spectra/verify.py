@@ -37,17 +37,15 @@ from .graphs import (
 )
 from .spectra import (
     PAIR_TOL,
-    VALUES_BYTES_PER_N2,
     Spectrum,
     algebraic_connectivity,
     checked_lift,
     eig_sym,
     eigenspace_has_equal_pair,
-    eigenvalues,
     fiedler_value,
     laplacian,
     laplacian_values,
-    principal_submatrix,
+    submatrix_values,
     theta,
     token_alpha,
 )
@@ -341,15 +339,15 @@ def check_tail_edges_preserve_alpha(
 
 
 def _head_submatrix_min_eig(head: Graph, root: int) -> float | None:
-    """Smallest eigenvalue of the head Laplacian restricted away from the root.
+    """Smallest eigenvalue of the head Laplacian restricted away from the root, from
+    spectra.submatrix_values.
 
     None for a single-vertex head: the submatrix is empty and every bound
     on its eigenvalues holds vacuously.
     """
     if head.n == 1:
         return None
-    keep = [i for i in range(head.n) if i != root]
-    return float(eigenvalues(principal_submatrix(laplacian(head, VALUES_BYTES_PER_N2), keep).astype(float))[0])
+    return float(submatrix_values(head, [[i for i in range(head.n) if i != root]])[0][0])
 
 
 def check_kite_alpha_theta_iff(spec: KiteSpec, tol: float = DEFAULT_ALPHA_TOL) -> Certificate:
@@ -556,7 +554,8 @@ def check_cut_vertex_split(g: Graph, cut_vertex: int, tol: float = DEFAULT_ALPHA
     """At a cut vertex, equal smallest submatrix eigenvalues pin down alpha.
 
     The Laplacian restricted to each component of g minus the cut vertex
-    gives one eigenvalue per component; if the two smallest agree, alpha
+    gives one eigenvalue per component, each block's least, all from one
+    spectra.submatrix_values call; if the two smallest agree, alpha
     must equal them. Otherwise the verdict is precondition_unmet and the
     dichotomy alpha < second-smallest is asserted instead.
     """
@@ -567,13 +566,7 @@ def check_cut_vertex_split(g: Graph, cut_vertex: int, tol: float = DEFAULT_ALPHA
     comps = [c for c in sub_all.components() if c != (cut_vertex,)]
     if len(comps) < 2:
         raise GraphError(f"vertex {cut_vertex} is not a cut vertex")
-    lap = laplacian(g, VALUES_BYTES_PER_N2).astype(float)
-    subs = [principal_submatrix(lap, comp) for comp in comps]
-    del lap  # each eigensolve holds only the submatrices not yet solved
-    lam1s = []
-    while subs:
-        lam1s.append(float(eigenvalues(subs.pop())[0]))
-    lam1s.sort()
+    lam1s = sorted(float(values[0]) for values in submatrix_values(g, comps))
     a = fiedler_value(laplacian_values(g))
     witnesses = {
         "cut_vertex": {"index": cut_vertex, "one_based": cut_vertex + 1},
@@ -679,8 +672,7 @@ def check_theta_table(r: int, tol: float = 1e-9) -> Certificate:
     if r < 1:
         raise GraphError(f"need r >= 1, got {r}")
     t0 = time.perf_counter()
-    sub = principal_submatrix(laplacian(path_graph(r + 1), VALUES_BYTES_PER_N2), range(1, r + 1)).astype(float)
-    eigs = eigenvalues(sub)  # the int64 blocks are freed first
+    (eigs,) = submatrix_values(path_graph(r + 1), [range(1, r + 1)])
     closed = [theta(r, k) for k in range(r, 0, -1)]
     err = max(abs(float(e) - c) for e, c in zip(eigs, closed))
     witnesses = {

@@ -8,8 +8,9 @@ per-eigenvalue grouping loops the spectra module replaced, the
 Faddeev-LeVerrier characteristic polynomial the exact module replaced,
 the exact containment check on the whole token Laplacian, which the
 layered route replaced, the integer-polynomial operations and Sturm
-root count that only the tests call, and the dense kite symmetrizer that
-the commutation check replaced)."""
+root count that only the tests call, the dense kite symmetrizer that
+the commutation check replaced, and the principal submatrix that
+spectra.submatrix_values replaced)."""
 
 from __future__ import annotations
 
@@ -518,6 +519,17 @@ def reference_components(g: Graph) -> list[tuple[int, ...]]:
         seen |= comp
         out.append(tuple(sorted(comp)))
     return out
+
+
+def principal_submatrix(m: np.ndarray, keep: Iterable[int]) -> np.ndarray:
+    """Rows and columns restricted to keep, ordered by ascending index."""
+    m = np.asarray(m)
+    order = m.shape[0]
+    idx = sorted(set(keep))
+    for v in idx:
+        if not (0 <= v < order):
+            raise GraphError(f"index {v} out of range [0, {order})")
+    return m[np.ix_(idx, idx)]
 
 
 def reference_laplacian(g: Graph) -> np.ndarray:

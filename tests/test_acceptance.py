@@ -29,7 +29,6 @@ from token_spectra.spectra import (
     eig_sym,
     eigenspace_has_equal_pair,
     laplacian,
-    principal_submatrix,
     theta,
 )
 from token_spectra.tokens import token_graph
@@ -48,6 +47,7 @@ from helpers import (
     build_kite_symmetrizer,
     connected_class_representatives,
     poly_pow,
+    principal_submatrix,
     x_minus,
 )
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from token_spectra import cli, exact, spectra, tokens, verify
+from token_spectra import cli, exact, graphs, spectra, tokens, verify
 from token_spectra.cli import CHECKS, EXIT_CANCEL, main
 from token_spectra.graphs import (
     KiteSpec,
@@ -198,7 +198,7 @@ class TestSpectrum:
         for name in ("eig_sym", "eigenvalues"):
             spy = spying(getattr(spectra, name))
             monkeypatch.setattr(spectra, name, spy)
-            monkeypatch.setattr(verify, name, spy)
+        monkeypatch.setattr(verify, "eig_sym", spectra.eig_sym)
         assert runner.invoke(main, ["spectrum", "path:5"]).exit_code == 0
         assert runner.invoke(main, ["verify", "interlacing", "--graph", "path:5", "-u", "0", "-v", "4"]).exit_code == 0
         assert seen == [np.float64] * 3
@@ -1082,3 +1082,66 @@ class TestSweep:
                 assert json.loads(row.pop("detail")) == pytest.approx(
                     json.loads(want.pop("detail")), rel=1e-9, abs=1e-12)
             assert row == want
+
+
+class TestRefusedBeforeAnyWork:
+    """A vertex cap below 1 and an output path that cannot be opened are malformed input: exit 2
+    with one error line, before any graph, token graph or spectrum is built or any sweep cell runs."""
+
+    SPEC = {"family": {"name": "path", "n": [3, 5]}, "checks": ["alpha-token"]}
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        started = []
+        for module, name in ((graphs, "build_standard"), (tokens, "token_graph"), (verify, "token_graph"),
+                             (spectra, "eig_sym"), (cli, "_sweep_row")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **kw: started.append(name))
+        return started
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["verify", "alpha-token", "--graph", "path:5", "-k", "2", "--cap", "0"], {},
+         "Invalid value for '--cap': 0 is not in the range x>=1."),
+        (["verify", "alpha-token", "--graph", "path:5", "-k", "2", "--cap", "-1"], {},
+         "Invalid value for '--cap': -1 is not in the range x>=1."),
+        (["construct", "token", "--graph", "path:5", "-k", "2", "--cap", "-3"], {},
+         "Invalid value for '--cap': -3 is not in the range x>=1."),
+        (["verify", "alpha-token", "--graph", "path:4", "-k", "2"], {"TOKEN_SPECTRA_CAP": "-5"},
+         "bad TOKEN_SPECTRA_CAP='-5', expected an integer >= 1"),
+        (["sweep", "{spec}", "--cap", "0"], {}, "Invalid value for '--cap': 0 is not in the range x>=1."),
+        (["sweep", "{capped}"], {}, "bad sweep spec: cap -1 is not an integer >= 1"),
+    ], ids=["verify-0", "verify-neg", "construct", "env", "sweep-option", "sweep-spec"])
+    def test_cap_below_1_exits_2(self, runner, tmp_path, work, argv, env, message):
+        (tmp_path / "spec.json").write_text(json.dumps(self.SPEC))
+        (tmp_path / "capped.json").write_text(json.dumps({**self.SPEC, "cap": -1}))
+        argv = [a.format(spec=tmp_path / "spec.json", capped=tmp_path / "capped.json") for a in argv]
+        res = runner.invoke(main, argv, env=env)
+        assert res.exit_code == 2 and res.stdout == ""
+        assert [line for line in res.stderr.splitlines() if "rror" in line] == [f"Error: {message}"]
+        assert work == []
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "path", "5", "-o", "{out}"],
+        ["spectrum", "path:5", "-o", "{out}"],
+        ["sweep", "{spec}", "--csv", "{out}"],
+    ], ids=["construct", "spectrum", "sweep"])
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_output_that_cannot_be_opened_exits_2(self, runner, tmp_path, work, argv, where):
+        (tmp_path / "spec.json").write_text(json.dumps(self.SPEC))
+        out = tmp_path / "missing" / "x.out" if where == "missing-dir" else tmp_path
+        reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+        res = runner.invoke(main, [a.format(spec=tmp_path / "spec.json", out=out) for a in argv])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr == f"error: cannot open {str(out)!r} for writing: {reason}\n"
+        assert work == []
+
+    def test_output_checked_then_left_as_it_was(self, runner, tmp_path):
+        # the path is opened before the work, but a command refused later leaves no new file,
+        # and an old one unchanged
+        argv = ["construct", "token", "--graph", "path:30", "-k", "8", "--cap", "100", "-o"]
+        new, old = tmp_path / "new.el", tmp_path / "old.el"
+        old.write_text("kept\n")
+        for out in (new, old):
+            assert runner.invoke(main, [*argv, str(out)]).exit_code == 3
+        assert not new.exists() and old.read_text() == "kept\n"
+        assert runner.invoke(main, ["construct", "path", "3", "-o", str(new)]).exit_code == 0
+        assert new.read_text() == "3 2\n0 1\n1 2\n"

@@ -24,7 +24,7 @@ from token_spectra.graphs import (
     path_graph,
     random_connected_gnp,
 )
-from token_spectra.spectra import laplacian, principal_submatrix
+from token_spectra.spectra import laplacian
 from token_spectra.tokens import DEFAULT_CAP, CapExceededError, token_graph
 from token_spectra.verify import check_spectral_containment
 
@@ -42,6 +42,7 @@ from helpers import (
     poly_add,
     poly_pow,
     poly_sub,
+    principal_submatrix,
     random_corpus,
     reference_char_poly,
     x_minus,

@@ -230,6 +230,31 @@ class TestAgainstDense:
         value, fields = _token_alpha(tg)
         assert fields == {} and solves == [1, 0] and value == _dense(tg)
 
+    @pytest.mark.parametrize("fault", ["at-the-shift", "residual"])
+    def test_a_solve_that_fails_its_check_hands_over(self, monkeypatch, sparse_first, fault):
+        # path:9 with k = 3 (N = 84), with eigsh's first answer the least eigenvector of L(F_k) off
+        # range(B), but its value read at the shift, above the whole spectrum, or 1e-6 high, past
+        # the residual bound: the route hands over after that one solve, and the values-only solve answers
+        import scipy.sparse.linalg
+
+        tg = token_graph(path_graph(9), 3)
+        b, lap = checked_lift(tg)
+        w, q = np.linalg.eigh(lap + 100.0 * b @ np.linalg.solve(b.T @ b, b.T))  # range(B) lifted by 100
+        scale = max(1.0, float(lap.diagonal().max()) + 1.0)
+        value = 2.0 * scale if fault == "at-the-shift" else w[0] + 1e-6
+        assert np.linalg.norm(lap @ q[:, 0] - w[0] * q[:, 0]) <= spectra.DEFAULT_RESID_TOL * scale
+        solves = []
+
+        def eigsh(op, k, **kw):
+            solves.append(k)
+            return np.array([value]), q[:, [0]]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        assert _sparse(tg) is None and solves == [1]
+        solves.clear()
+        answer, fields = _token_alpha(tg)
+        assert fields == {} and solves == [1] and answer == _dense(tg)
+
     def test_no_convergence_falls_back_to_dense(self, monkeypatch, sparse_first):
         # one restart is too few: ARPACK raises ArpackNoConvergence, and the route hands over
         monkeypatch.setattr(spectra, "SPARSE_MAXITER", 1)

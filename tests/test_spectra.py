@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from token_spectra import spectra
 from token_spectra.exact import char_poly
 from token_spectra.graphs import (
     Graph,
@@ -28,7 +29,7 @@ from token_spectra.spectra import (
     fiedler_value,
     laplacian,
     laplacian_values,
-    principal_submatrix,
+    submatrix_values,
     theta,
 )
 from token_spectra.tokens import token_graph
@@ -36,6 +37,7 @@ from token_spectra.tokens import token_graph
 from helpers import (
     count_roots_in_interval,
     family_corpus,
+    principal_submatrix,
     random_corpus,
     rayleigh,
     reference_groups,
@@ -159,7 +161,78 @@ class TestPrincipalSubmatrix:
             principal_submatrix(laplacian(cycle_graph(4)), [4])
 
 
+def _cut_vertex_components(g: Graph) -> list[list[tuple[int, ...]]]:
+    """The components of g less v, for every cut vertex v, as check_cut_vertex_split finds them."""
+    out = []
+    for v in range(g.n):
+        comps = [c for c in Graph(g.n, g.edge_array[(g.edge_array != v).all(axis=1)]).components() if c != (v,)]
+        out += [comps] if len(comps) > 1 else []
+    return out
+
+
+class TestSubmatrixValues:
+    """submatrix_values against the eigenvalues of the reference principal submatrix, bit for bit."""
+
+    @staticmethod
+    def _reference(g: Graph, parts) -> list[np.ndarray]:
+        return [eigenvalues(principal_submatrix(laplacian(g), part).astype(float)) for part in parts]
+
+    def _assert_same(self, g: Graph, parts) -> None:
+        got, want = submatrix_values(g, parts), self._reference(g, parts)
+        assert len(got) == len(want)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want)), (g.n, g.edges, parts)
+
+    @pytest.mark.parametrize("corpus", ["family", "random"])
+    def test_each_vertex_deleted_and_each_cut_vertex(self, corpus):
+        graphs = family_corpus(7) if corpus == "family" else random_corpus(20, n_range=(4, 9), seed=27)
+        cuts = 0
+        for g in graphs:
+            self._assert_same(g, [[i for i in range(g.n) if i != v] for v in range(g.n)])
+            for comps in _cut_vertex_components(g):
+                self._assert_same(g, comps)
+                cuts += 1
+        assert cuts > 0
+
+    def test_unsorted_and_repeated_parts(self):
+        g = random_corpus(1, n_range=(8, 8), seed=5)[0]
+        parts = [[5, 1, 3, 1], (7, 0, 7, 0, 2), range(8), [4], []]
+        self._assert_same(g, parts)
+        assert [len(w) for w in submatrix_values(g, parts)] == [3, 3, 8, 1, 0]
+
+    @pytest.mark.parametrize("part", [[0, 4], [-1, 2], [9, 4, -2]])
+    def test_out_of_range_is_refused_before_any_work(self, part, monkeypatch):
+        with pytest.raises(GraphError) as ref:
+            principal_submatrix(laplacian(cycle_graph(4)), part)
+        monkeypatch.setattr(spectra, "laplacian", lambda *a, **kw: pytest.fail("built L(g)"))
+        with pytest.raises(GraphError) as got:
+            submatrix_values(cycle_graph(4), [[1, 2], part])
+        assert str(got.value) == str(ref.value)
+
+    def test_blocks_are_float_and_solved_last_part_first(self, monkeypatch):
+        solved, real = [], spectra.eigenvalues
+        monkeypatch.setattr(spectra, "eigenvalues", lambda m: solved.append((m.shape, m.dtype)) or real(m))
+        g = path_graph(7)
+        values = submatrix_values(g, [[0], [1, 2], [3, 4, 5]])
+        assert solved == [((3, 3), np.float64), ((2, 2), np.float64), ((1, 1), np.float64)]
+        assert [len(w) for w in values] == [1, 2, 3]
+
+
 class TestEigSym:
+    def test_residual_above_its_bound_is_a_numerical_error(self, monkeypatch):
+        # every eigenvalue read 1e-6 high: each residual is 1e-6, past 1e-9 * max(1, 4 + 1e-6)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (lambda w, q: (w + 1e-6, q))(*eigh(a)))
+        with pytest.raises(NumericalError, match=r"^residual 1\.000e-06 exceeds bound 4\.000e-09$"):
+            eig_sym(laplacian(complete_graph(4)))
+
+    def test_no_convergence_is_a_numerical_error(self, monkeypatch):
+        def fails(a):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(NumericalError, match="eigensolver did not converge: forced"):
+            eig_sym(laplacian(complete_graph(4)))
+
     def test_k4_spectrum_and_grouping(self):
         spec = eig_sym(laplacian(complete_graph(4)))
         assert np.allclose(spec.values, [0, 4, 4, 4], atol=1e-9)

@@ -238,6 +238,14 @@ class TestEdgeCountIdentity:
             for k in range(1, min(5, g.n)):
                 assert token_graph(g, k).graph.m == g.m * comb(g.n - 2, k - 1)
 
+    @pytest.mark.parametrize("k", [2, 6])  # 6 > 8/2 takes the complement side
+    def test_an_edge_count_off_the_identity_raises(self, monkeypatch, k):
+        # the rank's edge arrays lose their last edge: 41 of the 7 * C(6, 1) = 7 * C(6, 5) = 42
+        real = tokens._token_edges
+        monkeypatch.setattr(tokens, "_token_edges", lambda g, j: tuple(a[:-1] for a in real(g, j)))
+        with pytest.raises(AssertionError, match=r"token edge count 41 != \|E\|\*C\(n-2,k-1\) = 42"):
+            token_graph(path_graph(8), k)
+
 
 class TestComplementSymmetry:
     def test_token_graphs_isomorphic_under_complement_codec(self):

@@ -486,7 +486,7 @@ class TestKiteHeadFamily:
     ])
     def test_bad_edges_are_refused_before_any_solve(self, order, edges, message, monkeypatch):
         solves = []
-        for name in ("eigenvalues", "laplacian_values", "_token_alpha"):
+        for name in ("submatrix_values", "laplacian_values", "_token_alpha"):
             monkeypatch.setattr(verify, name, lambda *a, name=name, **kw: solves.append(name))
         with pytest.raises(GraphError, match=message):
             check_kite_head_family("cycle", s=2, r=1, h=order, k=2, **edges)
