@@ -498,7 +498,8 @@ def sweep(spec_file, csv_path, jobs, seed, cap, pretty):
     spec = _load_sweep_spec(spec_file)
     try:
         rng = random.Random(seed if seed is not None else _number(spec.get("seed", 0), "seed"))
-        cap = cap if cap is not None else _number(spec.get("cap", _default_cap()), "cap")
+        if cap is None:  # the environment is read only where neither --cap nor the spec sets the cap
+            cap = _number(spec["cap"], "cap") if "cap" in spec else _default_cap()
         if cap < 1:
             raise ValueError(f"cap {cap!r} is not an integer >= 1")
         tols = spec.get("tolerances", {})

@@ -2,7 +2,9 @@
 route to the algebraic connectivity of large token graphs, an exact check of
 the lift B (L(F_k) B = B L(G), with the dense or the CSR Laplacian of F_k, and
 B^T B = a I + c J), which is float containment and which token_alpha makes once
-for all its routes, and a proof, by one Cholesky, that alpha(F_k) = alpha(G).
+for all its routes, and a proof, by one Cholesky, that alpha(F_k) = alpha(G):
+in single precision first where an upper bound on the complement's least
+eigenvalue leaves room for its rounding, else in double precision.
 
 The dense eigensolver is LAPACK's symmetric solver reached through
 numpy; this module adds the contracts the verification layer depends on:
@@ -20,7 +22,9 @@ The proof needs a number above the true alpha(G). eig_sym returns pairs
 scale = max(1, max |w|), and LAPACK keeps Q orthonormal to eta = O(n u).
 By Courant-Fischer on span(q_0, q_1), alpha(G) <= (w_1 + 1.5 rho + eta
 scale) / (1 - eta), and fiedler_value reads 0 only for |w_1| <= rho. So
-alpha + 10 rho exceeds alpha(G) while eta < 3e-9, far above O(n u).
+alpha + 10 rho exceeds alpha(G) while eta < 3e-9, far above O(n u). The
+gate of the single-precision factor also reads q_1, a Fiedler vector of G;
+its rounding decides only which precision runs, never what is proved.
 """
 
 from __future__ import annotations
@@ -65,9 +69,12 @@ NUMPY_PROOF_BYTES_PER_N2 = 32
 # numpy's cholesky, best of 7: 0.35 / 0.44 ms at N = 200, 0.92 / 1.72 at 300; checked_lift, CSR /
 # dense, median over 5 G(n, 1/2): 0.11 / 0.03 ms at N = 15, 0.16 / 0.09 at 165, 0.22 / 0.60 at 286.
 SCIPY_MIN_ORDER = 300
-# scipy's OpenBLAS 0.3.30 dpotrf segfaulted with 2 threads at N = 16000 and 20000, not at 15000
-DPOTRF_THREADED_MAX_ORDER = 15000
-UNIT_ROUNDOFF = 2.0 ** -53
+# scipy's OpenBLAS 0.3.30 dpotrf segfaulted with 2 threads at N = 16000 and 20000, not at 15000;
+# spotrf gets the same guard
+POTRF_THREADED_MAX_ORDER = 15000
+# unit roundoffs and underflow units (least positive subnormals) of double and single precision
+UNIT_ROUNDOFF, UNDERFLOW = 2.0 ** -53, 2.0 ** -1074
+SINGLE_UNIT_ROUNDOFF, SINGLE_UNDERFLOW = 2.0 ** -24, 2.0 ** -149
 # Peak bytes of checked_lift per token edge and per entry of the N x n lift: ru_maxrss less the RSS
 # before it, in a fresh process with scipy.sparse imported and the token graph loaded from disk, on
 # 12 token graphs of paths, cycles, stars, complete graphs and tests/data/gnp18.el, N = 495..125970.
@@ -243,20 +250,22 @@ def sparse_laplacian(g: Graph):
     return csr_array((data, indices, indptr), shape=(g.n, g.n))
 
 
-def token_alpha(tg: TokenGraph, values: np.ndarray, lo: float, hi: float) -> tuple[float, dict]:
-    """Algebraic connectivity of tg's token graph, as (alpha, fields), from values = eig_sym(L(G)).values
-    and the interval [lo, hi] that the caller's check accepts; fields are the witnesses the route adds.
+def token_alpha(tg: TokenGraph, spectrum: Spectrum, lo: float, hi: float) -> tuple[float, dict]:
+    """Algebraic connectivity of tg's token graph, as (alpha, fields), from spectrum = eig_sym(L(G)) and
+    the interval [lo, hi] that the caller's check accepts; fields are the witnesses the route adds.
 
     checked_lift checks B's two identities once, and every route works with
     that B and L(F_k). Below SPARSE_MIN_ORDER token vertices, _proved_alpha
     runs, then the values-only solve; from there on, _sparse_token_alpha
     runs before both. Each of the first two answers or hands over (None).
     The proof adds its bounds, Lanczos its mu, and the values-only solve
-    nothing; it frees B and the int64 or CSR L(F_k) before its solve.
+    nothing; it frees B and the int64 or CSR L(F_k) before its solve. The
+    proof also reads a Fiedler vector of G, spectrum.vectors[:, 1], for its
+    upper bound on mu, which decides whether a single-precision factor can close.
     """
     b, lap = checked_lift(tg)
-    answer = tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, values, b, lap)
-    answer = answer or _proved_alpha(tg, values, b, lap, lo, hi)
+    answer = tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, spectrum.values, b, lap)
+    answer = answer or _proved_alpha(tg, spectrum, b, lap, lo, hi)
     if answer:
         return answer
     require_memory(VALUES_BYTES_PER_N2 * tg.graph.n ** 2, f"the dense Laplacian route at N = {tg.graph.n}")
@@ -265,7 +274,7 @@ def token_alpha(tg: TokenGraph, values: np.ndarray, lo: float, hi: float) -> tup
     return fiedler_value(eigenvalues(lap)), {}
 
 
-def _proved_alpha(tg: TokenGraph, values: np.ndarray, b: np.ndarray, lap, lo: float,
+def _proved_alpha(tg: TokenGraph, spectrum: Spectrum, b: np.ndarray, lap, lo: float,
                   hi: float) -> tuple[float, dict] | None:
     """(alpha(G), fields) once one Cholesky pins lambda_2(L(F_k)) down, else None.
 
@@ -277,9 +286,11 @@ def _proved_alpha(tg: TokenGraph, values: np.ndarray, b: np.ndarray, lap, lo: fl
     Otherwise (F_2(C_4) has mu = alpha), if upper <= hi, mu > lo (free for lo
     < 0) gives lo < lambda_2 <= upper, and fields = {alpha_complement_lower:
     lo, alpha_token_lower: lo, alpha_token_upper: upper}. None where neither
-    closes or the proof does not fit in memory.
+    closes or the proof does not fit in memory. From SCIPY_MIN_ORDER on, each
+    proof gets theta = _complement_rayleigh, an upper bound on mu from the
+    Fiedler vector spectrum.vectors[:, 1], which gates its single-precision factor.
     """
-    g = tg.graph
+    g, values = tg.graph, spectrum.values
     rate = PROOF_BYTES_PER_N2 if g.n >= SCIPY_MIN_ORDER else NUMPY_PROOF_BYTES_PER_N2
     try:  # a proof that does not fit in memory leaves alpha to the next route
         require_memory(rate * g.n * g.n, f"the proof at N = {g.n}")
@@ -288,42 +299,77 @@ def _proved_alpha(tg: TokenGraph, values: np.ndarray, b: np.ndarray, lap, lo: fl
     degree = lap.diagonal()
     alpha = fiedler_value(values)
     upper = float(np.nextafter(alpha + 10 * DEFAULT_RESID_TOL * max(1.0, float(np.abs(values).max())), np.inf))
-    if _complement_exceeds(tg, b, degree, upper):
+    theta = _complement_rayleigh(tg, b, spectrum.vectors[:, 1]) if g.n >= SCIPY_MIN_ORDER else math.inf
+    if _complement_exceeds(tg, b, degree, upper, theta):
         return alpha, {"alpha_complement_lower": upper}
-    if lo < upper <= hi and (lo < 0 or _complement_exceeds(tg, b, degree, lo)):
+    if lo < upper <= hi and (lo < 0 or _complement_exceeds(tg, b, degree, lo, theta)):
         return alpha, {"alpha_complement_lower": lo, "alpha_token_lower": lo, "alpha_token_upper": upper}
     return None
 
 
-def _complement_exceeds(tg: TokenGraph, b: np.ndarray, degree: np.ndarray, sigma: float) -> bool:
+def _complement_rayleigh(tg: TokenGraph, b: np.ndarray, f: np.ndarray) -> float:
+    """theta >= mu, the least eigenvalue of L = L(F_k) off range(b): L's Rayleigh quotient at x_S =
+    sum over i < j in S of f_i f_j, f a Fiedler vector of G, projected off range(b); +inf where x
+    projects to 0, as at k = 1 and n - 1, where range(b) is everything.
+
+    L leaves range(b) and its complement invariant, so any nonzero vector of the complement has a
+    quotient of at least mu. b is the checked lift, B^T B = a I + c J, so the projection takes the
+    closed form (B^T B)^-1 = (I - c / (a + n c) J) / a. O(N n + |E(F_k)|); rounding can move theta,
+    which only decides whether a proof is tried in single precision, never what it proves.
+    """
+    n, k = tg.base.n, tg.k
+    if tg.graph.n == n:
+        return math.inf
+    a, c = math.comb(n - 2, k - 1), math.comb(n - 2, k - 2)
+    total = b @ f
+    x = (total * total - b @ (f * f)) / 2
+    y = x @ b
+    y -= c / (a + n * c) * y.sum()
+    x -= b @ (y / a)
+    norm = float(x @ x)
+    u, v = tg.graph.edge_array.T
+    return float(np.square(x[u] - x[v]).sum()) / norm if norm > 0 else math.inf
+
+
+def _complement_exceeds(tg: TokenGraph, b: np.ndarray, degree: np.ndarray, sigma: float, theta: float) -> bool:
     """Does every eigenvalue mu of L = L(F_k) off range(b) exceed sigma >= 0? True only when proved.
 
-    b is the checked lift, degree F_k's degrees. b b^T = (|S & T|) commutes
-    with L, vanishes off range(b), and is at least C(n-2, k-1), the least
-    eigenvalue of b^T b, on it. With s a power of two, s C(n-2, k-1) >
-    sigma + 1, A = L + s b b^T is exact, and A - sigma I is positive definite
-    iff mu > sigma. M = fl(A - s' I), s' = fl(sigma + c), rounds only its
-    diagonal, by at most u (Delta + s k) an entry. If floating-point Cholesky
-    of M succeeds, M + dM is positive definite with ||dM|| <= gamma / (1 -
-    gamma) tr(M), gamma = gamma_{N+1}, tr(M) <= 2|E| + N s k (S. M. Rump,
-    Verification of positive definiteness, BIT 46 (2006) 433-452; Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 10.3). c covers that,
-    u (Delta + s k), and the rounding of s' and of c. A is the one N x N array.
+    b is the checked lift, degree F_k's degrees, theta >= mu. b b^T = (|S &
+    T|) commutes with L, vanishes off range(b), and is at least C(n-2,
+    k-1), the least eigenvalue of b^T b, on it. With s a power of two, s
+    C(n-2, k-1) > sigma + 1, A = L + s b b^T is exact, and A - sigma I is
+    positive definite iff mu > sigma. M = fl(A - s' I), s' = fl(sigma + c)
+    (_rump_shift), rounds only its diagonal. If floating-point Cholesky of M
+    succeeds, A - sigma I is positive definite (S. M. Rump, Verification of
+    positive definiteness, BIT 46 (2006) 433-452; Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3).
+
+    Below SCIPY_MIN_ORDER, numpy's float64 Cholesky factors the full A,
+    made by one product b b^T. From there on, ?syrk writes only the upper
+    triangle of s b b^T into the Fortran-ordered array that ?potrf factors
+    in place, and the token edges go into that triangle only. The factor
+    runs first in single precision, where every entry s |S & T| - [ST an
+    edge] is exact (_exact_in_single), and only where its shift c32 <
+    theta - sigma: otherwise mu - sigma <= c32 and it cannot close. Where
+    it is skipped or fails, the same matrix is built and factored in
+    double precision. One N x N array is held at a time.
     """
     g, k = tg.graph, tg.k
     n = g.n
     s = math.ldexp(1.0, math.frexp((sigma + 1.0) / math.comb(tg.base.n - 2, k - 1))[1])
-    gamma = (n + 1) * UNIT_ROUNDOFF / (1 - (n + 1) * UNIT_ROUNDOFF)
-    c = (gamma / (1 - gamma) * (2 * g.m + n * s * k)
-         + UNIT_ROUNDOFF * (float(degree.max()) + s * k + 2 * sigma)) * (1 + 2.0 ** -40)
+    top = float(degree.max()) + s * k
+    if n >= SCIPY_MIN_ORDER:
+        c32 = _rump_shift(tg, s, top, sigma, np.float32)
+        if c32 < theta - sigma and _exact_in_single(s, k) and _factors(tg, b, degree, s, sigma + c32, np.float32):
+            return True
+        return _factors(tg, b, degree, s, sigma + _rump_shift(tg, s, top, sigma, np.float64),
+                        np.float64)
     a = np.matmul(b, b.T, out=np.empty((n, n)))
     a *= s
     u, v = g.edge_array.T
     a[u, v] -= 1.0
     a[v, u] -= 1.0
-    a[np.diag_indices(n)] = (degree + s * k) - (sigma + c)
-    if n >= SCIPY_MIN_ORDER:
-        return _dpotrf_in_place(a) == 0
+    a[np.diag_indices(n)] = (degree + s * k) - (sigma + _rump_shift(tg, s, top, sigma, np.float64))
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -331,17 +377,56 @@ def _complement_exceeds(tg: TokenGraph, b: np.ndarray, degree: np.ndarray, sigma
     return True
 
 
-def _dpotrf_in_place(a: np.ndarray) -> int:
-    """LAPACK's info from scipy's dpotrf on the C-ordered symmetric a, factored in place; above
-    DPOTRF_THREADED_MAX_ORDER with 1 thread, set in scipy's bundled OpenBLAS, or CapExceededError."""
+def _rump_shift(tg: TokenGraph, s: float, top: float, sigma: float, dtype) -> float:
+    """The shift c of _complement_exceeds for a factor in dtype, float32 or float64, with top = Delta
+    + s k the largest diagonal entry of A; u and eta are dtype's unit roundoff and underflow unit.
+
+    Rump's bound: gamma / (1 - gamma) tr(M) + 4 N (2 (N + 1) + top) eta,
+    gamma = gamma_{N+1}, tr(M) <= 2|E| + N s k. Each diagonal entry rounds
+    by r |A_ii - s'| <= r (top + sigma + c): to double (r = UNIT_ROUNDOFF),
+    then to single (r = u + 2 UNIT_ROUNDOFF in all), and s' - sigma >= c -
+    UNIT_ROUNDOFF (sigma + c). c covers the three, and the factor 1 + 2^-40
+    the rounding of c itself.
+    """
+    single = dtype == np.float32
+    u, eta = (SINGLE_UNIT_ROUNDOFF, SINGLE_UNDERFLOW) if single else (UNIT_ROUNDOFF, UNDERFLOW)
+    r = u + 2 * UNIT_ROUNDOFF if single else UNIT_ROUNDOFF
+    n = tg.graph.n
+    gamma = (n + 1) * u / (1 - (n + 1) * u)
+    rump = gamma / (1 - gamma) * (2 * tg.graph.m + n * s * tg.k) + 4 * n * (2 * (n + 1) + top) * eta
+    return (rump + r * top + (r + UNIT_ROUNDOFF) * sigma) / (1 - r - UNIT_ROUNDOFF) * (1 + 2.0 ** -40)
+
+
+def _exact_in_single(s: float, k: int) -> bool:
+    """Is every off-diagonal entry s j - e of A, 0 <= j < k and e in {0, 1}, exact in single precision?
+    For s a power of two, that holds iff s - 1 and k s - 1 are."""
+    return all(float(np.float32(x)) == x for x in (s - 1.0, k * s - 1.0))
+
+
+def _factors(tg: TokenGraph, b: np.ndarray, degree: np.ndarray, s: float, shift: float, dtype) -> bool:
+    """Does ?potrf factor the upper triangle of A - shift I, made in dtype by ?syrk from b, in place?"""
+    from scipy.linalg.blas import dsyrk, ssyrk
+
+    a = (ssyrk if dtype == np.float32 else dsyrk)(s, b.T, trans=1)  # s b b^T, upper triangle, Fortran order
+    u, v = tg.graph.edge_array.T  # u < v
+    a[u, v] -= 1.0
+    a[np.diag_indices(tg.graph.n)] = (degree + s * tg.k) - shift
+    return _potrf_in_place(a) == 0
+
+
+def _potrf_in_place(a: np.ndarray) -> int:
+    """LAPACK's info from scipy's spotrf or dpotrf, by a's dtype, on the upper triangle of the
+    Fortran-ordered a, factored in place; above POTRF_THREADED_MAX_ORDER with 1 thread, set in
+    scipy's bundled OpenBLAS, or CapExceededError."""
     import ctypes
     from pathlib import Path
 
     import scipy
-    from scipy.linalg.lapack import dpotrf
+    from scipy.linalg.lapack import dpotrf, spotrf
 
-    if a.shape[0] <= DPOTRF_THREADED_MAX_ORDER:
-        return dpotrf(a.T, lower=0, overwrite_a=1, clean=0)[1]
+    potrf = spotrf if a.dtype == np.float32 else dpotrf
+    if a.shape[0] <= POTRF_THREADED_MAX_ORDER:
+        return potrf(a, lower=0, overwrite_a=1, clean=0)[1]
     libs = [ctypes.CDLL(str(path)) for path in (Path(scipy.__file__).parent.parent / "scipy.libs").glob("*openblas*")]
     blas = next((lib for lib in libs if hasattr(lib, "scipy_openblas_set_num_threads")), None)
     if blas is None:
@@ -349,7 +434,7 @@ def _dpotrf_in_place(a: np.ndarray) -> int:
     threads = blas.scipy_openblas_get_num_threads()
     blas.scipy_openblas_set_num_threads(1)
     try:
-        return dpotrf(a.T, lower=0, overwrite_a=1, clean=0)[1]
+        return potrf(a, lower=0, overwrite_a=1, clean=0)[1]
     finally:
         blas.scipy_openblas_set_num_threads(threads)
 

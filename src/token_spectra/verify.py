@@ -109,15 +109,15 @@ def _pair_witness(u: int, v: int) -> dict:
 
 
 def _token_alpha(g: Graph, k: int, cap: int, tol: float, target: float | None = None,
-                 values: np.ndarray | None = None) -> tuple[float, float, dict]:
-    """(alpha(G), *token_alpha(F_k(G), values, target +- tol * max(1, |target|))), values the
-    eigenvalues of the one eigensolve of L(G), made here unless given; target is alpha(G) unless given."""
+                 spectrum: Spectrum | None = None) -> tuple[float, float, dict]:
+    """(alpha(G), *token_alpha(F_k(G), spectrum, target +- tol * max(1, |target|))), spectrum the one
+    eigensolve of L(G), made here unless given; target is alpha(G) unless given."""
     tg = token_graph(g, k, cap=cap)
-    values = eig_sym(laplacian(g).astype(float)).values if values is None else values
-    a = fiedler_value(values)
+    spectrum = eig_sym(laplacian(g).astype(float)) if spectrum is None else spectrum
+    a = fiedler_value(spectrum.values)
     target = a if target is None else target
     half = tol * max(1.0, abs(target))
-    return (a, *token_alpha(tg, values, target - half, target + half))
+    return (a, *token_alpha(tg, spectrum, target - half, target + half))
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +257,13 @@ def check_pendant_bound(
     t0 = time.perf_counter()
     token_order(n_aug, k, cap)  # the largest of the three token graphs, refused before any solve
     h = Graph(n_aug, g.edges + ((0, g.n),))
-    values = eig_sym(laplacian(g).astype(float)).values
+    spectrum = eig_sym(laplacian(g).astype(float))
     _, a_h, fields_h = _token_alpha(h, k, cap, tol)
     if k == 2:
-        a_km1, fields_km1 = fiedler_value(values), {}
+        a_km1, fields_km1 = fiedler_value(spectrum.values), {}
     else:
-        _, a_km1, fields_km1 = _token_alpha(g, k - 1, cap, tol, values=values)
-    _, a_k, fields_k = _token_alpha(g, k, cap, tol, values=values)
+        _, a_km1, fields_km1 = _token_alpha(g, k - 1, cap, tol, spectrum=spectrum)
+    _, a_k, fields_k = _token_alpha(g, k, cap, tol, spectrum=spectrum)
     bound = min(a_km1 + 1.0, a_k + 1.0)
     ok = a_h <= bound + tol * max(1.0, bound)
     witnesses = {

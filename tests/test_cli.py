@@ -1145,3 +1145,31 @@ class TestRefusedBeforeAnyWork:
         assert not new.exists() and old.read_text() == "kept\n"
         assert runner.invoke(main, ["construct", "path", "3", "-o", str(new)]).exit_code == 0
         assert new.read_text() == "3 2\n0 1\n1 2\n"
+
+
+class TestSweepCap:
+    """The sweep's cap is --cap, else the spec's cap, else TOKEN_SPECTRA_CAP, else the default:
+    the environment is read only where neither --cap nor the spec sets it."""
+
+    SPEC = {"family": {"name": "path", "n": [3, 5]}, "checks": ["alpha-token"]}  # N = 3, 6 and 10
+
+    @pytest.mark.parametrize("option, spec_cap, env, capped", [
+        (["--cap", "5"], 100, "abc", 2),  # a bad environment is not read
+        ([], 5, "abc", 2),
+        ([], None, "5", 2),
+        ([], None, None, 0),
+    ], ids=["option", "spec", "env", "default"])
+    def test_cap_sources(self, runner, tmp_path, option, spec_cap, env, capped):
+        spec = {**self.SPEC, **({} if spec_cap is None else {"cap": spec_cap})}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = ["sweep", str(tmp_path / "spec.json"), "--csv", str(tmp_path / "rows.csv"), *option]
+        res = runner.invoke(main, argv, env={"TOKEN_SPECTRA_CAP": env})
+        assert res.exit_code == 0, res.output
+        summary = json.loads(res.stdout)
+        assert summary["cap_exceeded"] == capped and summary["pass"] == 3 - capped
+
+    def test_bad_environment_read_where_nothing_else_sets_the_cap(self, runner, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(self.SPEC))
+        res = runner.invoke(main, ["sweep", str(tmp_path / "spec.json")], env={"TOKEN_SPECTRA_CAP": "abc"})
+        assert res.exit_code == 2 and res.stdout == ""
+        assert "bad TOKEN_SPECTRA_CAP='abc', expected an integer >= 1" in res.stderr

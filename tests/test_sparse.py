@@ -75,9 +75,14 @@ def _spy_solves(monkeypatch) -> list:
     return solves
 
 
+def _spectrum(tg):
+    """eig_sym(L(G)) for tg's base graph G, as token_alpha takes it."""
+    return eig_sym(laplacian(tg.base).astype(float))
+
+
 def _base(tg):
-    """eig_sym(L(G)).values for tg's base graph G, as token_alpha passes them to the routes."""
-    return eig_sym(laplacian(tg.base).astype(float)).values
+    """eig_sym(L(G)).values for tg's base graph G, as token_alpha passes them to the sparse route."""
+    return _spectrum(tg).values
 
 
 def _sparse(tg):
@@ -90,14 +95,14 @@ def _dense(tg) -> float:
     with pytest.MonkeyPatch.context() as m:
         m.setattr(spectra, "_sparse_token_alpha", lambda *args: None)
         m.setattr(spectra, "_proved_alpha", lambda *args: None)
-        return token_alpha(tg, _base(tg), -np.inf, np.inf)[0]
+        return token_alpha(tg, _spectrum(tg), -np.inf, np.inf)[0]
 
 
 def _token_alpha(tg, tol: float = 1e-7):
     """token_alpha with alpha-token's interval, alpha(G) +- tol * max(1, alpha(G))."""
-    values = _base(tg)
-    a = fiedler_value(values)
-    return token_alpha(tg, values, a - tol * max(1.0, a), a + tol * max(1.0, a))
+    spectrum = _spectrum(tg)
+    a = fiedler_value(spectrum.values)
+    return token_alpha(tg, spectrum, a - tol * max(1.0, a), a + tol * max(1.0, a))
 
 
 def _mu(answer) -> float | None:

@@ -16,7 +16,10 @@ eigenvalues these tests cross-check, read through token_alpha with its other
 routes handing over.
 """
 
+import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -29,7 +32,17 @@ import pytest
 
 from token_spectra import spectra, tokens, verify
 from token_spectra.exact import char_poly
-from token_spectra.graphs import Graph, complete_graph, cycle_graph, parse_edge_list, path_graph
+from token_spectra.graphs import (
+    Graph,
+    build_bipartite_extension,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    parse_edge_list,
+    path_graph,
+    random_tree,
+    star_graph,
+)
 from token_spectra.spectra import (
     NumericalError,
     algebraic_connectivity,
@@ -59,16 +72,16 @@ def corpus():
     return [g for n in range(2, 7) for g in connected_class_representatives(n)] + family_corpus(7)
 
 
-def _base(g) -> np.ndarray:
-    """eig_sym(L(G)).values, as token_alpha takes them."""
-    return eig_sym(laplacian(g).astype(float)).values
+def _base(g) -> spectra.Spectrum:
+    """eig_sym(L(G)), as token_alpha takes it."""
+    return eig_sym(laplacian(g).astype(float))
 
 
 def _token_alpha(tg: TokenGraph, tol: float = 1e-7) -> tuple[float, dict]:
     """token_alpha with alpha-token's interval, alpha(G) +- tol * max(1, alpha(G)), from one solve of L(G)."""
-    values = _base(tg.base)
-    a = fiedler_value(values)
-    return token_alpha(tg, values, a - tol * max(1.0, a), a + tol * max(1.0, a))
+    spectrum = _base(tg.base)
+    a = fiedler_value(spectrum.values)
+    return token_alpha(tg, spectrum, a - tol * max(1.0, a), a + tol * max(1.0, a))
 
 
 EIGENVALUES = spectra.eigenvalues
@@ -371,7 +384,7 @@ class TestMemoryCharge:
 
 def _accept(g: Graph, tol: float = 1e-7) -> tuple[float, float]:
     """alpha-token's interval for alpha(F_k): alpha(G) +- tol * max(1, alpha(G))."""
-    a = fiedler_value(_base(g))
+    a = fiedler_value(_base(g).values)
     return a - tol * max(1.0, a), a + tol * max(1.0, a)
 
 
@@ -413,6 +426,7 @@ def _proof_inputs(tg: TokenGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 C4 = cycle_graph(4)
+DOUBLE_ONLY = -math.inf  # a theta below every sigma: the gate skips the single-precision factor
 
 
 class TestProvedAlpha:
@@ -427,22 +441,37 @@ class TestProvedAlpha:
         self._closes(every_small_graph)  # numpy's cholesky: every order is below SCIPY_MIN_ORDER
 
     def test_closes_in_place_on_the_corpus(self, monkeypatch, every_small_graph):
-        monkeypatch.setattr(spectra, "SCIPY_MIN_ORDER", 0)  # scipy's dpotrf on every order
+        monkeypatch.setattr(spectra, "SCIPY_MIN_ORDER", 0)  # scipy's spotrf, then dpotrf, on every order
         self._closes([g for g in every_small_graph if g.n <= 6])
+
+    def test_in_place_certificates_equal_numpys(self, monkeypatch, every_small_graph):
+        # with SCIPY_MIN_ORDER = 0 every proof runs in place, in single precision where the gate lets
+        # it: the alpha-token certificates are those of numpy's float64 Cholesky, runtime_ms aside
+        cases = [(g, k) for g in every_small_graph + family_corpus(7) for k in range(1, g.n)]
+
+        def certificates():
+            return [{**check_alpha_token_equality(g, k).to_json_dict(), "runtime_ms": 0} for g, k in cases]
+
+        numpys = certificates()
+        factored, real = [], spectra._potrf_in_place
+        monkeypatch.setattr(spectra, "SCIPY_MIN_ORDER", 0)
+        monkeypatch.setattr(spectra, "_potrf_in_place", lambda a: factored.append(a.dtype) or real(a))
+        assert certificates() == numpys
+        assert {np.dtype(np.float32), np.dtype(np.float64)} <= set(factored)
 
     @staticmethod
     def _closes(graphs):
         """The proof closes on every connected graph given, at every k, with dense eigh's mu above sigma."""
         fallbacks = 0
         for g in graphs:
-            values = _base(g)
-            alpha = fiedler_value(values)
-            sigma = float(np.nextafter(alpha + 1e-8 * max(1.0, float(values[-1])), np.inf))
+            spectrum = _base(g)
+            alpha = fiedler_value(spectrum.values)
+            sigma = float(np.nextafter(alpha + 1e-8 * max(1.0, float(spectrum.values[-1])), np.inf))
             # sigma is above the exact alpha(G): the Sturm count of charpoly(L(G)) on (0, sigma] is not 0
             assert count_roots_in_interval(char_poly(laplacian(g)), 0, sigma) >= 1, g.edges
             for k in range(1, g.n):
                 tg = token_graph(g, k)
-                value, proved = token_alpha(tg, values, *_accept(g))
+                value, proved = token_alpha(tg, spectrum, *_accept(g))
                 if "alpha_token_lower" in proved:  # F_2(C_4) alone, where mu = alpha
                     assert (g.n, g.m, k) == (4, 4, 2) and np.bincount(g.edge_array.ravel()).tolist() == [2] * 4
                     fallbacks += 1
@@ -459,7 +488,7 @@ class TestProvedAlpha:
         assert _complement(tg)[0] == pytest.approx(2.0, abs=1e-12)
         lo, hi = _accept(C4)
         value, proved = token_alpha(tg, _base(C4), lo, hi)
-        assert value == fiedler_value(_base(C4)) and "alpha_complement" not in proved
+        assert value == fiedler_value(_base(C4).values) and "alpha_complement" not in proved
         assert proved["alpha_complement_lower"] == proved["alpha_token_lower"] == lo
         assert 2.0 < proved["alpha_token_upper"] <= hi
 
@@ -469,15 +498,19 @@ class TestProvedAlpha:
                 tg = token_graph(g, k)
                 assert _complement(tg) == (float("inf"), None)
                 value, proved = token_alpha(tg, _base(g), *_accept(g))
-                assert value == fiedler_value(_base(g)) and set(proved) == {"alpha_complement_lower"}
+                assert value == fiedler_value(_base(g).values) and set(proved) == {"alpha_complement_lower"}
 
-    def test_sigma_above_mu_gives_no_proof(self):
-        for g, k in [(GNP12, 3), (path_graph(7), 3), (complete_graph(6), 2), (C4, 2)]:
-            tg = token_graph(g, k)
-            mu = _complement(tg)[0]
-            b, degree = _proof_inputs(tg)
-            assert not spectra._complement_exceeds(tg, b, degree, mu + 1e-6 * max(1.0, mu))
-            assert spectra._complement_exceeds(tg, b, degree, mu - 1e-6 * max(1.0, mu))
+    def test_sigma_above_mu_gives_no_proof(self, monkeypatch):
+        # numpy's cholesky, then in place with theta = inf, so single precision is tried first
+        # and double precision proves what single precision cannot
+        for scipy_from in (spectra.SCIPY_MIN_ORDER, 0):
+            monkeypatch.setattr(spectra, "SCIPY_MIN_ORDER", scipy_from)
+            for g, k in [(GNP12, 3), (path_graph(7), 3), (complete_graph(6), 2), (C4, 2)]:
+                tg = token_graph(g, k)
+                mu = _complement(tg)[0]
+                b, degree = _proof_inputs(tg)
+                assert not spectra._complement_exceeds(tg, b, degree, mu + 1e-6 * max(1.0, mu), math.inf)
+                assert spectra._complement_exceeds(tg, b, degree, mu - 1e-6 * max(1.0, mu), math.inf)
 
     def test_lower_end_above_lambda_2_falls_back(self):
         # on F_2(C_4), lambda_2 = mu = 2: with lo above it, neither sigma closes
@@ -504,14 +537,39 @@ class TestProvedAlpha:
                 assert Fraction(sigma) > rq  # so mu < sigma: no proof may close
                 with monkeypatch.context() as m:
                     m.setattr(spectra, "UNIT_ROUNDOFF", 0.0)  # c = 0
-                    if not spectra._complement_exceeds(tg, b, degree, sigma):
+                    if not spectra._complement_exceeds(tg, b, degree, sigma, DOUBLE_ONLY):
                         continue
                 found += 1
-                assert not spectra._complement_exceeds(tg, b, degree, sigma)
+                assert not spectra._complement_exceeds(tg, b, degree, sigma, DOUBLE_ONLY)
+        assert found
+
+    def test_single_rump_shift_is_needed(self, monkeypatch):
+        # sigma above mu by a few single-precision ulps, which spotrf still factors when its shift
+        # is made without the single-precision unit roundoff; dpotrf fails, so only spotrf can close
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(spectra, "SCIPY_MIN_ORDER", 0)
+        real = scipy.linalg.lapack.dpotrf
+        found = 0
+        for g, k in [(path_graph(7), 3), (path_graph(12), 3), (path_graph(12), 4)]:
+            tg = token_graph(g, k)
+            b, degree = _proof_inputs(tg)
+            rq = _exact_complement_rayleigh(tg)
+            for j in range(1, 10):
+                sigma = float(rq) + j * float(np.spacing(np.float32(rq)))
+                assert Fraction(sigma) > rq  # so mu < sigma: no proof may close
+                with monkeypatch.context() as m:
+                    m.setattr(spectra, "SINGLE_UNIT_ROUNDOFF", 0.0)
+                    m.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+                    if not spectra._complement_exceeds(tg, b, degree, sigma, math.inf):
+                        continue
+                found += 1
+                assert scipy.linalg.lapack.dpotrf is real
+                assert not spectra._complement_exceeds(tg, b, degree, sigma, math.inf)
         assert found
 
     def test_dropped_token_edge_raises(self):
-        for k in (2, 3):
+        for k in (2, 3, 4):  # N = 495 at k = 4, where the proof would close in single precision
             tg = token_graph(GNP12, k)
             with pytest.raises(NumericalError, match="lifted residual .* exceeds bound"):
                 token_alpha(_corrupted(tg, tg.graph.edge_array[1:]), _base(GNP12), *_accept(GNP12))
@@ -533,28 +591,45 @@ class TestProvedAlpha:
 
         monkeypatch.setattr(np.linalg, "cholesky", fails)
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
-        for g, k in [(GNP12, 3), (path_graph(14), 4)]:  # N = 220 on numpy's cholesky, 1001 on dpotrf
+        monkeypatch.setattr(scipy.linalg.lapack, "spotrf", lambda a, **kwargs: (a, 1))
+        # N = 220 on numpy's cholesky, 495 on spotrf then dpotrf, 1001 on dpotrf alone
+        for g, k in [(GNP12, 3), (GNP12, 4), (path_graph(14), 4)]:
             tg = token_graph(g, k)
             assert tg.graph.n < spectra.SPARSE_MIN_ORDER  # so the values-only solve is next
             assert token_alpha(tg, _base(g), *_accept(g)) == (fiedler_value(_token_values(tg)), {})
 
-    def test_one_token_matrix(self):
-        # A and its factor share one N x N array: no copy for LAPACK, no second factor
-        g, k, n = path_graph(14), 4, 1001
-        tg, values = token_graph(g, k), _base(g)
+    @staticmethod
+    def _proof_peak(g: Graph, k: int) -> tuple[dict, int]:
+        """_proved_alpha's fields on F_k(g), and tracemalloc's peak while it runs."""
+        tg, spectrum = token_graph(g, k), _base(g)
         b, lap = checked_lift(tg)  # token_alpha's, made before the proof
-        import scipy.linalg.lapack  # noqa: F401, imported before tracing
+        import scipy.linalg.blas  # noqa: F401, imported before tracing
+        import scipy.linalg.lapack  # noqa: F401
         tracemalloc.start()
         try:
-            proved = spectra._proved_alpha(tg, values, b, lap, *_accept(g))[1]
-            peak = tracemalloc.get_traced_memory()[1]
+            proved = spectra._proved_alpha(tg, spectrum, b, lap, *_accept(g))[1]
+            return proved, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_one_token_matrix(self):
+        # A and its factor share one N x N array: no copy for LAPACK, no second factor; on path:14,
+        # mu - alpha is too small for single precision, so the gate keeps the factor in double
+        n = 1001
+        proved, peak = self._proof_peak(path_graph(14), 4)
         assert set(proved) == {"alpha_complement_lower"}
         assert 8 * n ** 2 < peak < 9 * n ** 2
 
+    def test_one_single_precision_token_matrix(self):
+        # G(12, 1/2) with k = 4: spotrf closes, on one N x N array of floats
+        n = 495
+        proved, peak = self._proof_peak(GNP12, 4)
+        assert set(proved) == {"alpha_complement_lower"}
+        assert 4 * n ** 2 < peak < 5 * n ** 2
+
     def test_dpotrf_runs_with_one_thread_above_15000(self, monkeypatch):
-        # 16001 x 16001 and 15000 x 15000 views of one float: nothing of that order is allocated or factored
+        # 16001 x 16001 and 15000 x 15000 views of one float or double: nothing of that order is
+        # allocated or factored; spotrf gets dpotrf's guard
         import ctypes
 
         import scipy
@@ -563,21 +638,21 @@ class TestProvedAlpha:
         libs = (Path(scipy.__file__).parent.parent / "scipy.libs").glob("*openblas*")
         blas = next(lib for lib in map(ctypes.CDLL, map(str, libs)) if hasattr(lib, "scipy_openblas_get_num_threads"))
         before, seen = blas.scipy_openblas_get_num_threads(), []
-
-        def spy(a, **kwargs):
-            seen.append((a.shape[0], blas.scipy_openblas_get_num_threads()))
-            return a, 0
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", spy)
-        huge, large = (np.lib.stride_tricks.as_strided(np.ones(1), (n, n), (0, 0)) for n in (16001, 15000))
-        assert spectra._dpotrf_in_place(huge) == 0 and spectra._dpotrf_in_place(large) == 0
-        assert seen == [(16001, 1), (15000, before)]
+        for name in ("spotrf", "dpotrf"):
+            monkeypatch.setattr(scipy.linalg.lapack, name, lambda a, _name=name, **kwargs: seen.append(
+                (_name, a.shape[0], blas.scipy_openblas_get_num_threads())) or (a, 0))
+        for dtype in (np.float32, np.float64):
+            huge, large = (np.lib.stride_tricks.as_strided(np.ones(1, dtype), (n, n), (0, 0)) for n in (16001, 15000))
+            assert spectra._potrf_in_place(huge) == 0 and spectra._potrf_in_place(large) == 0
+        assert seen == [("spotrf", 16001, 1), ("spotrf", 15000, before), ("dpotrf", 16001, 1), ("dpotrf", 15000, before)]
         assert blas.scipy_openblas_get_num_threads() == before
         # where scipy's OpenBLAS is not found, the order above 15000 is refused: exit 3
         monkeypatch.setattr(scipy, "__file__", str(Path("/nonexistent") / "scipy" / "__init__.py"))
-        with pytest.raises(CapExceededError, match="N = 16001"):
-            spectra._dpotrf_in_place(huge)
-        assert spectra._dpotrf_in_place(large) == 0
+        for dtype in (np.float32, np.float64):
+            huge, large = (np.lib.stride_tricks.as_strided(np.ones(1, dtype), (n, n), (0, 0)) for n in (16001, 15000))
+            with pytest.raises(CapExceededError, match="N = 16001"):
+                spectra._potrf_in_place(huge)
+            assert spectra._potrf_in_place(large) == 0
 
     def test_disconnected_graph_reads_zero(self):
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
@@ -641,6 +716,113 @@ class TestProvedAlpha:
             assert set(token_alpha(tg, _base(g), *_accept(g))[1]) == {"alpha_complement_lower"}
 
 
+def _gnm(n: int, rng: random.Random) -> Graph:
+    """A connected G(n, m) with m = C(n, 2) // 2 + 1, as the dense-alpha benchmark draws its bases."""
+    pairs = list(itertools.combinations(range(n), 2))
+    while True:
+        g = Graph(n, rng.sample(pairs, comb(n, 2) // 2 + 1))
+        if g.is_connected():
+            return g
+
+
+def _gate_table() -> list[tuple[str, Graph, int]]:
+    """48 (family, G, k) with 300 <= C(n, k) < 1500: paths, cycles, stars, random trees, K_{5,9},
+    K_12, a bipartite extension, and G(n, m) bases on dense-alpha's rungs in that range."""
+    rng = random.Random(1)
+    mid = [(11, 4), (12, 4), (15, 3), (17, 3), (13, 4), (14, 4), (12, 5), (13, 5)]
+    dense = [(11, 4)] * 3 + [(14, 3)] * 3 + [(15, 3), (11, 5), (12, 4), (16, 3), (17, 3), (13, 4), (14, 4)]
+    dense16 = parse_edge_list((Path(__file__).parent / "data" / "dense16_seed1.el").read_text())
+    return ([("path", path_graph(n), k) for n, k in mid] + [("cycle", cycle_graph(n), k) for n, k in mid]
+            + [("star", star_graph(n - 1), k) for n, k in [(12, 4), (13, 4), (14, 3), (15, 3), (16, 3)]]
+            + [("tree", random_tree(n, rng), k) for n, k in [(12, 4), (13, 4), (14, 4), (15, 3), (16, 3), (17, 3)]]
+            + [("K_5,9", complete_bipartite_graph(5, 9), k) for k in (3, 4)]
+            + [("K_12", complete_graph(12), k) for k in (4, 5)]
+            + [("bipartite-ext", build_bipartite_extension(5, 9, "plus_x", [(0, 1), (2, 3)]), k) for k in (3, 4)]
+            + [("gnm", _gnm(n, rng), k) for n, k in dense] + [("gnm", dense16, 3), ("gnm", GNP12, 5)])
+
+
+class TestSinglePrecisionGate:
+    """From SCIPY_MIN_ORDER on, the proof factors in single precision only where its shift c32 lies
+    below theta - sigma, theta >= mu the quotient of _complement_rayleigh, and falls back to double
+    precision where that factor is skipped or fails."""
+
+    def test_counts_on_the_mid_order_table(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        proofs, factors, skipped = [], [], []
+        exceeds, potrf = spectra._complement_exceeds, spectra._potrf_in_place
+
+        def proof_spy(tg, b, degree, sigma, theta):
+            start = len(factors)
+            proofs.append(exceeds(tg, b, degree, sigma, theta))
+            if all(itemsize == 8 for _, itemsize, _ in factors[start:]):
+                skipped.append((tg, b, degree, sigma))
+            return proofs[-1]
+
+        def potrf_spy(a):
+            factors.append((family, a.dtype.itemsize, potrf(a)))
+            return factors[-1][2]
+
+        monkeypatch.setattr(spectra, "_complement_exceeds", proof_spy)
+        monkeypatch.setattr(spectra, "_potrf_in_place", potrf_spy)
+        table = _gate_table()
+        for family, g, k in table:
+            tg = token_graph(g, k)
+            assert spectra.SCIPY_MIN_ORDER <= tg.graph.n < spectra.SPARSE_MIN_ORDER
+            assert set(token_alpha(tg, _base(g), *_accept(g))[1]) == {"alpha_complement_lower"}, (family, g.edges, k)
+        assert len(table) == len(proofs) == 48 and all(proofs)
+        counts = {}
+        for family, itemsize, info in factors:
+            row = counts.setdefault(family, {"single": 0, "fell back": 0, "double": 0})
+            row["single" if itemsize == 4 else "double"] += 1
+            row["fell back"] += itemsize == 4 and info != 0
+        # "double" counts the proofs the gate skipped and those that fell back
+        assert counts == {"path": {"single": 1, "fell back": 0, "double": 7},
+                          "cycle": {"single": 5, "fell back": 2, "double": 5},
+                          "star": {"single": 5, "fell back": 0, "double": 0},
+                          "tree": {"single": 2, "fell back": 0, "double": 4},
+                          "K_5,9": {"single": 2, "fell back": 0, "double": 0},
+                          "K_12": {"single": 2, "fell back": 0, "double": 0},
+                          "bipartite-ext": {"single": 2, "fell back": 0, "double": 0},
+                          "gnm": {"single": 15, "fell back": 0, "double": 0}}
+        # the gate lost nothing: forced past it, none of the 14 skipped proofs closes in single precision
+        assert len(skipped) == 14
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+        for tg, b, degree, sigma in skipped:
+            assert not exceeds(tg, b, degree, sigma, math.inf)
+
+    def test_no_complement_gives_an_infinite_theta(self):
+        # k = 1 and n - 1: range(B) is all of R^N, so x projects to 0 and no factor is ruled out
+        for g in (GNP12, path_graph(7), C4):
+            for k in (1, g.n - 1):
+                tg = token_graph(g, k)
+                assert spectra._complement_rayleigh(tg, lift(g.n, k), _base(g).vectors[:, 1]) == math.inf
+
+    def test_theta_bounds_mu(self):
+        for g, k in [(GNP12, 3), (path_graph(9), 3), (cycle_graph(9), 4), (complete_graph(7), 3)]:
+            tg = token_graph(g, k)
+            theta = spectra._complement_rayleigh(tg, lift(g.n, k), _base(g).vectors[:, 1])
+            mu = _complement(tg)[0]
+            assert mu - 1e-9 * max(1.0, mu) <= theta < math.inf, (g.edges, k)
+
+    def test_entries_exact_in_single_precision(self):
+        # every entry s |S & T| - [ST an edge] of A, s a power of two, is exact in single precision
+        # iff s - 1 and k s - 1 are; where not, the proof stays in double
+        assert spectra._exact_in_single(2.0 ** -5, 4) and spectra._exact_in_single(1.0, 9)
+        assert spectra._exact_in_single(2.0 ** 21, 8)  # k s - 1 = 2^24 - 1
+        assert not spectra._exact_in_single(2.0 ** 22, 8)  # k s - 1 = 2^25 - 1
+        assert spectra._exact_in_single(2.0 ** -24, 4)  # s - 1 = -(1 - 2^-24)
+        assert not spectra._exact_in_single(2.0 ** -25, 4)  # s - 1 = -(1 - 2^-25)
+        assert not spectra._exact_in_single(2.0 ** -26, 4)  # though k s - 1 = -(1 - 2^-24) is exact
+        factored, real = [], spectra._potrf_in_place
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(spectra, "_exact_in_single", lambda s, k: False)
+            m.setattr(spectra, "_potrf_in_place", lambda a: factored.append(a.dtype.itemsize) or real(a))
+            tg = token_graph(GNP12, 4)  # N = 495, where single precision closes
+            assert set(token_alpha(tg, _base(GNP12), *_accept(GNP12))[1]) == {"alpha_complement_lower"}
+        assert factored == [8]
+
+
 def _with_pendant(g: Graph) -> Graph:
     return Graph(g.n + 1, g.edges + ((0, g.n),))
 
@@ -685,7 +867,7 @@ class TestPendantBound:
     def test_k2_reads_alpha_of_g(self):
         for g, k in self.CASES:
             if k == 2:
-                assert check_pendant_bound(g, 2).witnesses["alpha_token_km1"] == fiedler_value(_base(g))
+                assert check_pendant_bound(g, 2).witnesses["alpha_token_km1"] == fiedler_value(_base(g).values)
 
     def test_one_solve_of_each_base(self, monkeypatch):
         orders, eigh = [], np.linalg.eigh
