@@ -4,7 +4,8 @@ the lift B (L(F_k) B = B L(G), with the dense or the CSR Laplacian of F_k, and
 B^T B = a I + c J), which is float containment and which token_alpha makes once
 for all its routes, and a proof, by one Cholesky, that alpha(F_k) = alpha(G):
 in single precision first where an upper bound on the complement's least
-eigenvalue leaves room for its rounding, else in double precision.
+eigenvalue leaves room for its rounding, else in double precision. The same
+bound, made once per decision, caps the shift of range(B) in the Lanczos route.
 
 The dense eigensolver is LAPACK's symmetric solver reached through
 numpy; this module adds the contracts the verification layer depends on:
@@ -36,7 +37,7 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import Graph, GraphError
-from .tokens import CapExceededError, TokenGraph, lift, require_memory
+from .tokens import CapExceededError, TokenGraph, _colex_subsets, lift, require_memory
 
 DEFAULT_RESID_TOL = 1e-9
 DEFAULT_GROUP_TOL = 1e-8
@@ -259,13 +260,16 @@ def token_alpha(tg: TokenGraph, spectrum: Spectrum, lo: float, hi: float) -> tup
     runs, then the values-only solve; from there on, _sparse_token_alpha
     runs before both. Each of the first two answers or hands over (None).
     The proof adds its bounds, Lanczos its mu, and the values-only solve
-    nothing; it frees B and the int64 or CSR L(F_k) before its solve. The
-    proof also reads a Fiedler vector of G, spectrum.vectors[:, 1], for its
-    upper bound on mu, which decides whether a single-precision factor can close.
+    nothing; it frees B and the int64 or CSR L(F_k) before its solve. From
+    SCIPY_MIN_ORDER on, theta = _complement_rayleigh, an upper bound on mu
+    from a Fiedler vector of G, spectrum.vectors[:, 1], is computed once for
+    both routes: it gates the proof's single-precision factor and caps the
+    Lanczos shift; below that order it is +inf.
     """
     b, lap = checked_lift(tg)
-    answer = tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, spectrum.values, b, lap)
-    answer = answer or _proved_alpha(tg, spectrum, b, lap, lo, hi)
+    theta = _complement_rayleigh(tg, b, spectrum.vectors[:, 1]) if tg.graph.n >= SCIPY_MIN_ORDER else math.inf
+    answer = tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, spectrum, lap, theta)
+    answer = answer or _proved_alpha(tg, spectrum, b, lap, lo, hi, theta)
     if answer:
         return answer
     require_memory(VALUES_BYTES_PER_N2 * tg.graph.n ** 2, f"the dense Laplacian route at N = {tg.graph.n}")
@@ -274,8 +278,8 @@ def token_alpha(tg: TokenGraph, spectrum: Spectrum, lo: float, hi: float) -> tup
     return fiedler_value(eigenvalues(lap)), {}
 
 
-def _proved_alpha(tg: TokenGraph, spectrum: Spectrum, b: np.ndarray, lap, lo: float,
-                  hi: float) -> tuple[float, dict] | None:
+def _proved_alpha(tg: TokenGraph, spectrum: Spectrum, b: np.ndarray, lap, lo: float, hi: float,
+                  theta: float) -> tuple[float, dict] | None:
     """(alpha(G), fields) once one Cholesky pins lambda_2(L(F_k)) down, else None.
 
     b and lap are the B and L(F_k) of which checked_lift has shown L(F_k) B =
@@ -286,9 +290,8 @@ def _proved_alpha(tg: TokenGraph, spectrum: Spectrum, b: np.ndarray, lap, lo: fl
     Otherwise (F_2(C_4) has mu = alpha), if upper <= hi, mu > lo (free for lo
     < 0) gives lo < lambda_2 <= upper, and fields = {alpha_complement_lower:
     lo, alpha_token_lower: lo, alpha_token_upper: upper}. None where neither
-    closes or the proof does not fit in memory. From SCIPY_MIN_ORDER on, each
-    proof gets theta = _complement_rayleigh, an upper bound on mu from the
-    Fiedler vector spectrum.vectors[:, 1], which gates its single-precision factor.
+    closes or the proof does not fit in memory. theta >= mu, from token_alpha,
+    gates the single-precision factor.
     """
     g, values = tg.graph, spectrum.values
     rate = PROOF_BYTES_PER_N2 if g.n >= SCIPY_MIN_ORDER else NUMPY_PROOF_BYTES_PER_N2
@@ -299,7 +302,6 @@ def _proved_alpha(tg: TokenGraph, spectrum: Spectrum, b: np.ndarray, lap, lo: fl
     degree = lap.diagonal()
     alpha = fiedler_value(values)
     upper = float(np.nextafter(alpha + 10 * DEFAULT_RESID_TOL * max(1.0, float(np.abs(values).max())), np.inf))
-    theta = _complement_rayleigh(tg, b, spectrum.vectors[:, 1]) if g.n >= SCIPY_MIN_ORDER else math.inf
     if _complement_exceeds(tg, b, degree, upper, theta):
         return alpha, {"alpha_complement_lower": upper}
     if lo < upper <= hi and (lo < 0 or _complement_exceeds(tg, b, degree, lo, theta)):
@@ -314,8 +316,9 @@ def _complement_rayleigh(tg: TokenGraph, b: np.ndarray, f: np.ndarray) -> float:
 
     L leaves range(b) and its complement invariant, so any nonzero vector of the complement has a
     quotient of at least mu. b is the checked lift, B^T B = a I + c J, so the projection takes the
-    closed form (B^T B)^-1 = (I - c / (a + n c) J) / a. O(N n + |E(F_k)|); rounding can move theta,
-    which only decides whether a proof is tried in single precision, never what it proves.
+    closed form (B^T B)^-1 = (I - c / (a + n c) J) / a. O(N n + |E(F_k)|). token_alpha makes it once
+    per decision: it gates the proof's single-precision factor, which proves the same either way,
+    and caps the Lanczos shift at 2 theta + 1, which needs only theta >= mu up to rounding.
     """
     n, k = tg.base.n, tg.k
     if tg.graph.n == n:
@@ -466,61 +469,68 @@ def checked_lift(tg: TokenGraph):
     return b, lap
 
 
-def _sparse_token_alpha(tg: TokenGraph, values: np.ndarray, b: np.ndarray, lap) -> tuple[float, dict] | None:
+def _sparse_token_alpha(tg: TokenGraph, spectrum: Spectrum, lap, theta: float) -> tuple[float, dict] | None:
     """(alpha(F_k), fields) with alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue of
-    L(F_k) on range(B)^perp, from values = eig_sym(L(G)).values; None where it hands over.
+    L(F_k) on range(B)^perp, from spectrum = eig_sym(L(G)) and theta >= mu; None where it hands over.
 
-    b and lap are the B and L(F_k) of which checked_lift has shown L(F_k) B = B L(G) and
-    B^T B = C(n-2, k-1) I + C(n-2, k-2) J, so range(B) carries the spectrum of L(G) and its
-    complement the rest. ARPACK's Lanczos (eigsh, which="SA", fixed-seed start) finds the
-    least eigenvalue of L(F_k) + c B (B^T B)^-1 B^T + c U U^T, c = 2 max(1, Delta + 1) >
-    2 Delta >= lambda_max, Delta F_k's largest degree, U the copies of mu found so far:
-    range(B) and U sit above the whole spectrum. One Krylov vector does not see
-    multiplicity, so each solve finds one copy. Its value must lie below c, and its
-    residual against lap within DEFAULT_RESID_TOL * max(1, Delta + 1), never looser than
-    eig_sym's as Delta + 1 <= lambda_max. The route answers once a value lies more than
-    DEFAULT_GROUP_TOL * max(1, Delta + 1) above mu, the first, and hands over once one lies
-    more than that below mu, once it holds SPARSE_BLOCKS copies in one group, where a check
-    fails, where ARPACK stops at SPARSE_MAXITER restarts, or where the order leaves too few
-    vectors off range(B) for its basis. Each solve is charged before it allocates (CapExceededError).
+    lap is the L(F_k) of which checked_lift has shown L(F_k) B = B L(G) and B^T B = C(n-2, k-1) I
+    + C(n-2, k-2) J for B = lift(n, k), so range(B) carries the spectrum of L(G) and its complement
+    the rest. ARPACK's Lanczos (eigsh, which="SA", fixed-seed start) finds the least eigenvalue of
+    L(F_k) + c (B (B^T B)^-1 B^T + U U^T) + I, less the 1, U the copies of mu found so far, B applied
+    as CSR from its rows, the k-subsets of _colex_subsets(n, k): O(N k) a product. c = min(2 max(1,
+    Delta + 1), 2 theta + 1) >= mu + 1, Delta F_k's largest degree. Each solve finds one copy: one
+    Krylov vector does not see multiplicity. ARPACK stops at a residual of tol (value + 1), so tol =
+    bound / (2 (c + 1)) stops each value below c within half of bound = DEFAULT_RESID_TOL * max(1,
+    Delta + 1) (never looser than eig_sym's, as Delta + 1 <= lambda_max), however small mu is. The
+    first value must lie below c, and each its residual against lap within bound. The route answers
+    once a value lies more than gap = DEFAULT_GROUP_TOL * max(1, Delta + 1) above mu, the first, or a
+    later one within gap of c or above: a shifted vector's, unchecked, as every eigenvalue off
+    range(B) and U then exceeds mu + 1 - gap. It hands over once a value lies more than gap below
+    mu, once it holds SPARSE_BLOCKS copies in one group, where a check fails, where ARPACK stops at
+    SPARSE_MAXITER restarts, or where the order leaves too few vectors off range(B) for its basis.
+    Each solve is charged before it allocates (CapExceededError).
 
     Unlike the proof, this route does not certify that mu is the least eigenvalue off
     range(B): Lanczos could miss a lower one, which would make min(alpha(G), mu) read
     alpha(G). So fields = {alpha_complement: mu, alpha_complement_least: "not certified"}.
     """
+    from scipy.sparse import csr_array
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     n, k, order = tg.base.n, tg.k, tg.graph.n
     if order - n < 5 * SPARSE_BLOCKS:  # too few vectors off range(B) for ARPACK's Lanczos basis
         return None
     scale = max(1.0, float(lap.diagonal().max()) + 1.0)  # Grone-Merris: Delta + 1 <= lambda_max
-    bound, shift = DEFAULT_RESID_TOL * scale, 2.0 * scale
+    bound, gap, shift = DEFAULT_RESID_TOL * scale, DEFAULT_GROUP_TOL * scale, min(2.0 * scale, 2.0 * theta + 1.0)
     a, c = math.comb(n - 2, k - 1), math.comb(n - 2, k - 2)  # (B^T B)^-1 = (I - c / (a + n c) J) / a
-    copies = np.empty((order, SPARSE_BLOCKS), order="F")
+    members = _colex_subsets(n, k)  # B's rows: B in CSR, k ones a row, and B^T its CSC transpose
+    index = np.int32 if members.size < 2**31 else np.int64
+    sparse_b = csr_array((np.ones(members.size), np.asarray(members, dtype=index, order="C").ravel(),
+                          np.arange(0, members.size + 1, k, dtype=index)), shape=(order, n))
+    sparse_bt, copies = sparse_b.T, np.empty((order, SPARSE_BLOCKS), order="F")
     rng = np.random.default_rng(0)
 
-    def deflated(x):  # einsum, not BLAS: a threaded gemv in each step ran 2-3 times as slow on 2 threads
-        y = np.einsum("ij,i->j", b, x)
+    def deflated(x):  # U by einsum, not BLAS: a threaded gemv in each step ran 2-3 times as slow on 2 threads
+        y = sparse_bt @ x
         y -= c / (a + n * c) * y.sum()
         found = copies[:, :held]
-        lifted = np.einsum("ij,j->i", b, y / a) + np.einsum("ij,j->i", found, np.einsum("ij,i->j", found, x))
-        return lap @ x + shift * lifted
+        lifted = sparse_b @ (y / a) + np.einsum("ij,j->i", found, np.einsum("ij,i->j", found, x))
+        return lap @ x + x + shift * lifted
 
     for held in range(SPARSE_BLOCKS):
         require_memory(SPARSE_BYTES_PER_ROW * order, f"the sparse route at N = {order}")
-        try:  # ARPACK stops at a residual of tol |value| <= tol 2 Delta, half the bound or less
+        try:
             vals, vecs = eigsh(LinearOperator((order, order), matvec=deflated, dtype=float), 1, which="SA",
-                               v0=rng.standard_normal(order), tol=DEFAULT_RESID_TOL / 4, maxiter=SPARSE_MAXITER)
+                               v0=rng.standard_normal(order), tol=bound / (2 * (shift + 1)), maxiter=SPARSE_MAXITER)
         except ArpackNoConvergence:
             return None
-        value, vec = float(vals[0]), vecs[:, 0]
-        if not value < shift or np.linalg.norm(lap @ vec - value * vec) > bound:
-            return None
+        value, vec = float(vals[0]) - 1.0, vecs[:, 0]
         mu = value if held == 0 else mu
-        if mu - value > DEFAULT_GROUP_TOL * scale:  # the first solve missed a lower value
-            return None
-        if value - mu > DEFAULT_GROUP_TOL * scale:
-            value = min(fiedler_value(values), mu)
+        shifted = held > 0 and value >= shift - gap  # c >= mu + 1: no eigenvalue off range(B) and U lies near mu
+        if not shifted and (not value < shift or np.linalg.norm(lap @ vec - value * vec) > bound or mu - value > gap):
+            return None  # a check failed, or the first solve missed a lower value
+        if shifted or value - mu > gap:
+            value = min(fiedler_value(spectrum.values), mu)
             fields = {"alpha_complement": mu, "alpha_complement_least": "not certified"}
             return (0.0 if abs(value) <= bound else value), fields
         copies[:, held] = vec

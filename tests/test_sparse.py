@@ -1,9 +1,10 @@
 """The sparse route to alpha(F_k(G)) against the dense oracle.
 
 The private _sparse_token_alpha is called directly with the base graph's
-eigenvalues and the B and L(F_k) that checked_lift checked, whatever the
-order, so no option is needed to reach it. Where it hands over (returns
-None), token_alpha answers: those tests patch SPARSE_MIN_ORDER to 0, so
+spectrum, the L(F_k) that checked_lift checked and token_alpha's theta,
+whatever the order, so no option is needed to reach it. eigsh sees the
+operator with I added, so its raw values are the route's values plus 1.
+Where it hands over (returns None), token_alpha answers: those tests patch SPARSE_MIN_ORDER to 0, so
 that every token graph goes through the sparse route first, and patch the
 proof to hand over too, so that the values-only solve decides, as it does
 wherever neither route closes. token_alpha's threshold, its one lift check
@@ -11,6 +12,7 @@ per decision, and the witness keys each route puts in a certificate, are
 tested on their own.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -85,9 +87,28 @@ def _base(tg):
     return _spectrum(tg).values
 
 
+def _route_args(tg):
+    """(spectrum, L(F_k), theta), as token_alpha passes them to the sparse route: L(F_k) from
+    checked_lift, theta from _complement_rayleigh from SCIPY_MIN_ORDER on and +inf below it."""
+    spectrum, (b, lap) = _spectrum(tg), checked_lift(tg)
+    if tg.graph.n < spectra.SCIPY_MIN_ORDER:
+        return spectrum, lap, math.inf
+    return spectrum, lap, spectra._complement_rayleigh(tg, b, spectrum.vectors[:, 1])
+
+
 def _sparse(tg):
-    """_sparse_token_alpha on the B and L(F_k) that checked_lift checked, as token_alpha passes them."""
-    return _sparse_token_alpha(tg, _base(tg), *checked_lift(tg))
+    """_sparse_token_alpha on the arguments token_alpha passes it."""
+    return _sparse_token_alpha(tg, *_route_args(tg))
+
+
+def _scale(lap) -> float:
+    """max(1, Delta + 1), Delta F_k's largest degree, read off L(F_k)."""
+    return max(1.0, float(lap.diagonal().max()) + 1.0)
+
+
+def _shift(lap, theta: float) -> float:
+    """The route's shift c = min(2 max(1, Delta + 1), 2 theta + 1)."""
+    return min(2.0 * _scale(lap), 2.0 * theta + 1.0)
 
 
 def _dense(tg) -> float:
@@ -182,24 +203,27 @@ class TestAgainstDense:
         tg = token_graph(star_graph(8), 4)
         value, fields = _token_alpha(tg)
         assert len(solves) == spectra.SPARSE_BLOCKS == 4 and fields == {}
-        assert max(abs(value - 2.0) for value, _, _ in solves) <= 1e-9 * 9
+        assert max(abs(value - 3.0) for value, _, _ in solves) <= 1e-9 * 9  # eigsh's values carry the 1
         assert value == _dense(tg)
         assert _sparse(tg) is None
 
     def test_copies_grow_one_solve_at_a_time(self, monkeypatch):
         # C_8 with k = 3: mu is double, so the second solve finds its second copy and the third
-        # closes above it; each solve's operator lifts every copy found before it above the shift
+        # closes above it; each solve's operator lifts every copy found before it to the shift or
+        # above, and eigsh's values carry the 1 that the operator adds
         solves = _spy_solves(monkeypatch)
         tg = token_graph(cycle_graph(8), 3)
-        value, fields = _sparse(tg)
+        spectrum, lap, theta = _route_args(tg)
+        value, fields = _sparse_token_alpha(tg, spectrum, lap, theta)
         mu = fields["alpha_complement"]
-        values = [value for value, _, _ in solves]
+        values = [value - 1.0 for value, _, _ in solves]
         assert len(solves) == 3 and _agrees(tg, value)
         assert values[0] == mu and abs(values[1] - mu) <= 1e-9 and values[2] - mu > 0.1
-        shift = 2 * (int(np.bincount(tg.graph.edge_array.ravel()).max()) + 1)
-        for j, (value, _, before) in enumerate(solves):
+        shift = _shift(lap, theta)
+        assert theta == math.inf and shift == 2 * (int(np.bincount(tg.graph.edge_array.ravel()).max()) + 1)
+        for j, (value, before) in enumerate(zip(values, (before for _, _, before in solves))):
             assert len(before) == j and value < shift
-            assert all(q >= shift for q in before)
+            assert all(q - 1.0 >= shift for q in before)
 
     def test_solves_per_answer(self, monkeypatch):
         # a simple mu takes one solve and one more that closes above it; complete:14 with k = 5
@@ -213,8 +237,9 @@ class TestAgainstDense:
 
     def test_a_solve_below_mu_hands_over(self, monkeypatch, sparse_first):
         # path:9 with k = 3 (N = 84), with eigsh returning the second, the least, then the third
-        # eigenpair of L(F_k) off range(B): the second solve lies far below mu, so the first missed
-        # a lower value, and the route hands over instead of answering with the higher mu
+        # eigenpair of L(F_k) off range(B), each value plus the operator's 1: the second solve lies far
+        # below mu, so the first missed a lower value, and the route hands over instead of answering
+        # with the higher mu
         import scipy.sparse.linalg
 
         tg = token_graph(path_graph(9), 3)
@@ -227,7 +252,7 @@ class TestAgainstDense:
         def eigsh(op, k, **kw):
             i = [1, 0, 2][len(solves)]
             solves.append(i)
-            return w[[i]], q[:, [i]]
+            return w[[i]] + 1.0, q[:, [i]]
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
         assert _sparse(tg) is None and solves == [1, 0]
@@ -238,21 +263,22 @@ class TestAgainstDense:
     @pytest.mark.parametrize("fault", ["at-the-shift", "residual"])
     def test_a_solve_that_fails_its_check_hands_over(self, monkeypatch, sparse_first, fault):
         # path:9 with k = 3 (N = 84), with eigsh's first answer the least eigenvector of L(F_k) off
-        # range(B), but its value read at the shift, above the whole spectrum, or 1e-6 high, past
-        # the residual bound: the route hands over after that one solve, and the values-only solve answers
+        # range(B), but its value read at the shift, here above the whole spectrum, or 1e-6 high, past
+        # the residual bound (each plus the operator's 1): the route hands over after that one solve,
+        # and the values-only solve answers
         import scipy.sparse.linalg
 
         tg = token_graph(path_graph(9), 3)
         b, lap = checked_lift(tg)
         w, q = np.linalg.eigh(lap + 100.0 * b @ np.linalg.solve(b.T @ b, b.T))  # range(B) lifted by 100
         scale = max(1.0, float(lap.diagonal().max()) + 1.0)
-        value = 2.0 * scale if fault == "at-the-shift" else w[0] + 1e-6
+        value = 2.0 * scale if fault == "at-the-shift" else w[0] + 1e-6  # theta = inf below SCIPY_MIN_ORDER
         assert np.linalg.norm(lap @ q[:, 0] - w[0] * q[:, 0]) <= spectra.DEFAULT_RESID_TOL * scale
         solves = []
 
         def eigsh(op, k, **kw):
             solves.append(k)
-            return np.array([value]), q[:, [0]]
+            return np.array([value + 1.0]), q[:, [0]]
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
         assert _sparse(tg) is None and solves == [1]
@@ -280,16 +306,131 @@ class TestAgainstDense:
 
     def test_memory_estimate_refuses_before_allocating(self, monkeypatch):
         tg = token_graph(GNP12, 4)
-        values, (b, lap) = _base(tg), checked_lift(tg)
+        args = _route_args(tg)
         solves = _spy_solves(monkeypatch)
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", spectra.SPARSE_BYTES_PER_ROW * 495 - 1)
         with pytest.raises(CapExceededError, match="sparse route at N = 495"):
-            _sparse_token_alpha(tg, values, b, lap)
+            _sparse_token_alpha(tg, *args)
         assert solves == []
 
     def test_same_result_on_repeat(self):
         tg = token_graph(GNP12, 4)
         assert _sparse(tg) == _sparse(tg)
+
+
+def _eigsh_calls(monkeypatch) -> list:
+    """Record every eigsh call of the sparse route as (tol, c), c read off the operator at the
+    all-ones vector: it lies in range(B) and in the kernel of L(F_k), and U is orthogonal to range(B),
+    so the operator maps it to c + 1 times itself."""
+    import scipy.sparse.linalg
+
+    calls, eigsh = [], scipy.sparse.linalg.eigsh
+
+    def spy(op, k, **kw):
+        ones = np.ones(op.shape[0])
+        calls.append((kw["tol"], float(ones @ op.matvec(ones)) / ones.size - 1.0))
+        return eigsh(op, k, **kw)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    return calls
+
+
+class TestShiftAndStop:
+    """range(B) and U are shifted by c = min(2 max(1, Delta + 1), 2 theta + 1), and ARPACK stops at
+    tol (value + 1) with tol (c + 1) <= bound / 2, whatever mu is."""
+
+    @pytest.mark.parametrize("g, k", [(GNP12, 5), (path_graph(16), 4), (complete_graph(25), 2)],
+                             ids=["gnp12-k5", "path16-k4", "complete25-k2"])
+    def test_shift_is_capped_by_theta(self, monkeypatch, g, k):
+        # with token_alpha's theta, c = 2 theta + 1 on G(12, 1/2) and path:16, inside the spectrum;
+        # K_25 with k = 2 has mu = 48 > Delta + 1/2 = 46.5, so c stays 2 (Delta + 1); with theta = inf,
+        # c is 2 (Delta + 1) on all three
+        tg = token_graph(g, k)
+        spectrum, lap, theta = _route_args(tg)
+        assert theta < math.inf
+        for t in (theta, math.inf):
+            calls = _eigsh_calls(monkeypatch)
+            _sparse_token_alpha(tg, spectrum, lap, t)
+            assert calls and all(abs(c - _shift(lap, t)) <= 1e-12 * c for _, c in calls)
+        capped = _shift(lap, theta) == 2.0 * theta + 1.0
+        assert capped == (g.n != 25) and (not capped or _shift(lap, theta) < 2.0 * _scale(lap))
+
+    def test_shift_where_theta_is_infinite(self, monkeypatch, sparse_first):
+        # below SCIPY_MIN_ORDER token_alpha passes theta = inf, and c = 2 max(1, Delta + 1)
+        for g, k in [(cycle_graph(8), 3), (path_graph(9), 3), (GNP12, 3), (star_graph(8), 4)]:
+            tg = token_graph(g, k)
+            assert tg.graph.n < spectra.SCIPY_MIN_ORDER
+            calls = _eigsh_calls(monkeypatch)
+            _token_alpha(tg)
+            lap = laplacian(tg.graph)
+            assert calls and all(abs(c - 2.0 * _scale(lap)) <= 1e-12 * c for _, c in calls), (g.edges, k)
+
+    def test_every_call_stops_within_half_the_bound(self, monkeypatch, sparse_first):
+        # tol (c + 1) <= bound / 2 on every call, bound = DEFAULT_RESID_TOL max(1, Delta + 1)
+        cases = [(path_graph(16), 4), (path_graph(120), 2), (GNP12, 5), (cycle_graph(8), 3), (star_graph(8), 4),
+                 (complete_graph(14), 5), *((g, g.n // 2) for g in family_corpus(8) if g.n >= 4)]
+        calls = _eigsh_calls(monkeypatch)
+        for g, k in cases:
+            start = len(calls)
+            _token_alpha(tg := token_graph(g, k))
+            bound = spectra.DEFAULT_RESID_TOL * _scale(sparse_laplacian(tg.graph))
+            assert all(tol * (c + 1.0) <= bound / 2 * (1 + 1e-12) for tol, c in calls[start:]), (g.edges, k)
+        assert len(calls) >= 30
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first-solve", "later-solve"])
+    @pytest.mark.parametrize("offset", [0.0, -0.5, 1.0, -2.0], ids=["at-c", "within-the-gap", "above-c", "below-the-gap"])
+    def test_a_solve_at_the_shift(self, monkeypatch, first, offset):
+        # path:9 with k = 3 (N = 84) and its own theta, so c = 2 theta + 1 lies inside the spectrum.
+        # eigsh answers at c + offset gaps with the all-ones vector of range(B), first or after mu's
+        # eigenvector: a first solve there hands over, a later one within the gap of c or above it
+        # answers with mu unchecked, and one two gaps below c is checked, fails, and hands over
+        import scipy.sparse.linalg
+
+        tg = token_graph(path_graph(9), 3)
+        spectrum, (b, lap) = _spectrum(tg), checked_lift(tg)
+        theta = spectra._complement_rayleigh(tg, b, spectrum.vectors[:, 1])
+        c, gap = _shift(lap, theta), spectra.DEFAULT_GROUP_TOL * _scale(lap)
+        w, q = np.linalg.eigh(lap + 100.0 * b @ np.linalg.solve(b.T @ b, b.T))  # range(B) lifted by 100
+        assert c == 2 * theta + 1 < np.linalg.eigvalsh(lap.astype(float))[-1]
+        ones = np.ones((tg.graph.n, 1)) / math.sqrt(tg.graph.n)
+        answers = [(np.array([c + offset * gap + 1.0]), ones)]
+        if not first:
+            answers.insert(0, (w[:1] + 1.0, q[:, :1]))
+        solves = []
+
+        def eigsh(op, k, **kw):
+            solves.append(k)
+            return answers[len(solves) - 1]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        answer = _sparse_token_alpha(tg, spectrum, lap, theta)
+        assert len(solves) == len(answers)
+        if first or offset < -1:
+            assert answer is None
+        else:
+            mu = float(w[0] + 1.0) - 1.0  # as the route reads it off eigsh's value
+            assert answer == (fiedler_value(spectrum.values), {"alpha_complement": mu,
+                                                               "alpha_complement_least": "not certified"})
+
+    def test_tiny_mu_on_a_path(self, monkeypatch):
+        # path:120 with k = 2, N = 7140, mu = 1.38e-3: ARPACK's stopping test is relative, and the
+        # added I keeps it near half the bound; the route answers, its vector's residual against
+        # L(F_k) is within the bound, and mu and alpha agree with the dense route's (pinned below)
+        tg = token_graph(path_graph(120), 2)
+        solves = _spy_solves(monkeypatch)
+        spectrum, lap, theta = _route_args(tg)
+        value, fields = _sparse_token_alpha(tg, spectrum, lap, theta)
+        bound = spectra.DEFAULT_RESID_TOL * _scale(lap)
+        mu, vec = fields["alpha_complement"], solves[0][1]
+        assert len(solves) == 2 and mu == solves[0][0] - 1.0
+        assert np.linalg.norm(lap @ vec - mu * vec) <= bound
+        assert abs(mu - PATH120_K2_DENSE[1]) <= bound and abs(value - PATH120_K2_DENSE[0]) <= bound
+
+
+# lambda_2 and lambda_3 of L(F_2(P_120)), N = 7140, from LAPACK's dsyevr (scipy.linalg.eigvalsh with
+# subset_by_index) on the dense matrix: lambda_2 = alpha(P_120), lambda_3 = mu, the least eigenvalue
+# off range(B). The solve took 20 s and 0.8 GiB, too much for every test run, so the values are pinned.
+PATH120_K2_DENSE = (0.0006853500488853979, 0.0013763798582000241)
 
 
 class TestSparseLaplacian:
@@ -352,8 +493,8 @@ def test_answers_where_lobpcg_answered(name, g, k):
     # N = 1820..48620: the route answers where the LOBPCG ladder answered, with its mu within the
     # residual bound, and hands over where the ladder handed over
     tg = token_graph(g, k)
-    b, lap = checked_lift(tg)
-    answer = _sparse_token_alpha(tg, _base(tg), b, lap)
+    spectrum, lap, theta = _route_args(tg)
+    answer = _sparse_token_alpha(tg, spectrum, lap, theta)
     assert tg.graph.n >= spectra.SPARSE_MIN_ORDER
     if LOBPCG_MU[name] is None:
         assert answer is None
@@ -402,18 +543,23 @@ class TestTokenAlpha:
     ], ids=["sparse", "sparse-then-proof", "proof-then-values"])
     def test_one_lift_per_decision(self, monkeypatch, g, k, tol, routes, field):
         # token_alpha checks L(F_k) B = B L(G) once: one lift, one Laplacian of F_k, and every route
-        # receives those same objects
+        # receives those same objects (the sparse route L(F_k) alone: it applies B from its k-subsets)
         built, received = [], []
         for name in ("lift", "laplacian", "sparse_laplacian"):
             def build(*args, _name=name, _real=getattr(spectra, name)):
                 built.append((_name, args[0], out := _real(*args)))
                 return out
             monkeypatch.setattr(spectra, name, build)
-        for name, route in (("sparse", "_sparse_token_alpha"), ("proof", "_proved_alpha")):
-            def spy(tg, values, b, lap, *rest, _name=name, _real=getattr(spectra, route)):
-                received.append((_name, b, lap))
-                return _real(tg, values, b, lap, *rest)
-            monkeypatch.setattr(spectra, route, spy)
+        def sparse_spy(tg, spectrum, lap, theta, _real=spectra._sparse_token_alpha):
+            received.append(("sparse", None, lap))
+            return _real(tg, spectrum, lap, theta)
+
+        def proof_spy(tg, spectrum, b, lap, *rest, _real=spectra._proved_alpha):
+            received.append(("proof", b, lap))
+            return _real(tg, spectrum, b, lap, *rest)
+
+        monkeypatch.setattr(spectra, "_sparse_token_alpha", sparse_spy)
+        monkeypatch.setattr(spectra, "_proved_alpha", proof_spy)
         cert = check_alpha_token_equality(g, k, tol=tol)
         order = comb(g.n, k)
         lifts = [out for name, _, out in built if name == "lift"]
@@ -421,7 +567,8 @@ class TestTokenAlpha:
         made_by = "laplacian" if order < spectra.SCIPY_MIN_ORDER else "sparse_laplacian"
         assert len(lifts) == 1 and [name for name, _ in laplacians] == [made_by]
         assert [name for name, *_ in received] == routes
-        assert all(b is lifts[0] and lap is laplacians[0][1] for _, b, lap in received)
+        assert all((b is None or b is lifts[0]) and lap is laplacians[0][1] for _, b, lap in received)
+        assert all((b is None) == (name == "sparse") for name, b, _ in received)
         keys = {"alpha_complement", "alpha_complement_lower"} & set(cert.witnesses)
         assert keys == ({field} if field else set())
         assert cert.verdict == ("fail" if field is None else "pass")  # C_4 at tol 0 fails, as it always has
@@ -430,7 +577,7 @@ class TestTokenAlpha:
         # path:16 with k = 4, N = 1820: each of the two solves is charged SPARSE_BYTES_PER_ROW per row
         # before it runs, so memory one byte short refuses the first solve before it is allocated
         tg = token_graph(path_graph(16), 4)
-        values, (b, lap) = _base(tg), checked_lift(tg)
+        args = _route_args(tg)
         need = spectra.SPARSE_BYTES_PER_ROW * tg.graph.n
         charges, charge, solves = [], spectra.require_memory, _spy_solves(monkeypatch)
 
@@ -440,13 +587,13 @@ class TestTokenAlpha:
 
         monkeypatch.setattr(spectra, "require_memory", spy)
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", need)
-        assert _mu(_sparse_token_alpha(tg, values, b, lap)) is not None
+        assert _mu(_sparse_token_alpha(tg, *args)) is not None
         assert charges == [(need, 0), (need, 1)] and len(solves) == 2
         charges.clear()
         solves.clear()
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", need - 1)
         with pytest.raises(CapExceededError, match=f"the sparse route at N = {tg.graph.n} needs about"):
-            _sparse_token_alpha(tg, values, b, lap)
+            _sparse_token_alpha(tg, *args)
         assert charges == [(need, 0)] and solves == []
 
     def test_certificates_name_mu_only_from_the_sparse_route(self, monkeypatch):
@@ -504,8 +651,8 @@ class TestRouteFields:
         elif check == "bipartite-ext":
             # Y's symmetry makes mu degenerate on every bipartite extension, so Lanczos never closes there;
             # a route with the sparse route's fields stands in for it
-            monkeypatch.setattr(spectra, "_sparse_token_alpha", lambda tg, values, b, lap: (
-                fiedler_value(values), {"alpha_complement": 9.0, "alpha_complement_least": "not certified"}))
+            monkeypatch.setattr(spectra, "_sparse_token_alpha", lambda tg, spectrum, lap, theta: (
+                fiedler_value(spectrum.values), {"alpha_complement": 9.0, "alpha_complement_least": "not certified"}))
         if route != "proof":
             monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: None)
         cert = ROUTE_CHECKS[check]()

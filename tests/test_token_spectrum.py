@@ -602,12 +602,13 @@ class TestProvedAlpha:
     def _proof_peak(g: Graph, k: int) -> tuple[dict, int]:
         """_proved_alpha's fields on F_k(g), and tracemalloc's peak while it runs."""
         tg, spectrum = token_graph(g, k), _base(g)
-        b, lap = checked_lift(tg)  # token_alpha's, made before the proof
+        b, lap = checked_lift(tg)  # token_alpha's, made before the proof, as is theta
+        theta = spectra._complement_rayleigh(tg, b, spectrum.vectors[:, 1])
         import scipy.linalg.blas  # noqa: F401, imported before tracing
         import scipy.linalg.lapack  # noqa: F401
         tracemalloc.start()
         try:
-            proved = spectra._proved_alpha(tg, spectrum, b, lap, *_accept(g))[1]
+            proved = spectra._proved_alpha(tg, spectrum, b, lap, *_accept(g), theta)[1]
             return proved, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
