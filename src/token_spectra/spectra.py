@@ -30,6 +30,7 @@ its rounding decides only which precision runs, never what is proved.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -62,16 +63,14 @@ DENSE_BYTES_PER_N2 = 44
 VALUES_BYTES_PER_N2 = 18
 # Peak bytes per N^2 of _proved_alpha: ru_maxrss less the RSS before it, in a fresh process, on
 # 4- and 5-token graphs of paths, cycles, K_13, tests/data/gnp12.el and gnp18.el. In place, one
-# N x N array: 11.8 at N = 715, 9.1 at 3060, 8.4 at 8568; with numpy's copy and factor, 30.5 at 715.
+# N x N array: 11.8 at N = 715, 9.1 at 3060, 8.4 at 8568; 0.38 to 0.61 MiB, none above 2, at N = 105..286.
 PROOF_BYTES_PER_N2 = 12
-NUMPY_PROOF_BYTES_PER_N2 = 32
-# From this order on, checked_lift applies the CSR Laplacian and the proof factors in place with
-# dpotrf; below it, numpy alone, so a sweep cell imports no scipy (0.3 s). 1 BLAS thread, dpotrf /
-# numpy's cholesky, best of 7: 0.35 / 0.44 ms at N = 200, 0.92 / 1.72 at 300; checked_lift, CSR /
-# dense, median over 5 G(n, 1/2): 0.11 / 0.03 ms at N = 15, 0.16 / 0.09 at 165, 0.22 / 0.60 at 286.
+# From this order on, checked_lift applies the CSR Laplacian and token_alpha computes theta; below it,
+# numpy alone, so a sweep cell imports no scipy (0.3 s). checked_lift, CSR / dense, median over 5
+# G(n, 1/2), 1 BLAS thread: 0.11 / 0.03 ms at N = 15, 0.16 / 0.09 at 165, 0.22 / 0.60 at 286.
 SCIPY_MIN_ORDER = 300
 # scipy's OpenBLAS 0.3.30 dpotrf segfaulted with 2 threads at N = 16000 and 20000, not at 15000;
-# spotrf gets the same guard
+# spotrf, and both in the OpenBLAS that _kernels binds, get the same guard
 POTRF_THREADED_MAX_ORDER = 15000
 # unit roundoffs and underflow units (least positive subnormals) of double and single precision
 UNIT_ROUNDOFF, UNDERFLOW = 2.0 ** -53, 2.0 ** -1074
@@ -264,7 +263,7 @@ def token_alpha(tg: TokenGraph, spectrum: Spectrum, lo: float, hi: float) -> tup
     SCIPY_MIN_ORDER on, theta = _complement_rayleigh, an upper bound on mu
     from a Fiedler vector of G, spectrum.vectors[:, 1], is computed once for
     both routes: it gates the proof's single-precision factor and caps the
-    Lanczos shift; below that order it is +inf.
+    Lanczos shift; below that order it is +inf, and every proof tries single precision first.
     """
     b, lap = checked_lift(tg)
     theta = _complement_rayleigh(tg, b, spectrum.vectors[:, 1]) if tg.graph.n >= SCIPY_MIN_ORDER else math.inf
@@ -294,14 +293,13 @@ def _proved_alpha(tg: TokenGraph, spectrum: Spectrum, b: np.ndarray, lap, lo: fl
     gates the single-precision factor.
     """
     g, values = tg.graph, spectrum.values
-    rate = PROOF_BYTES_PER_N2 if g.n >= SCIPY_MIN_ORDER else NUMPY_PROOF_BYTES_PER_N2
     try:  # a proof that does not fit in memory leaves alpha to the next route
-        require_memory(rate * g.n * g.n, f"the proof at N = {g.n}")
+        require_memory(PROOF_BYTES_PER_N2 * g.n * g.n, f"the proof at N = {g.n}")
     except CapExceededError:
         return None
     degree = lap.diagonal()
     alpha = fiedler_value(values)
-    upper = float(np.nextafter(alpha + 10 * DEFAULT_RESID_TOL * max(1.0, float(np.abs(values).max())), np.inf))
+    upper = math.nextafter(alpha + 10 * DEFAULT_RESID_TOL * max(1.0, float(np.abs(values).max())), math.inf)
     if _complement_exceeds(tg, b, degree, upper, theta):
         return alpha, {"alpha_complement_lower": upper}
     if lo < upper <= hi and (lo < 0 or _complement_exceeds(tg, b, degree, lo, theta)):
@@ -347,37 +345,22 @@ def _complement_exceeds(tg: TokenGraph, b: np.ndarray, degree: np.ndarray, sigma
     positive definiteness, BIT 46 (2006) 433-452; Higham, Accuracy and
     Stability of Numerical Algorithms, Thm 10.3).
 
-    Below SCIPY_MIN_ORDER, numpy's float64 Cholesky factors the full A,
-    made by one product b b^T. From there on, ?syrk writes only the upper
-    triangle of s b b^T into the Fortran-ordered array that ?potrf factors
-    in place, and the token edges go into that triangle only. The factor
-    runs first in single precision, where every entry s |S & T| - [ST an
-    edge] is exact (_exact_in_single), and only where its shift c32 <
-    theta - sigma: otherwise mu - sigma <= c32 and it cannot close. Where
-    it is skipped or fails, the same matrix is built and factored in
-    double precision. One N x N array is held at a time.
+    At every order, ?syrk writes only the lower triangle of s b b^T, which
+    OpenBLAS factors faster than the upper one, into the Fortran-ordered
+    array that ?potrf factors in place (_kernels); the token edges go into
+    it too. The factor runs first in single precision, where every entry
+    s |S & T| - [ST an edge] is exact (_exact_in_single), and only where its
+    shift c32 < theta - sigma: otherwise mu - sigma <= c32 and it cannot
+    close. Where it is skipped or fails, the same matrix is built and
+    factored in double precision. One N x N array is held at a time.
     """
-    g, k = tg.graph, tg.k
-    n = g.n
+    k = tg.k
     s = math.ldexp(1.0, math.frexp((sigma + 1.0) / math.comb(tg.base.n - 2, k - 1))[1])
     top = float(degree.max()) + s * k
-    if n >= SCIPY_MIN_ORDER:
-        c32 = _rump_shift(tg, s, top, sigma, np.float32)
-        if c32 < theta - sigma and _exact_in_single(s, k) and _factors(tg, b, degree, s, sigma + c32, np.float32):
-            return True
-        return _factors(tg, b, degree, s, sigma + _rump_shift(tg, s, top, sigma, np.float64),
-                        np.float64)
-    a = np.matmul(b, b.T, out=np.empty((n, n)))
-    a *= s
-    u, v = g.edge_array.T
-    a[u, v] -= 1.0
-    a[v, u] -= 1.0
-    a[np.diag_indices(n)] = (degree + s * k) - (sigma + _rump_shift(tg, s, top, sigma, np.float64))
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    c32 = _rump_shift(tg, s, top, sigma, np.float32)
+    if c32 < theta - sigma and _exact_in_single(s, k) and _factors(tg, b, degree, s, sigma + c32, np.float32):
+        return True
+    return _factors(tg, b, degree, s, sigma + _rump_shift(tg, s, top, sigma, np.float64), np.float64)
 
 
 def _rump_shift(tg: TokenGraph, s: float, top: float, sigma: float, dtype) -> float:
@@ -407,39 +390,76 @@ def _exact_in_single(s: float, k: int) -> bool:
 
 
 def _factors(tg: TokenGraph, b: np.ndarray, degree: np.ndarray, s: float, shift: float, dtype) -> bool:
-    """Does ?potrf factor the upper triangle of A - shift I, made in dtype by ?syrk from b, in place?"""
-    from scipy.linalg.blas import dsyrk, ssyrk
-
-    a = (ssyrk if dtype == np.float32 else dsyrk)(s, b.T, trans=1)  # s b b^T, upper triangle, Fortran order
+    """Does ?potrf factor the lower triangle of A - shift I, made in dtype by ?syrk from b, in place?"""
+    a = _kernels()["ssyrk" if dtype == np.float32 else "dsyrk"](s, b)  # s b b^T, lower triangle
     u, v = tg.graph.edge_array.T  # u < v
-    a[u, v] -= 1.0
-    a[np.diag_indices(tg.graph.n)] = (degree + s * tg.k) - shift
+    a[v, u] -= 1.0
+    np.fill_diagonal(a, (degree + s * tg.k) - shift)
     return _potrf_in_place(a) == 0
 
 
 def _potrf_in_place(a: np.ndarray) -> int:
-    """LAPACK's info from scipy's spotrf or dpotrf, by a's dtype, on the upper triangle of the
-    Fortran-ordered a, factored in place; above POTRF_THREADED_MAX_ORDER with 1 thread, set in
-    scipy's bundled OpenBLAS, or CapExceededError."""
+    """LAPACK's info from _kernels' spotrf or dpotrf, by a's dtype, on the Fortran-ordered a, factored in
+    place; above POTRF_THREADED_MAX_ORDER with 1 thread, or CapExceededError where there is no switch."""
+    kernels = _kernels()
+    potrf = kernels["spotrf" if a.dtype == np.float32 else "dpotrf"]
+    if a.shape[0] <= POTRF_THREADED_MAX_ORDER:
+        return potrf(a)
+    if kernels["threads"] is None:
+        raise CapExceededError(f"the proof at N = {a.shape[0]} needs 1 thread in numpy's OpenBLAS, which was not found")
+    get, put = kernels["threads"]
+    threads = get()
+    put(1)
+    try:
+        return potrf(a)
+    finally:
+        put(threads)
+
+
+@functools.cache
+def _kernels() -> dict:
+    """The proof's kernels by LAPACK name, bound on first use: ssyrk and dsyrk, (s, b) -> the lower
+    triangle of s b b^T, b C-ordered N x n, in a new Fortran-ordered array; spotrf and dpotrf, a ->
+    LAPACK's info, the lower triangle of the Fortran-ordered a factored in place; threads, the (get,
+    set) switch of their thread count, or None. ctypes binds them from the ILP64 OpenBLAS that numpy's
+    wheel loads (numpy.libs) through CBLAS and LAPACKE, which take scalars by value, so no scipy is
+    imported; where that library or a symbol is missing, scipy.linalg's wrappers serve, with no switch.
+    """
     import ctypes
     from pathlib import Path
 
-    import scipy
-    from scipy.linalg.lapack import dpotrf, spotrf
+    names = ["scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_", "scipy_cblas_ssyrk64_",
+             "scipy_cblas_dsyrk64_", "scipy_LAPACKE_spotrf_work64_", "scipy_LAPACKE_dpotrf_work64_"]
+    libs = [ctypes.CDLL(str(path)) for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")]
+    lib = next((lib for lib in libs if all(hasattr(lib, name) for name in names)), None)
+    if lib is None:
+        from scipy.linalg import blas, lapack
 
-    potrf = spotrf if a.dtype == np.float32 else dpotrf
-    if a.shape[0] <= POTRF_THREADED_MAX_ORDER:
-        return potrf(a, lower=0, overwrite_a=1, clean=0)[1]
-    libs = [ctypes.CDLL(str(path)) for path in (Path(scipy.__file__).parent.parent / "scipy.libs").glob("*openblas*")]
-    blas = next((lib for lib in libs if hasattr(lib, "scipy_openblas_set_num_threads")), None)
-    if blas is None:
-        raise CapExceededError(f"the proof at N = {a.shape[0]} needs 1 thread in scipy's OpenBLAS, which was not found")
-    threads = blas.scipy_openblas_get_num_threads()
-    blas.scipy_openblas_set_num_threads(1)
-    try:
-        return potrf(a, lower=0, overwrite_a=1, clean=0)[1]
-    finally:
-        blas.scipy_openblas_set_num_threads(threads)
+        return {"threads": None, "ssyrk": lambda s, b: blas.ssyrk(s, b.T, trans=1, lower=1),
+                "dsyrk": lambda s, b: blas.dsyrk(s, b.T, trans=1, lower=1),
+                "spotrf": lambda a: lapack.spotrf(a, lower=1, clean=0, overwrite_a=1)[1],
+                "dpotrf": lambda a: lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)[1]}
+    get, put = getattr(lib, names[0]), getattr(lib, names[1])
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    kernels, i64, ptr = {"threads": (get, put)}, ctypes.c_int64, ctypes.c_void_p
+    for p, dtype, real in (("s", np.float32, ctypes.c_float), ("d", np.float64, ctypes.c_double)):
+        syrk, potrf = getattr(lib, f"scipy_cblas_{p}syrk64_"), getattr(lib, f"scipy_LAPACKE_{p}potrf_work64_")
+        syrk.argtypes, syrk.restype = [ctypes.c_int] * 3 + [i64, i64, real, ptr, i64, real, ptr, i64], None
+        potrf.argtypes, potrf.restype = [ctypes.c_int, ctypes.c_char, i64, ptr, i64], i64
+
+        def run_syrk(s, b, syrk=syrk, dtype=dtype):
+            bt = np.ascontiguousarray(b, dtype)  # N x n in C order: b^T in Fortran order, leading dimension n
+            (order, n), a = bt.shape, np.empty((len(bt), len(bt)), dtype, order="F")
+            syrk(102, 122, 112, order, n, s, bt.ctypes.data, n, 0.0, a.ctypes.data, order)  # column-major, lower, A^T A
+            return a
+
+        def run_potrf(a, potrf=potrf, dtype=dtype):
+            if not (a.dtype == dtype and a.flags.f_contiguous and a.ndim == 2 and a.shape[0] == a.shape[1] > 0):
+                raise ValueError(f"?potrf needs a square Fortran-ordered {np.dtype(dtype)} array")
+            return potrf(102, b"L", len(a), a.ctypes.data, len(a))
+
+        kernels[p + "syrk"], kernels[p + "potrf"] = run_syrk, run_potrf
+    return kernels
 
 
 def checked_lift(tg: TokenGraph):

@@ -9,8 +9,10 @@ Faddeev-LeVerrier characteristic polynomial the exact module replaced,
 the exact containment check on the whole token Laplacian, which the
 layered route replaced, the integer-polynomial operations and Sturm
 root count that only the tests call, the dense kite symmetrizer that
-the commutation check replaced, and the principal submatrix that
-spectra.submatrix_values replaced)."""
+the commutation check replaced, the principal submatrix that
+spectra.submatrix_values replaced, and the proof's float64 Cholesky of the
+full matrix by GEMM and numpy.linalg.cholesky, which the in-place factor
+replaced)."""
 
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from math import comb
+from math import comb, frexp, ldexp
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -37,8 +39,8 @@ from token_spectra.graphs import (
     random_tree,
     star_graph,
 )
-from token_spectra.spectra import DEFAULT_GROUP_TOL, NumericalError, laplacian
-from token_spectra.tokens import CapExceededError, token_graph
+from token_spectra.spectra import DEFAULT_GROUP_TOL, NumericalError, _rump_shift, laplacian
+from token_spectra.tokens import CapExceededError, TokenGraph, token_graph
 
 # known counts of connected graphs up to isomorphism, indexed by n
 CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -605,3 +607,23 @@ def build_kite_symmetrizer(spec: KiteSpec) -> np.ndarray:
     for level in spec.levels():
         m[np.ix_(level, level)] = 1
     return m
+
+
+def numpy_complement_exceeds(tg: TokenGraph, b: np.ndarray, degree: np.ndarray, sigma: float, theta: float) -> bool:
+    """spectra._complement_exceeds in double precision alone, on the full matrix: A = s b b^T by one
+    GEMM, the token edges subtracted on both sides, the diagonal less sigma and the float64 Rump shift,
+    factored by numpy.linalg.cholesky with its own copies. theta, the single-precision gate, is unused."""
+    n, k = tg.graph.n, tg.k
+    s = ldexp(1.0, frexp((sigma + 1.0) / comb(tg.base.n - 2, k - 1))[1])
+    top = float(degree.max()) + s * k
+    a = np.matmul(b, b.T, out=np.empty((n, n)))
+    a *= s
+    u, v = tg.graph.edge_array.T
+    a[u, v] -= 1.0
+    a[v, u] -= 1.0
+    a[np.diag_indices(n)] = (degree + s * k) - (sigma + _rump_shift(tg, s, top, sigma, np.float64))
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True

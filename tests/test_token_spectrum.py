@@ -62,7 +62,7 @@ from token_spectra.verify import (
     check_spectral_containment,
 )
 
-from helpers import connected_class_representatives, count_roots_in_interval, family_corpus
+from helpers import connected_class_representatives, count_roots_in_interval, family_corpus, numpy_complement_exceeds
 
 GNP12 = parse_edge_list((Path(__file__).parent / "data" / "gnp12.el").read_text())
 
@@ -438,23 +438,24 @@ class TestProvedAlpha:
         return [g for n in range(2, 8) for g in connected_class_representatives(n)]
 
     def test_closes_on_the_corpus(self, every_small_graph):
-        self._closes(every_small_graph)  # numpy's cholesky: every order is below SCIPY_MIN_ORDER
+        self._closes(every_small_graph)  # every order is below SCIPY_MIN_ORDER: theta = inf, single first
 
     def test_closes_in_place_on_the_corpus(self, monkeypatch, every_small_graph):
-        monkeypatch.setattr(spectra, "SCIPY_MIN_ORDER", 0)  # scipy's spotrf, then dpotrf, on every order
+        monkeypatch.setattr(spectra, "SCIPY_MIN_ORDER", 0)  # theta at every order, so the gate runs too
         self._closes([g for g in every_small_graph if g.n <= 6])
 
     def test_in_place_certificates_equal_numpys(self, monkeypatch, every_small_graph):
-        # with SCIPY_MIN_ORDER = 0 every proof runs in place, in single precision where the gate lets
-        # it: the alpha-token certificates are those of numpy's float64 Cholesky, runtime_ms aside
+        # every proof runs in place, in single precision first (theta = inf below SCIPY_MIN_ORDER): the
+        # alpha-token certificates are those of numpy's float64 Cholesky of the full matrix, runtime_ms aside
         cases = [(g, k) for g in every_small_graph + family_corpus(7) for k in range(1, g.n)]
 
         def certificates():
             return [{**check_alpha_token_equality(g, k).to_json_dict(), "runtime_ms": 0} for g, k in cases]
 
-        numpys = certificates()
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "_complement_exceeds", numpy_complement_exceeds)
+            numpys = certificates()
         factored, real = [], spectra._potrf_in_place
-        monkeypatch.setattr(spectra, "SCIPY_MIN_ORDER", 0)
         monkeypatch.setattr(spectra, "_potrf_in_place", lambda a: factored.append(a.dtype) or real(a))
         assert certificates() == numpys
         assert {np.dtype(np.float32), np.dtype(np.float64)} <= set(factored)
@@ -500,17 +501,15 @@ class TestProvedAlpha:
                 value, proved = token_alpha(tg, _base(g), *_accept(g))
                 assert value == fiedler_value(_base(g).values) and set(proved) == {"alpha_complement_lower"}
 
-    def test_sigma_above_mu_gives_no_proof(self, monkeypatch):
-        # numpy's cholesky, then in place with theta = inf, so single precision is tried first
-        # and double precision proves what single precision cannot
-        for scipy_from in (spectra.SCIPY_MIN_ORDER, 0):
-            monkeypatch.setattr(spectra, "SCIPY_MIN_ORDER", scipy_from)
-            for g, k in [(GNP12, 3), (path_graph(7), 3), (complete_graph(6), 2), (C4, 2)]:
-                tg = token_graph(g, k)
-                mu = _complement(tg)[0]
-                b, degree = _proof_inputs(tg)
-                assert not spectra._complement_exceeds(tg, b, degree, mu + 1e-6 * max(1.0, mu), math.inf)
-                assert spectra._complement_exceeds(tg, b, degree, mu - 1e-6 * max(1.0, mu), math.inf)
+    def test_sigma_above_mu_gives_no_proof(self):
+        # theta = inf, so single precision is tried first, and double precision proves what single
+        # precision cannot
+        for g, k in [(GNP12, 3), (path_graph(7), 3), (complete_graph(6), 2), (C4, 2)]:
+            tg = token_graph(g, k)
+            mu = _complement(tg)[0]
+            b, degree = _proof_inputs(tg)
+            assert not spectra._complement_exceeds(tg, b, degree, mu + 1e-6 * max(1.0, mu), math.inf)
+            assert spectra._complement_exceeds(tg, b, degree, mu - 1e-6 * max(1.0, mu), math.inf)
 
     def test_lower_end_above_lambda_2_falls_back(self):
         # on F_2(C_4), lambda_2 = mu = 2: with lo above it, neither sigma closes
@@ -526,7 +525,7 @@ class TestProvedAlpha:
     def test_rump_shift_is_needed(self, monkeypatch):
         # sigma above mu by a few ulps, which a float Cholesky without the shift c still factors;
         # path:11 with k = 4 gives such a sigma only when dpotrf runs threaded, path:12 with k = 3
-        # (numpy's Cholesky) and k = 4 (dpotrf) give one with 1 or 2 BLAS threads
+        # and 4 give one with 1 or 2 BLAS threads
         found = 0
         for g, k in [(path_graph(10), 3), (path_graph(11), 4), (GNP12, 3), (path_graph(12), 3), (path_graph(12), 4)]:
             tg = token_graph(g, k)
@@ -546,10 +545,8 @@ class TestProvedAlpha:
     def test_single_rump_shift_is_needed(self, monkeypatch):
         # sigma above mu by a few single-precision ulps, which spotrf still factors when its shift
         # is made without the single-precision unit roundoff; dpotrf fails, so only spotrf can close
-        import scipy.linalg.lapack
-
-        monkeypatch.setattr(spectra, "SCIPY_MIN_ORDER", 0)
-        real = scipy.linalg.lapack.dpotrf
+        kernels = spectra._kernels()
+        real = kernels["dpotrf"]
         found = 0
         for g, k in [(path_graph(7), 3), (path_graph(12), 3), (path_graph(12), 4)]:
             tg = token_graph(g, k)
@@ -560,11 +557,11 @@ class TestProvedAlpha:
                 assert Fraction(sigma) > rq  # so mu < sigma: no proof may close
                 with monkeypatch.context() as m:
                     m.setattr(spectra, "SINGLE_UNIT_ROUNDOFF", 0.0)
-                    m.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+                    m.setitem(kernels, "dpotrf", lambda a: 1)
                     if not spectra._complement_exceeds(tg, b, degree, sigma, math.inf):
                         continue
                 found += 1
-                assert scipy.linalg.lapack.dpotrf is real
+                assert kernels["dpotrf"] is real
                 assert not spectra._complement_exceeds(tg, b, degree, sigma, math.inf)
         assert found
 
@@ -584,15 +581,9 @@ class TestProvedAlpha:
                 token_alpha(token_graph(GNP12, k), _base(GNP12), *_accept(GNP12))
 
     def test_failed_factorization_leaves_alpha_to_the_next_route(self, monkeypatch):
-        import scipy.linalg.lapack
-
-        def fails(a, *args, **kwargs):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", fails)
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
-        monkeypatch.setattr(scipy.linalg.lapack, "spotrf", lambda a, **kwargs: (a, 1))
-        # N = 220 on numpy's cholesky, 495 on spotrf then dpotrf, 1001 on dpotrf alone
+        monkeypatch.setitem(spectra._kernels(), "dpotrf", lambda a: 1)
+        monkeypatch.setitem(spectra._kernels(), "spotrf", lambda a: 1)
+        # N = 220 and 495 on spotrf then dpotrf, 1001 on dpotrf alone
         for g, k in [(GNP12, 3), (GNP12, 4), (path_graph(14), 4)]:
             tg = token_graph(g, k)
             assert tg.graph.n < spectra.SPARSE_MIN_ORDER  # so the values-only solve is next
@@ -604,8 +595,7 @@ class TestProvedAlpha:
         tg, spectrum = token_graph(g, k), _base(g)
         b, lap = checked_lift(tg)  # token_alpha's, made before the proof, as is theta
         theta = spectra._complement_rayleigh(tg, b, spectrum.vectors[:, 1])
-        import scipy.linalg.blas  # noqa: F401, imported before tracing
-        import scipy.linalg.lapack  # noqa: F401
+        spectra._kernels()  # bound before tracing
         tracemalloc.start()
         try:
             proved = spectra._proved_alpha(tg, spectrum, b, lap, *_accept(g), theta)[1]
@@ -630,25 +620,24 @@ class TestProvedAlpha:
 
     def test_dpotrf_runs_with_one_thread_above_15000(self, monkeypatch):
         # 16001 x 16001 and 15000 x 15000 views of one float or double: nothing of that order is
-        # allocated or factored; spotrf gets dpotrf's guard
-        import ctypes
-
-        import scipy
-        import scipy.linalg.lapack
-
-        libs = (Path(scipy.__file__).parent.parent / "scipy.libs").glob("*openblas*")
-        blas = next(lib for lib in map(ctypes.CDLL, map(str, libs)) if hasattr(lib, "scipy_openblas_get_num_threads"))
-        before, seen = blas.scipy_openblas_get_num_threads(), []
+        # allocated or factored; spotrf gets dpotrf's guard, set in the OpenBLAS that numpy loads,
+        # where 2 threads run first so that the switch shows under OPENBLAS_NUM_THREADS=1 too
+        kernels = spectra._kernels()
+        get, put = kernels["threads"]
+        before, seen = get(), []
         for name in ("spotrf", "dpotrf"):
-            monkeypatch.setattr(scipy.linalg.lapack, name, lambda a, _name=name, **kwargs: seen.append(
-                (_name, a.shape[0], blas.scipy_openblas_get_num_threads())) or (a, 0))
-        for dtype in (np.float32, np.float64):
-            huge, large = (np.lib.stride_tricks.as_strided(np.ones(1, dtype), (n, n), (0, 0)) for n in (16001, 15000))
-            assert spectra._potrf_in_place(huge) == 0 and spectra._potrf_in_place(large) == 0
-        assert seen == [("spotrf", 16001, 1), ("spotrf", 15000, before), ("dpotrf", 16001, 1), ("dpotrf", 15000, before)]
-        assert blas.scipy_openblas_get_num_threads() == before
-        # where scipy's OpenBLAS is not found, the order above 15000 is refused: exit 3
-        monkeypatch.setattr(scipy, "__file__", str(Path("/nonexistent") / "scipy" / "__init__.py"))
+            monkeypatch.setitem(kernels, name, lambda a, _name=name: seen.append((_name, a.shape[0], get())) or 0)
+        put(2)
+        try:
+            for dtype in (np.float32, np.float64):
+                huge, large = (np.lib.stride_tricks.as_strided(np.ones(1, dtype), (n, n), (0, 0)) for n in (16001, 15000))
+                assert spectra._potrf_in_place(huge) == 0 and spectra._potrf_in_place(large) == 0
+            assert get() == 2
+        finally:
+            put(before)
+        assert seen == [("spotrf", 16001, 1), ("spotrf", 15000, 2), ("dpotrf", 16001, 1), ("dpotrf", 15000, 2)]
+        # where the library's thread switch is not found, the order above 15000 is refused: exit 3
+        monkeypatch.setitem(kernels, "threads", None)
         for dtype in (np.float32, np.float64):
             huge, large = (np.lib.stride_tricks.as_strided(np.ones(1, dtype), (n, n), (0, 0)) for n in (16001, 15000))
             with pytest.raises(CapExceededError, match="N = 16001"):
@@ -696,9 +685,7 @@ class TestProvedAlpha:
                 "assert 'alpha_complement_lower' in alpha(path_graph(8), 3).witnesses;"
                 "assert contain(path_graph(10), 3, mode='float').passed and pendant(path_graph(11), 3).passed;"
                 "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-        path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        res = _run_python(code)
         assert res.returncode == 0, res.stderr
 
     @pytest.mark.parametrize("rate", [spectra.PROOF_BYTES_PER_N2 - 1, spectra.PROOF_BYTES_PER_N2])
@@ -742,14 +729,29 @@ def _gate_table() -> list[tuple[str, Graph, int]]:
             + [("gnm", _gnm(n, rng), k) for n, k in dense] + [("gnm", dense16, 3), ("gnm", GNP12, 5)])
 
 
+def _small_gate_table() -> list[tuple[str, Graph, int]]:
+    """(family, G, k) with C(n, k) < 300, where theta = +inf: paths, cycles, stars, random trees, K_n,
+    and one G(n, m) base on each of dense-alpha's rungs in that range."""
+    rng = random.Random(1)
+    orders = [(8, 3), (15, 2), (10, 3), (9, 4), (11, 3), (20, 2), (10, 4), (12, 3), (10, 5), (13, 3)]
+    dense = [(15, 2), (16, 2), (10, 3), (17, 2), (18, 2), (11, 3), (19, 2), (20, 2), (10, 4), (12, 3), (10, 5), (13, 3)]
+    return ([("path", path_graph(n), k) for n, k in orders] + [("cycle", cycle_graph(n), k) for n, k in orders]
+            + [("star", star_graph(n - 1), k) for n, k in [(10, 3), (12, 3), (10, 5), (20, 2)]]
+            + [("tree", random_tree(n, rng), k) for n, k in [(10, 3), (11, 3), (10, 4), (12, 3), (13, 3), (20, 2)]]
+            + [("K_n", complete_graph(n), k) for n, k in [(8, 3), (10, 4), (12, 3), (20, 2)]]
+            + [("gnm", _gnm(n, rng), k) for n, k in dense])
+
+
 class TestSinglePrecisionGate:
-    """From SCIPY_MIN_ORDER on, the proof factors in single precision only where its shift c32 lies
-    below theta - sigma, theta >= mu the quotient of _complement_rayleigh, and falls back to double
-    precision where that factor is skipped or fails."""
+    """The proof factors in single precision only where its shift c32 lies below theta - sigma, theta
+    >= mu the quotient of _complement_rayleigh from SCIPY_MIN_ORDER on and +inf below it, and falls
+    back to double precision where that factor is skipped or fails."""
 
-    def test_counts_on_the_mid_order_table(self, monkeypatch):
-        import scipy.linalg.lapack
-
+    @staticmethod
+    def _counts(monkeypatch, table) -> tuple[dict, list]:
+        """token_alpha proves alpha on each (family, G, k) of table, with one proof each; per family,
+        the single-precision factors, those that fell back and the double-precision ones, and the
+        proofs whose single-precision factor the gate skipped."""
         proofs, factors, skipped = [], [], []
         exceeds, potrf = spectra._complement_exceeds, spectra._potrf_in_place
 
@@ -764,19 +766,25 @@ class TestSinglePrecisionGate:
             factors.append((family, a.dtype.itemsize, potrf(a)))
             return factors[-1][2]
 
-        monkeypatch.setattr(spectra, "_complement_exceeds", proof_spy)
-        monkeypatch.setattr(spectra, "_potrf_in_place", potrf_spy)
-        table = _gate_table()
-        for family, g, k in table:
-            tg = token_graph(g, k)
-            assert spectra.SCIPY_MIN_ORDER <= tg.graph.n < spectra.SPARSE_MIN_ORDER
-            assert set(token_alpha(tg, _base(g), *_accept(g))[1]) == {"alpha_complement_lower"}, (family, g.edges, k)
-        assert len(table) == len(proofs) == 48 and all(proofs)
+        with monkeypatch.context() as m:
+            m.setattr(spectra, "_complement_exceeds", proof_spy)
+            m.setattr(spectra, "_potrf_in_place", potrf_spy)
+            for family, g, k in table:
+                tg = token_graph(g, k)
+                assert tg.graph.n < spectra.SPARSE_MIN_ORDER
+                assert set(token_alpha(tg, _base(g), *_accept(g))[1]) == {"alpha_complement_lower"}, (family, g.edges, k)
+        assert len(table) == len(proofs) and all(proofs)
         counts = {}
         for family, itemsize, info in factors:
             row = counts.setdefault(family, {"single": 0, "fell back": 0, "double": 0})
             row["single" if itemsize == 4 else "double"] += 1
             row["fell back"] += itemsize == 4 and info != 0
+        return counts, skipped
+
+    def test_counts_on_the_mid_order_table(self, monkeypatch):
+        table = _gate_table()
+        assert len(table) == 48 and all(spectra.SCIPY_MIN_ORDER <= comb(g.n, k) for _, g, k in table)
+        counts, skipped = self._counts(monkeypatch, table)
         # "double" counts the proofs the gate skipped and those that fell back
         assert counts == {"path": {"single": 1, "fell back": 0, "double": 7},
                           "cycle": {"single": 5, "fell back": 2, "double": 5},
@@ -788,9 +796,24 @@ class TestSinglePrecisionGate:
                           "gnm": {"single": 15, "fell back": 0, "double": 0}}
         # the gate lost nothing: forced past it, none of the 14 skipped proofs closes in single precision
         assert len(skipped) == 14
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+        monkeypatch.setitem(spectra._kernels(), "dpotrf", lambda a: 1)
         for tg, b, degree, sigma in skipped:
-            assert not exceeds(tg, b, degree, sigma, math.inf)
+            assert not spectra._complement_exceeds(tg, b, degree, sigma, math.inf)
+
+    def test_counts_below_the_scipy_order(self, monkeypatch):
+        # theta = +inf below SCIPY_MIN_ORDER, so every proof whose entries are exact in single precision
+        # factors in single precision first; these counts measure the attempts that fall back
+        table = _small_gate_table()
+        assert len(table) == 46 and all(comb(g.n, k) < spectra.SCIPY_MIN_ORDER for _, g, k in table)
+        counts, skipped = self._counts(monkeypatch, table)
+        # every attempt closes: c32 grows with N, and below 300 it stays under mu - sigma on every base
+        assert counts == {"path": {"single": 10, "fell back": 0, "double": 0},
+                          "cycle": {"single": 10, "fell back": 0, "double": 0},
+                          "star": {"single": 4, "fell back": 0, "double": 0},
+                          "tree": {"single": 6, "fell back": 0, "double": 0},
+                          "K_n": {"single": 4, "fell back": 0, "double": 0},
+                          "gnm": {"single": 12, "fell back": 0, "double": 0}}
+        assert skipped == []
 
     def test_no_complement_gives_an_infinite_theta(self):
         # k = 1 and n - 1: range(B) is all of R^N, so x projects to 0 and no factor is ruled out
@@ -822,6 +845,95 @@ class TestSinglePrecisionGate:
             tg = token_graph(GNP12, 4)  # N = 495, where single precision closes
             assert set(token_alpha(tg, _base(GNP12), *_accept(GNP12))[1]) == {"alpha_complement_lower"}
         assert factored == [8]
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """code run by a fresh interpreter that imports token_spectra from this checkout."""
+    path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+class TestKernels:
+    """spectra._kernels: ?syrk and ?potrf bound from numpy's OpenBLAS, against scipy.linalg's wrappers
+    of the same routines, which also serve where that library is not found."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 300])
+    @pytest.mark.parametrize("prefix", ["s", "d"])
+    def test_potrf_equals_lapacks(self, n, prefix):
+        # info is scipy's ?potrf's; the lower factor is bit for bit spotrf's from scipy's OpenBLAS, and
+        # dpotrf's from numpy.linalg.cholesky, which calls it in the library _kernels binds (scipy's
+        # OpenBLAS 0.3.30 rounds dpotrf's lower factor otherwise in the last bits)
+        from scipy.linalg import lapack
+
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, n + 2))
+        dtype = np.float32 if prefix == "s" else np.float64
+        for name, a in [("positive definite", x @ x.T + np.eye(n)), ("indefinite", x @ x.T - 2 * np.eye(n))]:
+            a = np.asfortranarray(a, dtype)
+            if name == "indefinite":
+                a[n // 2, n // 2] = -1.0  # a negative pivot by row n // 2 at the latest
+            ours, theirs = a.copy(order="F"), a.copy(order="F")
+            info = spectra._kernels()[prefix + "potrf"](ours)
+            factor, want = getattr(lapack, prefix + "potrf")(theirs, lower=1, overwrite_a=0, clean=0)
+            assert info == want and (info == 0) == (name == "positive definite"), (name, info)
+            if prefix == "s":
+                assert np.array_equal(ours, factor), name
+            elif info == 0:
+                assert np.array_equal(np.tril(ours), np.linalg.cholesky(a)), name
+
+    @pytest.mark.parametrize("prefix", ["s", "d"])
+    def test_syrk_triangle_equals_scipys(self, prefix):
+        from scipy.linalg import blas
+
+        for n, k in [(5, 1), (7, 3), (12, 4), (16, 4)]:
+            b = lift(n, k)
+            ours = spectra._kernels()[prefix + "syrk"](0.5, b)
+            want = getattr(blas, prefix + "syrk")(0.5, b.T, trans=1, lower=1)
+            assert ours.flags.f_contiguous and ours.dtype == want.dtype and ours.shape == (len(b), len(b))
+            assert np.array_equal(np.tril(ours), np.tril(want)), (n, k)
+
+    def test_potrf_refuses_what_it_cannot_factor_in_place(self):
+        kernels = spectra._kernels()
+        for prefix, dtype in [("s", np.float32), ("d", np.float64)]:
+            for a in [np.eye(3, dtype=dtype), np.eye(3, dtype=np.float64 if prefix == "s" else np.float32, order="F"),
+                      np.eye(4, dtype=dtype, order="F")[:, :3], np.empty((0, 0), dtype, order="F")]:
+                with pytest.raises(ValueError, match="square Fortran-ordered"):
+                    kernels[prefix + "potrf"](a)
+
+    def test_scipys_wrappers_serve_without_numpys_openblas(self, monkeypatch):
+        # the same certificates, runtime_ms aside: single precision closes on G(12, 1/2) with k = 3 and 4,
+        # the gate keeps path:12 with k = 4 in double, single falls back on cycle:13 with k = 4, and
+        # F_2(C_4) falls back to lo
+        import scipy.linalg.lapack
+
+        cases = [(GNP12, 3), (GNP12, 4), (path_graph(12), 4), (cycle_graph(13), 4), (C4, 2)]
+
+        def certificates():
+            return [{**check_alpha_token_equality(g, k).to_json_dict(), "runtime_ms": 0} for g, k in cases]
+
+        bound, factored, real = certificates(), [], scipy.linalg.lapack.dpotrf
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: factored.append(len(a)) or real(a, **kwargs))
+        monkeypatch.setattr(np, "__file__", str(Path("/nonexistent") / "numpy" / "__init__.py"))
+        spectra._kernels.cache_clear()
+        try:
+            assert spectra._kernels()["threads"] is None
+            assert certificates() == bound
+        finally:
+            spectra._kernels.cache_clear()  # bound again from numpy's OpenBLAS once np.__file__ is restored
+        assert factored  # scipy's dpotrf served
+
+    def test_a_mid_order_proof_imports_no_scipy_linalg(self):
+        # gnp12.el with k = 4 (N = 495): checked_lift imports scipy.sparse, and the proof binds numpy's OpenBLAS
+        data = Path(__file__).parent / "data" / "gnp12.el"
+        code = ("import sys; from pathlib import Path; from token_spectra.graphs import parse_edge_list;"
+                "from token_spectra.verify import check_alpha_token_equality as alpha;"
+                f"w = alpha(parse_edge_list(Path({str(data)!r}).read_text()), 4).witnesses;"
+                "assert w['alpha_complement_lower'] > w['alpha_token'] and w['difference'] == 0.0;"
+                "assert 'scipy.sparse' in sys.modules;"
+                "sys.exit('scipy.linalg' in sys.modules)")
+        res = _run_python(code)
+        assert res.returncode == 0, res.stderr
 
 
 def _with_pendant(g: Graph) -> Graph:
