@@ -1,6 +1,6 @@
 """Dense Laplacian spectra with explicit eigenspace grouping, a sparse Lanczos
 route to the algebraic connectivity of large token graphs, an exact check of
-the lift B (L(F_k) B = B L(G), with the dense or the CSR Laplacian of F_k, and
+the lift B (L(F_k) B = B L(G), L(F_k) B counted from the token edges, and
 B^T B = a I + c J), which is float containment and which token_alpha makes once
 for all its routes, and a proof, by one Cholesky, that alpha(F_k) = alpha(G):
 in single precision first where an upper bound on the complement's least
@@ -55,7 +55,7 @@ class NumericalError(RuntimeError):
 DENSE_BYTES_PER_N2 = 44
 # Peak bytes per N^2 of token_alpha's values-only solve, measured the same way on 5-token graphs
 # of paths, N = 2002 and 4368: 16.1 and 16.1. It holds the float Laplacian and
-# eigvalsh's copy of it; the CSR or int64 matrix it was made from is freed before.
+# eigvalsh's copy of it; the int64 matrix it was made from is freed before.
 # laplacian_values, the solve of checks that read no eigenvector, holds the same: interlacing's
 # two solves on paths read 16.3 and 16.2 at N = 3000 and 4000 (24.0, one block more, at 2000).
 # So do submatrix_values' solves, theta-table's and the kite head's: 16.1 to 16.3 on paths, cycles and
@@ -65,23 +65,22 @@ VALUES_BYTES_PER_N2 = 18
 # 4- and 5-token graphs of paths, cycles, K_13, tests/data/gnp12.el and gnp18.el. In place, one
 # N x N array: 11.8 at N = 715, 9.1 at 3060, 8.4 at 8568; 0.38 to 0.61 MiB, none above 2, at N = 105..286.
 PROOF_BYTES_PER_N2 = 12
-# From this order on, checked_lift applies the CSR Laplacian and token_alpha computes theta; below it,
-# numpy alone, so a sweep cell imports no scipy (0.3 s). checked_lift, CSR / dense, median over 5
-# G(n, 1/2), 1 BLAS thread: 0.11 / 0.03 ms at N = 15, 0.16 / 0.09 at 165, 0.22 / 0.60 at 286.
-SCIPY_MIN_ORDER = 300
+# From this order on, token_alpha computes theta for the proof's gate and the Lanczos shift; below, +inf
+THETA_MIN_ORDER = 300
 # scipy's OpenBLAS 0.3.30 dpotrf segfaulted with 2 threads at N = 16000 and 20000, not at 15000;
 # spotrf, and both in the OpenBLAS that _kernels binds, get the same guard
 POTRF_THREADED_MAX_ORDER = 15000
 # unit roundoffs and underflow units (least positive subnormals) of double and single precision
 UNIT_ROUNDOFF, UNDERFLOW = 2.0 ** -53, 2.0 ** -1074
 SINGLE_UNIT_ROUNDOFF, SINGLE_UNDERFLOW = 2.0 ** -24, 2.0 ** -149
-# Peak bytes of checked_lift per token edge and per entry of the N x n lift: ru_maxrss less the RSS
-# before it, in a fresh process with scipy.sparse imported and the token graph loaded from disk, on
-# 12 token graphs of paths, cycles, stars, complete graphs and tests/data/gnp18.el, N = 495..125970.
-# A fit gives 36 and 27; these rates cover every case above 2 MiB by 1.11 (complete graphs) to 1.60.
-# The dense Laplacian below SCIPY_MIN_ORDER is charged by laplacian, at VALUES_BYTES_PER_N2.
-LIFT_BYTES_PER_EDGE = 44
+# Peak bytes of checked_lift per token edge and per entry of the N x n lift: ru_maxrss less the RSS before it, in a
+# fresh process with the token graph loaded from disk, on 12 token graphs of paths, cycles, stars, complete graphs
+# and tests/data/gnp18.el, N = 495..125970. A fit gives 20 and 35; these cover every case above 2 MiB by 1.15 to 1.33.
+LIFT_BYTES_PER_EDGE = 24
 LIFT_BYTES_PER_ROW_COLUMN = 40
+# Peak bytes of sparse_laplacian per token edge and per row, measured so on the same graphs with scipy.sparse
+# imported: the CSR's 24 and 16, and int64 temporaries while it fills. A fit gives 56 and 34; these cover 1.20 to 1.45.
+CSR_BYTES_PER_EDGE, CSR_BYTES_PER_ROW = 72, 48
 
 # token_alpha tries the sparse route before the proof from this order on, and never below it.
 # Best of 3, 1 BLAS thread, G(n, C(n,2)//2 + 1), proof / Lanczos: 17 / 20 ms at N = 1001,
@@ -107,9 +106,8 @@ def laplacian(g: Graph, bytes_per_n2: int = DENSE_BYTES_PER_N2) -> np.ndarray:
     require_memory(bytes_per_n2 * g.n * g.n, f"the dense Laplacian route at N = {g.n}")
     L = np.zeros((g.n, g.n), dtype=np.int64)
     u, v = g.edge_array.T
-    L[u, v] = -1
-    L[v, u] = -1
-    L[np.diag_indices(g.n)] = -L.sum(axis=1)
+    L[u, v] = L[v, u] = -1
+    L.flat[:: g.n + 1] = np.bincount(g.edge_array.ravel(), minlength=g.n)
     return L
 
 
@@ -235,7 +233,9 @@ def algebraic_connectivity(g: Graph) -> tuple[float, np.ndarray]:
 
 def sparse_laplacian(g: Graph):
     """Degree diagonal minus adjacency, as a scipy CSR float matrix, filled from the sorted edge
-    array: row v holds its lower neighbours (edges by v, then u), its diagonal, then its upper ones."""
+    array: row v holds its lower neighbours (edges by v, then u), its diagonal, then its upper ones;
+    CapExceededError, before allocating, where it would not fit."""
+    require_memory(CSR_BYTES_PER_EDGE * g.m + CSR_BYTES_PER_ROW * g.n, f"the CSR Laplacian at N = {g.n}")
     from scipy.sparse import csr_array
 
     u, v = g.edge_array.T
@@ -254,35 +254,31 @@ def token_alpha(tg: TokenGraph, spectrum: Spectrum, lo: float, hi: float) -> tup
     """Algebraic connectivity of tg's token graph, as (alpha, fields), from spectrum = eig_sym(L(G)) and
     the interval [lo, hi] that the caller's check accepts; fields are the witnesses the route adds.
 
-    checked_lift checks B's two identities once, and every route works with
-    that B and L(F_k). Below SPARSE_MIN_ORDER token vertices, _proved_alpha
-    runs, then the values-only solve; from there on, _sparse_token_alpha
-    runs before both. Each of the first two answers or hands over (None).
-    The proof adds its bounds, Lanczos its mu, and the values-only solve
-    nothing; it frees B and the int64 or CSR L(F_k) before its solve. From
-    SCIPY_MIN_ORDER on, theta = _complement_rayleigh, an upper bound on mu
-    from a Fiedler vector of G, spectrum.vectors[:, 1], is computed once for
-    both routes: it gates the proof's single-precision factor and caps the
-    Lanczos shift; below that order it is +inf, and every proof tries single precision first.
+    checked_lift checks B's two identities once, and every route works with that B and F_k's degrees.
+    Below SPARSE_MIN_ORDER token vertices, _proved_alpha runs, then the values-only solve; from there
+    on, _sparse_token_alpha runs before both, on the CSR L(F_k), which it alone needs. Each of the
+    first two answers or hands over (None). The proof adds its bounds, Lanczos its mu, and the
+    values-only solve nothing; it frees B before it makes the dense L(F_k). From
+    THETA_MIN_ORDER on, theta = _complement_rayleigh, an upper bound on mu from a Fiedler vector of G,
+    spectrum.vectors[:, 1], is computed once: it gates the proof's single-precision factor and caps
+    the Lanczos shift; below that order it is +inf, and every proof tries single precision first.
     """
-    b, lap = checked_lift(tg)
-    theta = _complement_rayleigh(tg, b, spectrum.vectors[:, 1]) if tg.graph.n >= SCIPY_MIN_ORDER else math.inf
-    answer = tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, spectrum, lap, theta)
-    answer = answer or _proved_alpha(tg, spectrum, b, lap, lo, hi, theta)
+    b, degree = checked_lift(tg)
+    theta = _complement_rayleigh(tg, b, spectrum.vectors[:, 1]) if tg.graph.n >= THETA_MIN_ORDER else math.inf
+    answer = tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, spectrum, sparse_laplacian(tg.graph), theta)
+    answer = answer or _proved_alpha(tg, spectrum, b, degree, lo, hi, theta)
     if answer:
         return answer
-    require_memory(VALUES_BYTES_PER_N2 * tg.graph.n ** 2, f"the dense Laplacian route at N = {tg.graph.n}")
     del b
-    lap = lap.astype(float) if isinstance(lap, np.ndarray) else lap.toarray()  # frees the int64 or CSR matrix
-    return fiedler_value(eigenvalues(lap)), {}
+    return fiedler_value(laplacian_values(tg.graph)), {}
 
 
-def _proved_alpha(tg: TokenGraph, spectrum: Spectrum, b: np.ndarray, lap, lo: float, hi: float,
+def _proved_alpha(tg: TokenGraph, spectrum: Spectrum, b: np.ndarray, degree: np.ndarray, lo: float, hi: float,
                   theta: float) -> tuple[float, dict] | None:
     """(alpha(G), fields) once one Cholesky pins lambda_2(L(F_k)) down, else None.
 
-    b and lap are the B and L(F_k) of which checked_lift has shown L(F_k) B =
-    B L(G), and F_k's degrees are read off lap. So lambda_2(L(F_k)) =
+    b and degree are the B and F_k's degrees with which checked_lift has
+    shown L(F_k) B = B L(G). So lambda_2(L(F_k)) =
     min(alpha(G), mu), mu the least eigenvalue off range(B). upper = alpha
     + 10 rho exceeds the true alpha(G) (module docstring). If mu > upper is
     proved, lambda_2 = alpha(G) and fields = {alpha_complement_lower: upper}.
@@ -297,7 +293,6 @@ def _proved_alpha(tg: TokenGraph, spectrum: Spectrum, b: np.ndarray, lap, lo: fl
         require_memory(PROOF_BYTES_PER_N2 * g.n * g.n, f"the proof at N = {g.n}")
     except CapExceededError:
         return None
-    degree = lap.diagonal()
     alpha = fiedler_value(values)
     upper = math.nextafter(alpha + 10 * DEFAULT_RESID_TOL * max(1.0, float(np.abs(values).max())), math.inf)
     if _complement_exceeds(tg, b, degree, upper, theta):
@@ -463,38 +458,53 @@ def _kernels() -> dict:
 
 
 def checked_lift(tg: TokenGraph):
-    """(B, L(F_k)), B = lift(n, k), once L(F_k) B = B L(G), with that L(F_k), and then B^T B =
+    """(B, degrees), B = lift(n, k) and F_k's degrees, once L(F_k) B = B L(G) and then B^T B =
     C(n-2, k-1) I + C(n-2, k-2) J are checked exactly.
 
-    B^T B's least eigenvalue C(n-2, k-1) is at least 1, so B maps each eigenspace of L(G)
-    one-to-one into that of L(F_k) for the same value: spec(L(G)) lies in spec(L(F_k)) with
-    multiplicity. L(F_k) is the dense int64 laplacian below SCIPY_MIN_ORDER and
-    sparse_laplacian from there on, where L(F_k) B takes O(|E(F_k)| n) with no N x N matrix.
-    Every entry is a small integer, exact in float64, so each identity holds exactly or not at
-    all: NumericalError where one does not; CapExceededError, before B, where it does not fit.
+    B^T B's least eigenvalue C(n-2, k-1) is at least 1, so B maps each eigenspace of L(G) one-to-one
+    into that of L(F_k) for the same value: spec(L(G)) lies in spec(L(F_k)) with multiplicity. L(F_k)
+    B is _lift_product's count, from the token edges, with no matrix of F_k at any order. Every entry
+    is a small integer, exact in float64, so each identity holds exactly or not at all: NumericalError
+    where one does not; CapExceededError, before B, where it does not fit.
     """
-    g, n = tg.graph, tg.base.n
+    g, n, k = tg.graph, tg.base.n, tg.k
     require_memory(LIFT_BYTES_PER_EDGE * g.m + LIFT_BYTES_PER_ROW_COLUMN * g.n * n,
                    f"the lift check at N = {g.n}")
-    lap = laplacian(g, VALUES_BYTES_PER_N2) if g.n < SCIPY_MIN_ORDER else sparse_laplacian(g)
-    b = lift(n, tg.k)
-    lb = lap @ b
+    b, degree = lift(n, k), np.bincount(g.edge_array.ravel(), minlength=g.n)
+    lb = _lift_product(tg, b, degree)
     lb -= b @ laplacian(tg.base)
     resid = np.abs(lb, out=lb).max()
     if resid:  # also when NaN got in
         raise NumericalError(f"lifted residual {resid:.3g} of L(F_k) B = B L(G) exceeds bound 0")
-    gram = math.comb(n - 2, tg.k - 1) * np.eye(n) + (math.comb(n - 2, tg.k - 2) if tg.k > 1 else 0)
-    if not np.array_equal(b.T @ b, gram):
+    gram = b.T @ b
+    gram.flat[:: n + 1] -= math.comb(n - 2, k - 1)
+    if not (gram == (math.comb(n - 2, k - 2) if k > 1 else 0)).all():
         raise NumericalError("the lift is dependent: B^T B is not C(n-2, k-1) I + C(n-2, k-2) J")
-    return b, lap
+    return b, degree
+
+
+def _lift_product(tg: TokenGraph, b: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """L(F_k) B, b = B = lift(n, k), degree F_k's degrees: D B less (A B)[S, x] = #{T ~ S : x in T}, exact in
+    float64. A B is an int64 bincount of S n + x over each edge end S and the members x of its other end, in
+    O(|E(F_k)| k + N n), the members taken from the C-ordered view of _colex_subsets(n, k) (3x as fast as the
+    table), the edges in blocks whose index holds 2 |E(F_k)| + N n entries at most (16 B an edge, 8 an entry of B)."""
+    g, n, k = tg.graph, tg.base.n, tg.k
+    members, lb = _colex_subsets(n, k).T, degree[:, None] * b
+    step = (2 * g.m + g.n * n) // (2 * k) + 1
+    for edges in (g.edge_array[start:start + step] for start in range(0, g.m, step)):
+        index = members.take(edges[:, ::-1], axis=1)
+        index += edges * n
+        lb -= np.bincount(index.ravel(), minlength=g.n * n).reshape(g.n, n)
+        del index  # before the next block's
+    return lb
 
 
 def _sparse_token_alpha(tg: TokenGraph, spectrum: Spectrum, lap, theta: float) -> tuple[float, dict] | None:
     """(alpha(F_k), fields) with alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue of
     L(F_k) on range(B)^perp, from spectrum = eig_sym(L(G)) and theta >= mu; None where it hands over.
 
-    lap is the L(F_k) of which checked_lift has shown L(F_k) B = B L(G) and B^T B = C(n-2, k-1) I
-    + C(n-2, k-2) J for B = lift(n, k), so range(B) carries the spectrum of L(G) and its complement
+    lap is the CSR sparse_laplacian(tg.graph); checked_lift has shown L(F_k) B = B L(G) and B^T B =
+    C(n-2, k-1) I + C(n-2, k-2) J for B = lift(n, k), so range(B) carries the spectrum of L(G) and its complement
     the rest. ARPACK's Lanczos (eigsh, which="SA", fixed-seed start) finds the least eigenvalue of
     L(F_k) + c (B (B^T B)^-1 B^T + U U^T) + I, less the 1, U the copies of mu found so far, B applied
     as CSR from its rows, the k-subsets of _colex_subsets(n, k): O(N k) a product. c = min(2 max(1,

@@ -607,9 +607,10 @@ class TestExactRefusals:
 
 class TestMemoryGuard:
     """With physical memory taken as 1 MB, the dense route with eigenvectors
-    refuses N >= 151 (44 bytes per N^2), the values-only routes of alpha-token,
-    interlacing, theta-table and kite-iff N >= 236 (18 bytes per N^2), token_graph
-    refuses 8334 candidate rows or more, and
+    refuses N >= 151 (44 bytes per N^2), the values-only routes of interlacing,
+    theta-table and kite-iff N >= 236 (18 bytes per N^2), alpha-token, whose lift
+    check forms no N x N matrix, N >= 289, where its proof (12 bytes per N^2) does not
+    fit either, token_graph refuses 8334 candidate rows or more, and
     the exact route refuses any token graph: its token-edge scatter alone is
     estimated at 1.5 MB."""
 
@@ -618,8 +619,8 @@ class TestMemoryGuard:
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", 10**6)
 
     @pytest.mark.parametrize("argv, stderr", [
-        (["verify", "alpha-token", "--graph", "path:23", "-k", "2"],
-         "error: the dense Laplacian route at N = 253 needs about 0.00107 GiB, physical memory is 0.000931 GiB\n"),
+        (["verify", "alpha-token", "--graph", "path:25", "-k", "2"],
+         "error: the dense Laplacian route at N = 300 needs about 0.00151 GiB, physical memory is 0.000931 GiB\n"),
         (["spectrum", "path:200"],
          "error: the dense Laplacian route at N = 200 needs about 0.00164 GiB, physical memory is 0.000931 GiB\n"),
         (["construct", "token", "--graph", "complete:16", "-k", "3"],
@@ -636,6 +637,9 @@ class TestMemoryGuard:
 
     def test_below_the_estimate_runs(self, runner):
         assert runner.invoke(main, ["verify", "alpha-token", "--graph", "path:17", "-k", "2"]).exit_code == 0
+        # N = 253 and 276: the proof fits, and the lift check holds no N x N matrix before it
+        for n in (23, 24):
+            assert runner.invoke(main, ["verify", "alpha-token", "--graph", f"path:{n}", "-k", "2"]).exit_code == 0
         assert runner.invoke(main, ["construct", "token", "--graph", "complete:11", "-k", "3"]).exit_code == 0
         # 7098 candidate rows at 120 bytes each, under 1 MB
         assert runner.invoke(main, ["construct", "token", "--graph", "complete:14", "-k", "3"]).exit_code == 0
@@ -664,13 +668,13 @@ class TestMemoryGuard:
 
     def test_sweep_gives_one_cap_exceeded_row(self, runner, tmp_path):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"family": {"name": "path", "n": [20, 23]}, "checks": ["alpha-token"]}))
+        spec.write_text(json.dumps({"family": {"name": "path", "n": [22, 25]}, "checks": ["alpha-token"]}))
         res = runner.invoke(main, ["sweep", str(spec), "--csv", str(tmp_path / "rows.csv")])
         assert res.exit_code == 0
         rows = list(csv.DictReader(io.StringIO((tmp_path / "rows.csv").read_text())))
         assert [(r["instance"], r["verdict"]) for r in rows] == [
-            ("path:20", "pass"), ("path:21", "pass"), ("path:22", "pass"), ("path:23", "cap_exceeded")]
-        assert rows[3]["detail"].startswith("the dense Laplacian route at N = 253 needs about")
+            ("path:22", "pass"), ("path:23", "pass"), ("path:24", "pass"), ("path:25", "cap_exceeded")]
+        assert rows[3]["detail"].startswith("the dense Laplacian route at N = 300 needs about")
         summary = json.loads(res.stdout)
         assert (summary["pass"], summary["cap_exceeded"], summary["fail"]) == (3, 1, 0)
 

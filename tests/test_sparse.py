@@ -1,7 +1,7 @@
 """The sparse route to alpha(F_k(G)) against the dense oracle.
 
 The private _sparse_token_alpha is called directly with the base graph's
-spectrum, the L(F_k) that checked_lift checked and token_alpha's theta,
+spectrum, the CSR L(F_k) and token_alpha's theta, once checked_lift has passed,
 whatever the order, so no option is needed to reach it. eigsh sees the
 operator with I added, so its raw values are the route's values plus 1.
 Where it hands over (returns None), token_alpha answers: those tests patch SPARSE_MIN_ORDER to 0, so
@@ -53,7 +53,7 @@ from token_spectra.verify import (
     check_pendant_bound,
 )
 
-from helpers import family_corpus, random_corpus
+from helpers import family_corpus, random_corpus, reference_laplacian
 
 DATA = Path(__file__).parent / "data"
 GNP12 = parse_edge_list((DATA / "gnp12.el").read_text())
@@ -88,10 +88,10 @@ def _base(tg):
 
 
 def _route_args(tg):
-    """(spectrum, L(F_k), theta), as token_alpha passes them to the sparse route: L(F_k) from
-    checked_lift, theta from _complement_rayleigh from SCIPY_MIN_ORDER on and +inf below it."""
-    spectrum, (b, lap) = _spectrum(tg), checked_lift(tg)
-    if tg.graph.n < spectra.SCIPY_MIN_ORDER:
+    """(spectrum, L(F_k), theta), as token_alpha passes them to the sparse route: the CSR L(F_k) after
+    checked_lift, theta from _complement_rayleigh from THETA_MIN_ORDER on and +inf below it."""
+    spectrum, b, lap = _spectrum(tg), checked_lift(tg)[0], sparse_laplacian(tg.graph)
+    if tg.graph.n < spectra.THETA_MIN_ORDER:
         return spectrum, lap, math.inf
     return spectrum, lap, spectra._complement_rayleigh(tg, b, spectrum.vectors[:, 1])
 
@@ -243,7 +243,7 @@ class TestAgainstDense:
         import scipy.sparse.linalg
 
         tg = token_graph(path_graph(9), 3)
-        b, lap = checked_lift(tg)
+        b, lap = checked_lift(tg)[0], laplacian(tg.graph)
         w, q = np.linalg.eigh(lap + 100.0 * b @ np.linalg.solve(b.T @ b, b.T))  # range(B) lifted by 100
         assert np.allclose(w[:3], [0.25330, 0.40148, 0.57331], atol=1e-5)
         assert abs(fiedler_value(_base(tg)) - 0.12061) <= 1e-5
@@ -269,10 +269,10 @@ class TestAgainstDense:
         import scipy.sparse.linalg
 
         tg = token_graph(path_graph(9), 3)
-        b, lap = checked_lift(tg)
+        b, lap = checked_lift(tg)[0], laplacian(tg.graph)
         w, q = np.linalg.eigh(lap + 100.0 * b @ np.linalg.solve(b.T @ b, b.T))  # range(B) lifted by 100
         scale = max(1.0, float(lap.diagonal().max()) + 1.0)
-        value = 2.0 * scale if fault == "at-the-shift" else w[0] + 1e-6  # theta = inf below SCIPY_MIN_ORDER
+        value = 2.0 * scale if fault == "at-the-shift" else w[0] + 1e-6  # theta = inf below THETA_MIN_ORDER
         assert np.linalg.norm(lap @ q[:, 0] - w[0] * q[:, 0]) <= spectra.DEFAULT_RESID_TOL * scale
         solves = []
 
@@ -356,10 +356,10 @@ class TestShiftAndStop:
         assert capped == (g.n != 25) and (not capped or _shift(lap, theta) < 2.0 * _scale(lap))
 
     def test_shift_where_theta_is_infinite(self, monkeypatch, sparse_first):
-        # below SCIPY_MIN_ORDER token_alpha passes theta = inf, and c = 2 max(1, Delta + 1)
+        # below THETA_MIN_ORDER token_alpha passes theta = inf, and c = 2 max(1, Delta + 1)
         for g, k in [(cycle_graph(8), 3), (path_graph(9), 3), (GNP12, 3), (star_graph(8), 4)]:
             tg = token_graph(g, k)
-            assert tg.graph.n < spectra.SCIPY_MIN_ORDER
+            assert tg.graph.n < spectra.THETA_MIN_ORDER
             calls = _eigsh_calls(monkeypatch)
             _token_alpha(tg)
             lap = laplacian(tg.graph)
@@ -387,7 +387,7 @@ class TestShiftAndStop:
         import scipy.sparse.linalg
 
         tg = token_graph(path_graph(9), 3)
-        spectrum, (b, lap) = _spectrum(tg), checked_lift(tg)
+        spectrum, b, lap = _spectrum(tg), checked_lift(tg)[0], laplacian(tg.graph)
         theta = spectra._complement_rayleigh(tg, b, spectrum.vectors[:, 1])
         c, gap = _shift(lap, theta), spectra.DEFAULT_GROUP_TOL * _scale(lap)
         w, q = np.linalg.eigh(lap + 100.0 * b @ np.linalg.solve(b.T @ b, b.T))  # range(B) lifted by 100
@@ -542,8 +542,10 @@ class TestTokenAlpha:
         (cycle_graph(4), 2, 0.0, ["proof"], None),  # N = 6: at tol 0 the proof hands over to the values-only solve
     ], ids=["sparse", "sparse-then-proof", "proof-then-values"])
     def test_one_lift_per_decision(self, monkeypatch, g, k, tol, routes, field):
-        # token_alpha checks L(F_k) B = B L(G) once: one lift, one Laplacian of F_k, and every route
-        # receives those same objects (the sparse route L(F_k) alone: it applies B from its k-subsets)
+        # token_alpha checks L(F_k) B = B L(G) once: one lift, and the proof receives it with F_k's
+        # degrees; the sparse route the CSR L(F_k) alone, as it applies B from its k-subsets. Below
+        # SPARSE_MIN_ORDER no Laplacian of F_k is built unless the values-only solve runs; from there
+        # on, exactly one CSR Laplacian is built, for the sparse route
         built, received = [], []
         for name in ("lift", "laplacian", "sparse_laplacian"):
             def build(*args, _name=name, _real=getattr(spectra, name)):
@@ -554,9 +556,9 @@ class TestTokenAlpha:
             received.append(("sparse", None, lap))
             return _real(tg, spectrum, lap, theta)
 
-        def proof_spy(tg, spectrum, b, lap, *rest, _real=spectra._proved_alpha):
-            received.append(("proof", b, lap))
-            return _real(tg, spectrum, b, lap, *rest)
+        def proof_spy(tg, spectrum, b, degree, *rest, _real=spectra._proved_alpha):
+            received.append(("proof", b, degree))
+            return _real(tg, spectrum, b, degree, *rest)
 
         monkeypatch.setattr(spectra, "_sparse_token_alpha", sparse_spy)
         monkeypatch.setattr(spectra, "_proved_alpha", proof_spy)
@@ -564,10 +566,15 @@ class TestTokenAlpha:
         order = comb(g.n, k)
         lifts = [out for name, _, out in built if name == "lift"]
         laplacians = [(name, out) for name, h, out in built if name != "lift" and h.n == order]
-        made_by = "laplacian" if order < spectra.SCIPY_MIN_ORDER else "sparse_laplacian"
-        assert len(lifts) == 1 and [name for name, _ in laplacians] == [made_by]
+        if order >= spectra.SPARSE_MIN_ORDER:
+            made = ["sparse_laplacian"]
+        else:
+            made = ["laplacian"] if field is None else []  # the values-only solve runs where no field is earned
+        assert len(lifts) == 1 and [name for name, _ in laplacians] == made
         assert [name for name, *_ in received] == routes
-        assert all((b is None or b is lifts[0]) and lap is laplacians[0][1] for _, b, lap in received)
+        degree = reference_laplacian(token_graph(g, k).graph).diagonal()
+        assert all(lap is laplacians[0][1] for name, _, lap in received if name == "sparse")
+        assert all(b is lifts[0] and np.array_equal(d, degree) for name, b, d in received if name == "proof")
         assert all((b is None) == (name == "sparse") for name, b, _ in received)
         keys = {"alpha_complement", "alpha_complement_lower"} & set(cert.witnesses)
         assert keys == ({field} if field else set())
