@@ -326,13 +326,9 @@ def build_extended_cycle(n: int, chords: Iterable[tuple[int, int]], nu: int | No
     g = cycle_graph(n)
     if nu is None:
         nu = n
-    if nu == n:
-        pass
-    elif n % 2 == 0 and nu == n - 1:
-        pass
-    else:
+    if not (nu == n or (n % 2 == 0 and nu == n - 1)):
         raise GraphError(f"nu={nu} invalid for n={n}")
-    pairs = np.array(list(chords), dtype=np.int64).reshape(-1, 2)
+    pairs = _pair_array(chords)
     off = pairs.sum(axis=1) != nu
     if off.any():
         raise GraphError(f"chord {_first(pairs, off)} violates i + j = {nu}")

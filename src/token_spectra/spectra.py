@@ -256,8 +256,9 @@ def token_alpha(tg: TokenGraph, spectrum: Spectrum, lo: float, hi: float) -> tup
 
     checked_lift checks B's two identities once, and every route works with that B and F_k's degrees.
     Below SPARSE_MIN_ORDER token vertices, _proved_alpha runs, then the values-only solve; from there
-    on, _sparse_token_alpha runs before both, on the CSR L(F_k), which it alone needs. Each of the
-    first two answers or hands over (None). The proof adds its bounds, Lanczos its mu, and the
+    on, _sparse_token_alpha runs before both, on B and the CSR L(F_k), which it alone needs. Each of the
+    first two answers or hands over (None); a proof that does not fit raises CapExceededError, as the
+    values-only solve, charged more, would. The proof adds its bounds, Lanczos its mu, and the
     values-only solve nothing; it frees B before it makes the dense L(F_k). From
     THETA_MIN_ORDER on, theta = _complement_rayleigh, an upper bound on mu from a Fiedler vector of G,
     spectrum.vectors[:, 1], is computed once: it gates the proof's single-precision factor and caps
@@ -265,7 +266,7 @@ def token_alpha(tg: TokenGraph, spectrum: Spectrum, lo: float, hi: float) -> tup
     """
     b, degree = checked_lift(tg)
     theta = _complement_rayleigh(tg, b, spectrum.vectors[:, 1]) if tg.graph.n >= THETA_MIN_ORDER else math.inf
-    answer = tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, spectrum, sparse_laplacian(tg.graph), theta)
+    answer = tg.graph.n >= SPARSE_MIN_ORDER and _sparse_token_alpha(tg, spectrum, b, sparse_laplacian(tg.graph), theta)
     answer = answer or _proved_alpha(tg, spectrum, b, degree, lo, hi, theta)
     if answer:
         return answer
@@ -285,14 +286,11 @@ def _proved_alpha(tg: TokenGraph, spectrum: Spectrum, b: np.ndarray, degree: np.
     Otherwise (F_2(C_4) has mu = alpha), if upper <= hi, mu > lo (free for lo
     < 0) gives lo < lambda_2 <= upper, and fields = {alpha_complement_lower:
     lo, alpha_token_lower: lo, alpha_token_upper: upper}. None where neither
-    closes or the proof does not fit in memory. theta >= mu, from token_alpha,
-    gates the single-precision factor.
+    closes; CapExceededError, before any factor, where the proof does not fit in
+    memory. theta >= mu, from token_alpha, gates the single-precision factor.
     """
     g, values = tg.graph, spectrum.values
-    try:  # a proof that does not fit in memory leaves alpha to the next route
-        require_memory(PROOF_BYTES_PER_N2 * g.n * g.n, f"the proof at N = {g.n}")
-    except CapExceededError:
-        return None
+    require_memory(PROOF_BYTES_PER_N2 * g.n * g.n, f"the proof at N = {g.n}")
     alpha = fiedler_value(values)
     upper = math.nextafter(alpha + 10 * DEFAULT_RESID_TOL * max(1.0, float(np.abs(values).max())), math.inf)
     if _complement_exceeds(tg, b, degree, upper, theta):
@@ -499,15 +497,16 @@ def _lift_product(tg: TokenGraph, b: np.ndarray, degree: np.ndarray) -> np.ndarr
     return lb
 
 
-def _sparse_token_alpha(tg: TokenGraph, spectrum: Spectrum, lap, theta: float) -> tuple[float, dict] | None:
+def _sparse_token_alpha(tg: TokenGraph, spectrum: Spectrum, b: np.ndarray, lap,
+                        theta: float) -> tuple[float, dict] | None:
     """(alpha(F_k), fields) with alpha(F_k) = min(alpha(G), mu), mu the least eigenvalue of
     L(F_k) on range(B)^perp, from spectrum = eig_sym(L(G)) and theta >= mu; None where it hands over.
 
-    lap is the CSR sparse_laplacian(tg.graph); checked_lift has shown L(F_k) B = B L(G) and B^T B =
-    C(n-2, k-1) I + C(n-2, k-2) J for B = lift(n, k), so range(B) carries the spectrum of L(G) and its complement
-    the rest. ARPACK's Lanczos (eigsh, which="SA", fixed-seed start) finds the least eigenvalue of
-    L(F_k) + c (B (B^T B)^-1 B^T + U U^T) + I, less the 1, U the copies of mu found so far, B applied
-    as CSR from its rows, the k-subsets of _colex_subsets(n, k): O(N k) a product. c = min(2 max(1,
+    lap is the CSR sparse_laplacian(tg.graph); b is the B = lift(n, k) for which checked_lift has shown
+    L(F_k) B = B L(G) and B^T B = C(n-2, k-1) I + C(n-2, k-2) J, so range(B) carries the spectrum of L(G)
+    and its complement the rest. ARPACK's Lanczos (eigsh, which="SA", fixed-seed start) finds the least
+    eigenvalue of L(F_k) + c (B (B^T B)^-1 B^T + U U^T) + I, less the 1, U the copies of mu found so
+    far, B applied as csr_array(b), k ones a row: O(N k) a product. c = min(2 max(1,
     Delta + 1), 2 theta + 1) >= mu + 1, Delta F_k's largest degree. Each solve finds one copy: one
     Krylov vector does not see multiplicity. ARPACK stops at a residual of tol (value + 1), so tol =
     bound / (2 (c + 1)) stops each value below c within half of bound = DEFAULT_RESID_TOL * max(1,
@@ -533,10 +532,7 @@ def _sparse_token_alpha(tg: TokenGraph, spectrum: Spectrum, lap, theta: float) -
     scale = max(1.0, float(lap.diagonal().max()) + 1.0)  # Grone-Merris: Delta + 1 <= lambda_max
     bound, gap, shift = DEFAULT_RESID_TOL * scale, DEFAULT_GROUP_TOL * scale, min(2.0 * scale, 2.0 * theta + 1.0)
     a, c = math.comb(n - 2, k - 1), math.comb(n - 2, k - 2)  # (B^T B)^-1 = (I - c / (a + n c) J) / a
-    members = _colex_subsets(n, k)  # B's rows: B in CSR, k ones a row, and B^T its CSC transpose
-    index = np.int32 if members.size < 2**31 else np.int64
-    sparse_b = csr_array((np.ones(members.size), np.asarray(members, dtype=index, order="C").ravel(),
-                          np.arange(0, members.size + 1, k, dtype=index)), shape=(order, n))
+    sparse_b = csr_array(b)  # B in CSR, k ones a row, and B^T its CSC transpose
     sparse_bt, copies = sparse_b.T, np.empty((order, SPARSE_BLOCKS), order="F")
     rng = np.random.default_rng(0)
 

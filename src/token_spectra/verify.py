@@ -491,30 +491,14 @@ def check_kite_head_family(
     if variant == "cycle":
         if h is None:
             raise GraphError("cycle variant needs h")
-        head = cycle_graph(h)
-        root = 0
-        witnesses = {"h": h}
-
-        def bridge(th: float) -> tuple[str, float, bool]:
-            return "path_lambda2", float(laplacian_values(path_graph(h))[1]), h <= 2 * r + 1
+        head, root, witnesses = cycle_graph(h), 0, {"h": h}
     elif variant == "bipartite":
         if h1 is None or h2 is None:
             raise GraphError("bipartite variant needs h1 and h2")
         if root_side not in (1, 2):
             raise GraphError("root_side must be 1 or 2")
-        head = complete_bipartite_graph(h1, h2)
-        root = 0 if root_side == 1 else h1
-        witnesses = {
-            "h1": h1,
-            "h2": h2,
-            "root_side": root_side,
-        }
-
-        def bridge(th: float) -> tuple[str, float, bool]:
-            h_total = h1 + h2
-            opposite = h2 if root_side == 1 else h1
-            closed_form = (h_total - sqrt(h_total * h_total - 4 * opposite)) / 2.0
-            return "closed_form", closed_form, closed_form >= th - tol * max(1.0, th)
+        head, root = complete_bipartite_graph(h1, h2), 0 if root_side == 1 else h1
+        witnesses = {"h1": h1, "h2": h2, "root_side": root_side}
     else:
         raise GraphError(f"unknown variant {variant!r}")
 
@@ -526,8 +510,13 @@ def check_kite_head_family(
             raise GraphError(f"head edge ({u}, {v}) leaves the head")
         extra.append((u, v))
     gp = add_edges(g, extra) if extra else g  # refuses an edge given twice or already present
-    th = theta(r, r)  # theta_r and each variant's bridge wait for the checks above: r >= 1, and no solve first
-    name, reference, hypothesis = bridge(th)
+    th = theta(r, r)  # theta_r and the bridge's reference wait for the checks above: r >= 1, and no solve first
+    if variant == "cycle":
+        name, reference, hypothesis = "path_lambda2", float(laplacian_values(path_graph(h))[1]), h <= 2 * r + 1
+    else:
+        total, opposite = h1 + h2, h2 if root_side == 1 else h1
+        name, reference = "closed_form", (total - sqrt(total * total - 4 * opposite)) / 2.0
+        hypothesis = reference >= th - tol * max(1.0, th)
     lam = _head_submatrix_min_eig(head, root)
     bridge_ok = abs(lam - reference) <= BRIDGE_TOL
     witnesses.update({"head_submatrix_min_eig": lam, name: reference, "theta_r": th})

@@ -610,7 +610,7 @@ class TestMemoryGuard:
     refuses N >= 151 (44 bytes per N^2), the values-only routes of interlacing,
     theta-table and kite-iff N >= 236 (18 bytes per N^2), alpha-token, whose lift
     check forms no N x N matrix, N >= 289, where its proof (12 bytes per N^2) does not
-    fit either, token_graph refuses 8334 candidate rows or more, and
+    fit and is refused by name, token_graph refuses 8334 candidate rows or more, and
     the exact route refuses any token graph: its token-edge scatter alone is
     estimated at 1.5 MB."""
 
@@ -620,7 +620,7 @@ class TestMemoryGuard:
 
     @pytest.mark.parametrize("argv, stderr", [
         (["verify", "alpha-token", "--graph", "path:25", "-k", "2"],
-         "error: the dense Laplacian route at N = 300 needs about 0.00151 GiB, physical memory is 0.000931 GiB\n"),
+         "error: the proof at N = 300 needs about 0.00101 GiB, physical memory is 0.000931 GiB\n"),
         (["spectrum", "path:200"],
          "error: the dense Laplacian route at N = 200 needs about 0.00164 GiB, physical memory is 0.000931 GiB\n"),
         (["construct", "token", "--graph", "complete:16", "-k", "3"],
@@ -674,7 +674,7 @@ class TestMemoryGuard:
         rows = list(csv.DictReader(io.StringIO((tmp_path / "rows.csv").read_text())))
         assert [(r["instance"], r["verdict"]) for r in rows] == [
             ("path:22", "pass"), ("path:23", "pass"), ("path:24", "pass"), ("path:25", "cap_exceeded")]
-        assert rows[3]["detail"].startswith("the dense Laplacian route at N = 300 needs about")
+        assert rows[3]["detail"].startswith("the proof at N = 300 needs about 0.00101 GiB")
         summary = json.loads(res.stdout)
         assert (summary["pass"], summary["cap_exceeded"], summary["fail"]) == (3, 1, 0)
 

@@ -469,6 +469,27 @@ class TestExtendedCycles:
     def test_cycle_edge_chord_absorbed(self):
         assert build_extended_cycle(6, [(0, 5)], nu=5) == cycle_graph(6)
 
+    @pytest.mark.parametrize("chords, message", [
+        ([(1, 6, 2, 5)], "edges must form an \\(m, 2\\) integer array"),  # not regrouped into (1, 6), (2, 5)
+        ([(1,)], "edges must form an \\(m, 2\\) integer array"),
+        ([(1, 6, 3)], "edges must form an \\(m, 2\\) integer array"),
+        ([(1, 6), (2,)], "edges must be vertex pairs"),
+    ], ids=["four", "one", "three", "ragged"])
+    def test_chords_must_be_pairs(self, chords, message):
+        with pytest.raises(GraphError, match=message):
+            build_extended_cycle(7, chords)
+
+    def test_odd_n_refuses_nu_n_minus_1(self):
+        for nu in (6, 5, 8):
+            with pytest.raises(GraphError, match=f"^nu={nu} invalid for n=7$"):
+                build_extended_cycle(7, [], nu=nu)
+
+    def test_nu_defaults_to_n(self):
+        for n, chords in ((7, [(1, 6), (2, 5)]), (8, [(1, 7), (3, 5)])):
+            assert build_extended_cycle(n, chords) == build_extended_cycle(n, chords, nu=n)
+        with pytest.raises(GraphError, match="^chord \\(1, 6\\) violates i \\+ j = 8$"):
+            build_extended_cycle(8, [(1, 6)])
+
 
 class TestBipartiteExtensions:
     def test_plus_x_all_edges(self):

@@ -1,8 +1,8 @@
 """The sparse route to alpha(F_k(G)) against the dense oracle.
 
 The private _sparse_token_alpha is called directly with the base graph's
-spectrum, the CSR L(F_k) and token_alpha's theta, once checked_lift has passed,
-whatever the order, so no option is needed to reach it. eigsh sees the
+spectrum, the B that checked_lift returned, the CSR L(F_k) and token_alpha's
+theta, whatever the order, so no option is needed to reach it. eigsh sees the
 operator with I added, so its raw values are the route's values plus 1.
 Where it hands over (returns None), token_alpha answers: those tests patch SPARSE_MIN_ORDER to 0, so
 that every token graph goes through the sparse route first, and patch the
@@ -88,12 +88,13 @@ def _base(tg):
 
 
 def _route_args(tg):
-    """(spectrum, L(F_k), theta), as token_alpha passes them to the sparse route: the CSR L(F_k) after
-    checked_lift, theta from _complement_rayleigh from THETA_MIN_ORDER on and +inf below it."""
+    """(spectrum, B, L(F_k), theta), as token_alpha passes them to the sparse route: the B that
+    checked_lift returns, the CSR L(F_k) after it, theta from _complement_rayleigh from THETA_MIN_ORDER
+    on and +inf below it."""
     spectrum, b, lap = _spectrum(tg), checked_lift(tg)[0], sparse_laplacian(tg.graph)
     if tg.graph.n < spectra.THETA_MIN_ORDER:
-        return spectrum, lap, math.inf
-    return spectrum, lap, spectra._complement_rayleigh(tg, b, spectrum.vectors[:, 1])
+        return spectrum, b, lap, math.inf
+    return spectrum, b, lap, spectra._complement_rayleigh(tg, b, spectrum.vectors[:, 1])
 
 
 def _sparse(tg):
@@ -213,8 +214,8 @@ class TestAgainstDense:
         # above, and eigsh's values carry the 1 that the operator adds
         solves = _spy_solves(monkeypatch)
         tg = token_graph(cycle_graph(8), 3)
-        spectrum, lap, theta = _route_args(tg)
-        value, fields = _sparse_token_alpha(tg, spectrum, lap, theta)
+        spectrum, b, lap, theta = _route_args(tg)
+        value, fields = _sparse_token_alpha(tg, spectrum, b, lap, theta)
         mu = fields["alpha_complement"]
         values = [value - 1.0 for value, _, _ in solves]
         assert len(solves) == 3 and _agrees(tg, value)
@@ -346,11 +347,11 @@ class TestShiftAndStop:
         # K_25 with k = 2 has mu = 48 > Delta + 1/2 = 46.5, so c stays 2 (Delta + 1); with theta = inf,
         # c is 2 (Delta + 1) on all three
         tg = token_graph(g, k)
-        spectrum, lap, theta = _route_args(tg)
+        spectrum, b, lap, theta = _route_args(tg)
         assert theta < math.inf
         for t in (theta, math.inf):
             calls = _eigsh_calls(monkeypatch)
-            _sparse_token_alpha(tg, spectrum, lap, t)
+            _sparse_token_alpha(tg, spectrum, b, lap, t)
             assert calls and all(abs(c - _shift(lap, t)) <= 1e-12 * c for _, c in calls)
         capped = _shift(lap, theta) == 2.0 * theta + 1.0
         assert capped == (g.n != 25) and (not capped or _shift(lap, theta) < 2.0 * _scale(lap))
@@ -403,7 +404,7 @@ class TestShiftAndStop:
             return answers[len(solves) - 1]
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
-        answer = _sparse_token_alpha(tg, spectrum, lap, theta)
+        answer = _sparse_token_alpha(tg, spectrum, b, lap, theta)
         assert len(solves) == len(answers)
         if first or offset < -1:
             assert answer is None
@@ -418,8 +419,8 @@ class TestShiftAndStop:
         # L(F_k) is within the bound, and mu and alpha agree with the dense route's (pinned below)
         tg = token_graph(path_graph(120), 2)
         solves = _spy_solves(monkeypatch)
-        spectrum, lap, theta = _route_args(tg)
-        value, fields = _sparse_token_alpha(tg, spectrum, lap, theta)
+        spectrum, b, lap, theta = _route_args(tg)
+        value, fields = _sparse_token_alpha(tg, spectrum, b, lap, theta)
         bound = spectra.DEFAULT_RESID_TOL * _scale(lap)
         mu, vec = fields["alpha_complement"], solves[0][1]
         assert len(solves) == 2 and mu == solves[0][0] - 1.0
@@ -461,6 +462,56 @@ class TestSparseLaplacian:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (g.n, g.m, name)
 
 
+class TestLiftAsCSR:
+    """The sparse route applies B as csr_array(b), b the checked lift; that CSR is the one built from
+    the k-subset table, entry for entry, so every product, and so every mu, keeps its bits."""
+
+    @staticmethod
+    def _from_table(n: int, k: int):
+        """B in CSR from _colex_subsets(n, k): k ones a row, the row's members as its column indices."""
+        from scipy.sparse import csr_array
+
+        members = tokens._colex_subsets(n, k)
+        index = np.int32 if members.size < 2**31 else np.int64
+        return csr_array((np.ones(members.size), np.asarray(members, dtype=index, order="C").ravel(),
+                          np.arange(0, members.size + 1, k, dtype=index)), shape=(len(members), n))
+
+    def test_same_arrays_as_the_table_build(self):
+        from scipy.sparse import csr_array
+
+        # every (n, k) of family_corpus(7), and dense-alpha's N = 1820 rung, G(16, 1/2) with k = 4
+        cases = sorted({(g.n, k) for g in family_corpus(7) for k in range(1, g.n)} | {(16, 4)})
+        for n, k in cases:
+            got, want = csr_array(tokens.lift(n, k)), self._from_table(n, k)
+            assert got.shape == want.shape == (comb(n, k), n)
+            for name in ("indptr", "indices", "data"):
+                array, expected = getattr(got, name), getattr(want, name)
+                assert array.dtype == expected.dtype and np.array_equal(array, expected), (n, k, name)
+
+    def test_the_route_reads_no_subset_table(self, monkeypatch):
+        # path:16 with k = 4, N = 1820: the lift check reads _colex_subsets, Lanczos never does
+        calls, inside, real = [], [False], tokens._colex_subsets
+        tg = token_graph(path_graph(16), 4)
+
+        def table(n, j):
+            calls.append(inside[0])
+            return real(n, j)
+
+        def sparse_spy(*args, _real=spectra._sparse_token_alpha):
+            inside[0] = True
+            try:
+                return _real(*args)
+            finally:
+                inside[0] = False
+
+        for module in (spectra, tokens):
+            monkeypatch.setattr(module, "_colex_subsets", table)
+        monkeypatch.setattr(spectra, "_sparse_token_alpha", sparse_spy)
+        assert tg.graph.n >= spectra.SPARSE_MIN_ORDER
+        assert _mu(_token_alpha(tg)) is not None
+        assert calls and True not in calls
+
+
 def _parity_instances():
     """The instances on which Lanczos was compared with the LOBPCG ladder it replaced: (id, G, k)."""
     dense = [(f"dense16-seed{seed}", parse_edge_list((DATA / f"dense16_seed{seed}.el").read_text()), 4)
@@ -493,8 +544,8 @@ def test_answers_where_lobpcg_answered(name, g, k):
     # N = 1820..48620: the route answers where the LOBPCG ladder answered, with its mu within the
     # residual bound, and hands over where the ladder handed over
     tg = token_graph(g, k)
-    spectrum, lap, theta = _route_args(tg)
-    answer = _sparse_token_alpha(tg, spectrum, lap, theta)
+    spectrum, b, lap, theta = _route_args(tg)
+    answer = _sparse_token_alpha(tg, spectrum, b, lap, theta)
     assert tg.graph.n >= spectra.SPARSE_MIN_ORDER
     if LOBPCG_MU[name] is None:
         assert answer is None
@@ -542,8 +593,8 @@ class TestTokenAlpha:
         (cycle_graph(4), 2, 0.0, ["proof"], None),  # N = 6: at tol 0 the proof hands over to the values-only solve
     ], ids=["sparse", "sparse-then-proof", "proof-then-values"])
     def test_one_lift_per_decision(self, monkeypatch, g, k, tol, routes, field):
-        # token_alpha checks L(F_k) B = B L(G) once: one lift, and the proof receives it with F_k's
-        # degrees; the sparse route the CSR L(F_k) alone, as it applies B from its k-subsets. Below
+        # token_alpha checks L(F_k) B = B L(G) once: one lift, and every route receives that very B,
+        # the proof with F_k's degrees and the sparse route with the CSR L(F_k). Below
         # SPARSE_MIN_ORDER no Laplacian of F_k is built unless the values-only solve runs; from there
         # on, exactly one CSR Laplacian is built, for the sparse route
         built, received = [], []
@@ -552,9 +603,9 @@ class TestTokenAlpha:
                 built.append((_name, args[0], out := _real(*args)))
                 return out
             monkeypatch.setattr(spectra, name, build)
-        def sparse_spy(tg, spectrum, lap, theta, _real=spectra._sparse_token_alpha):
-            received.append(("sparse", None, lap))
-            return _real(tg, spectrum, lap, theta)
+        def sparse_spy(tg, spectrum, b, lap, theta, _real=spectra._sparse_token_alpha):
+            received.append(("sparse", b, lap))
+            return _real(tg, spectrum, b, lap, theta)
 
         def proof_spy(tg, spectrum, b, degree, *rest, _real=spectra._proved_alpha):
             received.append(("proof", b, degree))
@@ -575,7 +626,7 @@ class TestTokenAlpha:
         degree = reference_laplacian(token_graph(g, k).graph).diagonal()
         assert all(lap is laplacians[0][1] for name, _, lap in received if name == "sparse")
         assert all(b is lifts[0] and np.array_equal(d, degree) for name, b, d in received if name == "proof")
-        assert all((b is None) == (name == "sparse") for name, b, _ in received)
+        assert all(b is lifts[0] for _, b, _ in received)
         keys = {"alpha_complement", "alpha_complement_lower"} & set(cert.witnesses)
         assert keys == ({field} if field else set())
         assert cert.verdict == ("fail" if field is None else "pass")  # C_4 at tol 0 fails, as it always has
@@ -658,7 +709,7 @@ class TestRouteFields:
         elif check == "bipartite-ext":
             # Y's symmetry makes mu degenerate on every bipartite extension, so Lanczos never closes there;
             # a route with the sparse route's fields stands in for it
-            monkeypatch.setattr(spectra, "_sparse_token_alpha", lambda tg, spectrum, lap, theta: (
+            monkeypatch.setattr(spectra, "_sparse_token_alpha", lambda tg, spectrum, b, lap, theta: (
                 fiedler_value(spectrum.values), {"alpha_complement": 9.0, "alpha_complement_least": "not certified"}))
         if route != "proof":
             monkeypatch.setattr(spectra, "_proved_alpha", lambda *args: None)

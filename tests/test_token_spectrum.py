@@ -822,15 +822,19 @@ class TestProvedAlpha:
     @pytest.mark.parametrize("rate", [spectra.PROOF_BYTES_PER_N2 - 1, spectra.PROOF_BYTES_PER_N2])
     def test_memory_at_the_proofs_rate(self, monkeypatch, rate):
         # path:14 with k = 4, N = 1001: the proof is the cheapest dense route, so below its
-        # rate alpha exits 3 (CapExceededError), and at it alpha is proved
+        # rate alpha exits 3 (CapExceededError, named for the proof), and at it alpha is proved
         assert spectra.PROOF_BYTES_PER_N2 < spectra.VALUES_BYTES_PER_N2
         g, k, n = path_graph(14), 4, 1001
         monkeypatch.setattr(spectra, "SPARSE_MIN_ORDER", n + 1)
         monkeypatch.setattr(tokens, "PHYSICAL_MEMORY", rate * n ** 2)
         tg = token_graph(g, k)
+        factors, exceeds = [], spectra._complement_exceeds
+        monkeypatch.setattr(spectra, "_complement_exceeds", lambda *a: factors.append(a) or exceeds(*a))
         if rate < spectra.PROOF_BYTES_PER_N2:
-            with pytest.raises(CapExceededError, match=f"dense Laplacian route at N = {n}"):
+            need = spectra.PROOF_BYTES_PER_N2 * n ** 2 / 2**30
+            with pytest.raises(CapExceededError, match=f"^the proof at N = {n} needs about {need:.3g} GiB,"):
                 token_alpha(tg, _base(g), *_accept(g))
+            assert factors == []  # refused before its matrix is allocated
         else:
             assert set(token_alpha(tg, _base(g), *_accept(g))[1]) == {"alpha_complement_lower"}
 

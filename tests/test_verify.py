@@ -492,6 +492,22 @@ class TestKiteHeadFamily:
             check_kite_head_family("cycle", s=2, r=1, h=order, k=2, **edges)
         assert solves == []
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(variant="tree", h=5), "unknown variant 'tree'"),
+        (dict(variant="cycle", h1=2, h2=3), "cycle variant needs h"),
+        (dict(variant="bipartite", h1=2), "bipartite variant needs h1 and h2"),
+        (dict(variant="bipartite", h=5, h2=3), "bipartite variant needs h1 and h2"),
+        (dict(variant="bipartite", h1=2, h2=3, root_side=0), "root_side must be 1 or 2"),
+        (dict(variant="bipartite", h1=2, h2=3, root_side=3), "root_side must be 1 or 2"),
+    ])
+    def test_bad_variant_arguments_are_refused_before_any_solve(self, kw, message, monkeypatch):
+        solves = []
+        for name in ("submatrix_values", "laplacian_values", "_token_alpha"):
+            monkeypatch.setattr(verify, name, lambda *a, name=name, **kw: solves.append(name))
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            check_kite_head_family(s=3, r=3, k=2, **kw)
+        assert solves == []
+
 
 class TestLevelEdgesRefusedBeforeAnySolve:
     """tail-edges and symmetrizer build the perturbed kite before their first solve, so an --add
